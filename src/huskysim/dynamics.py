@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .robot import RobotParams
-from .rotations import rot_z, rpy_matrix, skew
+from .rotations import cross, rot_z, rpy_matrix, skew
 
 NX = 13
 NU = 16
@@ -115,54 +115,43 @@ def centroidal_accel(
     is rotated by yaw only.
     """
     R = rpy_matrix(state.theta)
-    e_world = (R @ params.thrust_dirs.T).T  # 4x3
+    thrust = (params.thrust_dirs @ R.T) * u.thrust[:, None]  # 4x3, world frame
 
-    force = u.grf.sum(axis=0) + (e_world * u.thrust[:, None]).sum(axis=0)
+    force = u.grf.sum(axis=0) + thrust.sum(axis=0)
     pddot = force / params.mass + np.array([0.0, 0.0, -params.gravity])
-
-    tau = np.zeros(3)
-    for i in range(4):
-        tau += np.cross(r[i], e_world[i] * u.thrust[i])
-        tau += np.cross(d[i], u.grf[i])
-    iw = yaw_inertia(params, state.theta[2])
-    omegadot = np.linalg.solve(iw, tau)
+    tau = (cross(r, thrust) + cross(d, u.grf)).sum(axis=0)
+    omegadot = np.linalg.solve(yaw_inertia(params, state.theta[2]), tau)
     return pddot, omegadot
 
 
-def build_continuous_model(
-    state: RobotState,
-    d: np.ndarray,
-    r: np.ndarray,
-    stance_flags,
-    params: RobotParams,
-):
+def build_continuous_model(state: RobotState, d: np.ndarray, r: np.ndarray, params: RobotParams):
     """Continuous A (13x13) and B (13x16) of the yaw-linearized dynamics.
 
-    Columns are emitted for all four legs regardless of stance_flags; swing
-    legs are zeroed downstream by input constraints, not by the model.
+    d may also stack n sets of foot lever arms, (n, 4, 3), that share
+    everything else; B is then (n, 13, 16). Columns are emitted for all four
+    legs; swing legs are zeroed downstream by input constraints, not by the model.
     """
-    del stance_flags
     rz = rot_z(state.theta[2])
-    iw = yaw_inertia(params, state.theta[2])
-    iw_inv = np.linalg.inv(iw)
-    e_yaw = (rz @ params.thrust_dirs.T).T  # 4x3
+    iw_inv = np.linalg.inv(yaw_inertia(params, state.theta[2]))
+    e_yaw = params.thrust_dirs @ rz.T  # 4x3
 
     A = np.zeros((NX, NX))
     A[0:3, 6:9] = rz.T  # theta_dot = Rz^T omega
     A[3:6, 9:12] = np.eye(3)  # p_dot = v
     A[11, 12] = -params.gravity  # gravity via the constant augmented state
 
-    B = np.zeros((NX, NU))
-    for i in range(4):
-        B[6:9, 3 * i : 3 * i + 3] = iw_inv @ skew(d[i])
-        B[9:12, 3 * i : 3 * i + 3] = np.eye(3) / params.mass
-        B[6:9, 12 + i] = iw_inv @ np.cross(r[i], e_yaw[i])
-        B[9:12, 12 + i] = e_yaw[i] / params.mass
+    stack = np.shape(d)[:-2]
+    # leg i's GRF block is iw_inv @ skew(d_i); side by side they are (3, 12)
+    B = np.zeros(stack + (NX, NU))
+    B[..., 6:9, :12] = np.swapaxes(iw_inv @ skew(d), -3, -2).reshape(stack + (3, 12))
+    B[..., 9:12, :12] = np.tile(np.eye(3) / params.mass, 4)
+    B[..., 6:9, 12:] = iw_inv @ cross(r, e_yaw).T
+    B[..., 9:12, 12:] = e_yaw.T / params.mass
     return A, B
 
 
 def discretize(A: np.ndarray, B: np.ndarray, dt: float) -> LinearModel:
-    """Forward-Euler discretization: A_k = I + A dt, B_k = B dt."""
+    """Forward-Euler discretization: A_k = I + A dt, B_k = B dt (B may be stacked)."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
     return LinearModel(A_k=np.eye(NX) + A * dt, B_k=B * dt)

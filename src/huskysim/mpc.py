@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
-from .dynamics import NU, NX, ControlInput, LinearModel, RobotState
+from .dynamics import NU, NX, ControlInput, LinearModel, RobotState, build_continuous_model, discretize
 
 _DEFAULT_Q_DIAG = [400.0, 400.0, 100.0, 100.0, 400.0, 800.0, 1.0, 1.0, 1.0, 10.0, 40.0, 20.0, 0.0]
 _DEFAULT_R_DIAG = [1e-4] * 12 + [1e-3] * 4
@@ -53,8 +53,10 @@ class MpcConfig:
     def validate(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt_s must be finite and positive, got {self.dt}")
+        if not 0 < self.rate_hz < np.inf:
+            raise ValueError(f"rate_hz must be finite and positive, got {self.rate_hz}")
         if self.q_diag.shape != (NX,) or np.any(self.q_diag < 0):
             raise ValueError(f"q_diag must be {NX} non-negative weights")
         if self.r_diag.shape != (NU,) or np.any(self.r_diag <= 0):
@@ -254,10 +256,5 @@ def mpc_step(
 
     Use MpcController for warm-started receding-horizon operation.
     """
-    from .dynamics import build_continuous_model, discretize
-
-    models = []
-    for flags in stance_seq:
-        A, B = build_continuous_model(state, d, r, flags, params)
-        models.append(discretize(A, B, config.dt))
+    models = [discretize(*build_continuous_model(state, d, r, params), config.dt)] * len(stance_seq)
     return MpcController(config).step(state, stance_seq, models, ref)

@@ -10,6 +10,7 @@ Joint angles q = (abduction, hip swing, knee), radians.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,18 +36,15 @@ _DEFAULT_THRUST_DIRS = [
 ]
 
 _DEFAULT_JOINT_LIMITS = [[-0.8, 0.8], [-2.0, 2.0], [-2.6, 2.6]]
+_LIMIT_TOL = 1e-9  # rad of round-off accepted at a joint limit
 
 
 class NoConvergence(Exception):
-    """Inverse kinematics failed to reach the target within max iterations."""
+    """No joint angles reach the IK target: it is off the leg's shell or beyond a joint limit."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float):
         self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"IK did not converge after {iterations} iterations "
-            f"(residual {residual:.3e} m); target unreachable or near-singular"
-        )
+        super().__init__(f"IK target unreachable: {residual:.3e} m outside the leg workspace")
 
 
 @dataclass
@@ -171,48 +169,46 @@ def leg_jacobian(params: RobotParams, leg_index: int, q: np.ndarray) -> np.ndarr
 
 
 def leg_inverse_kinematics(
-    params: RobotParams,
-    leg_index: int,
-    target_foot_pos: np.ndarray,
-    q_init: np.ndarray,
-    tol: float = 1e-6,
-    max_iters: int = 100,
-    damping: float = 1e-3,
-    step_clamp: float = 0.3,
+    params: RobotParams, leg_index: int, target_foot_pos: np.ndarray, q_init: np.ndarray
 ) -> np.ndarray:
-    """Damped-least-squares IK for the body-frame foot target.
+    """Closed-form IK for the body-frame foot target.
 
-    Retries from canonical elbow poses if the first descent stalls (wrong
-    elbow basin). Raises NoConvergence when the residual stays above tol,
-    which covers out-of-workspace targets and near-singular approaches.
+    Abduction comes from the y-z projection, which holds the lateral roll
+    offset; hip swing and knee from the planar thigh-shank triangle by the law
+    of cosines. The knee bends to the side of q_init[2] (backwards when it is
+    zero). Of the two abduction branches the one inside the joint limits is
+    taken, the one nearer q_init[0] when both are. Raises NoConvergence, with
+    the residual set to the distance outside, when the target is off the
+    reachable shell or needs a joint beyond its limits.
     """
-    lim = params.joint_limits
-    lam2 = damping * damping
-    starts = [
-        np.asarray(q_init, dtype=float).copy(),
-        np.array([0.0, 0.6, -1.6]),
-        np.array([0.0, -0.6, 1.6]),
-    ]
-    best_residual = np.inf
-    for q0 in starts:
-        q = np.clip(q0, lim[:, 0], lim[:, 1])
-        if abs(q[2]) < 1e-3:
-            q[2] = -0.05  # straight knee is a stationary point of the radial error
-        for _ in range(max_iters):
-            foot, _ = leg_forward_kinematics(params, leg_index, q)
-            err = target_foot_pos - foot
-            if np.linalg.norm(err) < tol:
-                return q
-            J = leg_jacobian(params, leg_index, q)
-            dq = J.T @ np.linalg.solve(J @ J.T + lam2 * np.eye(3), err)
-            dq = np.clip(dq, -step_clamp, step_clamp)
-            q = np.clip(q + dq, lim[:, 0], lim[:, 1])
-        foot, _ = leg_forward_kinematics(params, leg_index, q)
-        residual = float(np.linalg.norm(target_foot_pos - foot))
-        if residual < 1e-4:
-            return q
-        best_residual = min(best_residual, residual)
-    raise NoConvergence(best_residual, max_iters)
+    ll = params.link_lengths
+    l1, l2 = ll.thigh, ll.shank
+    offset = LEG_SIDE_SIGN[leg_index] * ll.hip_roll_offset
+    target = np.asarray(target_foot_pos, dtype=float)
+    x, y, z = (target - params.hip_offsets[leg_index]).tolist()
+
+    rho = math.hypot(y, z)
+    # extent of the planar thigh-shank chain off the abduction axis
+    depth = math.sqrt(max(rho * rho - offset * offset, 0.0))
+    reach = math.hypot(x, depth)
+    outside = max(reach - (l1 + l2), abs(l1 - l2) - reach, abs(offset) - rho)
+    if not outside <= 0.0:
+        raise NoConvergence(outside)
+    knee = math.acos(min(1.0, max(-1.0, (reach * reach - l1 * l1 - l2 * l2) / (2.0 * l1 * l2))))
+    if q_init[2] <= 0.0:
+        knee = -knee
+    tilt = math.atan2(l2 * math.sin(knee), l1 + l2 * math.cos(knee))
+
+    lo, hi = params.joint_limits[:, 0], params.joint_limits[:, 1]
+    candidates = []
+    for zp in (-depth, depth):  # foot below, then above, the abduction axis
+        abduction = math.remainder(math.atan2(z, y) - math.atan2(zp, offset), math.tau)
+        candidates.append(np.array([abduction, math.remainder(math.atan2(-x, -zp) - tilt, math.tau), knee]))
+    inside = [q for q in candidates if np.all((lo - _LIMIT_TOL <= q) & (q <= hi + _LIMIT_TOL))]
+    if not inside:
+        feet = (leg_forward_kinematics(params, leg_index, np.clip(q, lo, hi))[0] for q in candidates)
+        raise NoConvergence(min(float(np.linalg.norm(foot - target)) for foot in feet))
+    return min(inside, key=lambda q: abs(q[0] - q_init[0]))
 
 
 def stance_torques(J: np.ndarray, u_g: np.ndarray) -> np.ndarray:

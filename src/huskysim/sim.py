@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlInput, RobotState, build_continuous_model, centroidal_accel, discretize, euler_rates
+from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, centroidal_accel, discretize, euler_rates
 from .gait import GaitConfig, SwingCurve, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
 from .robot import NoConvergence, RobotParams, leg_inverse_kinematics, thruster_point
@@ -28,6 +28,9 @@ SOLVER_FAILURE = "SolverFailure"
 
 ROLL_LIMIT = 0.6  # rad, |roll| or |pitch| beyond this is a fall
 HEIGHT_FRACTION = 0.6  # fall when COM height drops below this fraction of desired
+# N; the QP leaves its rows violated by up to ~1e-10 N per N of their largest
+# bound, so a leg this little outside the cone has solver residue, not a slip
+SLIP_FORCE_TOL = 1e-6
 
 
 @dataclass
@@ -83,10 +86,10 @@ class Scenario:
     mu_real: float = None  # plant-side friction limit; defaults to the MPC mu
 
     def validate(self):
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
-        if self.sim_dt <= 0:
-            raise ValueError("sim_dt must be positive")
+        if not 0 <= self.duration < np.inf:
+            raise ValueError(f"duration_s must be finite and non-negative, got {self.duration}")
+        if not 0 < self.sim_dt < np.inf:
+            raise ValueError(f"sim_dt_s must be finite and positive, got {self.sim_dt}")
         for dist in self.disturbances:
             if dist.t_start >= dist.t_end:
                 raise ValueError("disturbance must have t_start < t_end")
@@ -161,10 +164,9 @@ def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, 
         if not stance[i]:
             continue
         fz = u.grf[i, 2]
-        if fz > 1e-9:
-            ratio = np.hypot(u.grf[i, 0], u.grf[i, 1]) / fz
-            if ratio > mu_real:
-                violations.append((SLIP, i, f"leg {i} friction ratio {ratio:.3f} > mu {mu_real}"))
+        tangential = np.hypot(u.grf[i, 0], u.grf[i, 1])
+        if fz > 1e-9 and tangential > mu_real * fz + SLIP_FORCE_TOL:
+            violations.append((SLIP, i, f"leg {i} friction ratio {tangential / fz:.3f} > mu {mu_real}"))
         if not terrain.on_top_face(foot_pos[i][:2]):
             violations.append(
                 (BEAM_MISS, i, f"leg {i} foot y {foot_pos[i][1]:.3f} off the beam top face")
@@ -191,6 +193,18 @@ def step(
     return RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
 
 
+def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> list[LinearModel]:
+    """One tick's per-step discrete models, from a single model build.
+
+    A leg in the air now that is in stance at step k has its planned touchdown
+    (world frame) as lever arm there; every other column is the same at every step.
+    """
+    landing = np.asarray(stance_seq) & ~np.asarray(stance_now)
+    d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
+    horizon = discretize(*build_continuous_model(state, d_seq, r, params), dt)
+    return [LinearModel(horizon.A_k, B_k) for B_k in horizon.B_k]
+
+
 class _LegTracker:
     """Owns foot pinning, swing curves, and warm-started IK joint angles."""
 
@@ -213,7 +227,7 @@ class _LegTracker:
         ]
         self.q = np.zeros((4, 3))
         self.q[:, 1] = 0.6
-        self.q[:, 2] = -1.2  # bent-knee guess keeps IK off the straight-leg singularity
+        self.q[:, 2] = -1.2  # knee bent backwards; the IK keeps the branch of the last angles
         self.initial_com = com0
 
     def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
@@ -307,16 +321,9 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 trot_schedule(t + k * mpc_cfg.dt, gait_cfg.t_stance, gait_cfg.t_swing).stance_flags
                 for k in range(mpc_cfg.horizon)
             ]
-            # per-step lever arms: legs that land later in the horizon use
-            # their planned touchdown, not the mid-air swing position
-            models = []
-            for flags in stance_seq:
-                d_k = d.copy()
-                for leg in range(4):
-                    if flags[leg] and not gait.stance_flags[leg]:
-                        d_k[leg] = tracker.target[leg] - state.p
-                A, B = build_continuous_model(state, d_k, r, flags, params)
-                models.append(discretize(A, B, mpc_cfg.dt))
+            models = horizon_models(
+                state, d, r, tracker.target, gait.stance_flags, stance_seq, params, mpc_cfg.dt
+            )
             try:
                 u = controller.step(state, stance_seq, models, ref)
             except SolverFailure as exc:

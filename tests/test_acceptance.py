@@ -110,7 +110,7 @@ def _random_condensed_instance(rng, params):
     stance_seq = [rng.random(4) < 0.7 for _ in range(horizon)]
     models = []
     for flags in stance_seq:
-        A, B = build_continuous_model(state, d, r, flags, params)
+        A, B = build_continuous_model(state, d, r, params)
         models.append(discretize(A, B, cfg.dt))
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
     return assemble_qp(state, stance_seq, models, ref, cfg)
@@ -141,7 +141,7 @@ def test_criterion_4_mpc_qp_correctness():
     d[:, 2] = -0.23
     r = d * 0.5
     stance = np.ones(4, dtype=bool)
-    A, B = build_continuous_model(state, d, r, stance, tilted)
+    A, B = build_continuous_model(state, d, r, tilted)
     model = discretize(A, B, cfg.dt)
     ref = build_reference(state, Command(height=0.25), cfg)
     controller = MpcController(cfg)
@@ -180,7 +180,7 @@ def test_criterion_5_dynamics_fidelity():
         grf = rng.uniform(-5, 5, (4, 3))
         grf[:, 2] += weight / 4
         u = ControlInput(grf=grf, thrust=rng.uniform(0, 0.5, 4))
-        A, B = build_continuous_model(state, d, r, np.ones(4, dtype=bool), params)
+        A, B = build_continuous_model(state, d, r, params)
         model = discretize(A, B, 1e-3)
         x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
         x_plant = step(state, u, d, r, np.zeros(3), params, 1e-3).as_vector()

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import col, load_bundled, read_log, read_summary
 from huskysim import cli
@@ -39,6 +40,32 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     code = cli.main(["run", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "lava" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ('{"mpc": {"rate_hz": 0}}', "rate_hz"),
+        ('{"mpc": {"rate_hz": -100}}', "rate_hz"),
+        ('{"mpc": {"rate_hz": Infinity}}', "rate_hz"),
+        ('{"mpc": {"rate_hz": NaN}}', "rate_hz"),
+        ('{"duration_s": NaN}', "duration_s"),
+        ('{"duration_s": Infinity}', "duration_s"),
+        ('{"sim_dt_s": NaN}', "sim_dt_s"),
+        ('{"sim_dt_s": Infinity}', "sim_dt_s"),
+        ('{"mpc": {"dt_s": NaN}}', "dt_s"),
+    ],
+    ids=["rate_zero", "rate_negative", "rate_inf", "rate_nan", "duration_nan", "duration_inf",
+         "sim_dt_nan", "sim_dt_inf", "mpc_dt_nan"],
+)
+def test_bad_timing_value_exits_1(tmp_path, capsys, doc, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code = cli.main(["run", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and key in err[0]
 
 
 def test_summary_recomputed_from_log_matches(cli_runs):

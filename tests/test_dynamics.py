@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from huskysim.dynamics import (
+    NU,
+    NX,
     ControlInput,
     GimbalLock,
     RobotState,
@@ -9,9 +11,10 @@ from huskysim.dynamics import (
     centroidal_accel,
     discretize,
     euler_rates,
+    yaw_inertia,
 )
 from huskysim.robot import RobotParams
-from huskysim.rotations import rot_z
+from huskysim.rotations import rot_z, rpy_matrix, skew
 
 
 @pytest.fixture
@@ -39,6 +42,78 @@ def random_state(rng, angle=0.3):
         omega=rng.uniform(-0.5, 0.5, 3),
         pdot=rng.uniform(-0.5, 0.5, 3),
     )
+
+
+def centroidal_accel_loop_oracle(state, u, d, r, params):
+    """centroidal_accel as it was first written: one np.cross per leg and force."""
+    R = rpy_matrix(state.theta)
+    e_world = (R @ params.thrust_dirs.T).T
+    force = u.grf.sum(axis=0) + (e_world * u.thrust[:, None]).sum(axis=0)
+    pddot = force / params.mass + np.array([0.0, 0.0, -params.gravity])
+    tau = np.zeros(3)
+    for i in range(4):
+        tau += np.cross(r[i], e_world[i] * u.thrust[i])
+        tau += np.cross(d[i], u.grf[i])
+    return pddot, np.linalg.solve(yaw_inertia(params, state.theta[2]), tau)
+
+
+def continuous_model_loop_oracle(state, d, r, params):
+    """build_continuous_model as it was first written: B filled leg by leg."""
+    rz = rot_z(state.theta[2])
+    iw_inv = np.linalg.inv(yaw_inertia(params, state.theta[2]))
+    e_yaw = (rz @ params.thrust_dirs.T).T
+    A = np.zeros((NX, NX))
+    A[0:3, 6:9] = rz.T
+    A[3:6, 9:12] = np.eye(3)
+    A[11, 12] = -params.gravity
+    B = np.zeros((NX, NU))
+    for i in range(4):
+        B[6:9, 3 * i : 3 * i + 3] = iw_inv @ skew(d[i])
+        B[9:12, 3 * i : 3 * i + 3] = np.eye(3) / params.mass
+        B[6:9, 12 + i] = iw_inv @ np.cross(r[i], e_yaw[i])
+        B[9:12, 12 + i] = e_yaw[i] / params.mass
+    return A, B
+
+
+def random_input(rng):
+    return ControlInput(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 20, 4))
+
+
+def test_centroidal_accel_matches_loop_oracle(params):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        state = random_state(rng, angle=0.5)
+        d, r = rng.uniform(-0.4, 0.4, (2, 4, 3))
+        u = random_input(rng)
+        pddot, omegadot = centroidal_accel(state, u, d, r, params)
+        pddot_o, omegadot_o = centroidal_accel_loop_oracle(state, u, d, r, params)
+        assert np.abs(pddot - pddot_o).max() <= 1e-12
+        assert np.abs(omegadot - omegadot_o).max() <= 1e-12
+
+
+def test_continuous_model_matches_loop_oracle(params):
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        state = random_state(rng, angle=0.5)
+        d, r = rng.uniform(-0.4, 0.4, (2, 4, 3))
+        A, B = build_continuous_model(state, d, r, params)
+        A_o, B_o = continuous_model_loop_oracle(state, d, r, params)
+        assert np.abs(A - A_o).max() <= 1e-12
+        assert np.abs(B - B_o).max() <= 1e-12
+
+
+def test_continuous_model_stacked_lever_arms(params):
+    """A stack of lever-arm sets gives one B per set, each as if built alone."""
+    rng = np.random.default_rng(33)
+    state = random_state(rng)
+    d_seq = rng.uniform(-0.4, 0.4, (5, 4, 3))
+    r = rng.uniform(-0.4, 0.4, (4, 3))
+    A, B_seq = build_continuous_model(state, d_seq, r, params)
+    assert B_seq.shape == (5, NX, NU)
+    for d, B in zip(d_seq, B_seq):
+        A_k, B_k = build_continuous_model(state, d, r, params)
+        assert np.array_equal(A, A_k)
+        assert np.abs(B - B_k).max() <= 1e-12
 
 
 def test_free_fall(params):
@@ -111,7 +186,7 @@ def test_euler_rates_gimbal_lock():
 def test_model_structure(params):
     d, r = symmetric_stand(params)
     state = RobotState(theta=np.array([0.0, 0.0, 0.7]))
-    A, B = build_continuous_model(state, d, r, np.ones(4, dtype=bool), params)
+    A, B = build_continuous_model(state, d, r, params)
     for i in range(4):
         assert np.allclose(B[9:12, 3 * i : 3 * i + 3], np.eye(3) / params.mass, atol=1e-14)
     assert np.allclose(A[0:3, 6:9], rot_z(0.7).T, atol=1e-14)
@@ -121,7 +196,7 @@ def test_model_structure(params):
 
 def test_model_theta_block_identity_at_zero_yaw(params):
     d, r = symmetric_stand(params)
-    A, _ = build_continuous_model(RobotState(), d, r, np.ones(4, dtype=bool), params)
+    A, _ = build_continuous_model(RobotState(), d, r, params)
     assert np.allclose(A[0:3, 6:9], np.eye(3), atol=1e-14)
 
 
@@ -133,7 +208,7 @@ def test_model_directional_consistency(params):
         d = rng.uniform(-0.3, 0.3, (4, 3))
         r = rng.uniform(-0.3, 0.3, (4, 3))
         u = ControlInput(grf=rng.uniform(-20, 20, (4, 3)), thrust=rng.uniform(0, 10, 4))
-        A, B = build_continuous_model(state, d, r, np.ones(4, dtype=bool), params)
+        A, B = build_continuous_model(state, d, r, params)
         xdot = A @ state.as_vector() + B @ u.as_vector()
 
         # same approximations evaluated through the nonlinear path: zero the
@@ -193,7 +268,7 @@ def test_linearization_consistency(params):
         d = rng.uniform(-0.3, 0.3, (4, 3))
         r = rng.uniform(-0.3, 0.3, (4, 3))
         u = ControlInput(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 15, 4))
-        A, B = build_continuous_model(state, d, r, np.ones(4, dtype=bool), params)
+        A, B = build_continuous_model(state, d, r, params)
         model = discretize(A, B, dt)
         x = state.as_vector()
         step_lin = model.A_k @ x + model.B_k @ u.as_vector()

@@ -30,7 +30,7 @@ def stand_geometry(params, height=0.25):
 def make_models(state, d, r, stance_seq, cfg, params):
     models = []
     for flags in stance_seq:
-        A, B = build_continuous_model(state, d, r, flags, params)
+        A, B = build_continuous_model(state, d, r, params)
         models.append(discretize(A, B, cfg.dt))
     return models
 

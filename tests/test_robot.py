@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from huskysim.robot import (
     LEG_SIDE_SIGN,
+    LinkLengths,
     NoConvergence,
     RobotParams,
     joint_command,
@@ -11,6 +14,7 @@ from huskysim.robot import (
     leg_jacobian,
     stance_torques,
 )
+from huskysim.rotations import rot_x
 
 
 @pytest.fixture
@@ -132,7 +136,7 @@ def test_ik_round_trip(params):
 def test_ik_converges_quickly_to_nominal_stance(params):
     hip = params.hip_offsets[0]
     target = hip + np.array([0.0, -0.04, -0.25])
-    q = leg_inverse_kinematics(params, 0, target, np.zeros(3), max_iters=20)
+    q = leg_inverse_kinematics(params, 0, target, np.zeros(3))
     foot, _ = leg_forward_kinematics(params, 0, q)
     assert np.linalg.norm(foot - target) < 1e-4
 
@@ -143,6 +147,78 @@ def test_ik_unreachable_target_raises(params):
     with pytest.raises(NoConvergence) as exc:
         leg_inverse_kinematics(params, 0, target, np.array([0.0, 0.3, -0.8]))
     assert exc.value.residual > 1e-4
+
+
+# unequal links leave an unreachable core of radius |thigh - shank| around the hip swing axis
+OFFSET_LEG = RobotParams(link_lengths=LinkLengths(hip_roll_offset=0.05, thigh=0.19, shank=0.15))
+EQUAL_LEG = RobotParams(link_lengths=LinkLengths(hip_roll_offset=0.05))
+_LIM = OFFSET_LEG.joint_limits  # the default limits, as on EQUAL_LEG
+_KNEE_MIN = 0.01  # rad; a straight knee has no branch to follow
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def poses(draw):
+    params = draw(st.sampled_from([OFFSET_LEG, EQUAL_LEG]))
+    leg = draw(st.integers(0, 3))
+    q0 = draw(st.floats(_LIM[0, 0], _LIM[0, 1]))
+    q1 = draw(st.floats(_LIM[1, 0], _LIM[1, 1]))
+    knee = draw(st.floats(_KNEE_MIN, _LIM[2, 1])) * draw(st.sampled_from([-1.0, 1.0]))
+    return params, leg, np.array([q0, q1, knee])
+
+
+@_PROPERTY
+@given(poses())
+@example((OFFSET_LEG, 1, np.array([-0.8, 1.6, -0.3])))  # right leg near horizontal: abduction wraps
+@example((EQUAL_LEG, 0, np.array([0.0, -2.0, -2.6])))  # knee folded over the hip: hip swing wraps
+def test_ik_closed_form_round_trip(pose):
+    params, leg, q_true = pose
+    target, _ = leg_forward_kinematics(params, leg, q_true)
+    # only the knee's side and the abduction angle pick the branch
+    q_init = np.array([q_true[0], 0.0, np.sign(q_true[2])])
+    q = leg_inverse_kinematics(params, leg, target, q_init)
+    foot, _ = leg_forward_kinematics(params, leg, q)
+    assert np.linalg.norm(foot - target) <= 1e-9
+    assert np.abs(q - q_true).max() <= 1e-6
+
+
+@_PROPERTY
+@given(
+    st.integers(0, 3),
+    st.one_of(st.floats(0.3401, 0.6), st.floats(0.0, 0.0399)),
+    st.floats(-np.pi, np.pi),
+    st.floats(-np.pi, np.pi),
+)
+def test_ik_off_shell_target_raises(leg, reach, abduction, planar_angle):
+    """Targets beyond thigh + shank, or inside |thigh - shank|, of the planar chain."""
+    ll = OFFSET_LEG.link_lengths
+    side = LEG_SIDE_SIGN[leg] * ll.hip_roll_offset
+    planar = np.array([reach * np.sin(planar_angle), side, reach * np.cos(planar_angle)])
+    target = OFFSET_LEG.hip_offsets[leg] + rot_x(abduction) @ planar
+    with pytest.raises(NoConvergence) as exc:
+        leg_inverse_kinematics(OFFSET_LEG, leg, target, np.array([0.0, 0.3, -0.8]))
+    outside = max(reach - (ll.thigh + ll.shank), abs(ll.thigh - ll.shank) - reach)
+    assert exc.value.residual > 0
+    # near reach 0 the depth sqrt(rho^2 - offset^2) keeps only half the digits of the target
+    assert exc.value.residual == pytest.approx(outside, abs=1e-8)
+
+
+def test_ik_outside_joint_limits_raises(params):
+    # reachable by the chain, but only with the hip swung past its 2 rad limit
+    target, _ = leg_forward_kinematics(params, 0, np.array([0.0, 2.5, -0.5]))
+    with pytest.raises(NoConvergence) as exc:
+        leg_inverse_kinematics(params, 0, target, np.array([0.0, 0.3, -0.8]))
+    assert exc.value.residual > 0
+
+
+def test_ik_knee_branch_follows_q_init(params):
+    target, _ = leg_forward_kinematics(params, 1, np.array([0.1, 0.4, -1.0]))
+    back = leg_inverse_kinematics(params, 1, target, np.array([0.0, 0.0, -0.3]))
+    forward = leg_inverse_kinematics(params, 1, target, np.array([0.0, 0.0, 0.3]))
+    assert back[2] == pytest.approx(-1.0, abs=1e-12)
+    assert forward[2] == pytest.approx(1.0, abs=1e-12)
+    for q in (back, forward):
+        assert np.linalg.norm(leg_forward_kinematics(params, 1, q)[0] - target) < 1e-12
 
 
 def test_stance_torques_identity():

@@ -12,6 +12,7 @@ from huskysim.sim import (
     Terrain,
     check_contact_legality,
     friction_ratios,
+    horizon_models,
     load_scenario,
     step,
 )
@@ -95,6 +96,18 @@ def test_contact_legality_friction_examples():
     assert violations and violations[0][0] == SLIP
 
 
+def test_contact_legality_ignores_solver_residue():
+    """Nano-newton forces a hair outside the cone are QP round-off, not a slip."""
+    terrain = Terrain()
+    foot = np.zeros((4, 3))
+    stance = np.array([True, False, False, False])
+    u = ControlInput()
+    u.grf[0] = [4.0e-10, -4.9e-10, 1.13e-9]  # ratio 0.56, 7e-11 N outside a 0.5 cone
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) == []
+    u.grf[0] = [0.51e-3, 0.0, 1.0e-3]  # a milli-newton load outside the cone still slips
+    assert check_contact_legality(u, foot, stance, terrain, 0.5)[0][0] == SLIP
+
+
 def test_contact_legality_beam_miss():
     terrain = Terrain(kind="beam", width=0.1, height=0.1)
     u = ControlInput()
@@ -172,11 +185,35 @@ def test_plant_model_single_step_agreement(params):
         grf = rng.uniform(-5, 5, (4, 3))
         grf[:, 2] += weight / 4
         u = ControlInput(grf=grf, thrust=rng.uniform(0, 0.5, 4))
-        A, B = build_continuous_model(state, d, r, np.ones(4, dtype=bool), params)
+        A, B = build_continuous_model(state, d, r, params)
         model = discretize(A, B, dt)
         x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
         x_plant = step(state, u, d, r, np.zeros(3), params, dt).as_vector()
         assert np.abs(x_plant - x_lin).max() < 1e-4
+
+
+def test_horizon_models_match_per_step_builds(params):
+    """One build per tick equals a build and a discretization per horizon step."""
+    from huskysim.dynamics import build_continuous_model, discretize
+
+    rng = np.random.default_rng(16)
+    dt = 0.06
+    for _ in range(50):
+        state = RobotState(theta=rng.uniform(-0.2, 0.2, 3), p=rng.normal(size=3))
+        d, r = rng.uniform(-0.3, 0.3, (2, 4, 3))
+        touchdown = state.p + rng.uniform(-0.3, 0.3, (4, 3))
+        stance_now = rng.random(4) < 0.5
+        stance_seq = [rng.random(4) < 0.5 for _ in range(5)]
+        models = horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt)
+        assert len(models) == 5
+        for flags, model in zip(stance_seq, models):
+            d_k = d.copy()
+            for leg in range(4):
+                if flags[leg] and not stance_now[leg]:
+                    d_k[leg] = touchdown[leg] - state.p
+            expected = discretize(*build_continuous_model(state, d_k, r, params), dt)
+            assert np.abs(model.A_k - expected.A_k).max() <= 1e-12
+            assert np.abs(model.B_k - expected.B_k).max() <= 1e-12
 
 
 def test_flat_trot_tracks_speed():
