@@ -39,8 +39,23 @@ def _bundled_scenario_path(name: str):
     return resources.files("huskysim").joinpath(f"scenarios/{name}.json")
 
 
+def configs_from_doc(doc: dict):
+    """(scenario, params, mpc_cfg, gait_cfg) from a parsed scenario document.
+
+    A top-level ``thrusters_enabled: false`` turns the MPC's thrusters off.
+    Raises KeyError, TypeError or ValueError for an invalid document.
+    """
+    scenario = load_scenario(doc)
+    params = RobotParams.from_dict(doc.get("robot", {}))
+    mpc_cfg = MpcConfig.from_dict(doc.get("mpc", {}))
+    gait_cfg = GaitConfig.from_dict(doc.get("gait", {}))
+    if not doc.get("thrusters_enabled", True):
+        mpc_cfg.thrusters_enabled = False
+    return scenario, params, mpc_cfg, gait_cfg
+
+
 def load_config(path):
-    """Parse a scenario document into (scenario, params, mpc_cfg, gait_cfg)."""
+    """Read a scenario file (path or bundled name) into (scenario, params, mpc_cfg, gait_cfg)."""
     p = Path(path)
     if not p.exists():
         bundled = _bundled_scenario_path(str(path))
@@ -53,15 +68,9 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}: invalid JSON ({exc})") from exc
     try:
-        scenario = load_scenario(doc)
-        params = RobotParams.from_dict(doc.get("robot", {}))
-        mpc_cfg = MpcConfig.from_dict(doc.get("mpc", {}))
-        gait_cfg = GaitConfig.from_dict(doc.get("gait", {}))
+        return configs_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc
-    if not scenario.thrusters_enabled:
-        mpc_cfg.thrusters_enabled = False
-    return scenario, params, mpc_cfg, gait_cfg
 
 
 def _parse_csv(path):
@@ -180,7 +189,6 @@ def run_scenario(config_path, out_dir=None, seed=None, no_thrusters=False) -> in
     if seed is not None:
         scenario.seed = seed
     if no_thrusters:
-        scenario.thrusters_enabled = False
         mpc_cfg.thrusters_enabled = False
 
     if out_dir is None:
@@ -216,7 +224,12 @@ def compare_runs(summary_a_path, summary_b_path):
     if va != vb:
         raise ConfigInvalid(f"summary schema mismatch: {va!r} vs {vb!r}")
 
-    diff = {"a": a["scenario"], "b": b["scenario"], "deltas": {}, "recovered": {}}
+    diff = {
+        "a": a["scenario"],
+        "b": b["scenario"],
+        "deltas": {},
+        "recovered": {"a": a["outcome"] == "success", "b": b["outcome"] == "success"},
+    }
     for key in (
         "max_abs_roll_rad",
         "max_abs_lateral_deviation_m",
@@ -227,10 +240,6 @@ def compare_runs(summary_a_path, summary_b_path):
     diff["deltas"]["peak_friction_ratio"] = [
         bb - aa for aa, bb in zip(a["peak_friction_ratio"], b["peak_friction_ratio"])
     ]
-    for tag, s in (("a", a), ("b", b)):
-        diff["recovered"][tag] = s["outcome"] == "success" and (
-            s["recovery_time_s"] is not None or not s.get("failure")
-        )
     return diff
 
 

@@ -29,6 +29,12 @@ class GaitConfig:
     # <= 0 leaves the natural hip-width stance
     stance_width: float = 0.0  # m
 
+    def validate(self):
+        for key, value in (("t_stance_s", self.t_stance), ("t_swing_s", self.t_swing)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{key} must be finite and positive, got {value}")
+        return self
+
     @classmethod
     def from_dict(cls, d: dict) -> "GaitConfig":
         cfg = cls()
@@ -42,7 +48,7 @@ class GaitConfig:
             cfg.clamp_width = float(clamp["width_m"])
             cfg.clamp_centerline = float(clamp.get("centerline_y_m", 0.0))
             cfg.foot_margin = float(clamp.get("foot_margin_m", cfg.foot_margin))
-        return cfg
+        return cfg.validate()
 
 
 @dataclass

@@ -5,10 +5,12 @@ the augmented state) are condensed into X = T x0 + S U, giving
 
     P = S' Qbar S + Rbar,   q = S' Qbar (T x0 - X_ref)
 
-over the stacked inputs U (16 per step). Inequalities per step: friction
-pyramid and unilateral normal force for stance legs, both-sided zero pinning
-for swing legs, and [0, u_t_max] bounds per thruster. U = 0 is always
-feasible, so the QP cannot be infeasible by construction.
+over the stacked inputs U (16 per step). Only the free inputs are QP
+variables: the forces of legs in stance at that step, and the thrusts when
+thrusters are enabled; every other input is zero and is not in the QP. The
+inequalities are a four-sided friction pyramid per stance leg (it implies
+u_z >= 0 since mu > 0) and [0, u_t_max] per thrust. U = 0 is always feasible,
+so the QP cannot be infeasible by construction.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class MpcConfig:
             raise ValueError(f"dt_s must be finite and positive, got {self.dt}")
         if not 0 < self.rate_hz < np.inf:
             raise ValueError(f"rate_hz must be finite and positive, got {self.rate_hz}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if self.q_diag.shape != (NX,) or np.any(self.q_diag < 0):
             raise ValueError(f"q_diag must be {NX} non-negative weights")
         if self.r_diag.shape != (NU,) or np.any(self.r_diag <= 0):
@@ -134,54 +138,37 @@ def condense(models: list[LinearModel]):
     return T, S
 
 
-def input_constraints(stance_seq: list[np.ndarray], config: MpcConfig):
-    """Stacked inequality rows G U <= h for the whole horizon.
+def free_inputs(stance_seq: list[np.ndarray], config: MpcConfig) -> np.ndarray:
+    """Mask over the stacked inputs U of the QP variables: stance-leg forces,
+    and thrusts when thrusters are enabled."""
+    stance = np.asarray(stance_seq, dtype=bool)
+    thrust = np.full((len(stance), 4), config.thrusters_enabled)
+    return np.hstack([np.repeat(stance, 3, axis=1), thrust]).reshape(-1)
 
-    Per stance leg: -u_z <= 0 plus four friction-pyramid rows. Per swing
-    leg: six rows pinning the force to zero. Per thruster: upper and lower
-    bound (cap 0 when thrusters are disabled). U = 0 satisfies every row.
+
+def input_constraints(stance_seq: list[np.ndarray], config: MpcConfig):
+    """Stacked inequality rows G U_free <= h over the free inputs, in U's order.
+
+    Per stance leg: four friction-pyramid rows. Per enabled thruster: upper
+    and lower bound. U = 0 satisfies every row.
     """
-    n_h = len(stance_seq)
-    rows = []
-    rhs = []
     mu = config.mu
-    cap = config.u_t_max if config.thrusters_enabled else 0.0
-    for k in range(n_h):
-        base = k * NU
-        stance = stance_seq[k]
-        for i in range(4):
-            ix, iy, iz = base + 3 * i, base + 3 * i + 1, base + 3 * i + 2
-            if stance[i]:
-                for coeffs in (
-                    {iz: -1.0},
-                    {ix: 1.0, iz: -mu},
-                    {ix: -1.0, iz: -mu},
-                    {iy: 1.0, iz: -mu},
-                    {iy: -1.0, iz: -mu},
-                ):
-                    row = np.zeros(n_h * NU)
-                    for idx, val in coeffs.items():
-                        row[idx] = val
-                    rows.append(row)
-                    rhs.append(0.0)
-            else:
-                for idx in (ix, iy, iz):
-                    for sign in (1.0, -1.0):
-                        row = np.zeros(n_h * NU)
-                        row[idx] = sign
-                        rows.append(row)
-                        rhs.append(0.0)
-        for i in range(4):
-            it = base + 12 + i
-            row = np.zeros(n_h * NU)
-            row[it] = 1.0
-            rows.append(row)
-            rhs.append(cap)
-            row = np.zeros(n_h * NU)
-            row[it] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    pyramid = np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]])
+    n_stance = int(np.count_nonzero(stance_seq))
+    thrusters = 4 if config.thrusters_enabled else 0
+    n_thrust = thrusters * len(stance_seq)
+    G = np.zeros((4 * n_stance + 2 * n_thrust, 3 * n_stance + n_thrust))
+    h = np.zeros(G.shape[0])
+    row = col = 0
+    for stance in stance_seq:
+        for _ in range(np.count_nonzero(stance)):
+            G[row : row + 4, col : col + 3] = pyramid
+            row, col = row + 4, col + 3
+        for _ in range(thrusters):
+            G[row : row + 2, col] = (1.0, -1.0)
+            h[row] = config.u_t_max
+            row, col = row + 2, col + 1
+    return G, h
 
 
 def assemble_qp(
@@ -191,7 +178,7 @@ def assemble_qp(
     ref: np.ndarray,
     config: MpcConfig,
 ) -> qp.QpProblem:
-    """Condensed QP over the stacked input vector."""
+    """Condensed QP over the free inputs of the stacked input vector."""
     n_h = config.horizon
     if len(models) != n_h or len(stance_seq) != n_h or ref.shape != (n_h, NX):
         raise DimensionMismatch(
@@ -200,8 +187,10 @@ def assemble_qp(
         )
     x0 = state.as_vector()
     T, S = condense(models)
+    free = free_inputs(stance_seq, config)
+    S = S[:, free]
     qbar = np.tile(config.q_diag, n_h)
-    rbar = np.tile(config.r_diag, n_h)
+    rbar = np.tile(config.r_diag, n_h)[free]
 
     P = S.T @ (qbar[:, None] * S) + np.diag(rbar)
     P = 0.5 * (P + P.T)
@@ -236,11 +225,10 @@ class MpcController:
         self._step_index += 1
         self.last_solution = sol
 
-        u = ControlInput.from_vector(sol.x_star[:NU])
-        u.grf[~np.asarray(stance_seq[0], dtype=bool)] = 0.0  # pinned rows, re-zeroed exactly
-        if not self.config.thrusters_enabled:
-            u.thrust[:] = 0.0
-        return u
+        free = free_inputs(stance_seq, self.config)
+        U = np.zeros(free.size)
+        U[free] = sol.x_star
+        return ControlInput.from_vector(U[:NU])
 
 
 def mpc_step(

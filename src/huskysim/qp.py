@@ -87,18 +87,6 @@ class KktReport:
         )
 
 
-def _cholesky(P: np.ndarray):
-    try:
-        return cho_factor(P, lower=True)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        # one-shot regularization for condensed Hessians that sit on the edge
-        return cho_factor(P + 1e-9 * np.eye(P.shape[0]), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Cholesky factorization of P failed") from exc
-
-
 def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolution:
     """Solve the QP; deterministic for fixed input.
 
@@ -109,9 +97,12 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     P, q, G, h = problem.P, problem.q, problem.G, problem.h
     n, m = q.shape[0], G.shape[0]
     if max_iters is None:
-        max_iters = 10 * (n + m)
+        max_iters = 10 * (n + m) + 1  # + 1: the pass that finds x optimal
 
-    chol = _cholesky(P)
+    try:
+        chol = cho_factor(P, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("Cholesky factorization of P failed") from exc
     x = -cho_solve(chol, q)
 
     active: list[int] = []
@@ -121,20 +112,16 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     h_scale = 1.0 + (np.abs(h).max() if m else 0.0)
     viol_tol = 1e-10 * h_scale
 
-    def solve_m(rhs):
-        # solve (G_A P^-1 G_A') y = rhs; least-squares fallback covers the
-        # degenerate active sets that arise at constraint-corner vertices
-        M = G[active] @ pinv_ga
-        M = 0.5 * (M + M.T)
-        try:
-            return cho_solve(cho_factor(M, lower=True), rhs)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(M, rhs, rcond=None)[0]
-
     def factor_m():
+        # Cholesky factor of G_A P^-1 G_A'; it fails only for dependent active rows
         M = G[active] @ pinv_ga
-        M = 0.5 * (M + M.T)
-        return cho_factor(M, lower=True)
+        try:
+            return cho_factor(0.5 * (M + M.T), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("active constraint rows are linearly dependent") from exc
+
+    def solve_m(rhs):
+        return cho_solve(factor_m(), rhs)
 
     def eq_restricted_optimum():
         # argmin over {x : G_A x = h_A}, with its multipliers
@@ -149,46 +136,36 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
         lam_active = list(lam)
 
     if warm_active:
-        try:
-            for j in sorted(set(int(j) for j in warm_active)):
-                if not (0 <= j < m):
-                    continue
-                trial = np.column_stack([pinv_ga, cho_solve(chol, G[j])])
-                active_save, pinv_save = list(active), pinv_ga
-                active.append(j)
-                pinv_ga = trial
-                try:
-                    factor_m()
-                except np.linalg.LinAlgError:
-                    active, pinv_ga = active_save, pinv_save  # dependent row, skip
+        for j in sorted(set(int(j) for j in warm_active)):
+            if not (0 <= j < m):
+                continue
+            active_save, pinv_save = list(active), pinv_ga
+            active.append(j)
+            pinv_ga = np.column_stack([pinv_ga, cho_solve(chol, G[j])])
+            try:
+                factor_m()
+            except NotPositiveDefinite:
+                active, pinv_ga = active_save, pinv_save  # dependent row, skip
+        eq_restricted_optimum()
+        while lam_active and min(lam_active) < 0.0:
+            k = int(np.argmin(lam_active))
+            active.pop(k)
+            pinv_ga = np.delete(pinv_ga, k, axis=1)
             eq_restricted_optimum()
-            while lam_active and min(lam_active) < 0.0:
-                k = int(np.argmin(lam_active))
-                active.pop(k)
-                pinv_ga = np.delete(pinv_ga, k, axis=1)
-                eq_restricted_optimum()
-        except np.linalg.LinAlgError:
-            active, lam_active = [], []
-            pinv_ga = np.zeros((n, 0))
-            x = -cho_solve(chol, q)
 
     iterations = 0
-    stale: set[int] = set()  # rows parked after a dust-level violation
     while True:
         iterations += 1
         if iterations > max_iters:
             raise MaxIterations(f"no convergence in {max_iters} iterations")
 
         s = G @ x - h if m else np.zeros(0)
-        if stale:
-            s = s.copy()
-            s[list(stale)] = -np.inf
         if m == 0 or s.max() <= viol_tol:
             break
         p = int(np.argmax(s))  # most violated; argmax takes the lowest index on ties
         gp = G[p]
         pinv_gp = cho_solve(chol, gp)
-        curv_full = max(gp @ pinv_gp, 1e-300)
+        curv_full = gp @ pinv_gp  # > 0: P is positive definite and gp is not zero
         lam_p = 0.0
 
         while True:
@@ -218,25 +195,12 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
                 t2 = np.inf
 
             if t1 == np.inf and t2 == np.inf:
-                residual = gp @ x - h[p]
-                if residual > 1e3 * viol_tol:
-                    raise Infeasible(f"constraint {p} cannot be satisfied (unbounded dual step)")
-                # dust-level violation on a dependent row; keep stationarity
-                # by retaining any multiplier already accumulated on p
-                if lam_p > 0.0:
-                    active.append(p)
-                    lam_active.append(lam_p)
-                    pinv_ga = np.column_stack([pinv_ga, pinv_gp])
-                else:
-                    stale.add(p)
-                break
+                raise Infeasible(f"constraint {p} cannot be satisfied (unbounded dual step)")
 
             t = min(t1, t2)
             x = x + t * z
             lam_p += t
             lam_active = [lv - t * rk for lv, rk in zip(lam_active, rvec)]
-            if t > viol_tol:
-                stale.clear()
 
             if t2 <= t1:
                 active.append(p)

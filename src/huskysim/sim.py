@@ -82,7 +82,6 @@ class Scenario:
     terrain: Terrain = field(default_factory=Terrain)
     disturbances: list = field(default_factory=list)
     command: Command = field(default_factory=Command)
-    thrusters_enabled: bool = True
     mu_real: float = None  # plant-side friction limit; defaults to the MPC mu
 
     def validate(self):
@@ -286,6 +285,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     scenario.validate()
     params.validate()
     mpc_cfg.validate()
+    gait_cfg.validate()
 
     dt = scenario.sim_dt
     control_every = max(1, round(1.0 / (mpc_cfg.rate_hz * dt)))
@@ -384,6 +384,5 @@ def load_scenario(doc: dict) -> Scenario:
         terrain=terrain,
         disturbances=disturbances,
         command=Command.from_dict(doc.get("command", {})),
-        thrusters_enabled=bool(doc.get("thrusters_enabled", True)),
         mu_real=float(doc["mu_real"]) if "mu_real" in doc else None,
     ).validate()

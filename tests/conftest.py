@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from huskysim import cli
-from huskysim.gait import GaitConfig
-from huskysim.mpc import MpcConfig
-from huskysim.robot import RobotParams
-from huskysim.sim import load_scenario, run
+from huskysim.sim import run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "huskysim" / "scenarios"
 
@@ -17,18 +14,8 @@ def load_bundled(name: str) -> dict:
     return json.loads((SCENARIOS / f"{name}.json").read_text())
 
 
-def configs_from_doc(doc: dict):
-    scenario = load_scenario(doc)
-    params = RobotParams.from_dict(doc.get("robot", {}))
-    mpc_cfg = MpcConfig.from_dict(doc.get("mpc", {}))
-    if not scenario.thrusters_enabled:
-        mpc_cfg.thrusters_enabled = False
-    gait_cfg = GaitConfig.from_dict(doc.get("gait", {}))
-    return scenario, params, mpc_cfg, gait_cfg
-
-
 def run_doc(doc: dict):
-    return run(*configs_from_doc(doc))
+    return run(*cli.configs_from_doc(doc))
 
 
 @pytest.fixture(scope="session")
@@ -88,8 +75,11 @@ def pgd_oracle(P, q, G, h, iters=100000):
     """Independent QP oracle: projected gradient ascent on the dual problem.
 
     max over lam >= 0 of -0.5 (q + G'lam)' P^-1 (q + G'lam) - h'lam,
-    recovering x = -P^-1 (q + G'lam). Plain first-order method with step
-    1/L, so it shares no machinery with the active-set solver.
+    recovering x = -P^-1 (q + G'lam). First-order method with step 1/L and
+    Nesterov momentum, restarted whenever the step turns against the
+    momentum (O'Donoghue & Candes 2015), so it shares no machinery with the
+    active-set solver; without momentum it stalls on the ill-conditioned
+    duals of closed-loop MPC instances during a push.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -101,12 +91,17 @@ def pgd_oracle(P, q, G, h, iters=100000):
     pinv_q = np.linalg.solve(P, q)
     lip = max(np.linalg.eigvalsh(G @ pinv_gt).max(), 1e-12)
     lam = np.zeros(G.shape[0])
+    y, t = lam, 1.0
     step = 1.0 / lip
     for _ in range(iters):
-        grad = -(G @ (pinv_q + pinv_gt @ lam)) - h
-        lam_new = np.maximum(lam + step * grad, 0.0)
-        if np.abs(lam_new - lam).max() < 1e-14:
+        grad = -(G @ (pinv_q + pinv_gt @ y)) - h
+        lam_new = np.maximum(y + step * grad, 0.0)
+        if np.abs(lam_new - y).max() < 1e-14:
             lam = lam_new
             break
-        lam = lam_new
+        if (y - lam_new) @ (lam_new - lam) > 0.0:
+            t = 1.0  # restart
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = lam_new + (t - 1.0) / t_new * (lam_new - lam)
+        lam, t = lam_new, t_new
     return -np.linalg.solve(P, q + G.T @ lam)

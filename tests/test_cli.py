@@ -54,9 +54,15 @@ def test_invalid_config_exits_1(tmp_path, capsys):
         ('{"sim_dt_s": NaN}', "sim_dt_s"),
         ('{"sim_dt_s": Infinity}', "sim_dt_s"),
         ('{"mpc": {"dt_s": NaN}}', "dt_s"),
+        ('{"mpc": {"mu": -1}}', "mu"),
+        ('{"mpc": {"mu": NaN}}', "mu"),
+        ('{"gait": {"t_stance_s": NaN}}', "t_stance_s"),
+        ('{"gait": {"t_stance_s": 0}}', "t_stance_s"),
+        ('{"gait": {"t_swing_s": -0.1}}', "t_swing_s"),
     ],
     ids=["rate_zero", "rate_negative", "rate_inf", "rate_nan", "duration_nan", "duration_inf",
-         "sim_dt_nan", "sim_dt_inf", "mpc_dt_nan"],
+         "sim_dt_nan", "sim_dt_inf", "mpc_dt_nan", "mu_negative", "mu_nan", "t_stance_nan",
+         "t_stance_zero", "t_swing_negative"],
 )
 def test_bad_timing_value_exits_1(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from huskysim.dynamics import RobotState, build_continuous_model, discretize
+from conftest import load_bundled, pgd_oracle
+from huskysim import cli, qp
+from huskysim.dynamics import NU, RobotState, build_continuous_model, discretize
 from huskysim.mpc import (
     Command,
     DimensionMismatch,
@@ -9,10 +12,13 @@ from huskysim.mpc import (
     MpcController,
     assemble_qp,
     build_reference,
+    condense,
+    free_inputs,
     input_constraints,
     mpc_step,
 )
 from huskysim.robot import RobotParams
+from huskysim.sim import run
 
 
 @pytest.fixture
@@ -64,17 +70,22 @@ def test_reference_integrates_yaw_rate():
 def test_constraint_rows_all_swing():
     cfg = MpcConfig(horizon=1)
     G, h = input_constraints([np.zeros(4, dtype=bool)], cfg)
-    assert G.shape == (4 * 6 + 8, 16)  # 12 pinned entries, two rows each, 8 thrust rows
-    assert np.all(h >= 0.0)
+    assert G.shape == (8, 4)  # swing forces are not variables; two bound rows per thrust
+    assert np.array_equal(h, [cfg.u_t_max, 0.0] * 4)
+    G, h = input_constraints([np.zeros(4, dtype=bool)], MpcConfig(horizon=1, thrusters_enabled=False))
+    assert G.shape == (0, 0) and h.shape == (0,)
 
 
 def test_constraint_rows_trot_step():
     cfg = MpcConfig(horizon=1)
     stance = np.array([True, False, False, True])
     G, h = input_constraints([stance], cfg)
-    assert G.shape[0] == 2 * 5 + 2 * 6 + 4 * 2  # 30 rows per trot step
+    assert G.shape == (2 * 4 + 4 * 2, 2 * 3 + 4)  # 16 rows over 10 free inputs per trot step
     # friction rows reference only that leg's force entries
+    assert np.count_nonzero(G[:4, 3:]) == 0 and np.count_nonzero(G[4:8, :3]) == 0
     assert np.all(h >= 0.0)
+    free = free_inputs([stance], cfg)
+    assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
 
 
 def test_zero_input_always_feasible(params):
@@ -219,3 +230,96 @@ def test_config_validation():
         MpcConfig(r_diag=np.zeros(16)).validate()
     cfg = MpcConfig.from_dict({"horizon": 3, "dt_s": 0.05, "mu": 0.4})
     assert cfg.horizon == 3 and cfg.dt == 0.05 and cfg.mu == 0.4
+
+
+def pinned_qp(state, stance_seq, models, ref, cfg):
+    """The QP over every input, each input that is not free held at zero by rows.
+
+    Per stance leg: -u_z <= 0 and the friction pyramid. Per swing force
+    entry: u <= 0 and -u <= 0. Per thrust: [0, u_t_max], or [0, 0] when
+    thrusters are disabled.
+    """
+    n_h = len(stance_seq)
+    T, S = condense(models)
+    qbar = np.tile(cfg.q_diag, n_h)
+    P = S.T @ (qbar[:, None] * S) + np.diag(np.tile(cfg.r_diag, n_h))
+    q = S.T @ (qbar * (T @ state.as_vector() - ref.reshape(-1)))
+    mu, cap = cfg.mu, (cfg.u_t_max if cfg.thrusters_enabled else 0.0)
+    rows, rhs = [], []
+    for k, stance in enumerate(stance_seq):
+        for i in range(4):
+            ix, iy, iz = k * NU + 3 * i + np.arange(3)
+            if stance[i]:
+                entries = [{iz: -1.0}, {ix: 1.0, iz: -mu}, {ix: -1.0, iz: -mu},
+                           {iy: 1.0, iz: -mu}, {iy: -1.0, iz: -mu}]
+            else:
+                entries = [{idx: sign} for idx in (ix, iy, iz) for sign in (1.0, -1.0)]
+            rows += entries
+            rhs += [0.0] * len(entries)
+        for it in k * NU + 12 + np.arange(4):
+            rows += [{it: 1.0}, {it: -1.0}]
+            rhs += [cap, 0.0]
+    G = np.zeros((len(rows), n_h * NU))
+    for j, entries in enumerate(rows):
+        for idx, val in entries.items():
+            G[j, idx] = val
+    return qp.QpProblem(P=0.5 * (P + P.T), q=q, G=G, h=np.array(rhs))
+
+
+def assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg):
+    sol = qp.solve(assemble_qp(state, stance_seq, models, ref, cfg))
+    free = free_inputs(stance_seq, cfg)
+    U = np.zeros(free.size)
+    U[free] = sol.x_star
+    full = pinned_qp(state, stance_seq, models, ref, cfg)
+
+    def objective(x):
+        return 0.5 * x @ full.P @ x + full.q @ x
+
+    x_oracle = pgd_oracle(full.P, full.q, full.G, full.h)
+    assert abs(objective(U) - objective(x_oracle)) < 1e-6
+    # KKT of the full problem, with non-negative multipliers on the rows tight at U
+    tight = full.G @ U - full.h > -1e-9
+    lam = np.zeros(full.h.size)
+    lam[tight] = nnls(full.G[tight].T, -(full.P @ U + full.q))[0]
+    certificate = qp.QpSolution(U, np.flatnonzero(tight).tolist(), objective(U), sol.iterations, lam)
+    assert qp.check_kkt(full, certificate).max_residual() < 1e-6
+
+
+def test_reduced_qp_matches_pinned_formulation_random(params):
+    rng = np.random.default_rng(11)
+    for trial in range(24):
+        cfg = MpcConfig(horizon=int(rng.integers(1, 6)), mu=float(rng.uniform(0.2, 0.9)),
+                        thrusters_enabled=bool(trial % 2))
+        state = RobotState(
+            theta=rng.uniform(-0.1, 0.1, 3),
+            p=np.array([0.0, 0.0, 0.25]) + rng.uniform(-0.03, 0.03, 3),
+            omega=rng.uniform(-1.0, 1.0, 3),
+            pdot=rng.uniform(-0.5, 0.5, 3),
+        )
+        d, r = stand_geometry(params)
+        stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
+        if trial < 2:  # no stance leg at all; with thrusters off there is no QP variable
+            stance_seq = [np.zeros(4, dtype=bool)] * cfg.horizon
+        models = make_models(state, d, r, stance_seq, cfg, params)
+        ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
+        assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg)
+
+
+def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
+    """Instances recorded from a closed-loop run across the push without thrusters."""
+    doc = load_bundled("push_no_thrust")
+    doc["duration_s"] = 1.45  # the push starts at 1.0 s; the robot rolls over at 1.453 s
+    scenario, params, cfg, gait_cfg = cli.configs_from_doc(doc)
+    recorded = []
+    step = MpcController.step
+
+    def recording_step(self, *args):
+        recorded.append(args)
+        return step(self, *args)
+
+    monkeypatch.setattr(MpcController, "step", recording_step)
+    run(scenario, params, cfg, gait_cfg)
+    assert len(recorded) == 145
+    for state, stance_seq, models, ref in recorded[90:]:  # from 0.9 s
+        assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg)

@@ -130,7 +130,7 @@ def test_not_positive_definite():
 
 
 def test_near_singular_hessian_regularized():
-    # conditioning on the edge: the one-shot 1e-9 jitter must rescue it
+    # conditioning on the edge: tiny but positive pivots still factor exactly
     P = np.diag([1.0, 1e-14])
     sol = qp.solve(qp.QpProblem(P=P, q=np.array([1.0, 0.0])))
     assert sol.x_star[0] == pytest.approx(-1.0, abs=1e-6)
