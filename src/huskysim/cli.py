@@ -73,23 +73,11 @@ def load_config(path):
         raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
-def _parse_csv(path):
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in f if line.strip()])
-    if data.size == 0:
-        data = np.zeros((0, len(header)))
-    return header, data
-
-
-def _col(header, name):
-    return header.index(name)
-
-
-def summarize(log_csv_path, scenario: sim_mod.Scenario, outcome, mu_limit: float) -> dict:
-    """Summary metrics computed from the serialized log, so a reader of the
-    CSV reproduces them exactly."""
-    header, data = _parse_csv(log_csv_path)
+def summarize(data: np.ndarray, scenario: sim_mod.Scenario, outcome, mu_limit: float) -> dict:
+    """Summary metrics from the serialized log (data: the rows of log.csv as
+    SimLog.from_csv reads them back), so a reader of the CSV reproduces them
+    exactly."""
+    col = sim_mod.SimLog.HEADER.index
     summary = {
         "schema_version": SUMMARY_SCHEMA,
         "scenario": scenario.name,
@@ -113,12 +101,12 @@ def summarize(log_csv_path, scenario: sim_mod.Scenario, outcome, mu_limit: float
         )
         return summary
 
-    t = data[:, _col(header, "t")]
-    roll = data[:, _col(header, "roll")]
-    py = data[:, _col(header, "py")]
-    px = data[:, _col(header, "px")]
-    thrust = data[:, _col(header, "thrust0") : _col(header, "thrust0") + 4]
-    ratios = data[:, _col(header, "ratio0") : _col(header, "ratio0") + 4]
+    t = data[:, col("t")]
+    roll = data[:, col("roll")]
+    py = data[:, col("py")]
+    px = data[:, col("px")]
+    thrust = data[:, col("thrust0") : col("thrust0") + 4]
+    ratios = data[:, col("ratio0") : col("ratio0") + 4]
 
     summary["max_abs_roll_rad"] = float(np.abs(roll).max())
     summary["max_abs_lateral_deviation_m"] = float(np.abs(py - py[0]).max())
@@ -145,23 +133,24 @@ def summarize(log_csv_path, scenario: sim_mod.Scenario, outcome, mu_limit: float
     return summary
 
 
-def write_plots(log_csv_path, plots_dir, mu_limit: float):
-    header, data = _parse_csv(log_csv_path)
+def write_plots(data: np.ndarray, plots_dir, mu_limit: float):
+    """SVG charts of the rows of log.csv, as summarize takes them."""
+    col = sim_mod.SimLog.HEADER.index
     plots_dir = Path(plots_dir)
     plots_dir.mkdir(parents=True, exist_ok=True)
     if data.shape[0] == 0:
-        data = np.zeros((1, len(header)))
+        data = np.zeros((1, len(sim_mod.SimLog.HEADER)))
     t = data[:, 0]
 
     line_chart(
         plots_dir / "position.svg",
         t,
-        {n: data[:, _col(header, n)] for n in ("px", "py", "pz")},
+        {n: data[:, col(n)] for n in ("px", "py", "pz")},
         title="COM position",
         ylabel="m",
     )
-    series = {n: data[:, _col(header, n)] for n in ("roll", "pitch", "yaw")}
-    series.update({f"thrust{i} [N]": data[:, _col(header, f"thrust{i}")] for i in range(4)})
+    series = {n: data[:, col(n)] for n in ("roll", "pitch", "yaw")}
+    series.update({f"thrust{i} [N]": data[:, col(f"thrust{i}")] for i in range(4)})
     line_chart(
         plots_dir / "attitude_thrust.svg",
         t,
@@ -172,7 +161,7 @@ def write_plots(log_csv_path, plots_dir, mu_limit: float):
     line_chart(
         plots_dir / "friction.svg",
         t,
-        {f"ratio{i}": data[:, _col(header, f"ratio{i}")] for i in range(4)},
+        {f"ratio{i}": data[:, col(f"ratio{i}")] for i in range(4)},
         title="Tangential/normal force ratio per leg",
         ylabel="ratio",
         hlines=(mu_limit, -mu_limit),
@@ -198,10 +187,11 @@ def run_scenario(config_path, out_dir=None, seed=None, no_thrusters=False) -> in
         out.mkdir(parents=True, exist_ok=True)
         log, outcome = run(scenario, params, mpc_cfg, gait_cfg)
         log.to_csv(out / "log.csv")
+        written = sim_mod.SimLog.from_csv(out / "log.csv").as_array()
         mu_limit = scenario.mu_real if scenario.mu_real is not None else mpc_cfg.mu
-        summary = summarize(out / "log.csv", scenario, outcome, mu_limit)
+        summary = summarize(written, scenario, outcome, mu_limit)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        write_plots(out / "log.csv", out / "plots", mu_limit)
+        write_plots(written, out / "plots", mu_limit)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

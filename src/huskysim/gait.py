@@ -33,6 +33,17 @@ class GaitConfig:
         for key, value in (("t_stance_s", self.t_stance), ("t_swing_s", self.t_swing)):
             if not 0 < value < np.inf:
                 raise ValueError(f"{key} must be finite and positive, got {value}")
+        if not 0 <= self.apex_height < np.inf:
+            raise ValueError(f"apex_height_m must be finite and non-negative, got {self.apex_height}")
+        for key, value in (
+            ("raibert_gain_s", self.raibert_gain),
+            ("stance_width_m", self.stance_width),
+            ("lateral_clamp", self.clamp_width),
+            ("lateral_clamp", self.clamp_centerline),
+            ("lateral_clamp", self.foot_margin),
+        ):
+            if not np.isfinite(value):
+                raise ValueError(f"{key} values must be finite, got {value}")
         return self
 
     @classmethod

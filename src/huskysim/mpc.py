@@ -61,6 +61,8 @@ class MpcConfig:
             raise ValueError(f"rate_hz must be finite and positive, got {self.rate_hz}")
         if not 0 < self.mu < np.inf:
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not 0 <= self.u_t_max < np.inf:
+            raise ValueError(f"u_t_max_n must be finite and non-negative, got {self.u_t_max}")
         if self.q_diag.shape != (NX,) or np.any(self.q_diag < 0):
             raise ValueError(f"q_diag must be {NX} non-negative weights")
         if self.r_diag.shape != (NU,) or np.any(self.r_diag <= 0):
@@ -89,13 +91,22 @@ class Command:
     yaw_rate: float = 0.0  # rad/s
     height: float = 0.25  # m above the support surface
 
+    def validate(self):
+        if self.v_d.shape != (3,) or not np.isfinite(self.v_d).all():
+            raise ValueError(f"v_d_mps must be 3 finite values, got {self.v_d.tolist()}")
+        if not np.isfinite(self.yaw_rate):
+            raise ValueError(f"yaw_rate_rps must be finite, got {self.yaw_rate}")
+        if not 0 < self.height < np.inf:
+            raise ValueError(f"height_m must be finite and positive, got {self.height}")
+        return self
+
     @classmethod
     def from_dict(cls, d: dict) -> "Command":
         return cls(
             v_d=np.asarray(d.get("v_d_mps", [0.0, 0.0, 0.0]), dtype=float),
             yaw_rate=float(d.get("yaw_rate_rps", 0.0)),
             height=float(d.get("height_m", 0.25)),
-        )
+        ).validate()
 
 
 def build_reference(
@@ -171,6 +182,18 @@ def input_constraints(stance_seq: list[np.ndarray], config: MpcConfig):
     return G, h
 
 
+def constraint_keys(stance_seq: list[np.ndarray], config: MpcConfig) -> list[tuple]:
+    """Key of each row of input_constraints, in its order: (horizon step, leg
+    0-3 or thruster 4-7, pyramid face 0-3 or thrust bound 0-1)."""
+    thrusters = [4, 5, 6, 7] if config.thrusters_enabled else []
+    return [
+        (k, unit, face)
+        for k, stance in enumerate(stance_seq)
+        for unit in np.flatnonzero(stance).tolist() + thrusters
+        for face in range(4 if unit < 4 else 2)
+    ]
+
+
 def assemble_qp(
     state: RobotState,
     stance_seq: list[np.ndarray],
@@ -201,11 +224,16 @@ def assemble_qp(
 
 
 class MpcController:
-    """Single-owner receding-horizon controller; carries the QP warm start."""
+    """Single-owner receding-horizon controller; carries the QP warm start.
+
+    The warm start is kept as the keys (constraint_keys) of the rows active at
+    the last solve, so that a change of stance pattern, which renumbers the
+    rows, seeds the same physical constraints and no others.
+    """
 
     def __init__(self, config: MpcConfig):
         self.config = config.validate()
-        self._warm_active = None
+        self._warm_keys = set()
         self._step_index = 0
         self.last_solution = None
 
@@ -217,11 +245,13 @@ class MpcController:
         ref: np.ndarray,
     ) -> ControlInput:
         problem = assemble_qp(state, stance_seq, models, ref, self.config)
+        keys = constraint_keys(stance_seq, self.config)
+        warm = [i for i, key in enumerate(keys) if key in self._warm_keys]
         try:
-            sol = qp.solve(problem, warm_active=self._warm_active)
+            sol = qp.solve(problem, warm_active=warm)
         except qp.QpError as exc:
             raise SolverFailure(self._step_index, exc) from exc
-        self._warm_active = sol.active_set
+        self._warm_keys = {keys[i] for i in sol.active_set}
         self._step_index += 1
         self.last_solution = sol
 

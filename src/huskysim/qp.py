@@ -1,13 +1,18 @@
 """Dense strictly-convex QP solver: minimize 0.5 x'Px + q'x subject to Gx <= h.
 
-Dual active-set method in the Goldfarb-Idnani style: start at the
-unconstrained minimum, repeatedly pick the most violated constraint and take
-primal/dual steps that keep the iterate optimal for the current active set
-and keep all multipliers non-negative. Strict convexity of P is required.
+Dual active-set method of Goldfarb and Idnani (Math. Programming 27, 1983)
+in the space of the Cholesky factor of P = L L': with x = L^-T y the problem
+is min 0.5 y'y + c'y subject to W'y <= h, where c = L^-1 q and W = L^-1 G'
+come from one triangular solve. Start at the unconstrained minimum y = -c,
+repeatedly pick the most violated constraint and take primal/dual steps that
+keep the iterate optimal for the active rows A and all multipliers
+non-negative. The iterate is y = -c - W_A lam_A, so a step needs only blocks
+of K = W'W = G P^-1 G' (slacks s0 - K[:, A] lam_A, the k x k factor of
+K[A, A]); x = L^-T y comes last. P must be positive definite.
 
-An optional warm start seeds the active set from a previous solve; the
-result is identical to a cold start (the optimum of a strictly convex QP is
-unique), it just gets there in fewer iterations.
+A warm start seeds A from a previous solve: the seeded block of K is factored
+at once, and a seed dependent on earlier ones or of negative multiplier is
+dropped. The result is the cold start's (the optimum is unique).
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
+
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 
 class QpError(Exception):
@@ -52,10 +59,14 @@ class QpProblem:
         self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
 
     def validate(self):
+        for name in ("P", "q", "G", "h"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry")
         n = self.q.shape[0]
         if self.P.shape != (n, n):
             raise ValueError(f"P shape {self.P.shape} inconsistent with q length {n}")
-        if not np.allclose(self.P, self.P.T, atol=1e-10):
+        # the test of np.allclose(P, P.T, atol=1e-10), at under half its cost
+        if not (np.abs(self.P - self.P.T) <= 1e-10 + 1e-5 * np.abs(self.P.T)).all():
             raise ValueError("P must be symmetric (tolerance 1e-10)")
         if self.G.shape[1] != n or self.h.shape[0] != self.G.shape[0]:
             raise ValueError("G/h dimensions inconsistent with q")
@@ -87,11 +98,27 @@ class KktReport:
         )
 
 
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix, of which only the lower
+    triangle is read. Raises np.linalg.LinAlgError when a is not positive
+    definite; its args[1] is the index of the first pivot that is not."""
+    factor, info = _potrf(a, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite", info - 1)
+    return factor
+
+
+def _tri_solve(L, b, trans=0):
+    # L^-1 b, or L^-T b with trans=1; LAPACK rejects the empty system
+    return _trtrs(L, b, lower=1, trans=trans)[0] if L.size else b
+
+
 def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolution:
     """Solve the QP; deterministic for fixed input.
 
     warm_active: optional iterable of constraint indices used to seed the
-    active set. Raises Infeasible, NotPositiveDefinite, or MaxIterations.
+    active set; indices out of range are ignored. Raises Infeasible,
+    NotPositiveDefinite, or MaxIterations.
     """
     problem.validate()
     P, q, G, h = problem.P, problem.q, problem.G, problem.h
@@ -100,58 +127,43 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
         max_iters = 10 * (n + m) + 1  # + 1: the pass that finds x optimal
 
     try:
-        chol = cho_factor(P, lower=True)
+        L = cho_factor(P)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Cholesky factorization of P failed") from exc
-    x = -cho_solve(chol, q)
+    cw = _tri_solve(L, np.vstack([q, G]).T)
+    c, W = cw[:, 0], cw[:, 1:]
+    K = W.T @ W  # G P^-1 G'
+    s0 = -(c @ W) - h  # slacks at the unconstrained minimum y = -c
+    viol_tol = 1e-10 * (1.0 + np.abs(h).max(initial=0.0))
 
     active: list[int] = []
-    lam_active: list[float] = []
-    pinv_ga = np.zeros((n, 0))  # columns P^{-1} g_j for j in active
+    lam = np.zeros(0)  # multipliers of the active rows, in their order
 
-    h_scale = 1.0 + (np.abs(h).max() if m else 0.0)
-    viol_tol = 1e-10 * h_scale
-
-    def factor_m():
-        # Cholesky factor of G_A P^-1 G_A'; it fails only for dependent active rows
-        M = G[active] @ pinv_ga
-        try:
-            return cho_factor(0.5 * (M + M.T), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("active constraint rows are linearly dependent") from exc
-
-    def solve_m(rhs):
-        return cho_solve(factor_m(), rhs)
-
-    def eq_restricted_optimum():
-        # argmin over {x : G_A x = h_A}, with its multipliers
-        nonlocal x, lam_active
-        if not active:
-            x = -cho_solve(chol, q)
-            lam_active = []
-            return
-        rhs = -(h[active] + G[active] @ cho_solve(chol, q))
-        lam = solve_m(rhs)
-        x = -cho_solve(chol, q + G[active].T @ lam)
-        lam_active = list(lam)
+    def factor_active():  # R, the Cholesky factor of K[A, A]; fails only for dependent rows
+        return cho_factor(K[np.array(active)[:, None], active]) if active else None
 
     if warm_active:
-        for j in sorted(set(int(j) for j in warm_active)):
-            if not (0 <= j < m):
-                continue
-            active_save, pinv_save = list(active), pinv_ga
-            active.append(j)
-            pinv_ga = np.column_stack([pinv_ga, cho_solve(chol, G[j])])
+        active = sorted({int(j) for j in warm_active if 0 <= int(j) < m})
+        while active:
             try:
-                factor_m()
-            except NotPositiveDefinite:
-                active, pinv_ga = active_save, pinv_save  # dependent row, skip
-        eq_restricted_optimum()
-        while lam_active and min(lam_active) < 0.0:
-            k = int(np.argmin(lam_active))
-            active.pop(k)
-            pinv_ga = np.delete(pinv_ga, k, axis=1)
-            eq_restricted_optimum()
+                R = factor_active()
+            except np.linalg.LinAlgError as exc:
+                del active[exc.args[1]]  # dependent on the seeds before it
+                continue
+            # relative curvature test, as for a row the main loop adds
+            tiny = np.flatnonzero(np.diag(R) ** 2 <= 1e-10 * K[active, active])
+            if tiny.size == 0:
+                break
+            del active[tiny[0]]
+        # equality-restricted optimum of the seeds; retire negative multipliers
+        while active:
+            lam = _potrs(R, s0[active], lower=1)[0]
+            if lam.min() >= 0.0:
+                break
+            del active[int(np.argmin(lam))]
+            R = factor_active()
+        else:
+            lam = np.zeros(0)
 
     iterations = 0
     while True:
@@ -159,71 +171,59 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
         if iterations > max_iters:
             raise MaxIterations(f"no convergence in {max_iters} iterations")
 
-        s = G @ x - h if m else np.zeros(0)
+        s = s0 - K[:, active] @ lam
         if m == 0 or s.max() <= viol_tol:
             break
         p = int(np.argmax(s))  # most violated; argmax takes the lowest index on ties
-        gp = G[p]
-        pinv_gp = cho_solve(chol, gp)
-        curv_full = gp @ pinv_gp  # > 0: P is positive definite and gp is not zero
+        curv_full = K[p, p]  # > 0: P is positive definite and g_p is not zero
         lam_p = 0.0
 
         while True:
-            if active:
-                rvec = solve_m(G[active] @ pinv_gp)
-                z = -(pinv_gp - pinv_ga @ rvec)
-            else:
-                rvec = np.zeros(0)
-                z = -pinv_gp
+            k_ap = K[active, p]
+            rvec = _potrs(R, k_ap, lower=1)[0] if active else np.zeros(0)
 
-            rvec_scale = max(1.0, float(np.abs(rvec).max()) if rvec.size else 1.0)
-            t1 = np.inf
-            drop = -1
-            for k, rk in enumerate(rvec):
-                if rk > 1e-9 * rvec_scale:
-                    tk = lam_active[k] / rk
-                    if tk < t1:
-                        t1, drop = tk, k
-            # relative curvature test: gp numerically dependent on the active
-            # normals leaves no usable primal direction, so the step is
-            # dual-only and must not move x at all
-            curv_proj = -(gp @ z)
-            if curv_proj > 1e-10 * curv_full:
-                t2 = (gp @ x - h[p]) / curv_proj  # step that makes p tight
-            else:
-                z = np.zeros(n)
-                t2 = np.inf
+            blocking = np.flatnonzero(rvec > 1e-9 * np.abs(rvec).max(initial=1.0))
+            ratios = lam[blocking] / rvec[blocking]
+            t1 = ratios.min(initial=np.inf)
+            drop = blocking[np.argmin(ratios)] if blocking.size else -1
+            # relative curvature test: g_p numerically dependent on the active
+            # normals leaves no usable primal direction, so the step is dual-only
+            curv_proj = curv_full - k_ap @ rvec
+            s_p = s0[p] - k_ap @ lam - curv_full * lam_p
+            t2 = s_p / curv_proj if curv_proj > 1e-10 * curv_full else np.inf  # makes p tight
 
             if t1 == np.inf and t2 == np.inf:
                 raise Infeasible(f"constraint {p} cannot be satisfied (unbounded dual step)")
 
             t = min(t1, t2)
-            x = x + t * z
+            lam = lam - t * rvec
             lam_p += t
-            lam_active = [lv - t * rk for lv, rk in zip(lam_active, rvec)]
 
             if t2 <= t1:
                 active.append(p)
-                lam_active.append(lam_p)
-                pinv_ga = np.column_stack([pinv_ga, pinv_gp])
+                lam = np.append(lam, lam_p)
+                try:
+                    R = factor_active()
+                except np.linalg.LinAlgError as exc:
+                    raise NotPositiveDefinite("active constraint rows are linearly dependent") from exc
                 break
             # partial step: retire the blocking constraint, keep working on p
-            active.pop(drop)
-            lam_active.pop(drop)
-            pinv_ga = np.delete(pinv_ga, drop, axis=1)
+            del active[drop]
+            lam = np.delete(lam, drop)
+            R = factor_active()
             iterations += 1
             if iterations > max_iters:
                 raise MaxIterations(f"no convergence in {max_iters} iterations")
 
-    lam = np.zeros(m)
-    for j, lv in zip(active, lam_active):
-        lam[j] = max(lv, 0.0)
+    x = _tri_solve(L, -c - W[:, active] @ lam, trans=1)
+    lam_full = np.zeros(m)
+    lam_full[active] = np.maximum(lam, 0.0)
     return QpSolution(
         x_star=x,
         active_set=sorted(active),
         objective_value=float(0.5 * x @ P @ x + q @ x),
         iterations=iterations,
-        lam=lam,
+        lam=lam_full,
     )
 
 

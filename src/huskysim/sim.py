@@ -90,8 +90,11 @@ class Scenario:
         if not 0 < self.sim_dt < np.inf:
             raise ValueError(f"sim_dt_s must be finite and positive, got {self.sim_dt}")
         for dist in self.disturbances:
-            if dist.t_start >= dist.t_end:
-                raise ValueError("disturbance must have t_start < t_end")
+            if not -np.inf < dist.t_start < dist.t_end < np.inf:
+                raise ValueError("disturbance must have finite t_start < t_end")
+            if dist.force.shape != (3,) or not np.isfinite(dist.force).all():
+                raise ValueError(f"force_n must be 3 finite values, got {dist.force.tolist()}")
+        self.command.validate()
         if self.terrain.kind == "beam" and self.terrain.width <= 0:
             raise ValueError("beam width must be positive")
         return self
@@ -145,6 +148,18 @@ class SimLog:
             f.write(",".join(self.HEADER) + "\n")
             for row in self.rows:
                 f.write(",".join(f"{v:.9g}" for v in row) + "\n")
+
+    @classmethod
+    def from_csv(cls, path) -> "SimLog":
+        """The log that to_csv wrote to path, with its values as written."""
+        with open(path) as f:
+            if f.readline().rstrip("\n").split(",") != cls.HEADER:
+                raise ValueError(f"{path}: header is not SimLog.HEADER")
+            start = f.tell()
+            if not f.readline():
+                return cls()  # numpy warns when it parses no rows
+            f.seek(start)
+            return cls(rows=list(np.loadtxt(f, delimiter=",", ndmin=2)))
 
 
 def friction_ratios(u: ControlInput, stance) -> np.ndarray:

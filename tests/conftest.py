@@ -53,22 +53,8 @@ def timed_cli_runs(cli_runs, scenario_walltimes):
     return _run
 
 
-def read_log(out_dir: Path):
-    path = Path(out_dir) / "log.csv"
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in f if line.strip()])
-    if data.size == 0:
-        data = np.zeros((0, len(header)))
-    return header, data
-
-
 def read_summary(out_dir: Path) -> dict:
     return json.loads((Path(out_dir) / "summary.json").read_text())
-
-
-def col(header, name):
-    return header.index(name)
 
 
 def pgd_oracle(P, q, G, h, iters=100000):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from conftest import col, pgd_oracle, read_log, read_summary
+from conftest import pgd_oracle, read_summary
 from huskysim import cli, qp
 from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
@@ -13,8 +13,9 @@ from huskysim.robot import (
     leg_inverse_kinematics,
     leg_jacobian,
 )
-from huskysim.sim import step
+from huskysim.sim import SimLog, step
 
+col = SimLog.HEADER.index
 PUSH_END = 1.5  # s, disturbance window is 1.0 .. 1.5
 
 
@@ -43,11 +44,11 @@ def test_criterion_1_push_recovery_dichotomy(timed_cli_runs, scenario_walltimes)
 
 def test_criterion_2_thrust_cap_and_side(timed_cli_runs):
     _, out = timed_cli_runs("push_with_thrust")
-    header, data = read_log(out)
-    thrust = data[:, col(header, "thrust0") : col(header, "thrust0") + 4]
+    data = SimLog.from_csv(out / "log.csv").as_array()
+    thrust = data[:, col("thrust0") : col("thrust0") + 4]
     assert thrust.max() <= 20.0 + 1e-6
 
-    t = data[:, col(header, "t")]
+    t = data[:, col("t")]
     window = (t >= 1.0) & (t < PUSH_END)
     # the push is +y; the opposing side is the left pair (legs 0 and 2),
     # whose thrust direction is -y in the body frame
@@ -63,21 +64,21 @@ def test_criterion_2_thrust_cap_and_side(timed_cli_runs):
 def test_criterion_3_beam_walk(timed_cli_runs):
     code, out = timed_cli_runs("beam_walk")
     assert code == 0
-    header, data = read_log(out)
+    data = SimLog.from_csv(out / "log.csv").as_array()
 
     half = 0.05
     for leg in range(4):
-        stance = data[:, col(header, f"stance{leg}")] > 0.5
-        foot_y = data[:, col(header, f"foot{leg}y")]
-        foot_z = data[:, col(header, f"foot{leg}z")]
+        stance = data[:, col(f"stance{leg}")] > 0.5
+        foot_y = data[:, col(f"foot{leg}y")]
+        foot_z = data[:, col(f"foot{leg}z")]
         assert np.all(np.abs(foot_y[stance]) <= half + 1e-12)
         assert np.allclose(foot_z[stance], 0.1, atol=1e-9)
 
-    thrust = data[:, col(header, "thrust0") : col(header, "thrust0") + 4]
+    thrust = data[:, col("thrust0") : col("thrust0") + 4]
     assert thrust.max() <= 20.0 + 1e-6
 
     mu_limit = read_summary(out)["mu_limit"]
-    ratios = data[:, col(header, "ratio0") : col(header, "ratio0") + 4]
+    ratios = data[:, col("ratio0") : col("ratio0") + 4]
     assert ratios.max() <= mu_limit + 1e-9
 
     soft = "meets" if thrust.max() <= 7.0 else "exceeds"

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import col, load_bundled, read_log, read_summary
+from conftest import load_bundled, read_summary
 from huskysim import cli
+from huskysim.sim import SimLog
+
+col = SimLog.HEADER.index
 
 
 def test_beam_walk_run_artifacts(cli_runs):
@@ -65,6 +68,28 @@ def test_invalid_config_exits_1(tmp_path, capsys):
          "t_stance_zero", "t_swing_negative"],
 )
 def test_bad_timing_value_exits_1(tmp_path, capsys, doc, key):
+    assert_one_error_line(tmp_path, capsys, doc, key)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ('{"command": {"height_m": -1}}', "height_m"),
+        ('{"command": {"v_d_mps": [0.2]}}', "v_d_mps"),
+        ('{"disturbances": [{"t_start_s": 0.1, "t_end_s": 0.2, "force_n": [0, 40]}]}', "force_n"),
+        ('{"gait": {"apex_height_m": NaN}}', "apex_height_m"),
+        ('{"mpc": {"u_t_max_n": -5}}', "u_t_max_n"),
+        ('{"command": {"yaw_rate_rps": NaN}}', "yaw_rate_rps"),
+        ('{"gait": {"raibert_gain_s": Infinity}}', "raibert_gain_s"),
+    ],
+    ids=["height_negative", "v_d_short", "force_short", "apex_nan", "thrust_cap_negative",
+         "yaw_rate_nan", "raibert_gain_inf"],
+)
+def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
+    assert_one_error_line(tmp_path, capsys, doc, key)
+
+
+def assert_one_error_line(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"
     bad.write_text(doc)
     code = cli.main(["run", str(bad), "--out", str(tmp_path / "o")])
@@ -78,17 +103,17 @@ def test_summary_recomputed_from_log_matches(cli_runs):
     code, out = cli_runs("push_with_thrust")
     assert code == 0
     summary = read_summary(out)
-    header, data = read_log(out)
-    t = data[:, col(header, "t")]
-    roll = data[:, col(header, "roll")]
+    data = SimLog.from_csv(out / "log.csv").as_array()
+    t = data[:, col("t")]
+    roll = data[:, col("roll")]
     assert abs(summary["max_abs_roll_rad"] - np.abs(roll).max()) < 1e-9
-    py = data[:, col(header, "py")]
+    py = data[:, col("py")]
     assert abs(summary["max_abs_lateral_deviation_m"] - np.abs(py - py[0]).max()) < 1e-9
-    thr = data[:, col(header, "thrust0") : col(header, "thrust0") + 4]
+    thr = data[:, col("thrust0") : col("thrust0") + 4]
     assert np.abs(np.array(summary["peak_thrust_n"]) - thr.max(axis=0)).max() < 1e-9
-    ratios = data[:, col(header, "ratio0") : col(header, "ratio0") + 4]
+    ratios = data[:, col("ratio0") : col("ratio0") + 4]
     assert np.abs(np.array(summary["peak_friction_ratio"]) - ratios.max(axis=0)).max() < 1e-9
-    px = data[:, col(header, "px")]
+    px = data[:, col("px")]
     v_mean = (px[-1] - px[0]) / (t[-1] - t[0])
     assert abs(summary["mean_forward_speed_mps"] - v_mean) < 1e-9
 
@@ -149,8 +174,8 @@ def test_no_thrusters_flag(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["run", str(cfg), "--out", str(out), "--no-thrusters"])
     assert code == 0
-    header, data = read_log(out)
-    thr = data[:, col(header, "thrust0") : col(header, "thrust0") + 4]
+    data = SimLog.from_csv(out / "log.csv").as_array()
+    thr = data[:, col("thrust0") : col("thrust0") + 4]
     assert np.all(thr == 0.0)
 
 
@@ -176,7 +201,7 @@ def test_flat_trot_ten_seconds(cli_runs):
     assert code == 0
     summary = read_summary(out)
     assert abs(summary["mean_forward_speed_mps"] - 0.2) / 0.2 < 0.2
-    header, data = read_log(out)
+    data = SimLog.from_csv(out / "log.csv").as_array()
     assert abs(data.shape[0] - 10000) <= 1
 
 

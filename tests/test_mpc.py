@@ -13,6 +13,7 @@ from huskysim.mpc import (
     assemble_qp,
     build_reference,
     condense,
+    constraint_keys,
     free_inputs,
     input_constraints,
     mpc_step,
@@ -86,6 +87,28 @@ def test_constraint_rows_trot_step():
     assert np.all(h >= 0.0)
     free = free_inputs([stance], cfg)
     assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
+
+
+def test_constraint_keys_name_each_row():
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        cfg = MpcConfig(mu=0.4, u_t_max=15.0, thrusters_enabled=bool(trial % 2))
+        stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
+        G, h = input_constraints(stance_seq, cfg)
+        keys = constraint_keys(stance_seq, cfg)
+        assert len(keys) == len(set(keys)) == G.shape[0]
+        column = np.cumsum(free_inputs(stance_seq, cfg)) - 1  # QP column of each entry of U
+        pyramid = np.array([[1.0, 0.0, -0.4], [-1.0, 0.0, -0.4], [0.0, 1.0, -0.4], [0.0, -1.0, -0.4]])
+        for row, (k, unit, face) in enumerate(keys):
+            expected = np.zeros(G.shape[1])
+            if unit < 4:
+                assert stance_seq[k][unit]
+                expected[column[k * NU + 3 * unit + np.arange(3)]] = pyramid[face]
+                assert h[row] == 0.0
+            else:
+                expected[column[k * NU + 8 + unit]] = (1.0, -1.0)[face]
+                assert h[row] == (15.0, 0.0)[face]
+            assert np.array_equal(G[row], expected)
 
 
 def test_zero_input_always_feasible(params):
@@ -323,3 +346,51 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
     assert len(recorded) == 145
     for state, stance_seq, models, ref in recorded[90:]:  # from 0.9 s
         assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg)
+
+
+def test_warm_starts_match_cold_recorded(monkeypatch):
+    """Closed-loop QPs across the push with thrusters. The controller seeds the
+    rows whose key was active at the previous tick, and no others; that warm
+    start and the previous tick's raw row indices (which name other rows after
+    a stance change, some dependent on each other) both give the cold solution."""
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"] = 2.0  # the push acts from 1.0 s to 1.5 s
+    scenario, params, cfg, gait_cfg = cli.configs_from_doc(doc)
+    stance_seqs, solves = [], []
+    step, solve = MpcController.step, qp.solve
+
+    def recording_step(self, state, stance_seq, *args):
+        stance_seqs.append(stance_seq)
+        return step(self, state, stance_seq, *args)
+
+    def recording_solve(problem, warm_active=None):
+        solves.append((problem, warm_active, solve(problem, warm_active=warm_active)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(MpcController, "step", recording_step)
+    monkeypatch.setattr(qp, "solve", recording_solve)
+    run(scenario, params, cfg, gait_cfg)
+    monkeypatch.undo()
+    failed_factors = []
+    factor = qp.cho_factor
+
+    def counting_factor(a):
+        try:
+            return factor(a)
+        except np.linalg.LinAlgError:
+            failed_factors.append(a)
+            raise
+
+    monkeypatch.setattr(qp, "cho_factor", counting_factor)
+    assert len(solves) == 200
+    for t in range(90, 200):  # from 0.9 s
+        problem, warm, sol = solves[t]
+        prev_keys = constraint_keys(stance_seqs[t - 1], cfg)
+        prev_active = {prev_keys[j] for j in solves[t - 1][2].active_set}
+        keys = constraint_keys(stance_seqs[t], cfg)
+        assert warm == [i for i, key in enumerate(keys) if key in prev_active]
+        cold = qp.solve(problem)
+        assert np.abs(sol.x_star - cold.x_star).max() <= 1e-8
+        raw = qp.solve(problem, warm_active=solves[t - 1][2].active_set)
+        assert np.abs(raw.x_star - cold.x_star).max() <= 1e-8
+    assert failed_factors  # the raw indices did seed dependent rows

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pgd_oracle
 from huskysim import qp
@@ -141,6 +143,74 @@ def test_max_iterations_guard():
     prob = random_problem(rng)
     with pytest.raises(qp.MaxIterations):
         qp.solve(prob, max_iters=0)
+
+
+@pytest.mark.parametrize("h", [[np.nan, 0.0], [np.inf, -1.0]], ids=["h_nan", "h_inf"])
+def test_validate_rejects_nonfinite_h(h):
+    # x = -q violates row 1, which an infinite violation tolerance would accept
+    prob = qp.QpProblem(P=np.eye(2), q=np.ones(2), G=-np.eye(2), h=np.array(h))
+    with pytest.raises(ValueError, match="h has a non-finite entry"):
+        qp.solve(prob)
+
+
+@pytest.mark.parametrize("name", ["P", "q", "G"])
+def test_validate_rejects_nonfinite_data(name):
+    data = {"P": np.eye(2), "q": np.ones(2), "G": -np.eye(2), "h": np.array([-1.0, -1.0])}
+    data[name] = np.where(data[name] != 0.0, np.nan, data[name])
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+        qp.solve(qp.QpProblem(**data))
+
+
+def test_cho_factor_names_first_failing_pivot():
+    a = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # row 1 = row 0 / 2
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        qp.cho_factor(a)
+    assert exc.value.args[1] == 1
+    a[1, 1] = 2.0
+    L = qp.cho_factor(a)
+    assert np.array_equal(L, np.tril(L))
+    assert np.abs(L @ L.T - a).max() < 1e-14
+
+
+def test_warm_seed_drops_nearly_dependent_row():
+    # rows 0 and 1 are a +/- pair 2e-9 out of parallel: seeded together, their
+    # block of G P^-1 G' has a relative pivot near 1e-18 that may still factor
+    G = np.array([[-2.0, -3.0], [2.0 - 2e-9, 3.0 - 2e-9], [-3.0, 1.0]])
+    prob = qp.QpProblem(P=np.eye(2), q=np.array([-2.0, 1.0]), G=G, h=np.array([2.0, -2.0, 3.0]))
+    sol = qp.solve(prob, warm_active=[0, 1, 2])
+    assert np.abs(sol.x_star - np.array([20.0, -22.0]) / 13.0).max() <= 1e-8  # x = -q projected on row 1
+    assert qp.check_kkt(prob, sol).max_residual() < 1e-6
+
+
+@st.composite
+def warm_started_problems(draw):
+    """A strictly convex QP that x_feas satisfies, with +/- row pairs and
+    repeated rows, and a warm set with duplicates and out-of-range indices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    A = rng.normal(size=(n, n))
+    P = A @ A.T + rng.uniform(0.3, 2.0) * np.eye(n)
+    pairs = rng.normal(size=(draw(st.integers(0, 3)), n))
+    rows = np.vstack([rng.normal(size=(draw(st.integers(0, 2 * n)), n)), pairs, -pairs])
+    x_feas = rng.normal(size=n)
+    # about a third of the rows tight at x_feas: a pair with both tight is an equality
+    h = rows @ x_feas + rng.uniform(0.0, 1.5, len(rows)) * (rng.random(len(rows)) < 0.7)
+    repeated = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)) if len(rows) else []
+    G, h = np.vstack([rows, rows[repeated]]), np.concatenate([h, h[repeated]])
+    warm = draw(st.lists(st.integers(-2, len(h) + 2), max_size=2 * len(h) + 2))
+    return qp.QpProblem(P=P, q=3.0 * rng.normal(size=n), G=G, h=h), warm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(warm_started_problems())
+def test_warm_start_property(case):
+    prob, warm = case
+    sol = qp.solve(prob, warm_active=warm)
+    assert np.abs(sol.x_star - qp.solve(prob).x_star).max() <= 1e-8
+    x_oracle = pgd_oracle(prob.P, prob.q, prob.G, prob.h)
+    obj_oracle = 0.5 * x_oracle @ prob.P @ x_oracle + prob.q @ x_oracle
+    assert abs(sol.objective_value - obj_oracle) < 1e-6
+    assert qp.check_kkt(prob, sol).max_residual() < 1e-6
 
 
 def test_validate_rejects_asymmetric():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,24 @@ def test_simlog_csv_roundtrip(tmp_path):
     assert header == SimLog.HEADER
     assert header[0] == "t"
     assert len(header) == 49
+
+
+def test_simlog_from_csv_reads_what_to_csv_wrote(tmp_path):
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"] = 0.2
+    log, _ = run_doc(doc)
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    written = np.array([[float(f"{v:.9g}") for v in row] for row in log.rows])
+    assert np.array_equal(SimLog.from_csv(path).as_array(), written)
+
+    SimLog().to_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it parses no rows
+        assert SimLog.from_csv(path).as_array().shape == (0, len(SimLog.HEADER))
+    path.write_text("t,roll\n0,0\n")
+    with pytest.raises(ValueError, match="header"):
+        SimLog.from_csv(path)
 
 
 def test_scenario_validation():
