@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +226,32 @@ def test_bundled_name_resolution(tmp_path):
     assert doc["name"] == "flat_trot"
     scenario, params, mpc_cfg, gait_cfg = cli.load_config("flat_trot")
     assert scenario.name == "flat_trot"
+
+
+GOLDEN = json.loads((Path(__file__).with_name("golden_seed0.json")).read_text())
+
+
+def assert_matches_pin(got, pin, where):
+    """Strings, flags and None exactly; numbers to 1e-6 + 1e-3 |pin| (perfbench's rule)."""
+    if isinstance(pin, dict):
+        assert isinstance(got, dict) and set(got) >= set(pin), where
+        for key in pin:
+            assert_matches_pin(got[key], pin[key], f"{where}.{key}")
+    elif isinstance(pin, list):
+        assert isinstance(got, list) and len(got) == len(pin), where
+        for i, (g, p) in enumerate(zip(got, pin)):
+            assert_matches_pin(g, p, f"{where}[{i}]")
+    elif isinstance(pin, (int, float)) and not isinstance(pin, bool):
+        assert abs(got - pin) <= 1e-6 + 1e-3 * abs(pin), f"{where}: {got} vs pinned {pin}"
+    else:
+        assert got == pin, f"{where}: {got!r} vs pinned {pin!r}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_summary_matches_golden(cli_runs, name):
+    """The seed-0 summary of each bundled scenario against tests/golden_seed0.json
+    (the failure's detail string is not pinned)."""
+    code, out = cli_runs(name)
+    pin = GOLDEN[name]
+    assert code == (0 if pin["outcome"] == "success" else 2)
+    assert_matches_pin(read_summary(out), pin, name)
