@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config
 from . import sim as sim_mod
 from .gait import GaitConfig
 from .mpc import MpcConfig
 from .robot import RobotParams
-from .sim import load_scenario, run
+from .sim import Scenario, run
 from .svgplot import line_chart
 
 SUMMARY_SCHEMA = "huskysim-summary/1"
@@ -29,6 +30,9 @@ SUMMARY_SCHEMA = "huskysim-summary/1"
 RECOVERY_ROLL_LIMIT = 0.05  # rad
 RECOVERY_HOLD = 0.5  # s the roll must stay inside the limit
 THRUST_SOFT_TARGET = 7.0  # N, reported against the peak, never gated
+
+# the document's nested config objects; its other keys are the scenario's
+SECTIONS = {"robot": RobotParams, "mpc": MpcConfig, "gait": GaitConfig}
 
 
 class ConfigInvalid(Exception):
@@ -42,15 +46,22 @@ def _bundled_scenario_path(name: str):
 def configs_from_doc(doc: dict):
     """(scenario, params, mpc_cfg, gait_cfg) from a parsed scenario document.
 
-    A top-level ``thrusters_enabled: false`` turns the MPC's thrusters off.
-    Raises KeyError, TypeError or ValueError for an invalid document.
+    A scenario without ``mu_real`` takes the MPC's mu, and a top-level
+    ``thrusters_enabled: false`` turns the MPC's thrusters off. Raises
+    config.ConfigError for an invalid document.
     """
-    scenario = load_scenario(doc)
-    params = RobotParams.from_dict(doc.get("robot", {}))
-    mpc_cfg = MpcConfig.from_dict(doc.get("mpc", {}))
-    gait_cfg = GaitConfig.from_dict(doc.get("gait", {}))
-    if not doc.get("thrusters_enabled", True):
+    if not isinstance(doc, dict):
+        raise config.ConfigError("document: must be an object")
+    scenario = config.load(Scenario, {k: v for k, v in doc.items() if k not in SECTIONS})
+    sections = [config.load(cls, doc.get(key, {}), key) for key, cls in SECTIONS.items()]
+    params, mpc_cfg, gait_cfg = sections
+    if scenario.mu_real is None:
+        scenario.mu_real = mpc_cfg.mu
+    if not scenario.thrusters_enabled:
         mpc_cfg.thrusters_enabled = False
+    scenario.validate()
+    for key, obj in zip(SECTIONS, sections):
+        obj.validate(key)
     return scenario, params, mpc_cfg, gait_cfg
 
 
@@ -65,11 +76,11 @@ def load_config(path):
             raise ConfigInvalid(f"config file not found: {path}")
     try:
         doc = json.loads(Path(p).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or an integer too long to parse
+        raise ConfigInvalid(f"{path}: cannot read a JSON document ({exc})") from exc
     try:
         return configs_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except config.ConfigError as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
@@ -188,10 +199,9 @@ def run_scenario(config_path, out_dir=None, seed=None, no_thrusters=False) -> in
         log, outcome = run(scenario, params, mpc_cfg, gait_cfg)
         log.to_csv(out / "log.csv")
         written = sim_mod.SimLog.from_csv(out / "log.csv").as_array()
-        mu_limit = scenario.mu_real if scenario.mu_real is not None else mpc_cfg.mu
-        summary = summarize(written, scenario, outcome, mu_limit)
+        summary = summarize(written, scenario, outcome, scenario.mu_real)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        write_plots(written, out / "plots", mu_limit)
+        write_plots(written, out / "plots", scenario.mu_real)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,11 +89,9 @@ def euler_rate_matrix(theta: np.ndarray) -> np.ndarray:
     )
 
 
-def euler_rates(theta: np.ndarray, omega: np.ndarray, exact: bool = True) -> np.ndarray:
-    """Euler-angle rates; the approximate mode uses Rz^T omega (small roll/pitch)."""
-    if exact:
-        return euler_rate_matrix(theta) @ omega
-    return rot_z(theta[2]).T @ omega
+def euler_rates(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Euler-angle rates of the world-frame angular velocity omega."""
+    return euler_rate_matrix(theta) @ omega
 
 
 def yaw_inertia(params: RobotParams, yaw: float) -> np.ndarray:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, setting
+
 # diagonal pairs: A = (FL, RR), B = (FR, RL)
 PAIR_A = (0, 3)
 PAIR_B = (1, 2)
@@ -16,50 +18,19 @@ class PhaseOutOfRange(Exception):
 
 
 @dataclass
-class GaitConfig:
-    t_stance: float = 0.3  # s
-    t_swing: float = 0.3  # s
-    raibert_gain: float = 0.03  # s, feedback on velocity error
-    apex_height: float = 0.05  # m
-    # world-fixed strip clamp (a physical beam); width <= 0 disables it
-    clamp_width: float = 0.0  # m
-    clamp_centerline: float = 0.0  # m, world y
-    foot_margin: float = 0.01  # m, kept clear of the strip edge
+class GaitConfig(Config):
+    t_stance: float = setting("t_stance_s", 0.3, gt=0)  # s
+    t_swing: float = setting("t_swing_s", 0.3, gt=0)  # s
+    raibert_gain: float = setting("raibert_gain_s", 0.03)  # s, feedback on velocity error
+    apex_height: float = setting("apex_height_m", 0.05, ge=0)  # m
     # body-relative narrow-stance clamp: total lateral stance width;
     # <= 0 leaves the natural hip-width stance
-    stance_width: float = 0.0  # m
-
-    def validate(self):
-        for key, value in (("t_stance_s", self.t_stance), ("t_swing_s", self.t_swing)):
-            if not 0 < value < np.inf:
-                raise ValueError(f"{key} must be finite and positive, got {value}")
-        if not 0 <= self.apex_height < np.inf:
-            raise ValueError(f"apex_height_m must be finite and non-negative, got {self.apex_height}")
-        for key, value in (
-            ("raibert_gain_s", self.raibert_gain),
-            ("stance_width_m", self.stance_width),
-            ("lateral_clamp", self.clamp_width),
-            ("lateral_clamp", self.clamp_centerline),
-            ("lateral_clamp", self.foot_margin),
-        ):
-            if not np.isfinite(value):
-                raise ValueError(f"{key} values must be finite, got {value}")
-        return self
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaitConfig":
-        cfg = cls()
-        cfg.t_stance = float(d.get("t_stance_s", cfg.t_stance))
-        cfg.t_swing = float(d.get("t_swing_s", cfg.t_swing))
-        cfg.raibert_gain = float(d.get("raibert_gain_s", cfg.raibert_gain))
-        cfg.apex_height = float(d.get("apex_height_m", cfg.apex_height))
-        cfg.stance_width = float(d.get("stance_width_m", cfg.stance_width))
-        clamp = d.get("lateral_clamp")
-        if clamp and clamp.get("enabled", True):
-            cfg.clamp_width = float(clamp["width_m"])
-            cfg.clamp_centerline = float(clamp.get("centerline_y_m", 0.0))
-            cfg.foot_margin = float(clamp.get("foot_margin_m", cfg.foot_margin))
-        return cfg.validate()
+    stance_width: float = setting("stance_width_m", 0.0)  # m
+    # world-fixed strip clamp (a physical beam); off when disabled or width <= 0
+    clamp_enabled: bool = setting("lateral_clamp.enabled", True)
+    clamp_width: float = setting("lateral_clamp.width_m", 0.0)  # m
+    clamp_centerline: float = setting("lateral_clamp.centerline_y_m", 0.0)  # m, world y
+    foot_margin: float = setting("lateral_clamp.foot_margin_m", 0.01)  # m, kept clear of the strip edge
 
 
 @dataclass
@@ -72,10 +43,10 @@ class GaitState:
     target_pos: np.ndarray = field(default_factory=lambda: np.zeros((4, 3)))
 
 
-def trot_schedule(t: float, T_s: float, T_sw: float, offset: float = 0.0) -> GaitState:
+def trot_schedule(t: float, T_s: float, T_sw: float) -> GaitState:
     """Alternating diagonal-pair trot. Pair (FL, RR) starts in stance at t = 0."""
     period = T_s + T_sw
-    tau = (t + offset) % period
+    tau = t % period
 
     stance = np.zeros(4, dtype=bool)
     phase = np.zeros(4)
@@ -117,7 +88,7 @@ def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float = None) -> 
     if cfg.stance_width > 0.0 and body_y is not None:
         half = cfg.stance_width / 2.0
         out[1] = np.clip(out[1], body_y - half, body_y + half)
-    if cfg.clamp_width > 0.0:
+    if cfg.clamp_enabled and cfg.clamp_width > 0.0:
         half = max(cfg.clamp_width / 2.0 - cfg.foot_margin, 0.0)
         out[1] = np.clip(out[1], cfg.clamp_centerline - half, cfg.clamp_centerline + half)
     return out

@@ -15,15 +15,13 @@ so the QP cannot be infeasible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qp
-from .dynamics import NU, NX, ControlInput, LinearModel, RobotState, build_continuous_model, discretize
-
-_DEFAULT_Q_DIAG = [400.0, 400.0, 100.0, 100.0, 400.0, 800.0, 1.0, 1.0, 1.0, 10.0, 40.0, 20.0, 0.0]
-_DEFAULT_R_DIAG = [1e-4] * 12 + [1e-3] * 4
+from .config import Config, setting
+from .dynamics import NU, NX, ControlInput, LinearModel, RobotState
 
 
 class SolverFailure(Exception):
@@ -38,75 +36,25 @@ class DimensionMismatch(ValueError):
 
 
 @dataclass
-class MpcConfig:
-    horizon: int = 5
-    dt: float = 0.03  # s, prediction step
-    rate_hz: float = 100.0
-    q_diag: np.ndarray = field(default_factory=lambda: np.array(_DEFAULT_Q_DIAG))
-    r_diag: np.ndarray = field(default_factory=lambda: np.array(_DEFAULT_R_DIAG))
-    mu: float = 0.5
-    u_t_max: float = 20.0  # N, controller-side thrust cap
-    thrusters_enabled: bool = True
-
-    def __post_init__(self):
-        self.q_diag = np.asarray(self.q_diag, dtype=float)
-        self.r_diag = np.asarray(self.r_diag, dtype=float)
-
-    def validate(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt_s must be finite and positive, got {self.dt}")
-        if not 0 < self.rate_hz < np.inf:
-            raise ValueError(f"rate_hz must be finite and positive, got {self.rate_hz}")
-        if not 0 < self.mu < np.inf:
-            raise ValueError(f"mu must be finite and positive, got {self.mu}")
-        if not 0 <= self.u_t_max < np.inf:
-            raise ValueError(f"u_t_max_n must be finite and non-negative, got {self.u_t_max}")
-        if self.q_diag.shape != (NX,) or np.any(self.q_diag < 0):
-            raise ValueError(f"q_diag must be {NX} non-negative weights")
-        if self.r_diag.shape != (NU,) or np.any(self.r_diag <= 0):
-            raise ValueError(f"r_diag must be {NU} positive weights")
-        return self
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MpcConfig":
-        cfg = cls()
-        cfg.horizon = int(d.get("horizon", cfg.horizon))
-        cfg.dt = float(d.get("dt_s", cfg.dt))
-        cfg.rate_hz = float(d.get("rate_hz", cfg.rate_hz))
-        if "q_diag" in d:
-            cfg.q_diag = np.asarray(d["q_diag"], dtype=float)
-        if "r_diag" in d:
-            cfg.r_diag = np.asarray(d["r_diag"], dtype=float)
-        cfg.mu = float(d.get("mu", cfg.mu))
-        cfg.u_t_max = float(d.get("u_t_max_n", cfg.u_t_max))
-        cfg.thrusters_enabled = bool(d.get("thrusters_enabled", cfg.thrusters_enabled))
-        return cfg.validate()
+class MpcConfig(Config):
+    horizon: int = setting("horizon", 5, ge=1)
+    dt: float = setting("dt_s", 0.03, gt=0)  # s, prediction step
+    rate_hz: float = setting("rate_hz", 100.0, gt=0)
+    q_diag: np.ndarray = setting(
+        "q_diag", [400.0, 400.0, 100.0, 100.0, 400.0, 800.0, 1.0, 1.0, 1.0, 10.0, 40.0, 20.0, 0.0],
+        shape=(NX,), ge=0,
+    )
+    r_diag: np.ndarray = setting("r_diag", [1e-4] * 12 + [1e-3] * 4, shape=(NU,), gt=0)
+    mu: float = setting("mu", 0.5, gt=0)
+    u_t_max: float = setting("u_t_max_n", 20.0, ge=0)  # N, controller-side thrust cap
+    thrusters_enabled: bool = setting("thrusters_enabled", True)
 
 
 @dataclass
-class Command:
-    v_d: np.ndarray = field(default_factory=lambda: np.zeros(3))  # m/s, world
-    yaw_rate: float = 0.0  # rad/s
-    height: float = 0.25  # m above the support surface
-
-    def validate(self):
-        if self.v_d.shape != (3,) or not np.isfinite(self.v_d).all():
-            raise ValueError(f"v_d_mps must be 3 finite values, got {self.v_d.tolist()}")
-        if not np.isfinite(self.yaw_rate):
-            raise ValueError(f"yaw_rate_rps must be finite, got {self.yaw_rate}")
-        if not 0 < self.height < np.inf:
-            raise ValueError(f"height_m must be finite and positive, got {self.height}")
-        return self
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Command":
-        return cls(
-            v_d=np.asarray(d.get("v_d_mps", [0.0, 0.0, 0.0]), dtype=float),
-            yaw_rate=float(d.get("yaw_rate_rps", 0.0)),
-            height=float(d.get("height_m", 0.25)),
-        ).validate()
+class Command(Config):
+    v_d: np.ndarray = setting("v_d_mps", [0.0, 0.0, 0.0], shape=(3,))  # m/s, world
+    yaw_rate: float = setting("yaw_rate_rps", 0.0)  # rad/s
+    height: float = setting("height_m", 0.25, gt=0)  # m above the support surface
 
 
 def build_reference(
@@ -260,19 +208,3 @@ class MpcController:
         U[free] = sol.x_star
         return ControlInput.from_vector(U[:NU])
 
-
-def mpc_step(
-    state: RobotState,
-    stance_seq: list[np.ndarray],
-    d: np.ndarray,
-    r: np.ndarray,
-    ref: np.ndarray,
-    config: MpcConfig,
-    params,
-) -> ControlInput:
-    """One cold-started solve with models frozen at the current d, r snapshot.
-
-    Use MpcController for warm-started receding-horizon operation.
-    """
-    models = [discretize(*build_continuous_model(state, d, r, params), config.dt)] * len(stance_seq)
-    return MpcController(config).step(state, stance_seq, models, ref)

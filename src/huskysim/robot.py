@@ -1,4 +1,4 @@
-"""Robot parameters, serial 3-DOF leg kinematics, and joint-level commands.
+"""Robot parameters and serial 3-DOF leg kinematics.
 
 Legs are indexed 0=FL, 1=FR, 2=RL, 3=RR (F/R = front/rear, L/R = left/right;
 left legs sit at +y in the body frame). Each leg is a serial chain rooted at
@@ -9,33 +9,17 @@ Joint angles q = (abduction, hip swing, knee), radians.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config, setting
 from .rotations import rot_x, rot_y
 
 # +1 for left legs (+y side), -1 for right legs
 LEG_SIDE_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 
-_DEFAULT_HIP_OFFSETS = [
-    [0.15, 0.10, 0.0],
-    [0.15, -0.10, 0.0],
-    [-0.15, 0.10, 0.0],
-    [-0.15, -0.10, 0.0],
-]
-
-# thrusters point inboard: -y on left legs, +y on right legs
-_DEFAULT_THRUST_DIRS = [
-    [0.0, -1.0, 0.0],
-    [0.0, 1.0, 0.0],
-    [0.0, -1.0, 0.0],
-    [0.0, 1.0, 0.0],
-]
-
-_DEFAULT_JOINT_LIMITS = [[-0.8, 0.8], [-2.0, 2.0], [-2.6, 2.6]]
 _LIMIT_TOL = 1e-9  # rad of round-off accepted at a joint limit
 
 
@@ -48,72 +32,48 @@ class NoConvergence(Exception):
 
 
 @dataclass
-class LinkLengths:
-    hip_roll_offset: float = 0.0  # m, lateral offset from abduction axis to thigh plane
-    thigh: float = 0.17  # m
-    shank: float = 0.17  # m
+class LinkLengths(Config):
+    # m, lateral offset from the abduction axis to the thigh plane
+    hip_roll_offset: float = setting("hip_roll_offset", 0.0)
+    thigh: float = setting("thigh", 0.17, gt=0)  # m
+    shank: float = setting("shank", 0.17, gt=0)  # m
 
 
 @dataclass
-class RobotParams:
-    """Physical parameters. Defaults: 6.625 kg platform, 26 N thrusters at the knees."""
+class RobotParams(Config):
+    """Physical parameters. Defaults: 6.625 kg platform, thrusters at the knees."""
 
-    mass: float = 6.625  # kg
-    inertia_body: np.ndarray = field(
-        default_factory=lambda: np.diag([0.05, 0.10, 0.12])
+    mass: float = setting("mass", 6.625, gt=0)  # kg
+    inertia_body: np.ndarray = setting(
+        "inertia_body", [[0.05, 0.0, 0.0], [0.0, 0.10, 0.0], [0.0, 0.0, 0.12]], shape=(3, 3)
     )  # kg m^2, body frame
-    hip_offsets: np.ndarray = field(
-        default_factory=lambda: np.array(_DEFAULT_HIP_OFFSETS)
+    hip_offsets: np.ndarray = setting(
+        "hip_offsets",
+        [[0.15, 0.10, 0.0], [0.15, -0.10, 0.0], [-0.15, 0.10, 0.0], [-0.15, -0.10, 0.0]],
+        shape=(4, 3),
     )  # m, body frame
-    link_lengths: LinkLengths = field(default_factory=LinkLengths)
-    thruster_knee_offset: float = 0.0  # m, outboard of the knee joint
-    thrust_dirs: np.ndarray = field(
-        default_factory=lambda: np.array(_DEFAULT_THRUST_DIRS)
-    )  # body-frame unit vectors
-    u_t_max: float = 26.0  # N, per thruster (physical limit)
-    mu_s: float = 0.5  # friction coefficient
-    gravity: float = 9.81  # m/s^2
-    joint_limits: np.ndarray = field(
-        default_factory=lambda: np.array(_DEFAULT_JOINT_LIMITS)
+    link_lengths: LinkLengths = setting("link_lengths", LinkLengths)
+    thruster_knee_offset: float = setting("thruster_knee_offset", 0.0)  # m, outboard of the knee joint
+    # body-frame unit vectors; the thrusters point inboard: -y on left legs, +y on right legs
+    thrust_dirs: np.ndarray = setting(
+        "thrust_dirs",
+        [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0]],
+        shape=(4, 3),
+    )
+    gravity: float = setting("gravity", 9.81, gt=0)  # m/s^2
+    joint_limits: np.ndarray = setting(
+        "joint_limits", [[-0.8, 0.8], [-2.0, 2.0], [-2.6, 2.6]], shape=(3, 2)
     )  # rad, (3, 2) low/high
 
-    def __post_init__(self):
-        self.inertia_body = np.asarray(self.inertia_body, dtype=float)
-        self.hip_offsets = np.asarray(self.hip_offsets, dtype=float)
-        self.thrust_dirs = np.asarray(self.thrust_dirs, dtype=float)
-        self.joint_limits = np.asarray(self.joint_limits, dtype=float)
-
-    def validate(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.inertia_body.shape != (3, 3) or not np.allclose(
-            self.inertia_body, self.inertia_body.T, atol=1e-12
-        ):
-            raise ValueError("inertia_body must be a symmetric 3x3 matrix")
-        if np.any(np.linalg.eigvalsh(self.inertia_body) <= 0):
-            raise ValueError("inertia_body must be positive definite")
-        if self.hip_offsets.shape != (4, 3):
-            raise ValueError("hip_offsets must be 4x3")
-        norms = np.linalg.norm(self.thrust_dirs, axis=1)
-        if self.thrust_dirs.shape != (4, 3) or np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("thrust_dirs must be four unit vectors")
-        if self.u_t_max <= 0:
-            raise ValueError("u_t_max must be positive")
-        if self.mu_s <= 0:
-            raise ValueError("mu_s must be positive")
-        return self
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RobotParams":
-        kwargs = dict(d)
-        if "link_lengths" in kwargs:
-            kwargs["link_lengths"] = LinkLengths(**kwargs["link_lengths"])
-        return cls(**kwargs).validate()
-
-    @classmethod
-    def from_json(cls, path) -> "RobotParams":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+    def rules(self):
+        inertia, limits = self.inertia_body, self.joint_limits
+        unit = np.abs(np.linalg.norm(self.thrust_dirs, axis=1) - 1.0) <= 1e-9
+        return (
+            ("inertia_body", np.allclose(inertia, inertia.T, atol=1e-12)
+             and np.all(np.linalg.eigvalsh(inertia) > 0), "must be symmetric positive definite"),
+            ("thrust_dirs", unit.all(), "must be unit vectors"),
+            ("joint_limits", np.all(limits[:, 0] < limits[:, 1]), "must have low < high in each row"),
+        )
 
     def leg_reach(self) -> float:
         return self.link_lengths.thigh + self.link_lengths.shank
@@ -209,15 +169,3 @@ def leg_inverse_kinematics(
         feet = (leg_forward_kinematics(params, leg_index, np.clip(q, lo, hi))[0] for q in candidates)
         raise NoConvergence(min(float(np.linalg.norm(foot - target)) for foot in feet))
     return min(inside, key=lambda q: abs(q[0] - q_init[0]))
-
-
-def stance_torques(J: np.ndarray, u_g: np.ndarray) -> np.ndarray:
-    """Joint torques that realize the ground reaction force: tau = J^T u_g."""
-    return J.T @ u_g
-
-
-def joint_command(q_d, q, qd_d, qd, tau_ff, kp, kd) -> np.ndarray:
-    """PD tracking with feedforward: tau = Kp (q_d - q) + Kd (qd_d - qd) + tau_ff."""
-    q_d = np.asarray(q_d, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return kp * (q_d - q) + kd * (np.asarray(qd_d) - np.asarray(qd)) + np.asarray(tau_ff)

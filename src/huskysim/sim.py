@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, setting
 from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, centroidal_accel, discretize, euler_rates
 from .gait import GaitConfig, SwingCurve, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
@@ -34,25 +35,14 @@ SLIP_FORCE_TOL = 1e-6
 
 
 @dataclass
-class Terrain:
-    kind: str = "flat"  # "flat" or "beam"
-    width: float = 0.0  # m, beam only
-    height: float = 0.0  # m, beam top above the ground plane
-    centerline: float = 0.0  # m, world y
+class Terrain(Config):
+    kind: str = setting("kind", "flat", choices=("flat", "beam"))
+    width: float = setting("width_m", 0.0)  # m, beam only
+    height: float = setting("height_m", 0.0)  # m, beam top above the ground plane
+    centerline: float = setting("centerline_y_m", 0.0)  # m, world y
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Terrain":
-        kind = d.get("kind", "flat")
-        if kind == "flat":
-            return cls(kind="flat")
-        if kind == "beam":
-            return cls(
-                kind="beam",
-                width=float(d["width_m"]),
-                height=float(d["height_m"]),
-                centerline=float(d.get("centerline_y_m", 0.0)),
-            )
-        raise ValueError(f"unknown terrain kind {kind!r}")
+    def rules(self):
+        return (("width_m", self.kind != "beam" or self.width > 0, "must be positive on a beam"),)
 
     def support_height(self) -> float:
         return self.height if self.kind == "beam" else 0.0
@@ -64,40 +54,32 @@ class Terrain:
 
 
 @dataclass
-class Disturbance:
-    t_start: float
-    t_end: float
-    force: np.ndarray  # N, world, applied at the COM
+class Disturbance(Config):
+    t_start: float = setting("t_start_s")
+    t_end: float = setting("t_end_s")
+    force: np.ndarray = setting("force_n", shape=(3,))  # N, world, applied at the COM
+
+    def rules(self):
+        return (("t_end_s", self.t_start < self.t_end, "must be after t_start_s"),)
 
     def active(self, t: float) -> bool:
         return self.t_start <= t < self.t_end
 
 
 @dataclass
-class Scenario:
-    name: str = "scenario"
-    duration: float = 5.0  # s
-    sim_dt: float = 1e-3  # s
-    seed: int = 0
-    terrain: Terrain = field(default_factory=Terrain)
-    disturbances: list = field(default_factory=list)
-    command: Command = field(default_factory=Command)
-    mu_real: float = None  # plant-side friction limit; defaults to the MPC mu
-
-    def validate(self):
-        if not 0 <= self.duration < np.inf:
-            raise ValueError(f"duration_s must be finite and non-negative, got {self.duration}")
-        if not 0 < self.sim_dt < np.inf:
-            raise ValueError(f"sim_dt_s must be finite and positive, got {self.sim_dt}")
-        for dist in self.disturbances:
-            if not -np.inf < dist.t_start < dist.t_end < np.inf:
-                raise ValueError("disturbance must have finite t_start < t_end")
-            if dist.force.shape != (3,) or not np.isfinite(dist.force).all():
-                raise ValueError(f"force_n must be 3 finite values, got {dist.force.tolist()}")
-        self.command.validate()
-        if self.terrain.kind == "beam" and self.terrain.width <= 0:
-            raise ValueError("beam width must be positive")
-        return self
+class Scenario(Config):
+    name: str = setting("name", "scenario")
+    duration: float = setting("duration_s", 5.0, ge=0)  # s
+    sim_dt: float = setting("sim_dt_s", 1e-3, gt=0)  # s
+    seed: int = setting("seed", 0)
+    terrain: Terrain = setting("terrain", Terrain)
+    disturbances: list[Disturbance] = setting("disturbances", list)
+    command: Command = setting("command", Command)
+    # plant-side friction limit; cli.configs_from_doc gives the MPC's mu to a
+    # document without one
+    mu_real: float = setting("mu_real", None, gt=0)
+    # false turns the MPC's thrusters off (cli.configs_from_doc)
+    thrusters_enabled: bool = setting("thrusters_enabled", True)
 
 
 @dataclass
@@ -163,10 +145,11 @@ class SimLog:
 
 
 def friction_ratios(u: ControlInput, stance) -> np.ndarray:
-    """Tangential-to-normal force ratio per leg; zero for unloaded legs."""
+    """Tangential-to-normal force ratio per leg; zero for a leg whose normal
+    force is within the slip check's tolerance of zero."""
     ratios = np.zeros(4)
     for i in range(4):
-        if stance[i] and u.grf[i, 2] > 1e-9:
+        if stance[i] and u.grf[i, 2] > SLIP_FORCE_TOL:
             ratios[i] = np.hypot(u.grf[i, 0], u.grf[i, 1]) / u.grf[i, 2]
     return ratios
 
@@ -203,7 +186,7 @@ def step(
     pdot = state.pdot + pddot * dt
     omega = state.omega + omegadot * dt
     p = state.p + pdot * dt
-    theta = state.theta + euler_rates(state.theta, omega, exact=True) * dt
+    theta = state.theta + euler_rates(state.theta, omega) * dt
     return RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
 
 
@@ -298,16 +281,15 @@ class _LegTracker:
 def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: GaitConfig):
     """Execute a scenario; returns (SimLog, outcome) where outcome is None on success."""
     scenario.validate()
-    params.validate()
-    mpc_cfg.validate()
-    gait_cfg.validate()
+    params.validate("robot")
+    mpc_cfg.validate("mpc")
+    gait_cfg.validate("gait")
 
     dt = scenario.sim_dt
     control_every = max(1, round(1.0 / (mpc_cfg.rate_hz * dt)))
     n_steps = round(scenario.duration / dt)
     support = scenario.terrain.support_height()
     command = scenario.command
-    mu_real = scenario.mu_real if scenario.mu_real is not None else mpc_cfg.mu
 
     state = RobotState(p=np.array([0.0, 0.0, support + command.height]))
     tracker = _LegTracker(params, scenario, gait_cfg)
@@ -345,7 +327,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
                 break
             violations = check_contact_legality(
-                u, tracker.foot_pos, gait.stance_flags, scenario.terrain, mu_real
+                u, tracker.foot_pos, gait.stance_flags, scenario.terrain, scenario.mu_real
             )
             if violations:
                 kind, _, detail = violations[0]
@@ -379,25 +361,3 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
 
     return log, failure
 
-
-def load_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed config document."""
-    terrain = Terrain.from_dict(doc.get("terrain", {"kind": "flat"}))
-    disturbances = [
-        Disturbance(
-            t_start=float(d["t_start_s"]),
-            t_end=float(d["t_end_s"]),
-            force=np.asarray(d["force_n"], dtype=float),
-        )
-        for d in doc.get("disturbances", [])
-    ]
-    return Scenario(
-        name=doc.get("name", "scenario"),
-        duration=float(doc.get("duration_s", 5.0)),
-        sim_dt=float(doc.get("sim_dt_s", 1e-3)),
-        seed=int(doc.get("seed", 0)),
-        terrain=terrain,
-        disturbances=disturbances,
-        command=Command.from_dict(doc.get("command", {})),
-        mu_real=float(doc["mu_real"]) if "mu_real" in doc else None,
-    ).validate()

@@ -38,6 +38,18 @@ def test_nonexistent_config_exits_1(capsys, tmp_path):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [None, "{", "[1, 2]", "1" * 5000], ids=["directory", "truncated", "array", "long_int"])
+def test_unreadable_config_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"terrain": {"kind": "lava"}}')
@@ -87,6 +99,39 @@ def test_bad_timing_value_exits_1(tmp_path, capsys, doc, key):
          "yaw_rate_nan", "raibert_gain_inf"],
 )
 def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
+    assert_one_error_line(tmp_path, capsys, doc, key)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ('{"robot": {"mass": NaN}}', "robot.mass"),
+        ('{"robot": {"thruster_knee_offset": NaN}}', "robot.thruster_knee_offset"),
+        ('{"robot": {"gravity": -9.81}}', "robot.gravity"),
+        ('{"robot": {"link_lengths": {"thigh": -0.17}}}', "robot.link_lengths.thigh"),
+        ('{"robot": {"joint_limits": [[-0.8, 0.8]]}}', "robot.joint_limits"),
+        ('{"robot": {"mu_s": 0.5}}', "mu_s"),
+        ('{"mpc": {"q_diag": [NaN, 400, 100, 100, 400, 800, 1, 1, 1, 10, 40, 20, 0]}}', "mpc.q_diag"),
+        ('{"mpc": {"horizon": 2.7}}', "mpc.horizon"),
+        ('{"mpc": {"horizon": true}}', "mpc.horizon"),
+        ('{"mpc": {"thrusters_enabled": "no"}}', "mpc.thrusters_enabled"),
+        ('{"terrain": {"kind": "beam", "width_m": 0.1, "height_m": NaN}}', "terrain.height_m"),
+        ('{"mu_real": NaN}', "mu_real"),
+        ('{"mu_real": -1}', "mu_real"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"mpc": {"horizn": 5}}', "horizn"),
+        ('{"gait": {"t_stanse_s": 0.3}}', "t_stanse_s"),
+        ('{"command": {"speed": 0.2}}', "speed"),
+        ('{"duraton_s": 1.0}', "duraton_s"),
+    ],
+    ids=["mass_nan", "knee_offset_nan", "gravity_negative", "thigh_negative", "joint_limits_one_row",
+         "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_string",
+         "beam_height_nan", "mu_real_nan", "mu_real_negative", "seed_fraction", "horizn_unknown",
+         "t_stanse_unknown", "speed_unknown", "duraton_unknown"],
+)
+def test_invalid_setting_exits_1(tmp_path, capsys, doc, key):
+    """Values outside a setting's declared type, shape or bound, and unknown keys,
+    fail at load: exit 1 and one error line, never a traceback or a simulated fall."""
     assert_one_error_line(tmp_path, capsys, doc, key)
 
 

@@ -158,13 +158,13 @@ def test_single_thruster_torque_oracle():
 
 def test_euler_rates_identity_at_origin():
     omega = np.array([0.3, -0.2, 0.1])
-    for exact in (True, False):
-        assert np.allclose(euler_rates(np.zeros(3), omega, exact=exact), omega, atol=1e-15)
+    assert np.allclose(euler_rates(np.zeros(3), omega), omega, atol=1e-15)
 
 
 def test_euler_rates_approx_at_quarter_yaw():
+    # at zero roll and pitch the exact rates are the small-angle Rz^T omega
     theta = np.array([0.0, 0.0, np.pi / 2])
-    rates = euler_rates(theta, np.array([1.0, 0.0, 0.0]), exact=False)
+    rates = euler_rates(theta, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(rates, [0.0, -1.0, 0.0], atol=1e-12)
 
 
@@ -173,14 +173,13 @@ def test_euler_rates_exact_equals_approx_at_zero_tilt():
     for _ in range(20):
         theta = np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
         omega = rng.normal(size=3)
-        exact = euler_rates(theta, omega, exact=True)
-        approx = euler_rates(theta, omega, exact=False)
-        assert np.abs(exact - approx).max() < 1e-12
+        approx = rot_z(theta[2]).T @ omega
+        assert np.abs(euler_rates(theta, omega) - approx).max() < 1e-12
 
 
 def test_euler_rates_gimbal_lock():
     with pytest.raises(GimbalLock):
-        euler_rates(np.array([0.0, np.pi / 2, 0.0]), np.ones(3), exact=True)
+        euler_rates(np.array([0.0, np.pi / 2, 0.0]), np.ones(3))
 
 
 def test_model_structure(params):
@@ -222,7 +221,7 @@ def test_model_directional_consistency(params):
         pddot, omegadot = centroidal_accel(yaw_state, u, d, r, params)
         expected = np.concatenate(
             [
-                euler_rates(yaw_state.theta, state.omega, exact=False),
+                rot_z(state.theta[2]).T @ state.omega,
                 state.pdot,
                 omegadot,
                 pddot,  # includes gravity, matching the augmented-state column

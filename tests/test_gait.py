@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from huskysim import config
 from huskysim.gait import (
     PAIR_A,
     PAIR_B,
@@ -63,13 +64,6 @@ def test_schedule_duty():
     for t in ts:
         stance_time += trot_schedule(t, T_s, T_sw).stance_flags * dt
     assert np.allclose(stance_time, T_s, atol=2 * dt)
-
-
-def test_schedule_offset_shifts_time():
-    g1 = trot_schedule(0.1, 0.3, 0.3, offset=0.2)
-    g2 = trot_schedule(0.3, 0.3, 0.3)
-    assert np.array_equal(g1.stance_flags, g2.stance_flags)
-    assert np.allclose(g1.phase, g2.phase)
 
 
 def test_raibert_zero_motion():
@@ -185,15 +179,19 @@ def test_body_relative_stance_clamp():
 
 
 def test_gait_config_from_dict():
-    cfg = GaitConfig.from_dict(
+    cfg = config.load(
+        GaitConfig,
         {
             "t_stance_s": 0.25,
             "t_swing_s": 0.2,
             "lateral_clamp": {"width_m": 0.1, "centerline_y_m": 0.05},
             "stance_width_m": 0.12,
-        }
-    )
+        },
+    ).validate()
     assert cfg.t_stance == 0.25
     assert cfg.clamp_width == 0.1
     assert cfg.clamp_centerline == 0.05
     assert cfg.stance_width == 0.12
+    # a disabled clamp leaves the target where it is
+    off = config.load(GaitConfig, {"lateral_clamp": {"enabled": False, "width_m": 0.1}})
+    assert clamp_lateral(np.array([0.3, 0.2, 0.0]), off)[1] == 0.2

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import nnls
 
 from conftest import load_bundled, pgd_oracle
-from huskysim import cli, qp
+from huskysim import cli, config, qp
 from huskysim.dynamics import NU, RobotState, build_continuous_model, discretize
 from huskysim.mpc import (
     Command,
@@ -16,7 +16,6 @@ from huskysim.mpc import (
     constraint_keys,
     free_inputs,
     input_constraints,
-    mpc_step,
 )
 from huskysim.robot import RobotParams
 from huskysim.sim import run
@@ -40,6 +39,11 @@ def make_models(state, d, r, stance_seq, cfg, params):
         A, B = build_continuous_model(state, d, r, params)
         models.append(discretize(A, B, cfg.dt))
     return models
+
+
+def cold_step(state, stance_seq, d, r, ref, cfg, params):
+    """One cold-started controller step with the models frozen at the d, r snapshot."""
+    return MpcController(cfg).step(state, stance_seq, make_models(state, d, r, stance_seq, cfg, params), ref)
 
 
 def test_reference_hold_position():
@@ -126,7 +130,7 @@ def test_swing_columns_pinned(params):
     d, r = stand_geometry(params)
     stance = np.array([True, False, True, False])
     ref = build_reference(state, Command(height=0.25), cfg)
-    u = mpc_step(state, [stance], d, r, ref, cfg, params)
+    u = cold_step(state, [stance], d, r, ref, cfg, params)
     assert np.all(u.grf[1] == 0.0)
     assert np.all(u.grf[3] == 0.0)
 
@@ -163,7 +167,7 @@ def test_static_stand_force_balance(params):
     d, r = stand_geometry(params)
     stance = np.ones(4, dtype=bool)
     ref = build_reference(state, Command(height=0.25), cfg)
-    u = mpc_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
+    u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
     weight = params.mass * params.gravity
     assert abs(u.grf[:, 2].sum() - weight) / weight < 0.02
     assert np.abs(u.thrust).max() < 0.5
@@ -178,7 +182,7 @@ def test_roll_rate_engages_opposing_thrusters(params):
     for wx, expect_left in ((2.0, True), (-2.0, False)):
         state = RobotState(p=np.array([0.0, 0.0, 0.25]), omega=np.array([wx, 0.0, 0.0]))
         ref = build_reference(state, Command(height=0.25), cfg)
-        u = mpc_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
+        u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
         left = u.thrust[0] + u.thrust[2]
         right = u.thrust[1] + u.thrust[3]
         assert (left > right + 1.0) == expect_left
@@ -195,7 +199,7 @@ def test_height_only_weights_give_symmetric_forces(params):
     d, r = stand_geometry(params, height=0.24)
     stance = np.ones(4, dtype=bool)
     ref = build_reference(state, Command(height=0.25), cfg)
-    u = mpc_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
+    u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
     uz = u.grf[:, 2]
     assert np.abs(uz - uz.mean()).max() < 1e-6
     assert uz.mean() > 10.0
@@ -214,7 +218,7 @@ def test_returned_input_respects_constraints(params):
         d, r = stand_geometry(params)
         stance = np.array([True, False, False, True])
         ref = build_reference(state, Command(height=0.25), cfg)
-        u = mpc_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
+        u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
         for i in range(4):
             if stance[i]:
                 assert u.grf[i, 2] >= -1e-8
@@ -231,7 +235,7 @@ def test_thrusters_disabled_pins_thrust(params):
     d, r = stand_geometry(params)
     stance = np.ones(4, dtype=bool)
     ref = build_reference(state, Command(height=0.25), cfg)
-    u = mpc_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
+    u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
     assert np.all(u.thrust == 0.0)
 
 
@@ -251,7 +255,7 @@ def test_config_validation():
         MpcConfig(horizon=0).validate()
     with pytest.raises(ValueError):
         MpcConfig(r_diag=np.zeros(16)).validate()
-    cfg = MpcConfig.from_dict({"horizon": 3, "dt_s": 0.05, "mu": 0.4})
+    cfg = config.load(MpcConfig, {"horizon": 3, "dt_s": 0.05, "mu": 0.4}).validate()
     assert cfg.horizon == 3 and cfg.dt == 0.05 and cfg.mu == 0.4
 
 

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from huskysim import config
 from huskysim.robot import (
     LEG_SIDE_SIGN,
     LinkLengths,
     NoConvergence,
     RobotParams,
-    joint_command,
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
-    stance_torques,
 )
 from huskysim.rotations import rot_x
 
@@ -221,67 +220,6 @@ def test_ik_knee_branch_follows_q_init(params):
         assert np.linalg.norm(leg_forward_kinematics(params, 1, q)[0] - target) < 1e-12
 
 
-def test_stance_torques_identity():
-    tau = stance_torques(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(tau, [1.0, 2.0, 3.0])
-
-
-def test_stance_torques_zero_force():
-    assert np.allclose(stance_torques(np.random.default_rng(0).normal(size=(3, 3)), np.zeros(3)), 0.0)
-
-
-def test_stance_torques_matches_loop_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        J = rng.normal(size=(3, 3))
-        u = rng.normal(size=3)
-        tau = stance_torques(J, u)
-        expected = np.zeros(3)
-        for j in range(3):
-            for i in range(3):
-                expected[j] += J[i, j] * u[i]
-        assert np.allclose(tau, expected, atol=1e-12)
-
-
-def test_stance_torques_linear():
-    rng = np.random.default_rng(6)
-    J = rng.normal(size=(3, 3))
-    u1, u2 = rng.normal(size=3), rng.normal(size=3)
-    a, b = 1.7, -0.4
-    lhs = stance_torques(J, a * u1 + b * u2)
-    rhs = a * stance_torques(J, u1) + b * stance_torques(J, u2)
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_power_consistency(params):
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        q = rng.uniform([-0.6, -1.2, -2.2], [0.6, 1.2, -0.3])
-        J = leg_jacobian(params, 0, q)
-        u = rng.normal(size=3)
-        qd = rng.normal(size=3)
-        assert abs(stance_torques(J, u) @ qd - u @ (J @ qd)) < 1e-12
-
-
-def test_joint_command_feedforward_passthrough():
-    tau = joint_command(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 5.0, 10.0, 1.0)
-    assert np.allclose(tau, 5.0)
-
-
-def test_joint_command_proportional():
-    tau = joint_command(0.1, 0.0, 0.0, 0.0, 0.0, 10.0, 0.0)
-    assert tau == pytest.approx(1.0)
-
-
-def test_joint_command_matches_formula():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        q_d, q, qd_d, qd, ff = (rng.normal(size=3) for _ in range(5))
-        kp, kd = rng.uniform(0, 50, size=2)
-        tau = joint_command(q_d, q, qd_d, qd, ff, kp, kd)
-        assert np.allclose(tau, kp * (q_d - q) + kd * (qd_d - qd) + ff, atol=1e-12)
-
-
 def test_params_validation_rejects_bad_inertia():
     p = RobotParams(inertia_body=np.diag([-1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
@@ -289,13 +227,13 @@ def test_params_validation_rejects_bad_inertia():
 
 
 def test_params_from_dict_roundtrip():
-    p = RobotParams.from_dict(
+    p = config.load(
+        RobotParams,
         {
             "mass": 7.0,
             "link_lengths": {"hip_roll_offset": 0.02, "thigh": 0.18, "shank": 0.16},
-            "mu_s": 0.6,
-        }
-    )
+        },
+    ).validate()
     assert p.mass == 7.0
     assert p.link_lengths.thigh == 0.18
     assert p.leg_reach() == pytest.approx(0.34)
@@ -311,13 +249,11 @@ def test_params_from_json_document(tmp_path):
         "link_lengths": {"hip_roll_offset": 0.0, "thigh": 0.17, "shank": 0.17},
         "thruster_knee_offset": 0.02,
         "thrust_dirs": [[0, -1, 0], [0, 1, 0], [0, -1, 0], [0, 1, 0]],
-        "u_t_max": 26.0,
-        "mu_s": 0.5,
         "gravity": 9.81,
     }
     path = tmp_path / "robot.json"
     path.write_text(json.dumps(doc))
-    p = RobotParams.from_json(path)
+    p = config.load(RobotParams, json.loads(path.read_text())).validate()
     assert p.mass == 6.0
     assert p.thruster_knee_offset == 0.02
     assert p.inertia_body[2, 2] == 0.13

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import load_bundled, run_doc
+from huskysim import cli
 from huskysim.dynamics import ControlInput, RobotState
 from huskysim.robot import RobotParams
 from huskysim.sim import (
     BEAM_MISS,
     ROLL_DIVERGENCE,
     SLIP,
+    SLIP_FORCE_TOL,
     SimLog,
     Terrain,
     check_contact_legality,
     friction_ratios,
     horizon_models,
-    load_scenario,
     step,
 )
 
@@ -281,12 +282,12 @@ def test_simlog_from_csv_reads_what_to_csv_wrote(tmp_path):
 def test_scenario_validation():
     doc = load_bundled("flat_trot")
     doc["duration_s"] = -1.0
-    with pytest.raises(ValueError):
-        load_scenario(doc)
+    with pytest.raises(ValueError, match="duration_s"):
+        cli.configs_from_doc(doc)
     doc2 = load_bundled("push_with_thrust")
     doc2["disturbances"][0]["t_end_s"] = 0.5
-    with pytest.raises(ValueError):
-        load_scenario(doc2)
+    with pytest.raises(ValueError, match="t_end_s"):
+        cli.configs_from_doc(doc2)
 
 
 def test_gimbal_guard_before_divergence():
@@ -296,3 +297,19 @@ def test_gimbal_guard_before_divergence():
     log, outcome = run_doc(doc)
     assert outcome is not None
     assert outcome.kind in ("RollDivergence", "HeightCollapse")
+
+
+def test_friction_ratio_zero_for_residue_load():
+    # with the 200 N push the QP leaves ~1e-9 N of residue on legs it has
+    # unloaded (leg 1 carried 1.1e-9 N at a ratio of 0.56); that is no load
+    doc = load_bundled("push_no_thrust")
+    doc["disturbances"][0]["force_n"] = [0.0, 200.0, 0.0]
+    log, _ = run_doc(doc)
+    arr = log.as_array()
+    col = SimLog.HEADER.index
+    fz = arr[:, [col(f"grf{i}z") for i in range(4)]]
+    stance = arr[:, [col(f"stance{i}") for i in range(4)]] > 0
+    ratios = arr[:, [col(f"ratio{i}") for i in range(4)]]
+    residue = stance & (fz != 0.0) & (np.abs(fz) <= SLIP_FORCE_TOL)
+    assert residue.any()
+    assert np.all(ratios[stance & (fz <= SLIP_FORCE_TOL)] == 0.0)
