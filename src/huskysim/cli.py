@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .robot import RobotParams
 from .sim import Scenario, run
 from .svgplot import line_chart
 
-SUMMARY_SCHEMA = "huskysim-summary/1"
+SUMMARY_SCHEMA = "huskysim-summary/2"
 
 RECOVERY_ROLL_LIMIT = 0.05  # rad
 RECOVERY_HOLD = 0.5  # s the roll must stay inside the limit
@@ -46,8 +45,7 @@ def _bundled_scenario_path(name: str):
 def configs_from_doc(doc: dict):
     """(scenario, params, mpc_cfg, gait_cfg) from a parsed scenario document.
 
-    A scenario without ``mu_real`` takes the MPC's mu, and a top-level
-    ``thrusters_enabled: false`` turns the MPC's thrusters off. Raises
+    A scenario without ``mu_real`` takes the MPC's mu. Raises
     config.ConfigError for an invalid document.
     """
     if not isinstance(doc, dict):
@@ -57,8 +55,6 @@ def configs_from_doc(doc: dict):
     params, mpc_cfg, gait_cfg = sections
     if scenario.mu_real is None:
         scenario.mu_real = mpc_cfg.mu
-    if not scenario.thrusters_enabled:
-        mpc_cfg.thrusters_enabled = False
     scenario.validate()
     for key, obj in zip(SECTIONS, sections):
         obj.validate(key)
@@ -92,7 +88,6 @@ def summarize(data: np.ndarray, scenario: sim_mod.Scenario, outcome, mu_limit: f
     summary = {
         "schema_version": SUMMARY_SCHEMA,
         "scenario": scenario.name,
-        "seed": scenario.seed,
         "outcome": "success" if outcome is None else "failure",
         "failure": None
         if outcome is None
@@ -179,20 +174,15 @@ def write_plots(data: np.ndarray, plots_dir, mu_limit: float):
     )
 
 
-def run_scenario(config_path, out_dir=None, seed=None, no_thrusters=False) -> int:
-    """Run one scenario and write log.csv, summary.json, and plots/*.svg."""
+def run_scenario(config_path, out_dir=None) -> int:
+    """Run one scenario and write log.csv, summary.json, and plots/*.svg into
+    out_dir, or into runs/<scenario name> when out_dir is None."""
     try:
         scenario, params, mpc_cfg, gait_cfg = load_config(config_path)
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if seed is not None:
-        scenario.seed = seed
-    if no_thrusters:
-        mpc_cfg.thrusters_enabled = False
 
-    if out_dir is None:
-        out_dir = os.environ.get("HUSKY_OUT_DIR")
     out = Path(out_dir) if out_dir else Path("runs") / scenario.name
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -213,16 +203,31 @@ def run_scenario(config_path, out_dir=None, seed=None, no_thrusters=False) -> in
     return 2
 
 
+# the keys of a summary that compare_runs reads, after its schema_version
+SCALAR_METRICS = ("max_abs_roll_rad", "max_abs_lateral_deviation_m", "mean_forward_speed_mps")
+COMPARED = ("scenario", "outcome", *SCALAR_METRICS, "peak_thrust_n", "peak_friction_ratio")
+
+
+def _read_summary(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: cannot read a summary ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{path}: a summary must be a JSON object")
+    return doc
+
+
 def compare_runs(summary_a_path, summary_b_path):
     """Per-metric deltas between two run summaries."""
-    try:
-        a = json.loads(Path(summary_a_path).read_text())
-        b = json.loads(Path(summary_b_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read summaries: {exc}") from exc
+    a, b = _read_summary(summary_a_path), _read_summary(summary_b_path)
     va, vb = a.get("schema_version"), b.get("schema_version")
     if va != vb:
         raise ConfigInvalid(f"summary schema mismatch: {va!r} vs {vb!r}")
+    for path, doc in ((summary_a_path, a), (summary_b_path, b)):
+        missing = [key for key in COMPARED if key not in doc]
+        if missing:
+            raise ConfigInvalid(f"{path}: summary lacks {missing[0]!r}")
 
     diff = {
         "a": a["scenario"],
@@ -230,21 +235,14 @@ def compare_runs(summary_a_path, summary_b_path):
         "deltas": {},
         "recovered": {"a": a["outcome"] == "success", "b": b["outcome"] == "success"},
     }
-    for key in (
-        "max_abs_roll_rad",
-        "max_abs_lateral_deviation_m",
-        "mean_forward_speed_mps",
-    ):
-        diff["deltas"][key] = b[key] - a[key]
-    diff["deltas"]["peak_thrust_n"] = [bb - aa for aa, bb in zip(a["peak_thrust_n"], b["peak_thrust_n"])]
-    diff["deltas"]["peak_friction_ratio"] = [
-        bb - aa for aa, bb in zip(a["peak_friction_ratio"], b["peak_friction_ratio"])
-    ]
+    try:
+        for key in SCALAR_METRICS:
+            diff["deltas"][key] = b[key] - a[key]
+        for key in ("peak_thrust_n", "peak_friction_ratio"):
+            diff["deltas"][key] = [bb - aa for aa, bb in zip(a[key], b[key])]
+    except TypeError as exc:
+        raise ConfigInvalid(f"a summary metric is not a number or a list of numbers ({exc})") from exc
     return diff
-
-
-def _run_one(args):
-    return run_scenario(*args)
 
 
 def main(argv=None) -> int:
@@ -253,10 +251,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one or more scenario configs")
     p_run.add_argument("configs", nargs="+", help="scenario JSON path or bundled name")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--no-thrusters", action="store_true")
-    p_run.add_argument("--sweep", action="store_true", help="run configs in parallel")
+    p_run.add_argument("--out", default=None, help="output directory (one subdirectory per config)")
 
     p_cmp = sub.add_parser("compare", help="diff two summary.json files")
     p_cmp.add_argument("summary_a")
@@ -265,17 +260,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cmd == "run":
-        jobs = []
+        base = args.out or os.environ.get("HUSKY_OUT_DIR")
+        codes = []
         for cfg in args.configs:
-            out = args.out
-            if out is not None and len(args.configs) > 1:
-                out = str(Path(out) / Path(cfg).stem)
-            jobs.append((cfg, out, args.seed, args.no_thrusters))
-        if args.sweep and len(jobs) > 1:
-            with ProcessPoolExecutor() as pool:
-                codes = list(pool.map(_run_one, jobs))
-        else:
-            codes = [_run_one(j) for j in jobs]
+            out = base
+            if base and len(args.configs) > 1:
+                out = str(Path(base) / Path(cfg).stem)
+            codes.append(run_scenario(cfg, out))
         if 1 in codes:
             return 1
         return 2 if 2 in codes else 0

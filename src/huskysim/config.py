@@ -24,7 +24,6 @@ class ConfigError(ValueError):
 def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None, choices=None):
     """A dataclass field read from the JSON key ``key``.
 
-    A dotted key ("lateral_clamp.width_m") names a member of a nested object.
     A callable default (a config class, ``list``) makes each instance's
     default; a list default becomes a float array. Numbers must be finite,
     and > gt or >= ge (elementwise) when given; strings one of ``choices``.
@@ -117,22 +116,13 @@ def load(cls, doc, path=""):
     if not isinstance(doc, dict):
         _fail(path, "must be an object", doc)
     schema = _schema(cls)
-    groups = {key.partition(".")[0] for key in schema if "." in key}
-    flat = {}
-    for key, value in doc.items():
-        if key in groups:
-            if not isinstance(value, dict):
-                _fail(_join(path, key), "must be an object", value)
-            flat.update({f"{key}.{k}": v for k, v in value.items()})
-        else:
-            flat[key] = value
-    for key in flat:
+    for key in doc:
         if key not in schema:
             _fail(path, f"unknown key {key!r}")
     kwargs = {}
     for key, (tp, f) in schema.items():
-        if key in flat:
-            kwargs[f.name] = _parse(tp, flat[key], f, _join(path, key))
+        if key in doc:
+            kwargs[f.name] = _parse(tp, doc[key], f, _join(path, key))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             _fail(_join(path, key), "is required")
     return cls(**kwargs)

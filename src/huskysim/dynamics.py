@@ -39,18 +39,6 @@ class RobotState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.theta, self.p, self.omega, self.pdot, [1.0]])
 
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "RobotState":
-        return cls(
-            theta=np.array(x[0:3]),
-            p=np.array(x[3:6]),
-            omega=np.array(x[6:9]),
-            pdot=np.array(x[9:12]),
-        )
-
-    def copy(self) -> "RobotState":
-        return RobotState(self.theta.copy(), self.p.copy(), self.omega.copy(), self.pdot.copy())
-
 
 @dataclass
 class ControlInput:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +26,13 @@ class GaitConfig(Config):
     # body-relative narrow-stance clamp: total lateral stance width;
     # <= 0 leaves the natural hip-width stance
     stance_width: float = setting("stance_width_m", 0.0)  # m
-    # world-fixed strip clamp (a physical beam); off when disabled or width <= 0
-    clamp_enabled: bool = setting("lateral_clamp.enabled", True)
-    clamp_width: float = setting("lateral_clamp.width_m", 0.0)  # m
-    clamp_centerline: float = setting("lateral_clamp.centerline_y_m", 0.0)  # m, world y
-    foot_margin: float = setting("lateral_clamp.foot_margin_m", 0.01)  # m, kept clear of the strip edge
+    foot_margin: float = setting("foot_margin_m", 0.01, ge=0)  # m, kept clear of a beam's edge
 
 
 @dataclass
 class GaitState:
     stance_flags: np.ndarray  # (4,) bool
     phase: np.ndarray  # (4,) in [0, 1], time within the current mode
-    T_s: float
-    T_sw: float
-    liftoff_pos: np.ndarray = field(default_factory=lambda: np.zeros((4, 3)))
-    target_pos: np.ndarray = field(default_factory=lambda: np.zeros((4, 3)))
 
 
 def trot_schedule(t: float, T_s: float, T_sw: float) -> GaitState:
@@ -63,7 +55,7 @@ def trot_schedule(t: float, T_s: float, T_sw: float) -> GaitState:
         stance[leg], phase[leg] = a_stance, a_phase
     for leg in PAIR_B:
         stance[leg], phase[leg] = b_stance, b_phase
-    return GaitState(stance_flags=stance, phase=phase, T_s=T_s, T_sw=T_sw)
+    return GaitState(stance_flags=stance, phase=phase)
 
 
 def raibert_target(
@@ -82,15 +74,12 @@ def raibert_target(
     return target
 
 
-def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float = None) -> np.ndarray:
-    """Clamp the target's y, body-relative (narrow stance) then world (beam)."""
+def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float) -> np.ndarray:
+    """The target with its y within the narrow stance around the body's y."""
     out = target.copy()
-    if cfg.stance_width > 0.0 and body_y is not None:
+    if cfg.stance_width > 0.0:
         half = cfg.stance_width / 2.0
         out[1] = np.clip(out[1], body_y - half, body_y + half)
-    if cfg.clamp_enabled and cfg.clamp_width > 0.0:
-        half = max(cfg.clamp_width / 2.0 - cfg.foot_margin, 0.0)
-        out[1] = np.clip(out[1], cfg.clamp_centerline - half, cfg.clamp_centerline + half)
     return out
 
 

@@ -52,6 +52,13 @@ class Terrain(Config):
             return True
         return abs(xy[1] - self.centerline) <= self.width / 2.0
 
+    def clamp_foot_y(self, y: float, margin: float) -> float:
+        """A foot target's y, kept on a beam's top face ``margin`` clear of its edges."""
+        if self.kind != "beam":
+            return y
+        half = max(self.width / 2.0 - margin, 0.0)
+        return np.clip(y, self.centerline - half, self.centerline + half)
+
 
 @dataclass
 class Disturbance(Config):
@@ -71,15 +78,17 @@ class Scenario(Config):
     name: str = setting("name", "scenario")
     duration: float = setting("duration_s", 5.0, ge=0)  # s
     sim_dt: float = setting("sim_dt_s", 1e-3, gt=0)  # s
-    seed: int = setting("seed", 0)
     terrain: Terrain = setting("terrain", Terrain)
     disturbances: list[Disturbance] = setting("disturbances", list)
     command: Command = setting("command", Command)
     # plant-side friction limit; cli.configs_from_doc gives the MPC's mu to a
     # document without one
     mu_real: float = setting("mu_real", None, gt=0)
-    # false turns the MPC's thrusters off (cli.configs_from_doc)
-    thrusters_enabled: bool = setting("thrusters_enabled", True)
+
+    def rules(self):
+        # the name is a directory under runs/ when no output directory is given
+        plain = self.name not in ("", ".", "..") and not any(c in self.name for c in "/\\\0")
+        return (("name", plain, "must be a plain file name: not empty, . or .., no /, \\ or NUL"),)
 
 
 @dataclass
@@ -215,7 +224,7 @@ class _LegTracker:
         for i in range(4):
             nominal = com0 + params.hip_offsets[i]
             nominal[2] = support
-            self.foot_pos[i] = clamp_lateral(nominal, gait_cfg, body_y=com0[1])
+            self.foot_pos[i] = self._clamp_target(nominal, com0[1])
         self.liftoff = self.foot_pos.copy()
         self.target = self.foot_pos.copy()
         self.curves: list[SwingCurve] = [
@@ -225,7 +234,12 @@ class _LegTracker:
         self.q = np.zeros((4, 3))
         self.q[:, 1] = 0.6
         self.q[:, 2] = -1.2  # knee bent backwards; the IK keeps the branch of the last angles
-        self.initial_com = com0
+
+    def _clamp_target(self, target, body_y):
+        """A foot target clamped to the narrow stance, then onto the beam's top face."""
+        out = clamp_lateral(target, self.gait_cfg, body_y)
+        out[1] = self.scenario.terrain.clamp_foot_y(out[1], self.gait_cfg.foot_margin)
+        return out
 
     def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
         cfg = self.gait_cfg
@@ -241,7 +255,7 @@ class _LegTracker:
                 target = raibert_target(
                     p_ref, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain, support
                 )
-                target = clamp_lateral(target, cfg, body_y=state.p[1])
+                target = self._clamp_target(target, state.p[1])
                 # keep the touchdown inside the leg workspace around the hip
                 hip_height = hip_world[2] - support
                 r_max = 0.95 * np.sqrt(max(reach**2 - hip_height**2, 4e-4))

@@ -118,16 +118,27 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"terrain": {"kind": "beam", "width_m": 0.1, "height_m": NaN}}', "terrain.height_m"),
         ('{"mu_real": NaN}', "mu_real"),
         ('{"mu_real": -1}', "mu_real"),
-        ('{"seed": 1.5}', "seed"),
+        ('{"seed": 0}', "seed"),
+        ('{"thrusters_enabled": false}', "thrusters_enabled"),
+        ('{"gait": {"lateral_clamp": {"width_m": 0.1}}}', "lateral_clamp"),
         ('{"mpc": {"horizn": 5}}', "horizn"),
         ('{"gait": {"t_stanse_s": 0.3}}', "t_stanse_s"),
         ('{"command": {"speed": 0.2}}', "speed"),
         ('{"duraton_s": 1.0}', "duraton_s"),
+        ('{"gait": {"foot_margin_m": -0.01}}', "gait.foot_margin_m"),
+        ('{"name": ""}', "name"),
+        ('{"name": "."}', "name"),
+        ('{"name": ".."}', "name"),
+        ('{"name": "../../escaped"}', "name"),
+        ('{"name": "runs\\\\escaped"}', "name"),
+        ('{"name": "nul\\u0000byte"}', "name"),
     ],
     ids=["mass_nan", "knee_offset_nan", "gravity_negative", "thigh_negative", "joint_limits_one_row",
          "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_string",
-         "beam_height_nan", "mu_real_nan", "mu_real_negative", "seed_fraction", "horizn_unknown",
-         "t_stanse_unknown", "speed_unknown", "duraton_unknown"],
+         "beam_height_nan", "mu_real_nan", "mu_real_negative", "seed_unknown", "thrusters_top_level_unknown",
+         "lateral_clamp_unknown", "horizn_unknown", "t_stanse_unknown", "speed_unknown", "duraton_unknown",
+         "foot_margin_negative", "name_empty", "name_dot", "name_dotdot", "name_parent_path",
+         "name_backslash", "name_nul"],
 )
 def test_invalid_setting_exits_1(tmp_path, capsys, doc, key):
     """Values outside a setting's declared type, shape or bound, and unknown keys,
@@ -197,7 +208,20 @@ def test_compare_schema_mismatch(tmp_path, cli_runs, capsys):
     code = cli.main(["compare", str(out / "summary.json"), str(other)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "huskysim-summary/1" in err and "huskysim-summary/0" in err
+    assert cli.SUMMARY_SCHEMA in err and "huskysim-summary/0" in err
+
+
+@pytest.mark.parametrize(
+    "doc, what",
+    [({}, "'scenario'"), ([], "object"), (dict.fromkeys(cli.COMPARED, "x"), "number")],
+    ids=["empty_object", "array", "string_metrics"],
+)
+def test_compare_malformed_summary_exits_1(tmp_path, capsys, doc, what):
+    bad = tmp_path / "summary.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(bad), str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and what in err[0]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -212,19 +236,6 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (dest / "log.csv").exists()
 
 
-def test_no_thrusters_flag(tmp_path):
-    doc = load_bundled("flat_trot")
-    doc["duration_s"] = 0.3
-    cfg = tmp_path / "short.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    code = cli.main(["run", str(cfg), "--out", str(out), "--no-thrusters"])
-    assert code == 0
-    data = SimLog.from_csv(out / "log.csv").as_array()
-    thr = data[:, col("thrust0") : col("thrust0") + 4]
-    assert np.all(thr == 0.0)
-
-
 def test_sweep_runs_multiple_configs(tmp_path):
     paths = []
     for i, v in enumerate((0.0, 0.1)):
@@ -236,10 +247,23 @@ def test_sweep_runs_multiple_configs(tmp_path):
         p.write_text(json.dumps(doc))
         paths.append(str(p))
     out = tmp_path / "sweep"
-    code = cli.main(["run", *paths, "--out", str(out), "--sweep"])
+    code = cli.main(["run", *paths, "--out", str(out)])
     assert code == 0
     assert (out / "mini0" / "log.csv").exists()
     assert (out / "mini1" / "log.csv").exists()
+
+
+def test_env_out_dir_takes_one_subdirectory_per_config(tmp_path, monkeypatch):
+    for name in ("one", "two"):
+        doc = load_bundled("flat_trot")
+        doc["name"] = name
+        doc["duration_s"] = 0.05
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    dest = tmp_path / "env_out"
+    monkeypatch.setenv("HUSKY_OUT_DIR", str(dest))
+    assert cli.main(["run", str(tmp_path / "one.json"), str(tmp_path / "two.json")]) == 0
+    assert read_summary(dest / "one")["scenario"] == "one"
+    assert read_summary(dest / "two")["scenario"] == "two"
 
 
 def test_flat_trot_ten_seconds(cli_runs):

@@ -328,7 +328,7 @@ def test_state_vector_roundtrip():
     x = state.as_vector()
     assert x.shape == (13,)
     assert x[12] == 1.0
-    back = RobotState.from_vector(x)
+    back = RobotState(theta=x[0:3], p=x[3:6], omega=x[6:9], pdot=x[9:12])
     assert np.allclose(back.theta, state.theta)
     assert np.allclose(back.pdot, state.pdot)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from huskysim import config
+from huskysim.dynamics import RobotState
 from huskysim.gait import (
     PAIR_A,
     PAIR_B,
@@ -13,6 +14,9 @@ from huskysim.gait import (
     raibert_target,
     trot_schedule,
 )
+from huskysim.mpc import Command
+from huskysim.robot import RobotParams
+from huskysim.sim import Scenario, Terrain, _LegTracker
 
 
 def de_casteljau(points, s):
@@ -162,20 +166,31 @@ def test_swing_phase_out_of_range():
         eval_swing(curve, -0.1)
 
 
-def test_world_clamp():
-    cfg = GaitConfig(clamp_width=0.1, clamp_centerline=0.0, foot_margin=0.01)
-    target = clamp_lateral(np.array([0.3, 0.2, 0.0]), cfg)
-    assert target[1] == pytest.approx(0.04)
-    assert target[0] == 0.3
+def test_beam_clamps_foot_targets():
+    beam = Terrain(kind="beam", width=0.1, centerline=0.02)
+    # centerline +/- (width / 2 - margin)
+    assert beam.clamp_foot_y(0.2, 0.01) == pytest.approx(0.06)
+    assert beam.clamp_foot_y(-0.2, 0.01) == pytest.approx(-0.02)
+    assert beam.clamp_foot_y(0.03, 0.01) == 0.03
+    assert beam.clamp_foot_y(0.2, 0.08) == 0.02  # a margin past the half width leaves the centerline
+    assert Terrain().clamp_foot_y(0.2, 0.01) == 0.2  # flat ground sets no strip
+
+    # the planner takes the strip from the terrain: feet below hips at y = +/-0.1
+    # start on the beam, and so do the touchdown targets of legs that lift off
+    tracker = _LegTracker(RobotParams(), Scenario(terrain=beam), GaitConfig())
+    assert np.allclose(tracker.foot_pos[:, 1], [0.06, -0.02, 0.06, -0.02])
+    state = RobotState(p=np.array([0.0, 0.05, 0.25]))
+    tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), Command())
+    assert np.allclose(tracker.target[:, 1], [0.06, -0.02, 0.06, -0.02])
+    assert np.allclose(tracker.target[:, 0], [0.15, 0.15, -0.15, -0.15])
 
 
 def test_body_relative_stance_clamp():
     cfg = GaitConfig(stance_width=0.16)
     target = clamp_lateral(np.array([0.0, 0.5, 0.0]), cfg, body_y=0.3)
     assert target[1] == pytest.approx(0.38)
-    # no body_y given leaves the narrow-stance clamp inert
-    target2 = clamp_lateral(np.array([0.0, 0.5, 0.0]), cfg)
-    assert target2[1] == 0.5
+    # no stance width leaves the natural stance
+    assert clamp_lateral(np.array([0.0, 0.5, 0.0]), GaitConfig(), body_y=0.3)[1] == 0.5
 
 
 def test_gait_config_from_dict():
@@ -184,14 +199,10 @@ def test_gait_config_from_dict():
         {
             "t_stance_s": 0.25,
             "t_swing_s": 0.2,
-            "lateral_clamp": {"width_m": 0.1, "centerline_y_m": 0.05},
+            "foot_margin_m": 0.02,
             "stance_width_m": 0.12,
         },
     ).validate()
     assert cfg.t_stance == 0.25
-    assert cfg.clamp_width == 0.1
-    assert cfg.clamp_centerline == 0.05
+    assert cfg.foot_margin == 0.02
     assert cfg.stance_width == 0.12
-    # a disabled clamp leaves the target where it is
-    off = config.load(GaitConfig, {"lateral_clamp": {"enabled": False, "width_m": 0.1}})
-    assert clamp_lateral(np.array([0.3, 0.2, 0.0]), off)[1] == 0.2
