@@ -45,20 +45,16 @@ def _bundled_scenario_path(name: str):
 def configs_from_doc(doc: dict):
     """(scenario, params, mpc_cfg, gait_cfg) from a parsed scenario document.
 
-    A scenario without ``mu_real`` takes the MPC's mu. Raises
-    config.ConfigError for an invalid document.
+    Raises config.ConfigError for an invalid document.
     """
     if not isinstance(doc, dict):
         raise config.ConfigError("document: must be an object")
     scenario = config.load(Scenario, {k: v for k, v in doc.items() if k not in SECTIONS})
     sections = [config.load(cls, doc.get(key, {}), key) for key, cls in SECTIONS.items()]
-    params, mpc_cfg, gait_cfg = sections
-    if scenario.mu_real is None:
-        scenario.mu_real = mpc_cfg.mu
     scenario.validate()
     for key, obj in zip(SECTIONS, sections):
         obj.validate(key)
-    return scenario, params, mpc_cfg, gait_cfg
+    return (scenario, *sections)
 
 
 def load_config(path):
@@ -261,12 +257,16 @@ def main(argv=None) -> int:
 
     if args.cmd == "run":
         base = args.out or os.environ.get("HUSKY_OUT_DIR")
-        codes = []
-        for cfg in args.configs:
-            out = base
-            if base and len(args.configs) > 1:
-                out = str(Path(base) / Path(cfg).stem)
-            codes.append(run_scenario(cfg, out))
+        outs = [base] * len(args.configs)
+        if base and len(args.configs) > 1:
+            stems = [Path(cfg).stem for cfg in args.configs]
+            twice = next((stem for i, stem in enumerate(stems) if stem in stems[:i]), None)
+            if twice is not None:
+                print(f"error: two configs share the stem {twice!r}, which names their output directory",
+                      file=sys.stderr)
+                return 1
+            outs = [str(Path(base) / stem) for stem in stems]
+        codes = [run_scenario(cfg, out) for cfg, out in zip(args.configs, outs)]
         if 1 in codes:
             return 1
         return 2 if 2 in codes else 0

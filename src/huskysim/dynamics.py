@@ -56,10 +56,13 @@ class ControlInput:
 
 @dataclass
 class LinearModel:
-    """Discrete-time x_{k+1} = A_k x_k + B_k u_k over the augmented state."""
+    """Discrete-time x_{k+1} = A_k x_k + B_k u_k over the augmented state.
+
+    B_k may stack one matrix per horizon step, (n, 13, 16), that share A_k.
+    """
 
     A_k: np.ndarray  # 13x13
-    B_k: np.ndarray  # 13x16
+    B_k: np.ndarray  # 13x16, or (n, 13, 16)
 
 
 def euler_rate_matrix(theta: np.ndarray) -> np.ndarray:

@@ -29,33 +29,26 @@ class GaitConfig(Config):
     foot_margin: float = setting("foot_margin_m", 0.01, ge=0)  # m, kept clear of a beam's edge
 
 
+# legs of pair A: in stance for the first t_stance of each period
+_IN_PAIR_A = np.isin(np.arange(4), PAIR_A)
+
+
 @dataclass
 class GaitState:
-    stance_flags: np.ndarray  # (4,) bool
-    phase: np.ndarray  # (4,) in [0, 1], time within the current mode
+    stance_flags: np.ndarray  # t.shape + (4,) bool
+    phase: np.ndarray  # t.shape + (4,) in [0, 1], time within the current mode
 
 
-def trot_schedule(t: float, T_s: float, T_sw: float) -> GaitState:
-    """Alternating diagonal-pair trot. Pair (FL, RR) starts in stance at t = 0."""
-    period = T_s + T_sw
-    tau = t % period
+def trot_schedule(t, T_s: float, T_sw: float) -> GaitState:
+    """Alternating diagonal-pair trot at a time or an array of times.
 
-    stance = np.zeros(4, dtype=bool)
-    phase = np.zeros(4)
-    if tau < T_s:
-        a_stance, a_phase = True, tau / T_s
-    else:
-        a_stance, a_phase = False, (tau - T_s) / T_sw
-    if tau < T_sw:
-        b_stance, b_phase = False, tau / T_sw
-    else:
-        b_stance, b_phase = True, (tau - T_sw) / T_s
-
-    for leg in PAIR_A:
-        stance[leg], phase[leg] = a_stance, a_phase
-    for leg in PAIR_B:
-        stance[leg], phase[leg] = b_stance, b_phase
-    return GaitState(stance_flags=stance, phase=phase)
+    Pair (FL, RR) starts in stance at t = 0, pair (FR, RL) in swing.
+    """
+    tau = np.asarray(t, dtype=float)[..., None] % (T_s + T_sw)
+    first = np.where(_IN_PAIR_A, T_s, T_sw)  # duration of each leg's first mode
+    early = tau < first
+    phase = np.where(early, tau / first, (tau - first) / np.where(_IN_PAIR_A, T_sw, T_s))
+    return GaitState(stance_flags=early == _IN_PAIR_A, phase=phase)
 
 
 def raibert_target(

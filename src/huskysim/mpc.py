@@ -1,7 +1,8 @@
 """Receding-horizon force controller: condensed dense QP over the input sequence.
 
-Per control tick the horizon dynamics x_{k+1} = A x_k + B u_k (gravity inside
-the augmented state) are condensed into X = T x0 + S U, giving
+Per control tick the horizon dynamics x_{k+1} = A x_k + B_k u_k (gravity inside
+the augmented state; one A per tick, one B_k per step) are condensed into
+X = T x0 + S U, giving
 
     P = S' Qbar S + Rbar,   q = S' Qbar (T x0 - X_ref)
 
@@ -45,7 +46,7 @@ class MpcConfig(Config):
         shape=(NX,), ge=0,
     )
     r_diag: np.ndarray = setting("r_diag", [1e-4] * 12 + [1e-3] * 4, shape=(NU,), gt=0)
-    mu: float = setting("mu", 0.5, gt=0)
+    mu: float = setting("mu", 0.3535, gt=0)  # pyramid; mu_real / sqrt(2) stays inside the cone
     u_t_max: float = setting("u_t_max_n", 20.0, ge=0)  # N, controller-side thrust cap
     thrusters_enabled: bool = setting("thrusters_enabled", True)
 
@@ -79,25 +80,21 @@ def build_reference(
     return ref
 
 
-def condense(models: list[LinearModel]):
-    """Stack the horizon dynamics into X = T x0 + S U."""
-    n_h = len(models)
-    T = np.zeros((n_h * NX, NX))
-    S = np.zeros((n_h * NX, n_h * NU))
-    prod = np.eye(NX)
-    for k in range(n_h):
-        Ak, Bk = models[k].A_k, models[k].B_k
-        prod = Ak @ prod
-        T[k * NX : (k + 1) * NX] = prod
-        S[k * NX : (k + 1) * NX, k * NU : (k + 1) * NU] = Bk
-        for i in range(k):
-            S[k * NX : (k + 1) * NX, i * NU : (i + 1) * NU] = (
-                Ak @ S[(k - 1) * NX : k * NX, i * NU : (i + 1) * NU]
-            )
-    return T, S
+def condense(model: LinearModel):
+    """Stack the horizon dynamics into X = T x0 + S U; model.B_k holds one B per step."""
+    A_k, B_k = model.A_k, model.B_k
+    n_h = len(B_k)
+    T = np.empty((n_h, NX, NX))
+    S = np.zeros((n_h, NX, n_h * NU))  # block row k: the inputs' effect on x_{k+1}
+    T[0], S[0, :, :NU] = A_k, B_k[0]
+    for k in range(1, n_h):
+        T[k] = A_k @ T[k - 1]
+        S[k] = A_k @ S[k - 1]
+        S[k, :, k * NU : (k + 1) * NU] = B_k[k]
+    return T.reshape(n_h * NX, NX), S.reshape(n_h * NX, n_h * NU)
 
 
-def free_inputs(stance_seq: list[np.ndarray], config: MpcConfig) -> np.ndarray:
+def free_inputs(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
     """Mask over the stacked inputs U of the QP variables: stance-leg forces,
     and thrusts when thrusters are enabled."""
     stance = np.asarray(stance_seq, dtype=bool)
@@ -105,7 +102,7 @@ def free_inputs(stance_seq: list[np.ndarray], config: MpcConfig) -> np.ndarray:
     return np.hstack([np.repeat(stance, 3, axis=1), thrust]).reshape(-1)
 
 
-def input_constraints(stance_seq: list[np.ndarray], config: MpcConfig):
+def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
     """Stacked inequality rows G U_free <= h over the free inputs, in U's order.
 
     Per stance leg: four friction-pyramid rows. Per enabled thruster: upper
@@ -130,7 +127,7 @@ def input_constraints(stance_seq: list[np.ndarray], config: MpcConfig):
     return G, h
 
 
-def constraint_keys(stance_seq: list[np.ndarray], config: MpcConfig) -> list[tuple]:
+def constraint_keys(stance_seq: np.ndarray, config: MpcConfig) -> list[tuple]:
     """Key of each row of input_constraints, in its order: (horizon step, leg
     0-3 or thruster 4-7, pyramid face 0-3 or thrust bound 0-1)."""
     thrusters = [4, 5, 6, 7] if config.thrusters_enabled else []
@@ -144,27 +141,27 @@ def constraint_keys(stance_seq: list[np.ndarray], config: MpcConfig) -> list[tup
 
 def assemble_qp(
     state: RobotState,
-    stance_seq: list[np.ndarray],
-    models: list[LinearModel],
+    stance_seq: np.ndarray,
+    model: LinearModel,
     ref: np.ndarray,
     config: MpcConfig,
 ) -> qp.QpProblem:
     """Condensed QP over the free inputs of the stacked input vector."""
     n_h = config.horizon
-    if len(models) != n_h or len(stance_seq) != n_h or ref.shape != (n_h, NX):
+    if model.B_k.shape != (n_h, NX, NU) or len(stance_seq) != n_h or ref.shape != (n_h, NX):
         raise DimensionMismatch(
-            f"horizon mismatch: {len(models)} models, {len(stance_seq)} stance rows, "
+            f"horizon mismatch: B_k shape {model.B_k.shape}, {len(stance_seq)} stance rows, "
             f"ref shape {ref.shape}, expected horizon {n_h}"
         )
     x0 = state.as_vector()
-    T, S = condense(models)
+    T, S = condense(model)
     free = free_inputs(stance_seq, config)
     S = S[:, free]
     qbar = np.tile(config.q_diag, n_h)
     rbar = np.tile(config.r_diag, n_h)[free]
 
-    P = S.T @ (qbar[:, None] * S) + np.diag(rbar)
-    P = 0.5 * (P + P.T)
+    W = np.sqrt(qbar)[:, None] * S
+    P = W.T @ W + np.diag(rbar)  # W.T @ W is exactly symmetric
     err = T @ x0 - ref.reshape(-1)
     q_vec = S.T @ (qbar * err)
     G, h = input_constraints(stance_seq, config)
@@ -188,11 +185,11 @@ class MpcController:
     def step(
         self,
         state: RobotState,
-        stance_seq: list[np.ndarray],
-        models: list[LinearModel],
+        stance_seq: np.ndarray,
+        model: LinearModel,
         ref: np.ndarray,
     ) -> ControlInput:
-        problem = assemble_qp(state, stance_seq, models, ref, self.config)
+        problem = assemble_qp(state, stance_seq, model, ref, self.config)
         keys = constraint_keys(stance_seq, self.config)
         warm = [i for i, key in enumerate(keys) if key in self._warm_keys]
         try:

@@ -79,7 +79,7 @@ class QpSolution:
     active_set: list
     objective_value: float
     iterations: int
-    lam: np.ndarray = None  # multipliers for Gx <= h, zero off the active set
+    lam: np.ndarray  # multipliers for Gx <= h, zero off the active set
 
 
 @dataclass
@@ -231,12 +231,12 @@ def check_kkt(problem: QpProblem, solution: QpSolution) -> KktReport:
     """Named KKT residuals; all four are below 1e-6 for a valid solution."""
     P, q, G, h = problem.P, problem.q, problem.G, problem.h
     x = solution.x_star
-    lam = solution.lam if solution.lam is not None else np.zeros(G.shape[0])
-    grad = P @ x + q + (G.T @ lam if G.size else 0.0)
-    slack = G @ x - h if G.size else np.zeros(0)
+    lam = solution.lam
+    grad = P @ x + q + G.T @ lam
+    slack = G @ x - h
     return KktReport(
         stationarity=float(np.abs(grad).max(initial=0.0)),
-        primal_feasibility=float(slack.max(initial=0.0)) if slack.size else 0.0,
+        primal_feasibility=float(slack.max(initial=0.0)),
         dual_feasibility=float(np.maximum(-lam, 0.0).max(initial=0.0)),
         complementary_slackness=float(np.abs(lam * slack).max(initial=0.0)),
     )

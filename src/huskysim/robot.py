@@ -79,50 +79,44 @@ class RobotParams(Config):
         return self.link_lengths.thigh + self.link_lengths.shank
 
 
+def _chain(params: RobotParams, leg_index: int, q: np.ndarray):
+    """The abduction rotation rot_x(q[0]) and the body-frame thigh root, knee
+    and foot of one leg."""
+    ll = params.link_lengths
+    s = LEG_SIDE_SIGN[leg_index]
+    r1 = rot_x(q[0])
+    thigh_root = params.hip_offsets[leg_index] + r1 @ np.array([0.0, s * ll.hip_roll_offset, 0.0])
+    r12 = r1 @ rot_y(q[1])
+    knee = thigh_root + r12 @ np.array([0.0, 0.0, -ll.thigh])
+    foot = knee + r12 @ rot_y(q[2]) @ np.array([0.0, 0.0, -ll.shank])
+    return r1, thigh_root, knee, foot
+
+
 def leg_forward_kinematics(params: RobotParams, leg_index: int, q: np.ndarray):
     """Body-frame foot and knee positions for one leg.
 
     The knee position is the thruster application point (before any mount
     offset and COM-relative conversion).
     """
-    ll = params.link_lengths
-    s = LEG_SIDE_SIGN[leg_index]
-    hip = params.hip_offsets[leg_index]
-
-    r1 = rot_x(q[0])
-    thigh_root = hip + r1 @ np.array([0.0, s * ll.hip_roll_offset, 0.0])
-    r12 = r1 @ rot_y(q[1])
-    knee = thigh_root + r12 @ np.array([0.0, 0.0, -ll.thigh])
-    r123 = r12 @ rot_y(q[2])
-    foot = knee + r123 @ np.array([0.0, 0.0, -ll.shank])
+    _, _, knee, foot = _chain(params, leg_index, q)
     return foot, knee
 
 
 def thruster_point(params: RobotParams, leg_index: int, q: np.ndarray) -> np.ndarray:
     """Body-frame thruster position: the knee, pushed outboard by the mount offset."""
-    _, knee = leg_forward_kinematics(params, leg_index, q)
+    r1, _, knee, _ = _chain(params, leg_index, q)
     s = LEG_SIDE_SIGN[leg_index]
-    mount = rot_x(q[0]) @ np.array([0.0, s * params.thruster_knee_offset, 0.0])
-    return knee + mount
+    return knee + r1 @ np.array([0.0, s * params.thruster_knee_offset, 0.0])
 
 
 def leg_jacobian(params: RobotParams, leg_index: int, q: np.ndarray) -> np.ndarray:
     """Analytic 3x3 Jacobian of the foot position w.r.t. q, body frame."""
-    ll = params.link_lengths
-    s = LEG_SIDE_SIGN[leg_index]
-    hip = params.hip_offsets[leg_index]
-
-    r1 = rot_x(q[0])
-    thigh_root = hip + r1 @ np.array([0.0, s * ll.hip_roll_offset, 0.0])
-    r12 = r1 @ rot_y(q[1])
-    knee = thigh_root + r12 @ np.array([0.0, 0.0, -ll.thigh])
-    foot = knee + r12 @ rot_y(q[2]) @ np.array([0.0, 0.0, -ll.shank])
-
+    r1, thigh_root, knee, foot = _chain(params, leg_index, q)
     axis1 = np.array([1.0, 0.0, 0.0])
     axis23 = r1 @ np.array([0.0, 1.0, 0.0])  # hip swing and knee share this axis
 
     J = np.empty((3, 3))
-    J[:, 0] = np.cross(axis1, foot - hip)
+    J[:, 0] = np.cross(axis1, foot - params.hip_offsets[leg_index])
     J[:, 1] = np.cross(axis23, foot - thigh_root)
     J[:, 2] = np.cross(axis23, foot - knee)
     return J

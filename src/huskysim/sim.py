@@ -81,9 +81,7 @@ class Scenario(Config):
     terrain: Terrain = setting("terrain", Terrain)
     disturbances: list[Disturbance] = setting("disturbances", list)
     command: Command = setting("command", Command)
-    # plant-side friction limit; cli.configs_from_doc gives the MPC's mu to a
-    # document without one
-    mu_real: float = setting("mu_real", None, gt=0)
+    mu_real: float = setting("mu_real", 0.5, gt=0)  # plant-side friction limit
 
     def rules(self):
         # the name is a directory under runs/ when no output directory is given
@@ -199,16 +197,15 @@ def step(
     return RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
 
 
-def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> list[LinearModel]:
-    """One tick's per-step discrete models, from a single model build.
+def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> LinearModel:
+    """One tick's discrete model, from a single build: one A_k and a B_k per step.
 
     A leg in the air now that is in stance at step k has its planned touchdown
     (world frame) as lever arm there; every other column is the same at every step.
     """
     landing = np.asarray(stance_seq) & ~np.asarray(stance_now)
     d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
-    horizon = discretize(*build_continuous_model(state, d_seq, r, params), dt)
-    return [LinearModel(horizon.A_k, B_k) for B_k in horizon.B_k]
+    return discretize(*build_continuous_model(state, d_seq, r, params), dt)
 
 
 class _LegTracker:
@@ -222,9 +219,10 @@ class _LegTracker:
         com0 = np.array([0.0, 0.0, support + scenario.command.height])
         self.foot_pos = np.zeros((4, 3))
         for i in range(4):
-            nominal = com0 + params.hip_offsets[i]
+            nominal = clamp_lateral(com0 + params.hip_offsets[i], gait_cfg, com0[1])
+            nominal[1] = scenario.terrain.clamp_foot_y(nominal[1], gait_cfg.foot_margin)
             nominal[2] = support
-            self.foot_pos[i] = self._clamp_target(nominal, com0[1])
+            self.foot_pos[i] = nominal
         self.liftoff = self.foot_pos.copy()
         self.target = self.foot_pos.copy()
         self.curves: list[SwingCurve] = [
@@ -234,12 +232,6 @@ class _LegTracker:
         self.q = np.zeros((4, 3))
         self.q[:, 1] = 0.6
         self.q[:, 2] = -1.2  # knee bent backwards; the IK keeps the branch of the last angles
-
-    def _clamp_target(self, target, body_y):
-        """A foot target clamped to the narrow stance, then onto the beam's top face."""
-        out = clamp_lateral(target, self.gait_cfg, body_y)
-        out[1] = self.scenario.terrain.clamp_foot_y(out[1], self.gait_cfg.foot_margin)
-        return out
 
     def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
         cfg = self.gait_cfg
@@ -255,14 +247,16 @@ class _LegTracker:
                 target = raibert_target(
                     p_ref, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain, support
                 )
-                target = self._clamp_target(target, state.p[1])
-                # keep the touchdown inside the leg workspace around the hip
+                target = clamp_lateral(target, cfg, state.p[1])
+                # keep the touchdown inside the leg workspace around the hip,
+                # then on a beam's top face, which wins when the two conflict
                 hip_height = hip_world[2] - support
                 r_max = 0.95 * np.sqrt(max(reach**2 - hip_height**2, 4e-4))
                 lateral = target[:2] - hip_world[:2]
                 dist = np.linalg.norm(lateral)
                 if dist > r_max:
                     target[:2] = hip_world[:2] + lateral * (r_max / dist)
+                target[1] = self.scenario.terrain.clamp_foot_y(target[1], cfg.foot_margin)
                 self.target[i] = target
                 self.curves[i] = build_swing_curve(self.liftoff[i], self.target[i], cfg.apex_height)
             if not prev_stance[i] and stance[i]:
@@ -310,48 +304,43 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     controller = MpcController(mpc_cfg)
     log = SimLog()
 
-    gait = trot_schedule(0.0, gait_cfg.t_stance, gait_cfg.t_swing)
-    prev_stance = gait.stance_flags.copy()
+    # the run's gait, one row per sim step
+    gait = trot_schedule(np.arange(n_steps) * dt, gait_cfg.t_stance, gait_cfg.t_swing)
     u = ControlInput()
-    d = tracker.foot_pos - state.p
-    r = np.zeros((4, 3))
     failure = None
 
     for i_step in range(n_steps):
         t = i_step * dt
-        gait = trot_schedule(t, gait_cfg.t_stance, gait_cfg.t_swing)
+        stance, phase = gait.stance_flags[i_step], gait.phase[i_step]
 
         if i_step % control_every == 0:
-            tracker.update_plan(state, prev_stance, gait.stance_flags, command)
-            prev_stance = gait.stance_flags.copy()
-            tracker.move_swing_feet(gait.phase, gait.stance_flags)
+            prev_stance = gait.stance_flags[max(i_step - control_every, 0)]  # at the last tick
+            tracker.update_plan(state, prev_stance, stance, command)
+            tracker.move_swing_feet(phase, stance)
             d, r, _ = tracker.snapshot(state)
 
             ref = build_reference(state, command, mpc_cfg, support)
-            stance_seq = [
-                trot_schedule(t + k * mpc_cfg.dt, gait_cfg.t_stance, gait_cfg.t_swing).stance_flags
-                for k in range(mpc_cfg.horizon)
-            ]
-            models = horizon_models(
-                state, d, r, tracker.target, gait.stance_flags, stance_seq, params, mpc_cfg.dt
-            )
+            stance_seq = trot_schedule(
+                t + mpc_cfg.dt * np.arange(mpc_cfg.horizon), gait_cfg.t_stance, gait_cfg.t_swing
+            ).stance_flags
+            model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
             try:
-                u = controller.step(state, stance_seq, models, ref)
+                u = controller.step(state, stance_seq, model, ref)
             except SolverFailure as exc:
                 failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
                 break
             violations = check_contact_legality(
-                u, tracker.foot_pos, gait.stance_flags, scenario.terrain, scenario.mu_real
+                u, tracker.foot_pos, stance, scenario.terrain, scenario.mu_real
             )
             if violations:
                 kind, _, detail = violations[0]
                 failure = FailureEvent(kind, t, detail)
                 break
         else:
-            tracker.move_swing_feet(gait.phase, gait.stance_flags)
+            tracker.move_swing_feet(phase, stance)
 
-        ratios = friction_ratios(u, gait.stance_flags)
-        log.append(t, state, u, tracker.foot_pos, gait.stance_flags, ratios)
+        ratios = friction_ratios(u, stance)
+        log.append(t, state, u, tracker.foot_pos, stance, ratios)
 
         f_ext = np.zeros(3)
         for dist in scenario.disturbances:

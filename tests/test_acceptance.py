@@ -109,12 +109,10 @@ def _random_condensed_instance(rng, params):
     d[:, 2] = -0.25
     r = d * 0.5
     stance_seq = [rng.random(4) < 0.7 for _ in range(horizon)]
-    models = []
-    for flags in stance_seq:
-        A, B = build_continuous_model(state, d, r, params)
-        models.append(discretize(A, B, cfg.dt))
+    A, B = build_continuous_model(state, d, r, params)
+    model = discretize(A, np.repeat(B[None], horizon, axis=0), cfg.dt)
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-    return assemble_qp(state, stance_seq, models, ref, cfg)
+    return assemble_qp(state, stance_seq, model, ref, cfg)
 
 
 def test_criterion_4_mpc_qp_correctness():
@@ -146,7 +144,7 @@ def test_criterion_4_mpc_qp_correctness():
     model = discretize(A, B, cfg.dt)
     ref = build_reference(state, Command(height=0.25), cfg)
     controller = MpcController(cfg)
-    u = controller.step(state, [stance], [model], ref)
+    u = controller.step(state, [stance], discretize(A, B[None], cfg.dt), ref)
     assert controller.last_solution.active_set == []
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
     closed = -np.linalg.solve(

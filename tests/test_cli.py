@@ -253,6 +253,32 @@ def test_sweep_runs_multiple_configs(tmp_path):
     assert (out / "mini1" / "log.csv").exists()
 
 
+def test_duplicate_config_stems_exit_1_before_any_run(tmp_path, capsys):
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.05
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "flat.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = cli.main(["run", str(tmp_path / "a" / "flat.json"), str(tmp_path / "b" / "flat.json"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'flat'" in err[0]
+    assert not out.exists()
+
+
+def test_document_without_friction_keys_runs_as_bundled(tmp_path):
+    """mu_real and mpc.mu default to the values every bundled scenario states."""
+    stated = load_bundled("beam_walk")
+    stated["duration_s"] = 0.3
+    bare = json.loads(json.dumps(stated))
+    del bare["mu_real"], bare["mpc"]["mu"]
+    for name, doc in (("stated", stated), ("bare", bare)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bare" / "log.csv").read_bytes() == (tmp_path / "stated" / "log.csv").read_bytes()
+
+
 def test_env_out_dir_takes_one_subdirectory_per_config(tmp_path, monkeypatch):
     for name in ("one", "two"):
         doc = load_bundled("flat_trot")

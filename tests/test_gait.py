@@ -70,6 +70,16 @@ def test_schedule_duty():
     assert np.allclose(stance_time, T_s, atol=2 * dt)
 
 
+def test_schedule_table_matches_scalar_calls():
+    ts = np.arange(1000) * 1e-3
+    table = trot_schedule(ts, 0.3, 0.15)
+    assert table.stance_flags.shape == table.phase.shape == (1000, 4)
+    for t, flags, phase in zip(ts, table.stance_flags, table.phase):
+        g = trot_schedule(float(t), 0.3, 0.15)
+        assert np.array_equal(g.stance_flags, flags) and np.array_equal(g.phase, phase)
+    assert trot_schedule(np.zeros(0), 0.3, 0.15).phase.shape == (0, 4)  # a run of no steps
+
+
 def test_raibert_zero_motion():
     p_ref = np.array([0.1, -0.2, 0.0])
     target = raibert_target(p_ref, np.zeros(3), np.zeros(3), 0.3, 0.03)
@@ -183,6 +193,15 @@ def test_beam_clamps_foot_targets():
     tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), Command())
     assert np.allclose(tracker.target[:, 1], [0.06, -0.02, 0.06, -0.02])
     assert np.allclose(tracker.target[:, 0], [0.15, 0.15, -0.15, -0.15])
+
+    # with the body off the beam the leg-workspace clamp pulls the left targets
+    # off the top face; the beam clamp comes after it and puts them back
+    centred = Terrain(kind="beam", width=0.1)
+    tracker = _LegTracker(RobotParams(), Scenario(terrain=centred), GaitConfig())
+    state = RobotState(p=np.array([0.0, 0.3, 0.25]))
+    tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), Command())
+    assert np.allclose(tracker.target[:, 1], 0.04)
+    assert all(centred.on_top_face(target[:2]) for target in tracker.target)
 
 
 def test_body_relative_stance_clamp():

@@ -33,17 +33,15 @@ def stand_geometry(params, height=0.25):
     return d, r
 
 
-def make_models(state, d, r, stance_seq, cfg, params):
-    models = []
-    for flags in stance_seq:
-        A, B = build_continuous_model(state, d, r, params)
-        models.append(discretize(A, B, cfg.dt))
-    return models
+def make_model(state, d, r, stance_seq, cfg, params):
+    """The horizon model with the same lever arms at every step."""
+    A, B = build_continuous_model(state, d, r, params)
+    return discretize(A, np.repeat(B[None], len(stance_seq), axis=0), cfg.dt)
 
 
 def cold_step(state, stance_seq, d, r, ref, cfg, params):
-    """One cold-started controller step with the models frozen at the d, r snapshot."""
-    return MpcController(cfg).step(state, stance_seq, make_models(state, d, r, stance_seq, cfg, params), ref)
+    """One cold-started controller step with the model frozen at the d, r snapshot."""
+    return MpcController(cfg).step(state, stance_seq, make_model(state, d, r, stance_seq, cfg, params), ref)
 
 
 def test_reference_hold_position():
@@ -147,13 +145,13 @@ def test_unconstrained_closed_form(params):
     stance = np.ones(4, dtype=bool)
     ref = build_reference(state, Command(height=0.25), cfg)
 
-    models = make_models(state, d, r, [stance], cfg, tilted)
+    model = make_model(state, d, r, [stance], cfg, tilted)
     controller = MpcController(cfg)
-    u = controller.step(state, [stance], models, ref)
+    u = controller.step(state, [stance], model, ref)
     sol = controller.last_solution
     assert sol.active_set == []  # interior optimum, nothing binding
 
-    A_k, B_k = models[0].A_k, models[0].B_k
+    A_k, B_k = model.A_k, model.B_k[0]
     Q = np.diag(cfg.q_diag)
     R = np.diag(cfg.r_diag)
     x0 = state.as_vector()
@@ -245,9 +243,9 @@ def test_dimension_mismatch(params):
     d, r = stand_geometry(params)
     stance = np.ones(4, dtype=bool)
     ref = build_reference(state, Command(), cfg)
-    models = make_models(state, d, r, [stance] * 3, cfg, params)  # wrong length
+    model = make_model(state, d, r, [stance] * 3, cfg, params)  # wrong length
     with pytest.raises(DimensionMismatch):
-        assemble_qp(state, [stance] * 3, models, ref, cfg)
+        assemble_qp(state, [stance] * 3, model, ref, cfg)
 
 
 def test_config_validation():
@@ -259,7 +257,7 @@ def test_config_validation():
     assert cfg.horizon == 3 and cfg.dt == 0.05 and cfg.mu == 0.4
 
 
-def pinned_qp(state, stance_seq, models, ref, cfg):
+def pinned_qp(state, stance_seq, model, ref, cfg):
     """The QP over every input, each input that is not free held at zero by rows.
 
     Per stance leg: -u_z <= 0 and the friction pyramid. Per swing force
@@ -267,7 +265,7 @@ def pinned_qp(state, stance_seq, models, ref, cfg):
     thrusters are disabled.
     """
     n_h = len(stance_seq)
-    T, S = condense(models)
+    T, S = condense(model)
     qbar = np.tile(cfg.q_diag, n_h)
     P = S.T @ (qbar[:, None] * S) + np.diag(np.tile(cfg.r_diag, n_h))
     q = S.T @ (qbar * (T @ state.as_vector() - ref.reshape(-1)))
@@ -293,12 +291,12 @@ def pinned_qp(state, stance_seq, models, ref, cfg):
     return qp.QpProblem(P=0.5 * (P + P.T), q=q, G=G, h=np.array(rhs))
 
 
-def assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg):
-    sol = qp.solve(assemble_qp(state, stance_seq, models, ref, cfg))
+def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg):
+    sol = qp.solve(assemble_qp(state, stance_seq, model, ref, cfg))
     free = free_inputs(stance_seq, cfg)
     U = np.zeros(free.size)
     U[free] = sol.x_star
-    full = pinned_qp(state, stance_seq, models, ref, cfg)
+    full = pinned_qp(state, stance_seq, model, ref, cfg)
 
     def objective(x):
         return 0.5 * x @ full.P @ x + full.q @ x
@@ -328,9 +326,9 @@ def test_reduced_qp_matches_pinned_formulation_random(params):
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
         if trial < 2:  # no stance leg at all; with thrusters off there is no QP variable
             stance_seq = [np.zeros(4, dtype=bool)] * cfg.horizon
-        models = make_models(state, d, r, stance_seq, cfg, params)
+        model = make_model(state, d, r, stance_seq, cfg, params)
         ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-        assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg)
+        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg)
 
 
 def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
@@ -348,8 +346,8 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
     monkeypatch.setattr(MpcController, "step", recording_step)
     run(scenario, params, cfg, gait_cfg)
     assert len(recorded) == 145
-    for state, stance_seq, models, ref in recorded[90:]:  # from 0.9 s
-        assert_reduced_qp_solves_pinned(state, stance_seq, models, ref, cfg)
+    for state, stance_seq, model, ref in recorded[90:]:  # from 0.9 s
+        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg)
 
 
 def test_warm_starts_match_cold_recorded(monkeypatch):

@@ -207,16 +207,16 @@ def test_horizon_models_match_per_step_builds(params):
         touchdown = state.p + rng.uniform(-0.3, 0.3, (4, 3))
         stance_now = rng.random(4) < 0.5
         stance_seq = [rng.random(4) < 0.5 for _ in range(5)]
-        models = horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt)
-        assert len(models) == 5
-        for flags, model in zip(stance_seq, models):
+        model = horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt)
+        assert model.B_k.shape == (5, 13, 16)
+        for flags, B_k in zip(stance_seq, model.B_k):
             d_k = d.copy()
             for leg in range(4):
                 if flags[leg] and not stance_now[leg]:
                     d_k[leg] = touchdown[leg] - state.p
             expected = discretize(*build_continuous_model(state, d_k, r, params), dt)
             assert np.abs(model.A_k - expected.A_k).max() <= 1e-12
-            assert np.abs(model.B_k - expected.B_k).max() <= 1e-12
+            assert np.abs(B_k - expected.B_k).max() <= 1e-12
 
 
 def test_flat_trot_tracks_speed():
