@@ -50,11 +50,12 @@ def configs_from_doc(doc: dict):
     if not isinstance(doc, dict):
         raise config.ConfigError("document: must be an object")
     scenario = config.load(Scenario, {k: v for k, v in doc.items() if k not in SECTIONS})
-    sections = [config.load(cls, doc.get(key, {}), key) for key, cls in SECTIONS.items()]
+    params, mpc_cfg, gait_cfg = [config.load(cls, doc.get(key, {}), key) for key, cls in SECTIONS.items()]
     scenario.validate()
-    for key, obj in zip(SECTIONS, sections):
+    for key, obj in zip(SECTIONS, (params, mpc_cfg, gait_cfg)):
         obj.validate(key)
-    return (scenario, *sections)
+    sim_mod.steps_per_tick(mpc_cfg.rate_hz, scenario.sim_dt)
+    return scenario, params, mpc_cfg, gait_cfg
 
 
 def load_config(path):
@@ -193,7 +194,7 @@ def run_scenario(config_path, out_dir=None) -> int:
         return 1
 
     if outcome is None:
-        print(f"{scenario.name}: success ({len(log.rows)} steps)")
+        print(f"{scenario.name}: success ({log.n} steps)")
         return 0
     print(f"{scenario.name}: {outcome.kind} at t={outcome.t:.3f}s: {outcome.detail}")
     return 2

@@ -78,38 +78,39 @@ def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float) -> np.ndar
 
 @dataclass
 class SwingCurve:
-    """Quartic Bezier with doubled endpoints: P0 = P1 (lift-off), P3 = P4 (target)."""
+    """Quartic Beziers with doubled endpoints: P0 = P1 (lift-off), P3 = P4 (target)."""
 
-    control_points: np.ndarray  # (5, 3)
+    control_points: np.ndarray  # (..., 5, 3), one curve per leading index
 
 
 def build_swing_curve(liftoff: np.ndarray, target: np.ndarray, apex_height: float) -> SwingCurve:
+    """The curves from lift-off to target points of shape (..., 3)."""
     liftoff = np.asarray(liftoff, dtype=float)
     target = np.asarray(target, dtype=float)
     apex = 0.5 * (liftoff + target)
-    apex[2] = max(liftoff[2], target[2]) + apex_height
-    return SwingCurve(control_points=np.array([liftoff, liftoff, apex, target, target]))
+    apex[..., 2] = np.maximum(liftoff[..., 2], target[..., 2]) + apex_height
+    return SwingCurve(control_points=np.stack([liftoff, liftoff, apex, target, target], axis=-2))
 
 
-_BINOM4 = np.array([1.0, 4.0, 6.0, 4.0, 1.0])
-_BINOM3 = np.array([1.0, 3.0, 3.0, 1.0])
+# s^0..s^4 (rows) -> the quartic Bernstein weights (columns 0-4) and their derivatives (5-9)
+_BERNSTEIN = np.array([[1, 0, 0, 0, 0, -4, 4, 0, 0, 0], [-4, 4, 0, 0, 0, 12, -24, 12, 0, 0],
+                       [6, -12, 6, 0, 0, -12, 36, -36, 12, 0], [-4, 12, -12, 4, 0, 4, -16, 24, -16, 4],
+                       [1, -4, 6, -4, 1, 0, 0, 0, 0, 0]], dtype=float)
+_POWERS = np.arange(5)
 
 
-def eval_swing(curve: SwingCurve, s: float):
-    """Position and d(position)/d(phase) at phase s in [0, 1].
+def eval_swing(curve: SwingCurve, s):
+    """Position and d(position)/d(phase) at phases s in [0, 1].
 
-    The derivative comes from the degree-3 hodograph; duplicated endpoints
-    make it exactly zero at s = 0 and s = 1.
+    s is a phase or an array of phases that broadcasts against the curves'
+    leading shape; each output has the broadcast shape plus (3,). Both come
+    from one matmul of Bernstein weights with the control points; duplicated
+    endpoints make the derivative exactly zero at s = 0 and s = 1.
     """
-    if not 0.0 <= s <= 1.0:
+    s = np.asarray(s, dtype=float)
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise PhaseOutOfRange(f"phase {s} outside [0, 1]")
-    cp = curve.control_points
-    si = s ** np.arange(5)
-    oi = (1.0 - s) ** np.arange(4, -1, -1)
-    pos = (_BINOM4 * si * oi) @ cp
-
-    dcp = 4.0 * (cp[1:] - cp[:-1])
-    si3 = s ** np.arange(4)
-    oi3 = (1.0 - s) ** np.arange(3, -1, -1)
-    vel = (_BINOM3 * si3 * oi3) @ dcp
-    return pos, vel
+    # a (1, 5) @ (5, 10) product per phase: a phase gets the same weights alone or in a batch
+    weights = s[..., None, None] ** _POWERS @ _BERNSTEIN
+    out = weights.reshape(s.shape + (2, 5)) @ curve.control_points
+    return out[..., 0, :], out[..., 1, :]

@@ -4,8 +4,9 @@ The plant integrates the centroidal accelerations (full-attitude thrust
 rotation, exact Euler-angle rates) with semi-implicit Euler at the sim rate.
 Commanded ground forces are applied directly to the body; legality (friction
 cone, beam footprint) is checked against the command and terminates the run
-on violation. Swing feet track their Bezier curves kinematically and stance
-feet stay pinned where they touched down.
+on violation. Each control tick samples the gait once and holds its input and
+stance over its plant steps; swing feet track their Bezier curves kinematically
+and stance feet stay pinned where they touched down.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config, setting
+from .config import Config, ConfigError, setting
 from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, centroidal_accel, discretize, euler_rates
-from .gait import GaitConfig, SwingCurve, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
+from .gait import GaitConfig, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
 from .robot import NoConvergence, RobotParams, leg_inverse_kinematics, thruster_point
 from .rotations import rot_z, rpy_matrix
@@ -98,9 +99,10 @@ class FailureEvent:
 
 @dataclass
 class SimLog:
-    """One row per sim step; column order is fixed for the CSV artifact."""
+    """One row per sim step, in the first n rows of data; column order is fixed for the CSV artifact."""
 
-    rows: list = field(default_factory=list)
+    data: np.ndarray = field(default_factory=lambda: np.zeros((0, len(SimLog.HEADER))))
+    n: int = 0
 
     HEADER = (
         ["t", "roll", "pitch", "yaw", "px", "py", "pz", "wx", "wy", "wz", "vx", "vy", "vz"]
@@ -111,32 +113,23 @@ class SimLog:
         + [f"ratio{i}" for i in range(4)]
     )
 
-    def append(self, t, state: RobotState, u: ControlInput, foot_pos, stance, ratios):
-        self.rows.append(
-            np.concatenate(
-                [
-                    [t],
-                    state.theta,
-                    state.p,
-                    state.omega,
-                    state.pdot,
-                    u.grf.reshape(12),
-                    u.thrust,
-                    np.asarray(foot_pos).reshape(12),
-                    np.asarray(stance, dtype=float),
-                    ratios,
-                ]
-            )
-        )
+    def append(self, t, states, u: ControlInput, feet, stance, ratios):
+        """One tick's block of rows: per plant step its time, state (12 values)
+        and feet (4 x 3); the tick's input, stance flags and ratios on each row."""
+        rows = self.data[self.n : self.n + len(t)]
+        rows[:, 0] = t
+        rows[:, 1:13] = states
+        rows[:, 13:29] = u.as_vector()
+        rows[:, 29:41] = np.reshape(feet, (-1, 12))
+        rows[:, 41:45] = stance
+        rows[:, 45:49] = ratios
+        self.n += len(t)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.rows) if self.rows else np.zeros((0, len(self.HEADER)))
+        return self.data[: self.n]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            f.write(",".join(self.HEADER) + "\n")
-            for row in self.rows:
-                f.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        np.savetxt(path, self.as_array(), fmt="%.9g", delimiter=",", header=",".join(self.HEADER), comments="")
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -148,17 +141,15 @@ class SimLog:
             if not f.readline():
                 return cls()  # numpy warns when it parses no rows
             f.seek(start)
-            return cls(rows=list(np.loadtxt(f, delimiter=",", ndmin=2)))
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        return cls(data, len(data))
 
 
 def friction_ratios(u: ControlInput, stance) -> np.ndarray:
     """Tangential-to-normal force ratio per leg; zero for a leg whose normal
     force is within the slip check's tolerance of zero."""
-    ratios = np.zeros(4)
-    for i in range(4):
-        if stance[i] and u.grf[i, 2] > SLIP_FORCE_TOL:
-            ratios[i] = np.hypot(u.grf[i, 0], u.grf[i, 1]) / u.grf[i, 2]
-    return ratios
+    loaded = np.asarray(stance) & (u.grf[:, 2] > SLIP_FORCE_TOL)
+    return np.where(loaded, np.hypot(u.grf[:, 0], u.grf[:, 1]) / np.where(loaded, u.grf[:, 2], 1.0), 0.0)
 
 
 def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, mu_real: float):
@@ -208,6 +199,16 @@ def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -
     return discretize(*build_continuous_model(state, d_seq, r, params), dt)
 
 
+def steps_per_tick(rate_hz: float, sim_dt: float) -> int:
+    """Plant steps per control tick: 1 / (rate_hz * sim_dt), which must be a
+    whole number >= 1 (to 1e-9 relative), else ConfigError."""
+    ratio = 1.0 / max(rate_hz * sim_dt, 1e-300)  # finite; a tick of 1e300 steps outlasts any run
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        raise ConfigError(f"mpc.rate_hz: a tick must be a whole number of sim_dt_s steps, got {ratio:.6g}")
+    return n
+
+
 class _LegTracker:
     """Owns foot pinning, swing curves, and warm-started IK joint angles."""
 
@@ -217,7 +218,7 @@ class _LegTracker:
         self.gait_cfg = gait_cfg
         support = scenario.terrain.support_height()
         com0 = np.array([0.0, 0.0, support + scenario.command.height])
-        self.foot_pos = np.zeros((4, 3))
+        self.foot_pos = np.zeros((4, 3))  # where the last plant step left the feet
         for i in range(4):
             nominal = clamp_lateral(com0 + params.hip_offsets[i], gait_cfg, com0[1])
             nominal[1] = scenario.terrain.clamp_foot_y(nominal[1], gait_cfg.foot_margin)
@@ -225,10 +226,6 @@ class _LegTracker:
             self.foot_pos[i] = nominal
         self.liftoff = self.foot_pos.copy()
         self.target = self.foot_pos.copy()
-        self.curves: list[SwingCurve] = [
-            build_swing_curve(self.foot_pos[i], self.foot_pos[i], gait_cfg.apex_height)
-            for i in range(4)
-        ]
         self.q = np.zeros((4, 3))
         self.q[:, 1] = 0.6
         self.q[:, 2] = -1.2  # knee bent backwards; the IK keeps the branch of the last angles
@@ -240,7 +237,7 @@ class _LegTracker:
         reach = self.params.leg_reach()
         for i in range(4):
             if prev_stance[i] and not stance[i]:
-                self.liftoff[i] = self.foot_pos[i].copy()
+                self.liftoff[i] = self.foot_pos[i]
             if not stance[i]:
                 hip_world = state.p + rz @ self.params.hip_offsets[i]
                 p_ref = np.array([hip_world[0], hip_world[1], 0.0])
@@ -258,26 +255,28 @@ class _LegTracker:
                     target[:2] = hip_world[:2] + lateral * (r_max / dist)
                 target[1] = self.scenario.terrain.clamp_foot_y(target[1], cfg.foot_margin)
                 self.target[i] = target
-                self.curves[i] = build_swing_curve(self.liftoff[i], self.target[i], cfg.apex_height)
             if not prev_stance[i] and stance[i]:
-                pinned = self.foot_pos[i].copy()
-                pinned[2] = support
-                self.foot_pos[i] = pinned
+                self.foot_pos[i, 2] = support
+        self.curves = build_swing_curve(self.liftoff, self.target, cfg.apex_height)
 
-    def move_swing_feet(self, phase, stance):
-        for i in range(4):
-            if not stance[i]:
-                pos, _ = eval_swing(self.curves[i], min(phase[i], 1.0))
-                self.foot_pos[i] = pos
+    def tick_feet(self, phase, stance, n: int):
+        """The feet at each of a tick's n plant steps, (n, 4, 3): a swing leg
+        at phase min(phase + j dt / t_swing, 1) of its curve at step j, a
+        stance leg where it is pinned. foot_pos becomes the last step's."""
+        step_phase = np.arange(n)[:, None] * (self.scenario.sim_dt / self.gait_cfg.t_swing)
+        swing, _ = eval_swing(self.curves, np.minimum(phase + step_phase, 1.0))
+        feet = np.where(stance[:, None], self.foot_pos, swing)
+        self.foot_pos = feet[-1]
+        return feet
 
-    def snapshot(self, state: RobotState):
+    def snapshot(self, state: RobotState, foot_pos):
         """COM-relative foot and thruster positions (world frame)."""
         R = rpy_matrix(state.theta)
-        d = self.foot_pos - state.p
+        d = foot_pos - state.p
         r = np.zeros((4, 3))
         events = []
         for i in range(4):
-            foot_body = R.T @ (self.foot_pos[i] - state.p)
+            foot_body = R.T @ d[i]
             try:
                 self.q[i] = leg_inverse_kinematics(self.params, i, foot_body, self.q[i])
             except NoConvergence:
@@ -294,7 +293,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     gait_cfg.validate("gait")
 
     dt = scenario.sim_dt
-    control_every = max(1, round(1.0 / (mpc_cfg.rate_hz * dt)))
+    per_tick = steps_per_tick(mpc_cfg.rate_hz, dt)
     n_steps = round(scenario.duration / dt)
     support = scenario.terrain.support_height()
     command = scenario.command
@@ -302,65 +301,53 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     state = RobotState(p=np.array([0.0, 0.0, support + command.height]))
     tracker = _LegTracker(params, scenario, gait_cfg)
     controller = MpcController(mpc_cfg)
-    log = SimLog()
+    log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
 
-    # the run's gait, one row per sim step
-    gait = trot_schedule(np.arange(n_steps) * dt, gait_cfg.t_stance, gait_cfg.t_swing)
-    u = ControlInput()
+    ticks = range(0, n_steps, per_tick)  # each tick's first plant step
+    gait = trot_schedule(np.array(ticks) * dt, gait_cfg.t_stance, gait_cfg.t_swing)  # one row per tick
     failure = None
 
-    for i_step in range(n_steps):
-        t = i_step * dt
-        stance, phase = gait.stance_flags[i_step], gait.phase[i_step]
+    for k, first in enumerate(ticks):
+        t = first * dt
+        stance, phase = gait.stance_flags[k], gait.phase[k]
+        n = min(per_tick, n_steps - first)
 
-        if i_step % control_every == 0:
-            prev_stance = gait.stance_flags[max(i_step - control_every, 0)]  # at the last tick
-            tracker.update_plan(state, prev_stance, stance, command)
-            tracker.move_swing_feet(phase, stance)
-            d, r, _ = tracker.snapshot(state)
-
-            ref = build_reference(state, command, mpc_cfg, support)
-            stance_seq = trot_schedule(
-                t + mpc_cfg.dt * np.arange(mpc_cfg.horizon), gait_cfg.t_stance, gait_cfg.t_swing
-            ).stance_flags
-            model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
-            try:
-                u = controller.step(state, stance_seq, model, ref)
-            except SolverFailure as exc:
-                failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
-                break
-            violations = check_contact_legality(
-                u, tracker.foot_pos, stance, scenario.terrain, scenario.mu_real
-            )
-            if violations:
-                kind, _, detail = violations[0]
-                failure = FailureEvent(kind, t, detail)
-                break
-        else:
-            tracker.move_swing_feet(phase, stance)
-
-        ratios = friction_ratios(u, stance)
-        log.append(t, state, u, tracker.foot_pos, stance, ratios)
-
-        f_ext = np.zeros(3)
-        for dist in scenario.disturbances:
-            if dist.active(t):
-                f_ext += dist.force
-        d = tracker.foot_pos - state.p
-        state = step(state, u, d, r, f_ext, params, dt)
-
-        if max(abs(state.theta[0]), abs(state.theta[1])) > ROLL_LIMIT:
-            failure = FailureEvent(
-                ROLL_DIVERGENCE,
-                t + dt,
-                f"roll {state.theta[0]:.3f} pitch {state.theta[1]:.3f} rad",
-            )
+        tracker.update_plan(state, gait.stance_flags[max(k - 1, 0)], stance, command)
+        feet = tracker.tick_feet(phase, stance, n)
+        d, r, _ = tracker.snapshot(state, feet[0])
+        ref = build_reference(state, command, mpc_cfg, support)
+        horizon_t = t + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
+        stance_seq = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing).stance_flags
+        model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
+        try:
+            u = controller.step(state, stance_seq, model, ref)
+        except SolverFailure as exc:
+            failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
             break
-        if state.p[2] - support < HEIGHT_FRACTION * command.height:
-            failure = FailureEvent(
-                HEIGHT_COLLAPSE, t + dt, f"COM height {state.p[2] - support:.3f} m"
-            )
+        violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
+        if violations:
+            kind, _, detail = violations[0]
+            failure = FailureEvent(kind, t, detail)
+            break
+        ratios = friction_ratios(u, stance)
+
+        states = np.zeros((n, 12))
+        for j in range(n):
+            t = (first + j) * dt
+            states[j] = state.as_vector()[:12]
+            f_ext = sum((dist.force for dist in scenario.disturbances if dist.active(t)), np.zeros(3))
+            state = step(state, u, feet[j] - state.p, r, f_ext, params, dt)
+
+            roll, pitch = state.theta[:2]
+            if max(abs(roll), abs(pitch)) > ROLL_LIMIT:
+                failure = FailureEvent(ROLL_DIVERGENCE, t + dt, f"roll {roll:.3f} pitch {pitch:.3f} rad")
+            elif state.p[2] - support < HEIGHT_FRACTION * command.height:
+                failure = FailureEvent(HEIGHT_COLLAPSE, t + dt, f"COM height {state.p[2] - support:.3f} m")
+            if failure is not None:
+                break
+        # the rows through the failing step, as the plant stepped them
+        log.append((first + np.arange(j + 1)) * dt, states[: j + 1], u, feet[: j + 1], stance, ratios)
+        if failure is not None:
             break
 
     return log, failure
-

@@ -132,13 +132,17 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"name": "../../escaped"}', "name"),
         ('{"name": "runs\\\\escaped"}', "name"),
         ('{"name": "nul\\u0000byte"}', "name"),
+        ('{"sim_dt_s": 0.0015}', "mpc.rate_hz"),
+        ('{"mpc": {"rate_hz": 2000}}', "mpc.rate_hz"),
+        ('{"mpc": {"rate_hz": 30}}', "mpc.rate_hz"),
     ],
     ids=["mass_nan", "knee_offset_nan", "gravity_negative", "thigh_negative", "joint_limits_one_row",
          "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_string",
          "beam_height_nan", "mu_real_nan", "mu_real_negative", "seed_unknown", "thrusters_top_level_unknown",
          "lateral_clamp_unknown", "horizn_unknown", "t_stanse_unknown", "speed_unknown", "duraton_unknown",
          "foot_margin_negative", "name_empty", "name_dot", "name_dotdot", "name_parent_path",
-         "name_backslash", "name_nul"],
+         "name_backslash", "name_nul", "sim_dt_1_5ms_at_100hz", "rate_2000hz_at_1ms",
+         "rate_30hz_at_1ms"],
 )
 def test_invalid_setting_exits_1(tmp_path, capsys, doc, key):
     """Values outside a setting's declared type, shape or bound, and unknown keys,

@@ -176,6 +176,27 @@ def test_swing_phase_out_of_range():
         eval_swing(curve, -0.1)
 
 
+def test_batched_swing_matches_scalar_calls():
+    """Curves built for four legs at once and evaluated at a tick's phases
+    equal one scalar build and evaluation per leg and phase."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        lift, tgt = rng.normal(size=(2, 4, 3))
+        apex = rng.uniform(0.01, 0.2)
+        s = rng.uniform(0, 1, (10, 4))
+        s[0, 0], s[-1, -1] = 0.0, 1.0
+        pos, vel = eval_swing(build_swing_curve(lift, tgt, apex), s)
+        assert pos.shape == vel.shape == (10, 4, 3)
+        for j in range(10):
+            for leg in range(4):
+                p, v = eval_swing(build_swing_curve(lift[leg], tgt[leg], apex), s[j, leg])
+                assert np.abs(p - pos[j, leg]).max() <= 1e-15
+                assert np.abs(v - vel[j, leg]).max() <= 1e-15
+        s[3, 2] = rng.choice([-0.1, 1.2, np.nan])
+        with pytest.raises(PhaseOutOfRange):
+            eval_swing(build_swing_curve(lift, tgt, apex), s)
+
+
 def test_beam_clamps_foot_targets():
     beam = Terrain(kind="beam", width=0.1, centerline=0.02)
     # centerline +/- (width / 2 - margin)

@@ -18,6 +18,7 @@ from huskysim.sim import (
     friction_ratios,
     horizon_models,
     step,
+    steps_per_tick,
 )
 
 
@@ -135,7 +136,43 @@ def test_zero_duration_run_succeeds():
     doc["duration_s"] = 0.0
     log, outcome = run_doc(doc)
     assert outcome is None
-    assert log.rows == []
+    assert log.as_array().shape[0] == 0
+
+
+def test_gait_off_the_tick_grid_moves_feet_continuously():
+    """Mode durations that are not whole ticks: stance is sampled once per
+    tick and held over its plant steps, so no foot jumps back to an old
+    lift-off between ticks."""
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 3.0
+    doc["gait"].update(t_stance_s=0.305, t_swing_s=0.155)
+    log, outcome = run_doc(doc)
+    assert outcome is None
+    arr = log.as_array()
+    feet = arr[:, 29:41].reshape(-1, 4, 3)
+    assert np.linalg.norm(np.diff(feet, axis=0), axis=-1).max() < 0.01
+    flips = np.flatnonzero(np.any(np.diff(arr[:, 41:45], axis=0) != 0, axis=1)) + 1
+    assert flips.size and np.all(flips % 10 == 0)  # 10 plant steps per 100 Hz tick
+
+
+def test_control_tick_is_whole_plant_steps():
+    """The accepted side of the rule; test_cli's probes exit 1 on the other."""
+    assert steps_per_tick(100.0, 1e-3) == 10
+    assert steps_per_tick(100.0, 5e-4) == 20  # the benchmark's fine_step_trot
+    assert steps_per_tick(1e-307, 1e-3) > 10**9  # a tick that outlasts any run, not an overflow
+
+
+def test_to_csv_writes_each_value_as_9_significant_digits(tmp_path):
+    def reference(rows):
+        return ",".join(SimLog.HEADER) + "\n" + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+
+    rng = np.random.default_rng(5)
+    rows = rng.choice([-1.0, 1.0], (2000, 49)) * 10.0 ** rng.uniform(-20, 20, (2000, 49))
+    rows[0, :4] = [-0.0, 5e-324, 1.8e308, 0.0]
+    path = tmp_path / "log.csv"
+    for data in (rows, np.zeros((0, 49))):
+        SimLog(data, len(data)).to_csv(path)
+        assert path.read_bytes() == reference(data).encode()
 
 
 def test_run_log_completeness_and_pinned_feet():
@@ -267,7 +304,7 @@ def test_simlog_from_csv_reads_what_to_csv_wrote(tmp_path):
     log, _ = run_doc(doc)
     path = tmp_path / "log.csv"
     log.to_csv(path)
-    written = np.array([[float(f"{v:.9g}") for v in row] for row in log.rows])
+    written = np.array([[float(f"{v:.9g}") for v in row] for row in log.as_array()])
     assert np.array_equal(SimLog.from_csv(path).as_array(), written)
 
     SimLog().to_csv(path)
