@@ -20,7 +20,7 @@ class PhaseOutOfRange(Exception):
 @dataclass
 class GaitConfig(Config):
     t_stance: float = setting("t_stance_s", 0.3, gt=0)  # s
-    t_swing: float = setting("t_swing_s", 0.3, gt=0)  # s
+    t_swing: float = setting("t_swing_s", 0.15, gt=0)  # s
     raibert_gain: float = setting("raibert_gain_s", 0.03)  # s, feedback on velocity error
     apex_height: float = setting("apex_height_m", 0.05, ge=0)  # m
     # body-relative narrow-stance clamp: total lateral stance width;

@@ -39,10 +39,10 @@ class DimensionMismatch(ValueError):
 @dataclass
 class MpcConfig(Config):
     horizon: int = setting("horizon", 5, ge=1)
-    dt: float = setting("dt_s", 0.03, gt=0)  # s, prediction step
+    dt: float = setting("dt_s", 0.06, gt=0)  # s, prediction step
     rate_hz: float = setting("rate_hz", 100.0, gt=0)
     q_diag: np.ndarray = setting(
-        "q_diag", [400.0, 400.0, 100.0, 100.0, 400.0, 800.0, 1.0, 1.0, 1.0, 10.0, 40.0, 20.0, 0.0],
+        "q_diag", [300.0, 300.0, 60.0, 100.0, 200.0, 800.0, 15.0, 8.0, 2.0, 20.0, 800.0, 300.0, 0.0],
         shape=(NX,), ge=0,
     )
     r_diag: np.ndarray = setting("r_diag", [1e-4] * 12 + [1e-3] * 4, shape=(NU,), gt=0)
@@ -55,7 +55,7 @@ class MpcConfig(Config):
 class Command(Config):
     v_d: np.ndarray = setting("v_d_mps", [0.0, 0.0, 0.0], shape=(3,))  # m/s, world
     yaw_rate: float = setting("yaw_rate_rps", 0.0)  # rad/s
-    height: float = setting("height_m", 0.25, gt=0)  # m above the support surface
+    height: float = setting("height_m", 0.2, gt=0)  # m above the support surface
 
 
 def build_reference(

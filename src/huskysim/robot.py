@@ -41,15 +41,16 @@ class LinkLengths(Config):
 
 @dataclass
 class RobotParams(Config):
-    """Physical parameters. Defaults: 6.625 kg platform, thrusters at the knees."""
+    """Physical parameters. Defaults: Husky β, a 6.625 kg platform with hips
+    0.08 m above the COM and thrusters at the knees."""
 
     mass: float = setting("mass", 6.625, gt=0)  # kg
     inertia_body: np.ndarray = setting(
-        "inertia_body", [[0.05, 0.0, 0.0], [0.0, 0.10, 0.0], [0.0, 0.0, 0.12]], shape=(3, 3)
+        "inertia_body", [[0.15, 0.0, 0.0], [0.0, 0.20, 0.0], [0.0, 0.0, 0.22]], shape=(3, 3)
     )  # kg m^2, body frame
     hip_offsets: np.ndarray = setting(
         "hip_offsets",
-        [[0.15, 0.10, 0.0], [0.15, -0.10, 0.0], [-0.15, 0.10, 0.0], [-0.15, -0.10, 0.0]],
+        [[0.15, 0.10, 0.08], [0.15, -0.10, 0.08], [-0.15, 0.10, 0.08], [-0.15, -0.10, 0.08]],
         shape=(4, 3),
     )  # m, body frame
     link_lengths: LinkLengths = setting("link_lengths", LinkLengths)

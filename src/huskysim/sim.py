@@ -27,6 +27,7 @@ BEAM_MISS = "BeamMiss"
 ROLL_DIVERGENCE = "RollDivergence"
 HEIGHT_COLLAPSE = "HeightCollapse"
 SOLVER_FAILURE = "SolverFailure"
+NUMERICAL_FAILURE = "NumericalFailure"
 
 ROLL_LIMIT = 0.6  # rad, |roll| or |pitch| beyond this is a fall
 HEIGHT_FRACTION = 0.6  # fall when COM height drops below this fraction of desired
@@ -332,19 +333,25 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         ratios = friction_ratios(u, stance)
 
         states = np.zeros((n, 12))
-        for j in range(n):
-            t = (first + j) * dt
-            states[j] = state.as_vector()[:12]
-            f_ext = sum((dist.force for dist in scenario.disturbances if dist.active(t)), np.zeros(3))
-            state = step(state, u, feet[j] - state.p, r, f_ext, params, dt)
+        # an overflow in a plant step leaves a non-finite state, which the first check names
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = state.as_vector()[:12]
+            for j in range(n):
+                t = (first + j) * dt
+                states[j] = vec
+                f_ext = sum((dist.force for dist in scenario.disturbances if dist.active(t)), np.zeros(3))
+                state = step(state, u, feet[j] - state.p, r, f_ext, params, dt)
+                vec = state.as_vector()[:12]
 
-            roll, pitch = state.theta[:2]
-            if max(abs(roll), abs(pitch)) > ROLL_LIMIT:
-                failure = FailureEvent(ROLL_DIVERGENCE, t + dt, f"roll {roll:.3f} pitch {pitch:.3f} rad")
-            elif state.p[2] - support < HEIGHT_FRACTION * command.height:
-                failure = FailureEvent(HEIGHT_COLLAPSE, t + dt, f"COM height {state.p[2] - support:.3f} m")
-            if failure is not None:
-                break
+                roll, pitch = state.theta[:2]
+                if not np.isfinite(vec).all():
+                    failure = FailureEvent(NUMERICAL_FAILURE, t + dt, "non-finite plant state")
+                elif max(abs(roll), abs(pitch)) > ROLL_LIMIT:
+                    failure = FailureEvent(ROLL_DIVERGENCE, t + dt, f"roll {roll:.3f} pitch {pitch:.3f} rad")
+                elif state.p[2] - support < HEIGHT_FRACTION * command.height:
+                    failure = FailureEvent(HEIGHT_COLLAPSE, t + dt, f"COM height {state.p[2] - support:.3f} m")
+                if failure is not None:
+                    break
         # the rows through the failing step, as the plant stepped them
         log.append((first + np.arange(j + 1)) * dt, states[: j + 1], u, feet[: j + 1], stance, ratios)
         if failure is not None:

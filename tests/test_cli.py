@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from conftest import load_bundled, read_summary
 from huskysim import cli
-from huskysim.sim import SimLog
+from huskysim.sim import Scenario, SimLog
 
 col = SimLog.HEADER.index
 
@@ -271,16 +273,78 @@ def test_duplicate_config_stems_exit_1_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+# beam_walk with the Husky beta robot, gait, controller and friction written out as literals
+BEAM_WALK_STATED = {
+    "name": "beam_walk",
+    "sim_dt_s": 0.001,
+    "terrain": {"kind": "beam", "width_m": 0.1, "height_m": 0.1, "centerline_y_m": 0.0},
+    "disturbances": [],
+    "command": {"v_d_mps": [0.2, 0.0, 0.0], "yaw_rate_rps": 0.0, "height_m": 0.2},
+    "mu_real": 0.5,
+    "gait": {"t_stance_s": 0.3, "t_swing_s": 0.15, "raibert_gain_s": 0.03, "apex_height_m": 0.05,
+             "foot_margin_m": 0.01},
+    "mpc": {"horizon": 5, "dt_s": 0.06, "rate_hz": 100, "mu": 0.3535, "u_t_max_n": 20.0, "thrusters_enabled": True,
+            "q_diag": [300, 300, 60, 100, 200, 800, 15, 8, 2, 20, 800, 300, 0]},
+    "robot": {"hip_offsets": [[0.15, 0.1, 0.08], [0.15, -0.1, 0.08], [-0.15, 0.1, 0.08], [-0.15, -0.1, 0.08]],
+              "inertia_body": [[0.15, 0, 0], [0, 0.2, 0], [0, 0, 0.22]]},
+}
+
+
 def test_document_without_friction_keys_runs_as_bundled(tmp_path):
-    """mu_real and mpc.mu default to the values every bundled scenario states."""
-    stated = load_bundled("beam_walk")
-    stated["duration_s"] = 0.3
-    bare = json.loads(json.dumps(stated))
-    del bare["mu_real"], bare["mpc"]["mu"]
+    """The defaults are the Husky beta that every bundled scenario runs: the
+    stripped bundled file and the same run with every value written out give
+    the same log."""
+    bare = load_bundled("beam_walk")
+    bare["duration_s"] = 0.3
+    stated = dict(BEAM_WALK_STATED, duration_s=0.3)
     for name, doc in (("stated", stated), ("bare", bare)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         assert cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "bare" / "log.csv").read_bytes() == (tmp_path / "stated" / "log.csv").read_bytes()
+
+
+def keys_at_default(cls, doc, path=""):
+    """The leaf keys of ``doc``, a JSON object of the config class ``cls``, that state their field's default."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key, tp = f.metadata["key"], hints[f.name]
+        if key not in doc:
+            continue
+        where = f"{path}{key}"
+        if dataclasses.is_dataclass(tp):
+            yield from keys_at_default(tp, doc[key], where + ".")
+        elif typing.get_origin(tp) is list:
+            for i, item in enumerate(doc[key]):
+                yield from keys_at_default(typing.get_args(tp)[0], item, f"{where}[{i}].")
+        elif f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
+            default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+            if np.array_equal(doc[key], default):
+                yield where
+
+
+@pytest.mark.parametrize("name", ["beam_walk", "flat_trot", "push_no_thrust", "push_with_thrust"])
+def test_bundled_files_state_only_what_differs_from_the_defaults(name):
+    """sim_dt_s and mpc.rate_hz stay at their defaults in every bundled file:
+    perfbench/run.py reads both from the raw document to time a run."""
+    doc = load_bundled(name)
+    sections = {key: doc.pop(key) for key in cli.SECTIONS if key in doc}
+    stated = [*keys_at_default(Scenario, doc)]
+    for key, cls in cli.SECTIONS.items():
+        stated += keys_at_default(cls, sections.get(key, {}), key + ".")
+    assert sorted(stated) == ["mpc.rate_hz", "sim_dt_s"]
+
+
+def test_non_finite_plant_state_is_a_numerical_failure(tmp_path):
+    """Two valid 1e308 N pushes overflow to inf when summed; the run ends as a
+    named failure, with only finite rows in its log."""
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"] = 1.3
+    doc["disturbances"] = [{"t_start_s": 1.0, "t_end_s": 1.2, "force_n": [0.0, 0.0, 1e308]}] * 2
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "huge.json"), "--out", str(tmp_path / "out")]) == 2
+    assert read_summary(tmp_path / "out")["failure"]["kind"] == "NumericalFailure"
+    log = (tmp_path / "out" / "log.csv").read_text().lower()
+    assert "inf" not in log and "nan" not in log
 
 
 def test_env_out_dir_takes_one_subdirectory_per_config(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from huskysim import cli
+from huskysim.mpc import MpcConfig
 from huskysim.sim import Scenario
 
 JUNK = [None, "1", True, [1.0], {}]  # not a number, nor an array of numbers
@@ -129,6 +130,9 @@ def documents(draw):
         if draw(st.booleans()):
             doc[key] = config_doc(draw, cls, sites)
             sites.append(lambda draw, key=key: break_object(draw, doc, key))
+    rate = doc.get("mpc", {}).get("rate_hz")
+    if "sim_dt_s" in doc or rate is not None:  # a tick must be a whole number of plant steps
+        doc["sim_dt_s"] = 1.0 / ((rate or MpcConfig().rate_hz) * draw(st.integers(1, 40)))
     invalid = draw(st.booleans())
     if invalid:
         draw(st.sampled_from(sites))(draw)

@@ -145,7 +145,7 @@ def test_gait_off_the_tick_grid_moves_feet_continuously():
     lift-off between ticks."""
     doc = load_bundled("flat_trot")
     doc["duration_s"] = 3.0
-    doc["gait"].update(t_stance_s=0.305, t_swing_s=0.155)
+    doc.setdefault("gait", {}).update(t_stance_s=0.305, t_swing_s=0.155)
     log, outcome = run_doc(doc)
     assert outcome is None
     arr = log.as_array()
