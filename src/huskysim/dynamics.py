@@ -9,7 +9,7 @@ thrust magnitudes along fixed body-frame directions.
 
 The linear model rotates thrust directions and the inertia tensor by yaw
 only (valid for small roll/pitch); `centroidal_accel` rotates thrust by the
-full attitude and is what the nonlinear plant integrates.
+full attitude, as the nonlinear plant (`sim.step`) does.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ NX = 13
 NU = 16
 
 
-class GimbalLock(Exception):
-    """Exact Euler-rate mapping is singular at |pitch| = pi/2."""
-
-
 @dataclass
 class RobotState:
     theta: np.ndarray = field(default_factory=lambda: np.zeros(3))  # roll, pitch, yaw
@@ -38,6 +34,12 @@ class RobotState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.theta, self.p, self.omega, self.pdot, [1.0]])
+
+    @classmethod
+    def from_vector(cls, x: np.ndarray) -> "RobotState":
+        """The state of the first 12 entries of x, in as_vector's order."""
+        x = np.array(x[:12], dtype=float)
+        return cls(theta=x[0:3], p=x[3:6], omega=x[6:9], pdot=x[9:12])
 
 
 @dataclass
@@ -63,26 +65,6 @@ class LinearModel:
 
     A_k: np.ndarray  # 13x13
     B_k: np.ndarray  # 13x16, or (n, 13, 16)
-
-
-def euler_rate_matrix(theta: np.ndarray) -> np.ndarray:
-    """Exact mapping from world-frame omega to (roll, pitch, yaw) rates."""
-    cy, sy = np.cos(theta[2]), np.sin(theta[2])
-    cp, sp = np.cos(theta[1]), np.sin(theta[1])
-    if abs(cp) <= 1e-6:
-        raise GimbalLock(f"pitch {theta[1]:.6f} rad is at the Euler-rate singularity")
-    return np.array(
-        [
-            [cy / cp, sy / cp, 0.0],
-            [-sy, cy, 0.0],
-            [cy * sp / cp, sy * sp / cp, 1.0],
-        ]
-    )
-
-
-def euler_rates(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Euler-angle rates of the world-frame angular velocity omega."""
-    return euler_rate_matrix(theta) @ omega
 
 
 def yaw_inertia(params: RobotParams, yaw: float) -> np.ndarray:

@@ -203,5 +203,10 @@ class MpcController:
         free = free_inputs(stance_seq, self.config)
         U = np.zeros(free.size)
         U[free] = sol.x_star
-        return ControlInput.from_vector(U[:NU])
+        u = ControlInput.from_vector(U[:NU])
+        # the QP meets its bounds up to its row tolerance; its round-off past them
+        # (a thrust or a normal force of -1e-11 N) goes no further
+        np.clip(u.thrust, 0.0, self.config.u_t_max, out=u.thrust)
+        np.maximum(u.grf[:, 2], 0.0, out=u.grf[:, 2])
+        return u
 

@@ -1,7 +1,8 @@
 """Nonlinear plant, contact legality checks, and the scenario run loop.
 
 The plant integrates the centroidal accelerations (full-attitude thrust
-rotation, exact Euler-angle rates) with semi-implicit Euler at the sim rate.
+rotation, exact Euler-angle rates) with semi-implicit Euler at the sim rate,
+one control tick's plant steps per call.
 Commanded ground forces are applied directly to the body; legality (friction
 cone, beam footprint) is checked against the command and terminates the run
 on violation. Each control tick samples the gait once and holds its input and
@@ -12,15 +13,16 @@ and stance feet stay pinned where they touched down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import cos, isfinite, sin
 
 import numpy as np
 
 from .config import Config, ConfigError, setting
-from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, centroidal_accel, discretize, euler_rates
+from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, discretize
 from .gait import GaitConfig, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
 from .robot import NoConvergence, RobotParams, leg_inverse_kinematics, thruster_point
-from .rotations import rot_z, rpy_matrix
+from .rotations import cross, rot_z, rpy_matrix
 
 SLIP = "Slip"
 BEAM_MISS = "BeamMiss"
@@ -70,9 +72,6 @@ class Disturbance(Config):
 
     def rules(self):
         return (("t_end_s", self.t_start < self.t_end, "must be after t_start_s"),)
-
-    def active(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
 
 
 @dataclass
@@ -162,10 +161,10 @@ def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, 
         fz = u.grf[i, 2]
         tangential = np.hypot(u.grf[i, 0], u.grf[i, 1])
         if fz > 1e-9 and tangential > mu_real * fz + SLIP_FORCE_TOL:
-            violations.append((SLIP, i, f"leg {i} friction ratio {tangential / fz:.3f} > mu {mu_real}"))
+            violations.append((SLIP, i, f"leg {i} friction ratio {tangential / fz:.3g} > mu {mu_real}"))
         if not terrain.on_top_face(foot_pos[i][:2]):
             violations.append(
-                (BEAM_MISS, i, f"leg {i} foot y {foot_pos[i][1]:.3f} off the beam top face")
+                (BEAM_MISS, i, f"leg {i} foot y {foot_pos[i][1]:.3g} off the beam top face")
             )
     return violations
 
@@ -178,15 +177,62 @@ def step(
     f_ext: np.ndarray,
     params: RobotParams,
     dt: float,
-) -> RobotState:
-    """Semi-implicit Euler: velocities first, then pose with exact Euler rates."""
-    pddot, omegadot = centroidal_accel(state, u, d, r, params)
-    pddot = pddot + np.asarray(f_ext) / params.mass
-    pdot = state.pdot + pddot * dt
-    omega = state.omega + omegadot * dt
-    p = state.p + pdot * dt
-    theta = state.theta + euler_rates(state.theta, omega) * dt
-    return RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
+) -> np.ndarray:
+    """n plant steps that hold u and r: semi-implicit Euler on the accelerations
+    of dynamics.centroidal_accel plus f_ext / m, velocities first, then the pose
+    with the exact Euler-angle rates. One step is (4, 3) d and (3,) f_ext.
+
+    d: (n, 4, 3) foot lever arms, each from the COM at the first step.
+    f_ext: (n, 3) force at the COM per step (N, world).
+    Returns the (n, 12) post-step states. The steps stop after the first
+    non-finite state, and the rows past it are NaN.
+    """
+    d = np.reshape(d, (-1, 4, 3))
+    n, m, g = len(d), params.mass, params.gravity
+    # thrust i is R @ body[i], applied at r_i: the force is R @ sum_i body[i], the
+    # torque sum_k lever_k x R[:, k] with lever_k = sum_i body[i, k] r_i
+    body = params.thrust_dirs * u.thrust[:, None]
+    tbx, tby, tbz = (body.sum(axis=0) / m).tolist()
+    (l0x, l0y, l0z), (l1x, l1y, l1z), (l2x, l2y, l2z) = (body.T @ r).tolist()
+    # a lever arm at step j is d[j] less the COM's move since the first step,
+    # so the GRF torque is cross(d[j], grf) summed less (p_j - p_0) x F
+    fx, fy, fz = u.grf.sum(axis=0).tolist()
+    torque = cross(d, u.grf).sum(axis=1).tolist()
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = np.linalg.inv(params.inertia_body).tolist()
+    ph, th, ps = state.theta.tolist()
+    px, py, pz = p0x, p0y, p0z = state.p.tolist()
+    wx, wy, wz = state.omega.tolist()
+    vx, vy, vz = state.pdot.tolist()
+    flat = []
+    for (ex, ey, ez), (gx, gy, gz) in zip(np.reshape(f_ext, (-1, 3)).tolist(), torque):
+        cf, sf, ct, st, cp, sp = cos(ph), sin(ph), cos(th), sin(th), cos(ps), sin(ps)
+        # R = Rz(ps) Ry(th) Rx(ph), by columns
+        r00, r10, r20 = cp * ct, sp * ct, -st
+        r01, r11, r21 = cp * st * sf - sp * cf, sp * st * sf + cp * cf, ct * sf
+        r02, r12, r22 = cp * st * cf + sp * sf, sp * st * cf - cp * sf, ct * cf
+        ax = (fx + ex) / m + r00 * tbx + r01 * tby + r02 * tbz
+        ay = (fy + ey) / m + r10 * tbx + r11 * tby + r12 * tbz
+        az = (fz + ez) / m - g + r20 * tbx + r21 * tby + r22 * tbz
+        dx, dy, dz = px - p0x, py - p0y, pz - p0z
+        tx = gx - (dy * fz - dz * fy) + l0y * r20 - l0z * r10 + l1y * r21 - l1z * r11 + l2y * r22 - l2z * r12
+        ty = gy - (dz * fx - dx * fz) + l0z * r00 - l0x * r20 + l1z * r01 - l1x * r21 + l2z * r02 - l2x * r22
+        tz = gz - (dx * fy - dy * fx) + l0x * r10 - l0y * r00 + l1x * r11 - l1y * r01 + l2x * r12 - l2y * r02
+        # omegadot = Rz I_b^-1 Rz' tau, the inverse of the yaw-rotated inertia
+        bx, by = cp * tx + sp * ty, cp * ty - sp * tx
+        cx, cy = i00 * bx + i01 * by + i02 * tz, i10 * bx + i11 * by + i12 * tz
+        vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
+        wx, wy = wx + (cp * cx - sp * cy) * dt, wy + (sp * cx + cp * cy) * dt
+        wz += (i20 * bx + i21 * by + i22 * tz) * dt
+        px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
+        roll_rate = (cp * wx + sp * wy) / ct
+        ph, th, ps = ph + roll_rate * dt, th + (cp * wy - sp * wx) * dt, ps + (roll_rate * st + wz) * dt
+        row = (ph, th, ps, px, py, pz, wx, wy, wz, vx, vy, vz)
+        flat += row
+        if not all(map(isfinite, row)):
+            break  # cos and sin raise on an infinite angle
+    out = np.full((n, 12), np.nan)
+    out.ravel()[: len(flat)] = flat
+    return out
 
 
 def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> LinearModel:
@@ -313,17 +359,22 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         stance, phase = gait.stance_flags[k], gait.phase[k]
         n = min(per_tick, n_steps - first)
 
-        tracker.update_plan(state, gait.stance_flags[max(k - 1, 0)], stance, command)
-        feet = tracker.tick_feet(phase, stance, n)
-        d, r, _ = tracker.snapshot(state, feet[0])
-        ref = build_reference(state, command, mpc_cfg, support)
-        horizon_t = t + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
-        stance_seq = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing).stance_flags
-        model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
         try:
-            u = controller.step(state, stance_seq, model, ref)
+            # a finite state far out of range can overflow the plan; that ends the run
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                tracker.update_plan(state, gait.stance_flags[max(k - 1, 0)], stance, command)
+                feet = tracker.tick_feet(phase, stance, n)
+                d, r, _ = tracker.snapshot(state, feet[0])
+                ref = build_reference(state, command, mpc_cfg, support)
+                horizon_t = t + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
+                stance_seq = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing).stance_flags
+                model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
+                u = controller.step(state, stance_seq, model, ref)
         except SolverFailure as exc:
             failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
+            break
+        except FloatingPointError as exc:
+            failure = FailureEvent(NUMERICAL_FAILURE, t, f"control tick: {exc}")
             break
         violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
         if violations:
@@ -332,29 +383,31 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             break
         ratios = friction_ratios(u, stance)
 
-        states = np.zeros((n, 12))
-        # an overflow in a plant step leaves a non-finite state, which the first check names
+        ts = (first + np.arange(n)) * dt
+        # a push can overflow to a non-finite state, which the first check names
         with np.errstate(over="ignore", invalid="ignore"):
-            vec = state.as_vector()[:12]
-            for j in range(n):
-                t = (first + j) * dt
-                states[j] = vec
-                f_ext = sum((dist.force for dist in scenario.disturbances if dist.active(t)), np.zeros(3))
-                state = step(state, u, feet[j] - state.p, r, f_ext, params, dt)
-                vec = state.as_vector()[:12]
-
-                roll, pitch = state.theta[:2]
-                if not np.isfinite(vec).all():
-                    failure = FailureEvent(NUMERICAL_FAILURE, t + dt, "non-finite plant state")
-                elif max(abs(roll), abs(pitch)) > ROLL_LIMIT:
-                    failure = FailureEvent(ROLL_DIVERGENCE, t + dt, f"roll {roll:.3f} pitch {pitch:.3f} rad")
-                elif state.p[2] - support < HEIGHT_FRACTION * command.height:
-                    failure = FailureEvent(HEIGHT_COLLAPSE, t + dt, f"COM height {state.p[2] - support:.3f} m")
-                if failure is not None:
-                    break
-        # the rows through the failing step, as the plant stepped them
-        log.append((first + np.arange(j + 1)) * dt, states[: j + 1], u, feet[: j + 1], stance, ratios)
+            f_ext = np.zeros((n, 3))
+            for dist in scenario.disturbances:
+                f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
+            post = step(state, u, feet - state.p, r, f_ext, params, dt)
+            finite = np.isfinite(post).all(axis=1)
+            tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
+            low = post[:, 5] - support < HEIGHT_FRACTION * command.height
+        failing = np.flatnonzero(~finite | tilted | low)
+        j = failing[0] if failing.size else n - 1
+        if failing.size:
+            (roll, pitch), t_fail = post[j, :2], float(ts[j] + dt)
+            if not finite[j]:
+                failure = FailureEvent(NUMERICAL_FAILURE, t_fail, "non-finite plant state")
+            elif tilted[j]:
+                failure = FailureEvent(ROLL_DIVERGENCE, t_fail, f"roll {roll:.3g} pitch {pitch:.3g} rad")
+            else:
+                failure = FailureEvent(HEIGHT_COLLAPSE, t_fail, f"COM height {post[j, 5] - support:.3g} m")
+        # the pre-step rows through the failing step
+        states = np.vstack([state.as_vector()[:12], post[:j]])
+        log.append(ts[: j + 1], states, u, feet[: j + 1], stance, ratios)
         if failure is not None:
             break
+        state = RobotState.from_vector(post[-1])
 
     return log, failure

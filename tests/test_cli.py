@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_bundled, read_summary
-from huskysim import cli
+from huskysim import cli, sim
 from huskysim.sim import Scenario, SimLog
 
 col = SimLog.HEADER.index
@@ -345,6 +350,84 @@ def test_non_finite_plant_state_is_a_numerical_failure(tmp_path):
     assert read_summary(tmp_path / "out")["failure"]["kind"] == "NumericalFailure"
     log = (tmp_path / "out" / "log.csv").read_text().lower()
     assert "inf" not in log and "nan" not in log
+
+
+def test_huge_push_failure_detail_is_one_short_line(tmp_path, capsys):
+    """A 1e300 N push rolls the body past any fixed-point width; the detail
+    stays one line of at most 80 characters."""
+    doc = load_bundled("push_no_thrust")
+    doc["disturbances"][0]["force_n"] = [0.0, 1e300, 0.0]
+    (tmp_path / "probe.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "probe.json"), "--out", str(tmp_path / "out")]) == 2
+    detail = read_summary(tmp_path / "out")["failure"]["detail"]
+    assert "\n" not in detail and len(detail) <= 80, detail
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["beam_walk", "flat_trot", "push_no_thrust", "push_with_thrust"])
+def test_bundled_logs_hold_no_negative_thrust_or_stance_normal_force(cli_runs, name):
+    _, out = cli_runs(name)
+    data = SimLog.from_csv(out / "log.csv").as_array()
+    thrust = data[:, col("thrust0") : col("thrust0") + 4]
+    fz = data[:, [col(f"grf{i}z") for i in range(4)]]
+    stance = data[:, col("stance0") : col("stance0") + 4] == 1
+    assert thrust.min() >= 0.0
+    assert fz[stance].min() >= 0.0
+
+
+FAILURE_KINDS = {sim.SLIP, sim.BEAM_MISS, sim.ROLL_DIVERGENCE, sim.HEIGHT_COLLAPSE, sim.SOLVER_FAILURE,
+                 sim.NUMERICAL_FAILURE}
+
+
+@st.composite
+def physics_documents(draw):
+    """A valid scenario of at most 0.5 s: one push of 1 N to 1e308 N in any
+    direction, and a drawn command, stance width, terrain, friction and thrust cap."""
+    azimuth, elevation = draw(st.floats(-np.pi, np.pi)), draw(st.floats(-np.pi / 2, np.pi / 2))
+    direction = [np.cos(elevation) * np.cos(azimuth), np.cos(elevation) * np.sin(azimuth), np.sin(elevation)]
+    magnitude = draw(st.one_of(st.floats(0.0, 200.0), st.floats(2.0, 308.0).map(lambda e: 10.0**e)))
+    onset = draw(st.floats(0.0, 0.4))
+    doc = {
+        "name": "drawn",
+        "duration_s": draw(st.floats(0.05, 0.5)),
+        "disturbances": [{
+            "t_start_s": onset,
+            "t_end_s": onset + draw(st.floats(0.001, 0.5)),
+            "force_n": [float(magnitude * c) for c in direction],
+        }],
+        "command": {
+            "v_d_mps": [draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.2, 0.2)), 0.0],
+            "yaw_rate_rps": draw(st.floats(-1.0, 1.0)),
+            "height_m": draw(st.floats(0.1, 0.3)),
+        },
+        "gait": {"stance_width_m": draw(st.floats(0.0, 0.3))},
+        "mu_real": draw(st.floats(0.3, 1.5)),
+        "mpc": {"u_t_max_n": draw(st.floats(0.0, 40.0))},
+    }
+    if draw(st.booleans()):
+        doc["terrain"] = {"kind": "beam", "width_m": draw(st.floats(0.02, 0.4)), "height_m": 0.1}
+    return doc
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(physics_documents())
+def test_drawn_physics_ends_in_success_or_a_named_failure(tmp_path_factory, doc):
+    base = tmp_path_factory.getbasetemp() / "physics"
+    base.mkdir(exist_ok=True)
+    (base / "doc.json").write_text(json.dumps(doc))
+    printed = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(printed):
+        warnings.simplefilter("always")
+        code = cli.main(["run", str(base / "doc.json"), "--out", str(base / "out")])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2), doc
+    failure = read_summary(base / "out")["failure"]
+    assert (failure is None) == (code == 0)
+    if failure is not None:
+        assert failure["kind"] in FAILURE_KINDS
+        assert "\n" not in failure["detail"]
+    assert len(printed.getvalue().splitlines()) == 1
 
 
 def test_env_out_dir_takes_one_subdirectory_per_config(tmp_path, monkeypatch):

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from huskysim.dynamics import (
     NU,
     NX,
     ControlInput,
-    GimbalLock,
     RobotState,
     build_continuous_model,
     centroidal_accel,
     discretize,
-    euler_rates,
     yaw_inertia,
 )
 from huskysim.robot import RobotParams
 from huskysim.rotations import rot_z, rpy_matrix, skew
+from huskysim.sim import step
 
 
 @pytest.fixture
@@ -57,6 +59,23 @@ def centroidal_accel_loop_oracle(state, u, d, r, params):
     return pddot, np.linalg.solve(yaw_inertia(params, state.theta[2]), tau)
 
 
+def euler_rate_matrix_oracle(theta):
+    """Exact mapping from world-frame omega to (roll, pitch, yaw) rates."""
+    cy, sy = np.cos(theta[2]), np.sin(theta[2])
+    cp, sp = np.cos(theta[1]), np.sin(theta[1])
+    return np.array([[cy / cp, sy / cp, 0.0], [-sy, cy, 0.0], [cy * sp / cp, sy * sp / cp, 1.0]])
+
+
+def step_oracle(state, u, d, r, f_ext, params, dt):
+    """One semi-implicit Euler plant step on the loop oracle's accelerations."""
+    pddot, omegadot = centroidal_accel_loop_oracle(state, u, d, r, params)
+    pdot = state.pdot + (pddot + f_ext / params.mass) * dt
+    omega = state.omega + omegadot * dt
+    p = state.p + pdot * dt
+    theta = state.theta + euler_rate_matrix_oracle(state.theta) @ omega * dt
+    return RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
+
+
 def continuous_model_loop_oracle(state, d, r, params):
     """build_continuous_model as it was first written: B filled leg by leg."""
     rz = rot_z(state.theta[2])
@@ -89,6 +108,56 @@ def test_centroidal_accel_matches_loop_oracle(params):
         pddot_o, omegadot_o = centroidal_accel_loop_oracle(state, u, d, r, params)
         assert np.abs(pddot - pddot_o).max() <= 1e-12
         assert np.abs(omegadot - omegadot_o).max() <= 1e-12
+
+
+def vectors(shape, bound):
+    return arrays(np.float64, shape, elements=st.floats(-bound, bound))
+
+
+@st.composite
+def plant_ticks(draw):
+    """(params, state, u, r, feet, f_ext, dt) of one tick of 1-20 plant steps,
+    with thrust directions drawn off the default's; the feet are world
+    positions, (n, 4, 3)."""
+    n = draw(st.integers(1, 20))
+    params = RobotParams()
+    azimuth, elevation = draw(vectors(4, np.pi)), draw(vectors(4, np.pi / 2))
+    params.thrust_dirs = np.stack(
+        [np.cos(elevation) * np.cos(azimuth), np.cos(elevation) * np.sin(azimuth), np.sin(elevation)], axis=1
+    )
+    theta, p, omega, pdot = draw(vectors(3, 0.5)), draw(vectors(3, 2.0)), draw(vectors(3, 2.0)), draw(vectors(3, 2.0))
+    state = RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
+    u = ControlInput(grf=draw(vectors((4, 3), 40.0)), thrust=draw(arrays(np.float64, 4, elements=st.floats(0.0, 20.0))))
+    feet = p + draw(vectors((n, 4, 3), 0.4))
+    dt = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
+    return params.validate(), state, u, draw(vectors((4, 3), 0.4)), feet, draw(vectors((n, 3), 100.0)), dt
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(plant_ticks())
+def test_plant_tick_matches_stepped_oracle(case):
+    """One call over a tick's n steps equals n one-step oracle steps, each with
+    its lever arms from the COM where that step starts."""
+    params, state, u, r, feet, f_ext, dt = case
+    post = step(state, u, feet - state.p, r, f_ext, params, dt)
+    assert post.shape == (len(feet), 12)
+    for j in range(len(feet)):
+        state = step_oracle(state, u, feet[j] - state.p, r, f_ext[j], params, dt)
+        assert np.abs(post[j] - state.as_vector()[:12]).max() <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(plant_ticks())
+def test_plant_tick_first_accelerations_match_centroidal_accel(case):
+    """The first step's velocity increments are centroidal_accel's accelerations
+    (plus f_ext / m) times dt."""
+    params, state, u, r, feet, f_ext, _ = case
+    d = feet[0] - state.p
+    post = step(state, u, d, r, f_ext[0], params, 1.0)[0]  # dt = 1: the rates are the increments
+    pddot, omegadot = centroidal_accel(state, u, d, r, params)
+    pddot = pddot + f_ext[0] / params.mass
+    assert np.abs(post[9:12] - state.pdot - pddot).max() <= 1e-12 * max(1.0, np.abs(pddot).max())
+    assert np.abs(post[6:9] - state.omega - omegadot).max() <= 1e-12 * max(1.0, np.abs(omegadot).max())
 
 
 def test_continuous_model_matches_loop_oracle(params):
@@ -154,32 +223,6 @@ def test_single_thruster_torque_oracle():
     )
     assert np.allclose(tau, [1.0, 0.0, 1.0])
     assert np.allclose(omegadot, np.linalg.solve(params.inertia_body, tau), atol=1e-12)
-
-
-def test_euler_rates_identity_at_origin():
-    omega = np.array([0.3, -0.2, 0.1])
-    assert np.allclose(euler_rates(np.zeros(3), omega), omega, atol=1e-15)
-
-
-def test_euler_rates_approx_at_quarter_yaw():
-    # at zero roll and pitch the exact rates are the small-angle Rz^T omega
-    theta = np.array([0.0, 0.0, np.pi / 2])
-    rates = euler_rates(theta, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(rates, [0.0, -1.0, 0.0], atol=1e-12)
-
-
-def test_euler_rates_exact_equals_approx_at_zero_tilt():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        theta = np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
-        omega = rng.normal(size=3)
-        approx = rot_z(theta[2]).T @ omega
-        assert np.abs(euler_rates(theta, omega) - approx).max() < 1e-12
-
-
-def test_euler_rates_gimbal_lock():
-    with pytest.raises(GimbalLock):
-        euler_rates(np.array([0.0, np.pi / 2, 0.0]), np.ones(3))
 
 
 def test_model_structure(params):

@@ -38,7 +38,7 @@ def test_free_fall_drop(params):
     state = RobotState(p=np.array([0.0, 0.0, 1.0]))
     dt, t_total = 1e-3, 0.15
     for _ in range(int(round(t_total / dt))):
-        state = step(state, ControlInput(), d, r, np.zeros(3), params, dt)
+        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt)[0])
     drop = 1.0 - state.p[2]
     expected = 0.5 * params.gravity * t_total**2
     assert abs(drop - expected) < 1e-3  # semi-implicit bias is g dt t / 2
@@ -51,7 +51,7 @@ def test_equilibrium_stance_is_stationary(params):
     u.grf[:, 2] = params.mass * params.gravity / 4
     state = RobotState(p=np.array([0.0, 0.0, 0.25]))
     for _ in range(100):
-        new = step(state, u, d, d * 0.5, np.zeros(3), params, 1e-3)
+        new = RobotState.from_vector(step(state, u, d, d * 0.5, np.zeros(3), params, 1e-3)[0])
         assert np.abs(new.p - state.p).max() < 1e-12
         assert np.abs(new.pdot).max() < 1e-12
         assert np.abs(new.theta).max() < 1e-12
@@ -65,7 +65,7 @@ def test_single_thruster_velocity_kick():
     u = ControlInput()
     u.thrust[1] = 10.0  # right-front thruster pushes +y
     state = RobotState(p=np.array([0.0, 0.0, 1.0]))
-    state = step(state, u, d, r, np.zeros(3), params, 1e-3)
+    state = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, 1e-3)[0])
     assert state.pdot[1] == pytest.approx(1.5094e-3, abs=1e-7)
 
 
@@ -81,7 +81,7 @@ def test_energy_drift_bound(params):
     e0 = energy(state)
     t = 0.0
     while t < t_total - 1e-12:
-        state = step(state, ControlInput(), d, r, np.zeros(3), params, dt)
+        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt)[0])
         t += dt
         drift = energy(state) - e0
         assert drift <= 1e-12
@@ -228,7 +228,7 @@ def test_plant_model_single_step_agreement(params):
         A, B = build_continuous_model(state, d, r, params)
         model = discretize(A, B, dt)
         x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
-        x_plant = step(state, u, d, r, np.zeros(3), params, dt).as_vector()
+        x_plant = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, dt)[0]).as_vector()
         assert np.abs(x_plant - x_lin).max() < 1e-4
 
 
