@@ -66,17 +66,14 @@ def build_reference(
     Positions integrate the velocity command from the current position;
     roll/pitch are zero, yaw integrates the rate command, height is held.
     """
-    n_h = config.horizon
-    ref = np.zeros((n_h, NX))
-    for k in range(1, n_h + 1):
-        dt_k = k * config.dt
-        row = ref[k - 1]
-        row[2] = state.theta[2] + command.yaw_rate * dt_k
-        row[3:5] = state.p[:2] + command.v_d[:2] * dt_k
-        row[5] = support_z + command.height
-        row[8] = command.yaw_rate
-        row[9:12] = command.v_d
-        row[12] = 1.0
+    dt_k = np.arange(1, config.horizon + 1) * config.dt
+    ref = np.zeros((config.horizon, NX))
+    ref[:, 2] = state.theta[2] + command.yaw_rate * dt_k
+    ref[:, 3:5] = state.p[:2] + command.v_d[:2] * dt_k[:, None]
+    ref[:, 5] = support_z + command.height
+    ref[:, 8] = command.yaw_rate
+    ref[:, 9:12] = command.v_d
+    ref[:, 12] = 1.0
     return ref
 
 
@@ -94,12 +91,28 @@ def condense(model: LinearModel):
     return T.reshape(n_h * NX, NX), S.reshape(n_h * NX, n_h * NU)
 
 
-def free_inputs(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
-    """Mask over the stacked inputs U of the QP variables: stance-leg forces,
-    and thrusts when thrusters are enabled."""
+# per unit of a horizon step, legs 0-3 then thrusters 4-7: its entries of U, and
+# its constraint rows (four pyramid faces, or a thrust's upper and lower bound)
+_INPUTS = (3, 3, 3, 3, 1, 1, 1, 1)
+_ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
+
+
+def free_units(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
+    """(horizon, 8) mask of the units with QP variables: stance legs, enabled thrusters."""
     stance = np.asarray(stance_seq, dtype=bool)
-    thrust = np.full((len(stance), 4), config.thrusters_enabled)
-    return np.hstack([np.repeat(stance, 3, axis=1), thrust]).reshape(-1)
+    return np.hstack([stance, np.full((len(stance), 4), config.thrusters_enabled)])
+
+
+def free_inputs(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
+    """Mask over the stacked inputs U of the QP variables."""
+    return np.repeat(free_units(stance_seq, config), _INPUTS, axis=1).reshape(-1)
+
+
+def constraint_rows(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
+    """Index of each row of input_constraints in the full layout, which holds
+    every unit's rows at every step (sum(_ROWS) a step, in unit order); an index
+    names the same constraint whatever the stance."""
+    return np.flatnonzero(np.repeat(free_units(stance_seq, config), _ROWS, axis=1))
 
 
 def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
@@ -109,34 +122,20 @@ def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
     and lower bound. U = 0 satisfies every row.
     """
     mu = config.mu
-    pyramid = np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]])
-    n_stance = int(np.count_nonzero(stance_seq))
-    thrusters = 4 if config.thrusters_enabled else 0
-    n_thrust = thrusters * len(stance_seq)
-    G = np.zeros((4 * n_stance + 2 * n_thrust, 3 * n_stance + n_thrust))
+    blocks = (  # a leg's rows over its force, then a thruster's over its thrust
+        np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
+        np.array([[1.0], [-1.0]]),
+    )
+    free = free_units(stance_seq, config)
+    G = np.zeros((free.sum(axis=0) @ _ROWS, free.sum(axis=0) @ _INPUTS))
     h = np.zeros(G.shape[0])
     row = col = 0
-    for stance in stance_seq:
-        for _ in range(np.count_nonzero(stance)):
-            G[row : row + 4, col : col + 3] = pyramid
-            row, col = row + 4, col + 3
-        for _ in range(thrusters):
-            G[row : row + 2, col] = (1.0, -1.0)
-            h[row] = config.u_t_max
-            row, col = row + 2, col + 1
+    for unit in (np.flatnonzero(free) % 8).tolist():
+        G[row : row + _ROWS[unit], col : col + _INPUTS[unit]] = blocks[unit // 4]
+        if unit >= 4:
+            h[row] = config.u_t_max  # a thrust's upper bound; every other row's is 0
+        row, col = row + _ROWS[unit], col + _INPUTS[unit]
     return G, h
-
-
-def constraint_keys(stance_seq: np.ndarray, config: MpcConfig) -> list[tuple]:
-    """Key of each row of input_constraints, in its order: (horizon step, leg
-    0-3 or thruster 4-7, pyramid face 0-3 or thrust bound 0-1)."""
-    thrusters = [4, 5, 6, 7] if config.thrusters_enabled else []
-    return [
-        (k, unit, face)
-        for k, stance in enumerate(stance_seq)
-        for unit in np.flatnonzero(stance).tolist() + thrusters
-        for face in range(4 if unit < 4 else 2)
-    ]
 
 
 def assemble_qp(
@@ -169,16 +168,13 @@ def assemble_qp(
 
 
 class MpcController:
-    """Single-owner receding-horizon controller; carries the QP warm start.
-
-    The warm start is kept as the keys (constraint_keys) of the rows active at
-    the last solve, so that a change of stance pattern, which renumbers the
-    rows, seeds the same physical constraints and no others.
-    """
+    """Single-owner receding-horizon controller; carries the QP warm start: the
+    rows active at the last solve, marked in the full layout of constraint_rows,
+    so that a stance change, which renumbers the QP's rows, seeds the same ones."""
 
     def __init__(self, config: MpcConfig):
         self.config = config.validate()
-        self._warm_keys = set()
+        self._was_active = np.zeros(sum(_ROWS) * config.horizon, dtype=bool)
         self._step_index = 0
         self.last_solution = None
 
@@ -190,13 +186,16 @@ class MpcController:
         ref: np.ndarray,
     ) -> ControlInput:
         problem = assemble_qp(state, stance_seq, model, ref, self.config)
-        keys = constraint_keys(stance_seq, self.config)
-        warm = [i for i, key in enumerate(keys) if key in self._warm_keys]
+        rows = constraint_rows(stance_seq, self.config)
         try:
-            sol = qp.solve(problem, warm_active=warm)
+            sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[rows]).tolist())
+        except qp.NotPositiveDefinite as exc:
+            # P is positive definite by construction: a state far out of range swamped it
+            raise FloatingPointError(str(exc)) from exc
         except qp.QpError as exc:
             raise SolverFailure(self._step_index, exc) from exc
-        self._warm_keys = {keys[i] for i in sol.active_set}
+        self._was_active[:] = False
+        self._was_active[rows[sol.active_set]] = True
         self._step_index += 1
         self.last_solution = sol
 

@@ -117,8 +117,8 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     """Solve the QP; deterministic for fixed input.
 
     warm_active: optional iterable of constraint indices used to seed the
-    active set; indices out of range are ignored. Raises Infeasible,
-    NotPositiveDefinite, or MaxIterations.
+    active set; indices out of range are ignored. Raises NotPositiveDefinite
+    (P), Infeasible, MaxIterations, or QpError (dependent active rows).
     """
     problem.validate()
     P, q, G, h = problem.P, problem.q, problem.G, problem.h
@@ -142,7 +142,7 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     def factor_active():  # R, the Cholesky factor of K[A, A]; fails only for dependent rows
         return cho_factor(K[np.array(active)[:, None], active]) if active else None
 
-    if warm_active:
+    if warm_active is not None:
         active = sorted({int(j) for j in warm_active if 0 <= int(j) < m})
         while active:
             try:
@@ -166,54 +166,51 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
             lam = np.zeros(0)
 
     iterations = 0
+    p = None  # the violated row being made tight; it stays through partial steps
     while True:
         iterations += 1
         if iterations > max_iters:
             raise MaxIterations(f"no convergence in {max_iters} iterations")
-
-        s = s0 - K[:, active] @ lam
-        if m == 0 or s.max() <= viol_tol:
-            break
-        p = int(np.argmax(s))  # most violated; argmax takes the lowest index on ties
-        curv_full = K[p, p]  # > 0: P is positive definite and g_p is not zero
-        lam_p = 0.0
-
-        while True:
-            k_ap = K[active, p]
-            rvec = _potrs(R, k_ap, lower=1)[0] if active else np.zeros(0)
-
-            blocking = np.flatnonzero(rvec > 1e-9 * np.abs(rvec).max(initial=1.0))
-            ratios = lam[blocking] / rvec[blocking]
-            t1 = ratios.min(initial=np.inf)
-            drop = blocking[np.argmin(ratios)] if blocking.size else -1
-            # relative curvature test: g_p numerically dependent on the active
-            # normals leaves no usable primal direction, so the step is dual-only
-            curv_proj = curv_full - k_ap @ rvec
-            s_p = s0[p] - k_ap @ lam - curv_full * lam_p
-            t2 = s_p / curv_proj if curv_proj > 1e-10 * curv_full else np.inf  # makes p tight
-
-            if t1 == np.inf and t2 == np.inf:
-                raise Infeasible(f"constraint {p} cannot be satisfied (unbounded dual step)")
-
-            t = min(t1, t2)
-            lam = lam - t * rvec
-            lam_p += t
-
-            if t2 <= t1:
-                active.append(p)
-                lam = np.append(lam, lam_p)
-                try:
-                    R = factor_active()
-                except np.linalg.LinAlgError as exc:
-                    raise NotPositiveDefinite("active constraint rows are linearly dependent") from exc
+        if p is None:
+            s = s0 - K[:, active] @ lam
+            if m == 0 or s.max() <= viol_tol:
                 break
-            # partial step: retire the blocking constraint, keep working on p
+            p = int(np.argmax(s))  # most violated; argmax takes the lowest index on ties
+            curv_full = K[p, p]  # > 0: P is positive definite and g_p is not zero
+            lam_p = 0.0
+
+        k_ap = K[active, p]
+        rvec = _potrs(R, k_ap, lower=1)[0] if active else np.zeros(0)
+
+        blocking = np.flatnonzero(rvec > 1e-9 * np.abs(rvec).max(initial=1.0))
+        ratios = lam[blocking] / rvec[blocking]
+        t1 = ratios.min(initial=np.inf)
+        drop = blocking[np.argmin(ratios)] if blocking.size else -1
+        # relative curvature test: g_p numerically dependent on the active
+        # normals leaves no usable primal direction, so the step is dual-only
+        curv_proj = curv_full - k_ap @ rvec
+        s_p = s0[p] - k_ap @ lam - curv_full * lam_p
+        t2 = s_p / curv_proj if curv_proj > 1e-10 * curv_full else np.inf  # makes p tight
+
+        if t1 == np.inf and t2 == np.inf:
+            raise Infeasible(f"constraint {p} cannot be satisfied (unbounded dual step)")
+
+        t = min(t1, t2)
+        lam = lam - t * rvec
+        lam_p += t
+
+        if t2 <= t1:
+            active.append(p)
+            lam = np.append(lam, lam_p)
+            try:
+                R = factor_active()
+            except np.linalg.LinAlgError as exc:
+                raise QpError("active constraint rows are linearly dependent") from exc
+            p = None
+        else:  # partial step: retire the blocking constraint, keep working on p
             del active[drop]
             lam = np.delete(lam, drop)
             R = factor_active()
-            iterations += 1
-            if iterations > max_iters:
-                raise MaxIterations(f"no convergence in {max_iters} iterations")
 
     x = _tri_solve(L, -c - W[:, active] @ lam, trans=1)
     lam_full = np.zeros(m)

@@ -351,23 +351,23 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
 
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step
-    gait = trot_schedule(np.array(ticks) * dt, gait_cfg.t_stance, gait_cfg.t_swing)  # one row per tick
+    # row k: the gait at tick k's horizon steps, of which column 0 is the tick's own
+    horizon_t = (np.array(ticks) * dt)[:, None] + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
+    gait = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
     failure = None
 
     for k, first in enumerate(ticks):
         t = first * dt
-        stance, phase = gait.stance_flags[k], gait.phase[k]
+        stance_seq, stance, phase = gait.stance_flags[k], gait.stance_flags[k, 0], gait.phase[k, 0]
         n = min(per_tick, n_steps - first)
 
         try:
-            # a finite state far out of range can overflow the plan; that ends the run
+            # a finite state far out of range can overflow the plan or swamp P; that ends the run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                tracker.update_plan(state, gait.stance_flags[max(k - 1, 0)], stance, command)
+                tracker.update_plan(state, gait.stance_flags[max(k - 1, 0), 0], stance, command)
                 feet = tracker.tick_feet(phase, stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
-                horizon_t = t + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
-                stance_seq = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing).stance_flags
                 model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
                 u = controller.step(state, stance_seq, model, ref)
         except SolverFailure as exc:

@@ -352,6 +352,24 @@ def test_non_finite_plant_state_is_a_numerical_failure(tmp_path):
     assert "inf" not in log and "nan" not in log
 
 
+def test_state_that_swamps_the_qp_hessian_is_a_numerical_failure(tmp_path, capsys):
+    """A 1e100 N push in only the last plant step of the tick that ends at
+    0.35 s leaves a finite state so far out of range that the next tick's P,
+    positive definite by construction, fails to factor."""
+    doc = {
+        "name": "probe",
+        "duration_s": 0.5,
+        "command": {"v_d_mps": [0.2, 0.0, 0.0]},
+        "mpc": {"u_t_max_n": 0.0},
+        "disturbances": [{"t_start_s": 0.3481, "t_end_s": 0.5, "force_n": [1e100, 0.0, 0.0]}],
+    }
+    (tmp_path / "probe.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "probe.json"), "--out", str(tmp_path / "out")]) == 2
+    failure = read_summary(tmp_path / "out")["failure"]
+    assert failure["kind"] == "NumericalFailure" and "\n" not in failure["detail"], failure
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_huge_push_failure_detail_is_one_short_line(tmp_path, capsys):
     """A 1e300 N push rolls the body past any fixed-point width; the detail
     stays one line of at most 80 characters."""

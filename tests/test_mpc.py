@@ -13,7 +13,7 @@ from huskysim.mpc import (
     assemble_qp,
     build_reference,
     condense,
-    constraint_keys,
+    constraint_rows,
     free_inputs,
     input_constraints,
 )
@@ -91,25 +91,33 @@ def test_constraint_rows_trot_step():
     assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
 
 
-def test_constraint_keys_name_each_row():
+def test_constraint_rows_name_each_row():
+    """Index j of the full layout is step j // 24; within a step, legs 0-3 hold
+    rows 0-15 (four pyramid faces each) and thrusters 4-7 rows 16-23 (upper,
+    then lower bound)."""
     rng = np.random.default_rng(12)
     for trial in range(6):
         cfg = MpcConfig(mu=0.4, u_t_max=15.0, thrusters_enabled=bool(trial % 2))
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
         G, h = input_constraints(stance_seq, cfg)
-        keys = constraint_keys(stance_seq, cfg)
-        assert len(keys) == len(set(keys)) == G.shape[0]
+        rows = constraint_rows(stance_seq, cfg)
+        assert len(rows) == G.shape[0] == 4 * np.count_nonzero(stance_seq) + 8 * cfg.horizon * (trial % 2)
+        assert np.all(np.diff(rows) > 0)
         column = np.cumsum(free_inputs(stance_seq, cfg)) - 1  # QP column of each entry of U
         pyramid = np.array([[1.0, 0.0, -0.4], [-1.0, 0.0, -0.4], [0.0, 1.0, -0.4], [0.0, -1.0, -0.4]])
-        for row, (k, unit, face) in enumerate(keys):
+        for row, index in enumerate(rows.tolist()):
+            k, j = divmod(index, 24)
             expected = np.zeros(G.shape[1])
-            if unit < 4:
-                assert stance_seq[k][unit]
-                expected[column[k * NU + 3 * unit + np.arange(3)]] = pyramid[face]
+            if j < 16:
+                leg, face = divmod(j, 4)
+                assert stance_seq[k][leg]
+                expected[column[k * NU + 3 * leg + np.arange(3)]] = pyramid[face]
                 assert h[row] == 0.0
             else:
-                expected[column[k * NU + 8 + unit]] = (1.0, -1.0)[face]
-                assert h[row] == (15.0, 0.0)[face]
+                thruster, bound = divmod(j - 16, 2)
+                assert cfg.thrusters_enabled
+                expected[column[k * NU + 12 + thruster]] = (1.0, -1.0)[bound]
+                assert h[row] == (15.0, 0.0)[bound]
             assert np.array_equal(G[row], expected)
 
 
@@ -352,9 +360,10 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
 
 def test_warm_starts_match_cold_recorded(monkeypatch):
     """Closed-loop QPs across the push with thrusters. The controller seeds the
-    rows whose key was active at the previous tick, and no others; that warm
-    start and the previous tick's raw row indices (which name other rows after
-    a stance change, some dependent on each other) both give the cold solution."""
+    rows whose layout index (constraint_rows) was active at the previous tick,
+    and no others; that warm start and the previous tick's raw row indices
+    (which name other rows after a stance change, some dependent on each
+    other) both give the cold solution."""
     doc = load_bundled("push_with_thrust")
     doc["duration_s"] = 2.0  # the push acts from 1.0 s to 1.5 s
     scenario, params, cfg, gait_cfg = cli.configs_from_doc(doc)
@@ -387,10 +396,9 @@ def test_warm_starts_match_cold_recorded(monkeypatch):
     assert len(solves) == 200
     for t in range(90, 200):  # from 0.9 s
         problem, warm, sol = solves[t]
-        prev_keys = constraint_keys(stance_seqs[t - 1], cfg)
-        prev_active = {prev_keys[j] for j in solves[t - 1][2].active_set}
-        keys = constraint_keys(stance_seqs[t], cfg)
-        assert warm == [i for i, key in enumerate(keys) if key in prev_active]
+        prev_active = constraint_rows(stance_seqs[t - 1], cfg)[solves[t - 1][2].active_set]
+        rows = constraint_rows(stance_seqs[t], cfg)
+        assert warm == [i for i, index in enumerate(rows) if index in prev_active]
         cold = qp.solve(problem)
         assert np.abs(sol.x_star - cold.x_star).max() <= 1e-8
         raw = qp.solve(problem, warm_active=solves[t - 1][2].active_set)

@@ -115,6 +115,23 @@ def test_warm_start_matches_cold():
         stale = list(cold.active_set)[:-1] + [0]
         warm2 = qp.solve(prob, warm_active=stale)
         assert np.abs(cold.x_star - warm2.x_star).max() < 1e-8
+        # an array of indices is an iterable of them too
+        warm3 = qp.solve(prob, warm_active=np.array(cold.active_set))
+        assert np.abs(cold.x_star - warm3.x_star).max() < 1e-8
+
+
+def test_partial_step_counts_as_an_iteration():
+    """From x = -q, row 0 is the most violated and joins; row 2 then retires it
+    in a partial step and joins in a full one: four iterations with the pass
+    that finds x optimal, which is the projection of -q on row 2."""
+    G = np.array([[-3.0, 1.0], [0.0, 1.0], [-2.0, 1.0]])
+    prob = qp.QpProblem(P=np.eye(2), q=np.array([3.0, 2.0]), G=G, h=np.array([2.0, -1.0, 0.0]))
+    sol = qp.solve(prob)
+    assert sol.iterations == 4 and sol.active_set == [2]
+    assert np.abs(sol.x_star - np.array([-1.4, -2.8])).max() < 1e-12
+    assert qp.solve(prob, max_iters=4).iterations == 4
+    with pytest.raises(qp.MaxIterations):
+        qp.solve(prob, max_iters=3)
 
 
 def test_infeasible_detection():
