@@ -95,27 +95,42 @@ def centroidal_accel(
     return pddot, omegadot
 
 
-def build_continuous_model(state: RobotState, d: np.ndarray, r: np.ndarray, params: RobotParams):
+# the constant blocks of A and B: p_dot = v, and each leg's force summed into the
+# COM acceleration (times 1 / mass)
+_A_POSITION = np.zeros((NX, NX))
+_A_POSITION[3:6, 9:12] = np.eye(3)
+_FORCE_SUM = np.tile(np.eye(3), 4)
+_SKEW_BASIS = skew(np.eye(3))  # skew(d) = sum_k d_k skew(e_k)
+
+
+def build_continuous_model(
+    state: RobotState, d: np.ndarray, r: np.ndarray, params: RobotParams, inertia_inv=None
+):
     """Continuous A (13x13) and B (13x16) of the yaw-linearized dynamics.
 
     d may also stack n sets of foot lever arms, (n, 4, 3), that share
     everything else; B is then (n, 13, 16). Columns are emitted for all four
     legs; swing legs are zeroed downstream by input constraints, not by the model.
+    inertia_inv is params.inertia_body's inverse, which a run forms once
+    (formed here when None); the yaw-rotated inverse is Rz I_b^-1 Rz'.
     """
     rz = rot_z(state.theta[2])
-    iw_inv = np.linalg.inv(yaw_inertia(params, state.theta[2]))
+    if inertia_inv is None:
+        inertia_inv = np.linalg.inv(params.inertia_body)
+    iw_inv = rz @ inertia_inv @ rz.T
     e_yaw = params.thrust_dirs @ rz.T  # 4x3
 
-    A = np.zeros((NX, NX))
+    A = _A_POSITION.copy()
     A[0:3, 6:9] = rz.T  # theta_dot = Rz^T omega
-    A[3:6, 9:12] = np.eye(3)  # p_dot = v
     A[11, 12] = -params.gravity  # gravity via the constant augmented state
 
     stack = np.shape(d)[:-2]
-    # leg i's GRF block is iw_inv @ skew(d_i); side by side they are (3, 12)
+    # leg i's GRF block is iw_inv @ skew(d_i), formed for every leg by one product
+    # with the iw_inv @ skew(e_k); side by side they are (3, 12)
+    grf = (d @ (iw_inv @ _SKEW_BASIS).reshape(3, 9)).reshape(stack + (4, 3, 3))
     B = np.zeros(stack + (NX, NU))
-    B[..., 6:9, :12] = np.swapaxes(iw_inv @ skew(d), -3, -2).reshape(stack + (3, 12))
-    B[..., 9:12, :12] = np.tile(np.eye(3) / params.mass, 4)
+    B[..., 6:9, :12] = np.swapaxes(grf, -3, -2).reshape(stack + (3, 12))
+    B[..., 9:12, :12] = _FORCE_SUM / params.mass
     B[..., 6:9, 12:] = iw_inv @ cross(r, e_yaw).T
     B[..., 9:12, 12:] = e_yaw.T / params.mass
     return A, B

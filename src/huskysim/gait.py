@@ -59,20 +59,21 @@ def raibert_target(
     k: float,
     terrain_z: float = 0.0,
 ) -> np.ndarray:
-    """Touchdown target: p_ref + v T_s / 2 + k (v - v_d), snapped to the terrain."""
+    """Touchdown target: p_ref + v T_s / 2 + k (v - v_d), snapped to the terrain.
+    p_ref may stack points, (..., 3)."""
     target = np.asarray(p_ref, dtype=float) + np.asarray(v) * (T_s / 2.0) + k * (
         np.asarray(v) - np.asarray(v_d)
     )
-    target[2] = terrain_z
+    target[..., 2] = terrain_z
     return target
 
 
 def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float) -> np.ndarray:
-    """The target with its y within the narrow stance around the body's y."""
+    """The target, or stacked (..., 3) targets, with y within the narrow stance around the body's y."""
     out = target.copy()
     if cfg.stance_width > 0.0:
         half = cfg.stance_width / 2.0
-        out[1] = np.clip(out[1], body_y - half, body_y + half)
+        out[..., 1] = np.clip(out[..., 1], body_y - half, body_y + half)
     return out
 
 

@@ -97,44 +97,42 @@ _INPUTS = (3, 3, 3, 3, 1, 1, 1, 1)
 _ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
 
 
-def free_units(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
-    """(horizon, 8) mask of the units with QP variables: stance legs, enabled thrusters."""
-    stance = np.asarray(stance_seq, dtype=bool)
-    return np.hstack([stance, np.full((len(stance), 4), config.thrusters_enabled)])
-
-
-def free_inputs(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
-    """Mask over the stacked inputs U of the QP variables."""
-    return np.repeat(free_units(stance_seq, config), _INPUTS, axis=1).reshape(-1)
-
-
-def constraint_rows(stance_seq: np.ndarray, config: MpcConfig) -> np.ndarray:
-    """Index of each row of input_constraints in the full layout, which holds
-    every unit's rows at every step (sum(_ROWS) a step, in unit order); an index
-    names the same constraint whatever the stance."""
-    return np.flatnonzero(np.repeat(free_units(stance_seq, config), _ROWS, axis=1))
-
-
-def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
-    """Stacked inequality rows G U_free <= h over the free inputs, in U's order.
-
-    Per stance leg: four friction-pyramid rows. Per enabled thruster: upper
-    and lower bound. U = 0 satisfies every row.
-    """
+def constraint_layout(config: MpcConfig):
+    """The full layout G U <= h: every unit's rows at every step over all of U,
+    in unit order, sum(_ROWS) rows a step. Per leg: four friction-pyramid rows
+    over its force. Per thruster: upper and lower bound. U = 0 satisfies every row."""
     mu = config.mu
     blocks = (  # a leg's rows over its force, then a thruster's over its thrust
         np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
         np.array([[1.0], [-1.0]]),
     )
-    free = free_units(stance_seq, config)
-    G = np.zeros((free.sum(axis=0) @ _ROWS, free.sum(axis=0) @ _INPUTS))
+    G = np.zeros((sum(_ROWS) * config.horizon, NU * config.horizon))
     h = np.zeros(G.shape[0])
     row = col = 0
-    for unit in (np.flatnonzero(free) % 8).tolist():
+    for unit in list(range(8)) * config.horizon:
         G[row : row + _ROWS[unit], col : col + _INPUTS[unit]] = blocks[unit // 4]
         if unit >= 4:
             h[row] = config.u_t_max  # a thrust's upper bound; every other row's is 0
         row, col = row + _ROWS[unit], col + _INPUTS[unit]
+    return G, h
+
+
+def free_layout(layout, stance_seq: np.ndarray, config: MpcConfig):
+    """A horizon's share of the layout, from one mask of the units with QP
+    variables (stance legs, enabled thrusters): the mask over U of the QP
+    variables, G and h over them, and each QP row's index in the layout (the
+    same constraint whatever the stance)."""
+    free = np.empty((len(stance_seq), 8), dtype=bool)
+    free[:, :4], free[:, 4:] = stance_seq, config.thrusters_enabled
+    inputs = np.repeat(free, _INPUTS, axis=1).reshape(-1)
+    rows = np.repeat(free, _ROWS, axis=1).reshape(-1)
+    G, h = layout
+    return inputs, G[rows][:, inputs], h[rows], np.flatnonzero(rows)
+
+
+def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
+    """Stacked inequality rows G U_free <= h over the free inputs, in U's order."""
+    _, G, h, _ = free_layout(constraint_layout(config), stance_seq, config)
     return G, h
 
 
@@ -144,8 +142,11 @@ def assemble_qp(
     model: LinearModel,
     ref: np.ndarray,
     config: MpcConfig,
-) -> qp.QpProblem:
-    """Condensed QP over the free inputs of the stacked input vector."""
+    layout,
+):
+    """Condensed QP over the free inputs of the stacked input vector, with its
+    rows from layout = constraint_layout(config). Returns it, the mask over U
+    of its variables and its rows' indices in the layout (see free_layout)."""
     n_h = config.horizon
     if model.B_k.shape != (n_h, NX, NU) or len(stance_seq) != n_h or ref.shape != (n_h, NX):
         raise DimensionMismatch(
@@ -154,7 +155,7 @@ def assemble_qp(
         )
     x0 = state.as_vector()
     T, S = condense(model)
-    free = free_inputs(stance_seq, config)
+    free, G, h, rows = free_layout(layout, stance_seq, config)
     S = S[:, free]
     qbar = np.tile(config.q_diag, n_h)
     rbar = np.tile(config.r_diag, n_h)[free]
@@ -163,17 +164,17 @@ def assemble_qp(
     P = W.T @ W + np.diag(rbar)  # W.T @ W is exactly symmetric
     err = T @ x0 - ref.reshape(-1)
     q_vec = S.T @ (qbar * err)
-    G, h = input_constraints(stance_seq, config)
-    return qp.QpProblem(P=P, q=q_vec, G=G, h=h)
+    return qp.QpProblem(P=P, q=q_vec, G=G, h=h), free, rows
 
 
 class MpcController:
     """Single-owner receding-horizon controller; carries the QP warm start: the
-    rows active at the last solve, marked in the full layout of constraint_rows,
-    so that a stance change, which renumbers the QP's rows, seeds the same ones."""
+    rows active at the last solve, marked in its constraint layout, so that a
+    stance change, which renumbers the QP's rows, seeds the same ones."""
 
     def __init__(self, config: MpcConfig):
         self.config = config.validate()
+        self._layout = constraint_layout(config)
         self._was_active = np.zeros(sum(_ROWS) * config.horizon, dtype=bool)
         self._step_index = 0
         self.last_solution = None
@@ -185,8 +186,7 @@ class MpcController:
         model: LinearModel,
         ref: np.ndarray,
     ) -> ControlInput:
-        problem = assemble_qp(state, stance_seq, model, ref, self.config)
-        rows = constraint_rows(stance_seq, self.config)
+        problem, free, rows = assemble_qp(state, stance_seq, model, ref, self.config, self._layout)
         try:
             sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[rows]).tolist())
         except qp.NotPositiveDefinite as exc:
@@ -199,7 +199,6 @@ class MpcController:
         self._step_index += 1
         self.last_solution = sol
 
-        free = free_inputs(stance_seq, self.config)
         U = np.zeros(free.size)
         U[free] = sol.x_star
         u = ControlInput.from_vector(U[:NU])

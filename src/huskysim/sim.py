@@ -13,7 +13,7 @@ and stance feet stay pinned where they touched down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, isfinite, sin
+from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .config import Config, ConfigError, setting
 from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, discretize
 from .gait import GaitConfig, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
-from .robot import NoConvergence, RobotParams, leg_inverse_kinematics, thruster_point
+from .robot import RobotParams, legs_inverse_kinematics
 from .rotations import cross, rot_z, rpy_matrix
 
 SLIP = "Slip"
@@ -61,7 +61,7 @@ class Terrain(Config):
         if self.kind != "beam":
             return y
         half = max(self.width / 2.0 - margin, 0.0)
-        return np.clip(y, self.centerline - half, self.centerline + half)
+        return min(max(y, self.centerline - half), self.centerline + half)
 
 
 @dataclass
@@ -177,6 +177,7 @@ def step(
     f_ext: np.ndarray,
     params: RobotParams,
     dt: float,
+    inertia_inv=None,
 ) -> np.ndarray:
     """n plant steps that hold u and r: semi-implicit Euler on the accelerations
     of dynamics.centroidal_accel plus f_ext / m, velocities first, then the pose
@@ -184,6 +185,8 @@ def step(
 
     d: (n, 4, 3) foot lever arms, each from the COM at the first step.
     f_ext: (n, 3) force at the COM per step (N, world).
+    inertia_inv: params.inertia_body's inverse, which a run forms once;
+    formed here when None.
     Returns the (n, 12) post-step states. The steps stop after the first
     non-finite state, and the rows past it are NaN.
     """
@@ -198,7 +201,9 @@ def step(
     # so the GRF torque is cross(d[j], grf) summed less (p_j - p_0) x F
     fx, fy, fz = u.grf.sum(axis=0).tolist()
     torque = cross(d, u.grf).sum(axis=1).tolist()
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = np.linalg.inv(params.inertia_body).tolist()
+    if inertia_inv is None:
+        inertia_inv = np.linalg.inv(params.inertia_body)
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia_inv.tolist()
     ph, th, ps = state.theta.tolist()
     px, py, pz = p0x, p0y, p0z = state.p.tolist()
     wx, wy, wz = state.omega.tolist()
@@ -235,7 +240,7 @@ def step(
     return out
 
 
-def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> LinearModel:
+def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt, inertia_inv=None) -> LinearModel:
     """One tick's discrete model, from a single build: one A_k and a B_k per step.
 
     A leg in the air now that is in stance at step k has its planned touchdown
@@ -243,7 +248,7 @@ def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -
     """
     landing = np.asarray(stance_seq) & ~np.asarray(stance_now)
     d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
-    return discretize(*build_continuous_model(state, d_seq, r, params), dt)
+    return discretize(*build_continuous_model(state, d_seq, r, params, inertia_inv), dt)
 
 
 def steps_per_tick(rate_hz: float, sim_dt: float) -> int:
@@ -278,32 +283,32 @@ class _LegTracker:
         self.q[:, 2] = -1.2  # knee bent backwards; the IK keeps the branch of the last angles
 
     def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
-        cfg = self.gait_cfg
-        support = self.scenario.terrain.support_height()
-        rz = rot_z(state.theta[2])
-        reach = self.params.leg_reach()
-        for i in range(4):
-            if prev_stance[i] and not stance[i]:
+        """Lift-off points, touchdowns on the ground and swing legs' targets, in
+        one pass over the legs; then every leg's swing curve."""
+        cfg, terrain = self.gait_cfg, self.scenario.terrain
+        support = terrain.support_height()
+        hips = state.p + self.params.hip_offsets @ rot_z(state.theta[2]).T  # world frame
+        p_ref = hips.copy()
+        p_ref[:, 2] = 0.0
+        targets = raibert_target(p_ref, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain, support)
+        targets = clamp_lateral(targets, cfg, state.p[1])
+        reach_sq = self.params.leg_reach() ** 2
+        legs = zip(prev_stance.tolist(), stance.tolist(), hips.tolist(), targets.tolist())
+        for i, (was, now, (hx, hy, hz), (x, y, z)) in enumerate(legs):
+            if was and not now:
                 self.liftoff[i] = self.foot_pos[i]
-            if not stance[i]:
-                hip_world = state.p + rz @ self.params.hip_offsets[i]
-                p_ref = np.array([hip_world[0], hip_world[1], 0.0])
-                target = raibert_target(
-                    p_ref, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain, support
-                )
-                target = clamp_lateral(target, cfg, state.p[1])
-                # keep the touchdown inside the leg workspace around the hip,
-                # then on a beam's top face, which wins when the two conflict
-                hip_height = hip_world[2] - support
-                r_max = 0.95 * np.sqrt(max(reach**2 - hip_height**2, 4e-4))
-                lateral = target[:2] - hip_world[:2]
-                dist = np.linalg.norm(lateral)
-                if dist > r_max:
-                    target[:2] = hip_world[:2] + lateral * (r_max / dist)
-                target[1] = self.scenario.terrain.clamp_foot_y(target[1], cfg.foot_margin)
-                self.target[i] = target
-            if not prev_stance[i] and stance[i]:
+            elif now and not was:
                 self.foot_pos[i, 2] = support
+            if now:
+                continue
+            # keep the touchdown inside the leg workspace around the hip,
+            # then on a beam's top face, which wins when the two conflict
+            r_max = 0.95 * sqrt(max(reach_sq - (hz - support) * (hz - support), 4e-4))
+            lx, ly = x - hx, y - hy
+            dist = sqrt(lx * lx + ly * ly)
+            if dist > r_max:
+                x, y = hx + lx * (r_max / dist), hy + ly * (r_max / dist)
+            self.target[i] = (x, terrain.clamp_foot_y(y, cfg.foot_margin), z)
         self.curves = build_swing_curve(self.liftoff, self.target, cfg.apex_height)
 
     def tick_feet(self, phase, stance, n: int):
@@ -317,19 +322,12 @@ class _LegTracker:
         return feet
 
     def snapshot(self, state: RobotState, foot_pos):
-        """COM-relative foot and thruster positions (world frame)."""
+        """COM-relative foot and thruster positions (world frame), and an event
+        per leg whose foot is out of its reach; that leg keeps its last angles."""
         R = rpy_matrix(state.theta)
         d = foot_pos - state.p
-        r = np.zeros((4, 3))
-        events = []
-        for i in range(4):
-            foot_body = R.T @ d[i]
-            try:
-                self.q[i] = leg_inverse_kinematics(self.params, i, foot_body, self.q[i])
-            except NoConvergence:
-                events.append(f"ik_stale_leg{i}")  # reuse last good angles
-            r[i] = R @ thruster_point(self.params, i, self.q[i])
-        return d, r, events
+        self.q, stale, thrusters = legs_inverse_kinematics(self.params, d @ R, self.q)
+        return d, thrusters @ R.T, [f"ik_stale_leg{i}" for i in np.flatnonzero(stale).tolist()]
 
 
 def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: GaitConfig):
@@ -349,6 +347,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     tracker = _LegTracker(params, scenario, gait_cfg)
     controller = MpcController(mpc_cfg)
     log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
+    inertia_inv = np.linalg.inv(params.inertia_body)  # the plant's and the model's, formed once
 
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step
     # row k: the gait at tick k's horizon steps, of which column 0 is the tick's own
@@ -368,7 +367,9 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 feet = tracker.tick_feet(phase, stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
-                model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
+                model = horizon_models(
+                    state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt, inertia_inv
+                )
                 u = controller.step(state, stance_seq, model, ref)
         except SolverFailure as exc:
             failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
@@ -389,7 +390,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             f_ext = np.zeros((n, 3))
             for dist in scenario.disturbances:
                 f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
-            post = step(state, u, feet - state.p, r, f_ext, params, dt)
+            post = step(state, u, feet - state.p, r, f_ext, params, dt, inertia_inv)
             finite = np.isfinite(post).all(axis=1)
             tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
             low = post[:, 5] - support < HEIGHT_FRACTION * command.height

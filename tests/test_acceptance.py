@@ -6,7 +6,7 @@ from conftest import pgd_oracle, read_summary
 from huskysim import cli, qp
 from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
-from huskysim.mpc import Command, MpcConfig, MpcController, assemble_qp, build_reference
+from huskysim.mpc import Command, MpcConfig, MpcController, assemble_qp, build_reference, constraint_layout
 from huskysim.robot import (
     RobotParams,
     leg_forward_kinematics,
@@ -112,7 +112,7 @@ def _random_condensed_instance(rng, params):
     A, B = build_continuous_model(state, d, r, params)
     model = discretize(A, np.repeat(B[None], horizon, axis=0), cfg.dt)
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-    return assemble_qp(state, stance_seq, model, ref, cfg)
+    return assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg))[0]
 
 
 def test_criterion_4_mpc_qp_correctness():

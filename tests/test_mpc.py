@@ -13,8 +13,8 @@ from huskysim.mpc import (
     assemble_qp,
     build_reference,
     condense,
-    constraint_rows,
-    free_inputs,
+    constraint_layout,
+    free_layout,
     input_constraints,
 )
 from huskysim.robot import RobotParams
@@ -37,6 +37,11 @@ def make_model(state, d, r, stance_seq, cfg, params):
     """The horizon model with the same lever arms at every step."""
     A, B = build_continuous_model(state, d, r, params)
     return discretize(A, np.repeat(B[None], len(stance_seq), axis=0), cfg.dt)
+
+
+def layout_rows(stance_seq, cfg):
+    """Each QP row's index in the controller's constraint layout."""
+    return free_layout(constraint_layout(cfg), stance_seq, cfg)[3]
 
 
 def cold_step(state, stance_seq, d, r, ref, cfg, params):
@@ -87,7 +92,7 @@ def test_constraint_rows_trot_step():
     # friction rows reference only that leg's force entries
     assert np.count_nonzero(G[:4, 3:]) == 0 and np.count_nonzero(G[4:8, :3]) == 0
     assert np.all(h >= 0.0)
-    free = free_inputs([stance], cfg)
+    free = free_layout(constraint_layout(cfg), [stance], cfg)[0]
     assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
 
 
@@ -100,10 +105,10 @@ def test_constraint_rows_name_each_row():
         cfg = MpcConfig(mu=0.4, u_t_max=15.0, thrusters_enabled=bool(trial % 2))
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
         G, h = input_constraints(stance_seq, cfg)
-        rows = constraint_rows(stance_seq, cfg)
+        free, _, _, rows = free_layout(constraint_layout(cfg), stance_seq, cfg)
         assert len(rows) == G.shape[0] == 4 * np.count_nonzero(stance_seq) + 8 * cfg.horizon * (trial % 2)
         assert np.all(np.diff(rows) > 0)
-        column = np.cumsum(free_inputs(stance_seq, cfg)) - 1  # QP column of each entry of U
+        column = np.cumsum(free) - 1  # QP column of each entry of U
         pyramid = np.array([[1.0, 0.0, -0.4], [-1.0, 0.0, -0.4], [0.0, 1.0, -0.4], [0.0, -1.0, -0.4]])
         for row, index in enumerate(rows.tolist()):
             k, j = divmod(index, 24)
@@ -119,6 +124,53 @@ def test_constraint_rows_name_each_row():
                 expected[column[k * NU + 12 + thruster]] = (1.0, -1.0)[bound]
                 assert h[row] == (15.0, 0.0)[bound]
             assert np.array_equal(G[row], expected)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def loop_layout(stance_seq, cfg):
+    """The free inputs, G, h and layout rows as a loop over the free units
+    builds them: the reference for the selection from the constant layout."""
+    stance = np.asarray(stance_seq, dtype=bool)
+    free = np.hstack([stance, np.full((len(stance), 4), cfg.thrusters_enabled)])
+    n_in, n_rows = (3, 3, 3, 3, 1, 1, 1, 1), (4, 4, 4, 4, 2, 2, 2, 2)
+    mu = cfg.mu
+    blocks = (np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
+              np.array([[1.0], [-1.0]]))
+    G = np.zeros((free.sum(axis=0) @ n_rows, free.sum(axis=0) @ n_in))
+    h = np.zeros(G.shape[0])
+    row = col = 0
+    for unit in (np.flatnonzero(free) % 8).tolist():
+        G[row : row + n_rows[unit], col : col + n_in[unit]] = blocks[unit // 4]
+        if unit >= 4:
+            h[row] = cfg.u_t_max
+        row, col = row + n_rows[unit], col + n_in[unit]
+    inputs = np.repeat(free, n_in, axis=1).reshape(-1)
+    return inputs, G, h, np.flatnonzero(np.repeat(free, n_rows, axis=1))
+
+
+def test_selection_from_constant_layout_is_the_loop_layout(params):
+    """G, h and row indices taken from the controller's constant layout by one
+    free mask are bit for bit those of the loop over free units, for random
+    horizon stance, thrusters on and off, at two thrust caps."""
+    rng = np.random.default_rng(20)
+    state = RobotState(p=np.array([0.0, 0.0, 0.25]))
+    d, r = stand_geometry(params)
+    for trial in range(40):
+        cfg = MpcConfig(horizon=int(rng.integers(1, 7)), mu=float(rng.uniform(0.2, 0.9)),
+                        u_t_max=(20.0, 7.5)[trial % 2], thrusters_enabled=bool(trial // 2 % 2))
+        stance_seq = rng.random((cfg.horizon, 4)) < rng.uniform(0.0, 1.0)
+        expected = loop_layout(stance_seq, cfg)
+        layout = constraint_layout(cfg)
+        got = free_layout(layout, stance_seq, cfg)
+        assert all(same_bits(a, b) for a, b in zip(got, expected))
+        model = make_model(state, d, r, stance_seq, cfg, params)
+        ref = build_reference(state, Command(), cfg)
+        problem, inputs, rows = assemble_qp(state, stance_seq, model, ref, cfg, layout)
+        assert all(same_bits(a, b) for a, b in zip((inputs, problem.G, problem.h, rows), expected))
+        assert all(same_bits(a, b) for a, b in zip(input_constraints(stance_seq, cfg), expected[1:3]))
 
 
 def test_zero_input_always_feasible(params):
@@ -253,7 +305,7 @@ def test_dimension_mismatch(params):
     ref = build_reference(state, Command(), cfg)
     model = make_model(state, d, r, [stance] * 3, cfg, params)  # wrong length
     with pytest.raises(DimensionMismatch):
-        assemble_qp(state, [stance] * 3, model, ref, cfg)
+        assemble_qp(state, [stance] * 3, model, ref, cfg, constraint_layout(cfg))
 
 
 def test_config_validation():
@@ -300,8 +352,8 @@ def pinned_qp(state, stance_seq, model, ref, cfg):
 
 
 def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg):
-    sol = qp.solve(assemble_qp(state, stance_seq, model, ref, cfg))
-    free = free_inputs(stance_seq, cfg)
+    problem, free, _ = assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg))
+    sol = qp.solve(problem)
     U = np.zeros(free.size)
     U[free] = sol.x_star
     full = pinned_qp(state, stance_seq, model, ref, cfg)
@@ -360,7 +412,7 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
 
 def test_warm_starts_match_cold_recorded(monkeypatch):
     """Closed-loop QPs across the push with thrusters. The controller seeds the
-    rows whose layout index (constraint_rows) was active at the previous tick,
+    rows whose layout index (layout_rows) was active at the previous tick,
     and no others; that warm start and the previous tick's raw row indices
     (which name other rows after a stance change, some dependent on each
     other) both give the cold solution."""
@@ -396,8 +448,8 @@ def test_warm_starts_match_cold_recorded(monkeypatch):
     assert len(solves) == 200
     for t in range(90, 200):  # from 0.9 s
         problem, warm, sol = solves[t]
-        prev_active = constraint_rows(stance_seqs[t - 1], cfg)[solves[t - 1][2].active_set]
-        rows = constraint_rows(stance_seqs[t], cfg)
+        prev_active = layout_rows(stance_seqs[t - 1], cfg)[solves[t - 1][2].active_set]
+        rows = layout_rows(stance_seqs[t], cfg)
         assert warm == [i for i, index in enumerate(rows) if index in prev_active]
         cold = qp.solve(problem)
         assert np.abs(sol.x_star - cold.x_star).max() <= 1e-8

@@ -142,6 +142,22 @@ def test_infeasible_detection():
         qp.solve(prob)
 
 
+def test_infeasible_dependent_rows_with_round_off():
+    """g x <= h1 and -c g x <= h2 with h1 < -h2 / c: a row and a scaled negation
+    that no x satisfies together. The second row's projected curvature is
+    round-off, at times just above zero, which the relative curvature test
+    calls dependent; taking it as positive solves or breaks these problems."""
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        a = rng.standard_normal((n, n))
+        g, c, h1 = rng.standard_normal(n), rng.uniform(0.1, 10.0), rng.uniform(-1.0, 1.0)
+        prob = qp.QpProblem(P=a @ a.T + n * np.eye(n), q=rng.standard_normal(n), G=np.vstack([g, -c * g]),
+                            h=np.array([h1, -c * (h1 + rng.uniform(0.01, 1.0))]))
+        with pytest.raises(qp.Infeasible):
+            qp.solve(prob)
+
+
 def test_not_positive_definite():
     prob = qp.QpProblem(P=np.diag([1.0, -1.0]), q=np.zeros(2))
     with pytest.raises(qp.NotPositiveDefinite):

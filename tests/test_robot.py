@@ -12,6 +12,8 @@ from huskysim.robot import (
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
+    legs_inverse_kinematics,
+    thruster_point,
 )
 from huskysim.rotations import rot_x
 
@@ -218,6 +220,46 @@ def test_ik_knee_branch_follows_q_init(params):
     assert forward[2] == pytest.approx(1.0, abs=1e-12)
     for q in (back, forward):
         assert np.linalg.norm(leg_forward_kinematics(params, 1, q)[0] - target) < 1e-12
+
+
+MOUNTED_LEG = RobotParams(link_lengths=LinkLengths(hip_roll_offset=0.05, thigh=0.19, shank=0.15),
+                          thruster_knee_offset=0.02)
+
+
+@st.composite
+def four_leg_targets(draw):
+    """Body-frame foot targets and last angles for all four legs. A leg's target
+    is its foot at angles that may break a joint limit, or a point near its
+    hip that may lie off its shell."""
+    params = draw(st.sampled_from([OFFSET_LEG, EQUAL_LEG, MOUNTED_LEG]))
+    targets, q_prev = [], []
+    for leg in range(4):
+        if draw(st.booleans()):
+            angles = [draw(st.floats(-np.pi, np.pi)) for _ in range(3)]
+            targets.append(leg_forward_kinematics(params, leg, np.array(angles))[0])
+        else:
+            targets.append(params.hip_offsets[leg] + [draw(st.floats(-0.4, 0.4)) for _ in range(3)])
+        q_prev.append([draw(st.floats(lo, hi)) for lo, hi in _LIM])
+    return params, np.array(targets), np.array(q_prev)
+
+
+@_PROPERTY
+@given(four_leg_targets())
+def test_four_leg_ik_is_the_scalar_ik(case):
+    """legs_inverse_kinematics gives each leg leg_inverse_kinematics' angles bit
+    for bit, keeps the last angles of a leg whose target it raises on, and puts
+    the thruster where thruster_point does."""
+    params, targets, q_prev = case
+    q, stale, thrusters = legs_inverse_kinematics(params, targets, q_prev)
+    for i in range(4):
+        try:
+            expected, raised = leg_inverse_kinematics(params, i, targets[i], q_prev[i]), False
+        except NoConvergence:
+            expected, raised = q_prev[i], True
+        assert stale[i] == raised
+        assert q[i].tobytes() == expected.tobytes()
+        # np.cos and math.cos may round apart by an ulp: a few ulps of a 0.5 m point
+        assert np.abs(thrusters[i] - thruster_point(params, i, q[i])).max() <= 1e-15
 
 
 def test_params_validation_rejects_bad_inertia():

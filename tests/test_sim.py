@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import load_bundled, run_doc
-from huskysim import cli
+from huskysim import cli, mpc, qp, sim
 from huskysim.dynamics import ControlInput, RobotState
-from huskysim.robot import RobotParams
+from huskysim.gait import GaitConfig
+from huskysim.robot import NoConvergence, RobotParams, leg_inverse_kinematics, thruster_point
+from huskysim.rotations import rpy_matrix
 from huskysim.sim import (
     BEAM_MISS,
     ROLL_DIVERGENCE,
     SLIP,
     SLIP_FORCE_TOL,
+    Scenario,
     SimLog,
     Terrain,
+    _LegTracker,
     check_contact_legality,
     friction_ratios,
     horizon_models,
@@ -350,3 +354,86 @@ def test_friction_ratio_zero_for_residue_load():
     residue = stance & (fz != 0.0) & (np.abs(fz) <= SLIP_FORCE_TOL)
     assert residue.any()
     assert np.all(ratios[stance & (fz <= SLIP_FORCE_TOL)] == 0.0)
+
+
+def scalar_snapshot(tracker, state, foot_pos):
+    """The IK snapshot leg by leg through the scalar IK: the angles, lever
+    arms, thruster points and events that tracker.snapshot must give."""
+    R = rpy_matrix(state.theta)
+    d = foot_pos - state.p
+    q, r, events = tracker.q.copy(), np.zeros((4, 3)), []
+    for i in range(4):
+        try:
+            q[i] = leg_inverse_kinematics(tracker.params, i, R.T @ d[i], q[i])
+        except NoConvergence:
+            events.append(f"ik_stale_leg{i}")  # the leg keeps its last angles
+        r[i] = R @ thruster_point(tracker.params, i, q[i])
+    return q, d, r, events
+
+
+def test_snapshot_is_the_scalar_snapshot():
+    """The four-leg snapshot gives the scalar path's angles bit for bit and its
+    events, with lever arms equal and thruster points to a few ulps, across
+    ticks that carry each leg's angles (stale or not) to the next."""
+    rng = np.random.default_rng(5)
+    tracker = _LegTracker(RobotParams(thruster_knee_offset=0.02), Scenario(), GaitConfig())
+    stale = 0
+    for _ in range(300):
+        state = RobotState(theta=rng.uniform(-0.5, 0.5, 3), p=rng.normal(0.0, 0.3, 3))
+        # body-frame feet around a 0.25 m stance, some out of reach
+        body = tracker.params.hip_offsets + [0.0, 0.0, -0.25] + rng.normal(0.0, 0.1, (4, 3))
+        feet = state.p + body @ rpy_matrix(state.theta).T
+        q, d_ref, r_ref, events_ref = scalar_snapshot(tracker, state, feet)
+        d, r, events = tracker.snapshot(state, feet)
+        assert tracker.q.tobytes() == q.tobytes()
+        assert events == events_ref
+        assert np.array_equal(d, d_ref) and np.abs(r - r_ref).max() <= 1e-15
+        stale += len(events)
+    assert 100 < stale < 1100  # both reachable and unreachable feet were drawn
+
+
+def test_tick_work_runs_inside_the_timed_tick(monkeypatch):
+    """The benchmark times a control tick from the entry of
+    _LegTracker.update_plan to the return of MpcController.step, as
+    perfbench/layers.py's TickStamps does. Each tick enters the one once and
+    returns from the other once, and its feet, IK snapshot, reference, model
+    build, QP assembly and solve each run once between the two, never outside."""
+    events = []
+
+    def stamp(owner, name, label, on_return=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if not on_return:
+                events.append(label)
+            out = original(*args, **kwargs)
+            if on_return:
+                events.append(label)
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    stamp(sim._LegTracker, "update_plan", "enter")
+    stamp(mpc.MpcController, "step", "return", on_return=True)
+    work = {"feet": (sim._LegTracker, "tick_feet"), "snapshot": (sim._LegTracker, "snapshot"),
+            "ik": (sim, "legs_inverse_kinematics"), "reference": (sim, "build_reference"),
+            "model": (sim, "build_continuous_model"), "assemble": (mpc, "assemble_qp"), "solve": (qp, "solve")}
+    for label, (owner, name) in work.items():
+        stamp(owner, name, label)
+    doc = load_bundled("beam_walk")
+    doc["duration_s"] = 0.2
+    log, failure = run_doc(doc)
+    assert failure is None and log.n == 200
+
+    windows, current = [], None
+    for label in events:
+        if label == "enter":
+            assert current is None  # the previous tick returned from step
+            current = []
+        elif label == "return":
+            windows.append(sorted(current))
+            current = None
+        else:
+            assert current is not None, f"{label} ran outside a timed tick"
+            current.append(label)
+    assert current is None and windows == [sorted(work)] * 20
