@@ -2,7 +2,7 @@
 QP, trot gait planning, and a deterministic rigid-body scenario simulator."""
 
 from .dynamics import ControlInput, LinearModel, RobotState
-from .gait import GaitConfig, GaitState, SwingCurve
+from .gait import GaitConfig, GaitState
 from .mpc import Command, MpcConfig, MpcController
 from .qp import QpProblem, QpSolution
 from .robot import RobotParams
@@ -23,6 +23,5 @@ __all__ = [
     "RobotState",
     "Scenario",
     "SimLog",
-    "SwingCurve",
     "Terrain",
 ]

@@ -34,14 +34,6 @@ THRUST_SOFT_TARGET = 7.0  # N, reported against the peak, never gated
 SECTIONS = {"robot": RobotParams, "mpc": MpcConfig, "gait": GaitConfig}
 
 
-class ConfigInvalid(Exception):
-    pass
-
-
-def _bundled_scenario_path(name: str):
-    return resources.files("huskysim").joinpath(f"scenarios/{name}.json")
-
-
 def configs_from_doc(doc: dict):
     """(scenario, params, mpc_cfg, gait_cfg) from a parsed scenario document.
 
@@ -62,25 +54,25 @@ def load_config(path):
     """Read a scenario file (path or bundled name) into (scenario, params, mpc_cfg, gait_cfg)."""
     p = Path(path)
     if not p.exists():
-        bundled = _bundled_scenario_path(str(path))
+        bundled = resources.files("huskysim").joinpath(f"scenarios/{path}.json")
         if bundled.is_file():
             p = bundled
         else:
-            raise ConfigInvalid(f"config file not found: {path}")
+            raise config.ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(Path(p).read_text())
     except (OSError, ValueError) as exc:  # unreadable, not JSON, or an integer too long to parse
-        raise ConfigInvalid(f"{path}: cannot read a JSON document ({exc})") from exc
+        raise config.ConfigError(f"{path}: cannot read a JSON document ({exc})") from exc
     try:
         return configs_from_doc(doc)
     except config.ConfigError as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from exc
+        raise config.ConfigError(f"{path}: {exc}") from exc
 
 
-def summarize(data: np.ndarray, scenario: sim_mod.Scenario, outcome, mu_limit: float) -> dict:
+def summarize(data: np.ndarray, scenario: sim_mod.Scenario, outcome) -> dict:
     """Summary metrics from the serialized log (data: the rows of log.csv as
     SimLog.from_csv reads them back), so a reader of the CSV reproduces them
-    exactly."""
+    exactly; every metric of an empty log (a run that fails at t = 0) is 0."""
     col = sim_mod.SimLog.HEADER.index
     summary = {
         "schema_version": SUMMARY_SCHEMA,
@@ -89,21 +81,9 @@ def summarize(data: np.ndarray, scenario: sim_mod.Scenario, outcome, mu_limit: f
         "failure": None
         if outcome is None
         else {"kind": outcome.kind, "t_s": outcome.t, "detail": outcome.detail},
-        "mu_limit": mu_limit,
+        "mu_limit": scenario.mu_real,
         "thrust_soft_target_n": THRUST_SOFT_TARGET,
     }
-    if data.shape[0] == 0:
-        summary.update(
-            max_abs_roll_rad=0.0,
-            max_abs_lateral_deviation_m=0.0,
-            peak_thrust_n=[0.0] * 4,
-            peak_thrust_within_soft_target=True,
-            peak_friction_ratio=[0.0] * 4,
-            recovery_time_s=None,
-            mean_forward_speed_mps=0.0,
-        )
-        return summary
-
     t = data[:, col("t")]
     roll = data[:, col("roll")]
     py = data[:, col("py")]
@@ -111,12 +91,12 @@ def summarize(data: np.ndarray, scenario: sim_mod.Scenario, outcome, mu_limit: f
     thrust = data[:, col("thrust0") : col("thrust0") + 4]
     ratios = data[:, col("ratio0") : col("ratio0") + 4]
 
-    summary["max_abs_roll_rad"] = float(np.abs(roll).max())
-    summary["max_abs_lateral_deviation_m"] = float(np.abs(py - py[0]).max())
-    summary["peak_thrust_n"] = [float(v) for v in thrust.max(axis=0)]
-    summary["peak_thrust_within_soft_target"] = bool(thrust.max() <= THRUST_SOFT_TARGET)
-    summary["peak_friction_ratio"] = [float(v) for v in ratios.max(axis=0)]
-    span = t[-1] - t[0]
+    summary["max_abs_roll_rad"] = float(np.abs(roll).max(initial=0.0))
+    summary["max_abs_lateral_deviation_m"] = float(np.abs(py - py[:1]).max(initial=0.0))
+    summary["peak_thrust_n"] = [float(v) for v in thrust.max(axis=0, initial=0.0)]
+    summary["peak_thrust_within_soft_target"] = bool(thrust.max(initial=0.0) <= THRUST_SOFT_TARGET)
+    summary["peak_friction_ratio"] = [float(v) for v in ratios.max(axis=0, initial=0.0)]
+    span = t[-1] - t[0] if t.size else 0.0
     summary["mean_forward_speed_mps"] = float((px[-1] - px[0]) / span) if span > 0 else 0.0
 
     recovery = None
@@ -141,8 +121,6 @@ def write_plots(data: np.ndarray, plots_dir, mu_limit: float):
     col = sim_mod.SimLog.HEADER.index
     plots_dir = Path(plots_dir)
     plots_dir.mkdir(parents=True, exist_ok=True)
-    if data.shape[0] == 0:
-        data = np.zeros((1, len(sim_mod.SimLog.HEADER)))
     t = data[:, 0]
 
     line_chart(
@@ -176,7 +154,7 @@ def run_scenario(config_path, out_dir=None) -> int:
     out_dir, or into runs/<scenario name> when out_dir is None."""
     try:
         scenario, params, mpc_cfg, gait_cfg = load_config(config_path)
-    except ConfigInvalid as exc:
+    except config.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -186,7 +164,7 @@ def run_scenario(config_path, out_dir=None) -> int:
         log, outcome = run(scenario, params, mpc_cfg, gait_cfg)
         log.to_csv(out / "log.csv")
         written = sim_mod.SimLog.from_csv(out / "log.csv").as_array()
-        summary = summarize(written, scenario, outcome, scenario.mu_real)
+        summary = summarize(written, scenario, outcome)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         write_plots(written, out / "plots", scenario.mu_real)
     except OSError as exc:
@@ -209,9 +187,9 @@ def _read_summary(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"{path}: cannot read a summary ({exc})") from exc
+        raise config.ConfigError(f"{path}: cannot read a summary ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ConfigInvalid(f"{path}: a summary must be a JSON object")
+        raise config.ConfigError(f"{path}: a summary must be a JSON object")
     return doc
 
 
@@ -220,11 +198,11 @@ def compare_runs(summary_a_path, summary_b_path):
     a, b = _read_summary(summary_a_path), _read_summary(summary_b_path)
     va, vb = a.get("schema_version"), b.get("schema_version")
     if va != vb:
-        raise ConfigInvalid(f"summary schema mismatch: {va!r} vs {vb!r}")
+        raise config.ConfigError(f"summary schema mismatch: {va!r} vs {vb!r}")
     for path, doc in ((summary_a_path, a), (summary_b_path, b)):
         missing = [key for key in COMPARED if key not in doc]
         if missing:
-            raise ConfigInvalid(f"{path}: summary lacks {missing[0]!r}")
+            raise config.ConfigError(f"{path}: summary lacks {missing[0]!r}")
 
     diff = {
         "a": a["scenario"],
@@ -238,7 +216,7 @@ def compare_runs(summary_a_path, summary_b_path):
         for key in ("peak_thrust_n", "peak_friction_ratio"):
             diff["deltas"][key] = [bb - aa for aa, bb in zip(a[key], b[key])]
     except TypeError as exc:
-        raise ConfigInvalid(f"a summary metric is not a number or a list of numbers ({exc})") from exc
+        raise config.ConfigError(f"a summary metric is not a number or a list of numbers ({exc})") from exc
     return diff
 
 
@@ -274,7 +252,7 @@ def main(argv=None) -> int:
 
     try:
         diff = compare_runs(args.summary_a, args.summary_b)
-    except ConfigInvalid as exc:
+    except config.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for key, val in diff["deltas"].items():

@@ -67,11 +67,6 @@ class LinearModel:
     B_k: np.ndarray  # 13x16, or (n, 13, 16)
 
 
-def yaw_inertia(params: RobotParams, yaw: float) -> np.ndarray:
-    rz = rot_z(yaw)
-    return rz @ params.inertia_body @ rz.T
-
-
 def centroidal_accel(
     state: RobotState,
     u: ControlInput,
@@ -91,7 +86,8 @@ def centroidal_accel(
     force = u.grf.sum(axis=0) + thrust.sum(axis=0)
     pddot = force / params.mass + np.array([0.0, 0.0, -params.gravity])
     tau = (cross(r, thrust) + cross(d, u.grf)).sum(axis=0)
-    omegadot = np.linalg.solve(yaw_inertia(params, state.theta[2]), tau)
+    rz = rot_z(state.theta[2])
+    omegadot = np.linalg.solve(rz @ params.inertia_body @ rz.T, tau)
     return pddot, omegadot
 
 
@@ -138,6 +134,4 @@ def build_continuous_model(
 
 def discretize(A: np.ndarray, B: np.ndarray, dt: float) -> LinearModel:
     """Forward-Euler discretization: A_k = I + A dt, B_k = B dt (B may be stacked)."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
     return LinearModel(A_k=np.eye(NX) + A * dt, B_k=B * dt)

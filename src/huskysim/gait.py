@@ -77,20 +77,15 @@ def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float) -> np.ndar
     return out
 
 
-@dataclass
-class SwingCurve:
-    """Quartic Beziers with doubled endpoints: P0 = P1 (lift-off), P3 = P4 (target)."""
-
-    control_points: np.ndarray  # (..., 5, 3), one curve per leading index
-
-
-def build_swing_curve(liftoff: np.ndarray, target: np.ndarray, apex_height: float) -> SwingCurve:
-    """The curves from lift-off to target points of shape (..., 3)."""
+def build_swing_curve(liftoff: np.ndarray, target: np.ndarray, apex_height: float) -> np.ndarray:
+    """The (..., 5, 3) control points of the curves from lift-off to target
+    points of shape (..., 3): quartic Beziers with doubled endpoints, P0 = P1
+    (lift-off) and P3 = P4 (target)."""
     liftoff = np.asarray(liftoff, dtype=float)
     target = np.asarray(target, dtype=float)
     apex = 0.5 * (liftoff + target)
     apex[..., 2] = np.maximum(liftoff[..., 2], target[..., 2]) + apex_height
-    return SwingCurve(control_points=np.stack([liftoff, liftoff, apex, target, target], axis=-2))
+    return np.stack([liftoff, liftoff, apex, target, target], axis=-2)
 
 
 # s^0..s^4 (rows) -> the quartic Bernstein weights (columns 0-4) and their derivatives (5-9)
@@ -100,8 +95,9 @@ _BERNSTEIN = np.array([[1, 0, 0, 0, 0, -4, 4, 0, 0, 0], [-4, 4, 0, 0, 0, 12, -24
 _POWERS = np.arange(5)
 
 
-def eval_swing(curve: SwingCurve, s):
-    """Position and d(position)/d(phase) at phases s in [0, 1].
+def eval_swing(control_points: np.ndarray, s):
+    """Position and d(position)/d(phase) at phases s in [0, 1] of the curves
+    whose (..., 5, 3) control points build_swing_curve returns.
 
     s is a phase or an array of phases that broadcasts against the curves'
     leading shape; each output has the broadcast shape plus (3,). Both come
@@ -113,5 +109,5 @@ def eval_swing(curve: SwingCurve, s):
         raise PhaseOutOfRange(f"phase {s} outside [0, 1]")
     # a (1, 5) @ (5, 10) product per phase: a phase gets the same weights alone or in a batch
     weights = s[..., None, None] ** _POWERS @ _BERNSTEIN
-    out = weights.reshape(s.shape + (2, 5)) @ curve.control_points
+    out = weights.reshape(s.shape + (2, 5)) @ control_points
     return out[..., 0, :], out[..., 1, :]

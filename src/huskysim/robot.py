@@ -103,13 +103,6 @@ def leg_forward_kinematics(params: RobotParams, leg_index: int, q: np.ndarray):
     return foot, knee
 
 
-def thruster_point(params: RobotParams, leg_index: int, q: np.ndarray) -> np.ndarray:
-    """Body-frame thruster position: the knee, pushed outboard by the mount offset."""
-    r1, _, knee, _ = _chain(params, leg_index, q)
-    s = LEG_SIDE_SIGN[leg_index]
-    return knee + r1 @ np.array([0.0, s * params.thruster_knee_offset, 0.0])
-
-
 def leg_jacobian(params: RobotParams, leg_index: int, q: np.ndarray) -> np.ndarray:
     """Analytic 3x3 Jacobian of the foot position w.r.t. q, body frame."""
     r1, thigh_root, knee, foot = _chain(params, leg_index, q)
@@ -183,7 +176,7 @@ def leg_inverse_kinematics(
 
 
 def legs_inverse_kinematics(params: RobotParams, targets: np.ndarray, q_prev: np.ndarray):
-    """leg_inverse_kinematics and thruster_point of all four legs in one pass of floats.
+    """The closed-form IK of all four legs, and their thruster points, in one pass of floats.
 
     targets: (4, 3) body-frame foot targets; q_prev: (4, 3) the last angles.
     Returns the (4, 3) angles, the (4,) mask of legs whose target is

@@ -145,23 +145,27 @@ class SimLog:
         return cls(data, len(data))
 
 
+def _leg_forces(u: ControlInput):  # each leg's tangential and normal ground force, (4,) each
+    return np.hypot(u.grf[:, 0], u.grf[:, 1]), u.grf[:, 2]
+
+
 def friction_ratios(u: ControlInput, stance) -> np.ndarray:
     """Tangential-to-normal force ratio per leg; zero for a leg whose normal
     force is within the slip check's tolerance of zero."""
-    loaded = np.asarray(stance) & (u.grf[:, 2] > SLIP_FORCE_TOL)
-    return np.where(loaded, np.hypot(u.grf[:, 0], u.grf[:, 1]) / np.where(loaded, u.grf[:, 2], 1.0), 0.0)
+    tangential, fz = _leg_forces(u)
+    loaded = np.asarray(stance) & (fz > SLIP_FORCE_TOL)
+    return np.where(loaded, tangential / np.where(loaded, fz, 1.0), 0.0)
 
 
 def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, mu_real: float):
-    """Violations of the no-slip cone and the beam footprint for stance legs."""
+    """Violations of the no-slip cone and the beam footprint for stance legs,
+    leg by leg; a leg with tangential force and no normal load slips (ratio inf)."""
+    tangential, fz = _leg_forces(u)
     violations = []
-    for i in range(4):
-        if not stance[i]:
-            continue
-        fz = u.grf[i, 2]
-        tangential = np.hypot(u.grf[i, 0], u.grf[i, 1])
-        if fz > 1e-9 and tangential > mu_real * fz + SLIP_FORCE_TOL:
-            violations.append((SLIP, i, f"leg {i} friction ratio {tangential / fz:.3g} > mu {mu_real}"))
+    for i in np.flatnonzero(stance).tolist():
+        if tangential[i] > mu_real * fz[i] + SLIP_FORCE_TOL:
+            ratio = tangential[i] / fz[i] if fz[i] > 0.0 else np.inf
+            violations.append((SLIP, i, f"leg {i} friction ratio {ratio:.3g} > mu {mu_real}"))
         if not terrain.on_top_face(foot_pos[i][:2]):
             violations.append(
                 (BEAM_MISS, i, f"leg {i} foot y {foot_pos[i][1]:.3g} off the beam top face")
@@ -322,12 +326,12 @@ class _LegTracker:
         return feet
 
     def snapshot(self, state: RobotState, foot_pos):
-        """COM-relative foot and thruster positions (world frame), and an event
-        per leg whose foot is out of its reach; that leg keeps its last angles."""
+        """COM-relative foot and thruster positions (world frame), and the (4,)
+        mask of legs whose foot is out of reach; such a leg keeps its last angles."""
         R = rpy_matrix(state.theta)
         d = foot_pos - state.p
         self.q, stale, thrusters = legs_inverse_kinematics(self.params, d @ R, self.q)
-        return d, thrusters @ R.T, [f"ik_stale_leg{i}" for i in np.flatnonzero(stale).tolist()]
+        return d, thrusters @ R.T, stale
 
 
 def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: GaitConfig):

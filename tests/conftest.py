@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from huskysim import cli
+from huskysim.robot import LEG_SIDE_SIGN, leg_forward_kinematics
+from huskysim.rotations import rot_x
 from huskysim.sim import run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "huskysim" / "scenarios"
@@ -16,6 +18,13 @@ def load_bundled(name: str) -> dict:
 
 def run_doc(doc: dict):
     return run(*cli.configs_from_doc(doc))
+
+
+def thruster_oracle(params, leg: int, q) -> np.ndarray:
+    """Body-frame thruster point of one leg at angles q: FK's knee, pushed
+    outboard along the abducted leg's y axis by the mount offset."""
+    _, knee = leg_forward_kinematics(params, leg, q)
+    return knee + rot_x(q[0]) @ np.array([0.0, LEG_SIDE_SIGN[leg] * params.thruster_knee_offset, 0.0])
 
 
 @pytest.fixture(scope="session")

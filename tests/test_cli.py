@@ -186,6 +186,27 @@ def test_summary_recomputed_from_log_matches(cli_runs):
     assert abs(summary["mean_forward_speed_mps"] - v_mean) < 1e-9
 
 
+def test_empty_log_summary_has_every_key(cli_runs, tmp_path, capsys):
+    """Lowering only mu_real, to 0.3, below the cone of the controller's pyramid
+    (mpc.mu * sqrt(2)), ends the run as a Slip at t = 0 with no log rows; its
+    summary has the keys of a non-empty run, in the same order, with zero
+    metrics and no recovery."""
+    doc = load_bundled("push_with_thrust")
+    doc["mu_real"] = 0.3
+    (tmp_path / "slip.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "slip.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "Slip at t=0.000s" in capsys.readouterr().out
+    assert SimLog.from_csv(tmp_path / "out" / "log.csv").n == 0
+    summary = read_summary(tmp_path / "out")
+    assert summary["failure"]["kind"] == sim.SLIP and summary["failure"]["t_s"] == 0.0
+    assert list(summary) == list(read_summary(cli_runs("push_with_thrust")[1]))
+    for key in ("max_abs_roll_rad", "max_abs_lateral_deviation_m", "mean_forward_speed_mps"):
+        assert summary[key] == 0.0
+    assert summary["peak_thrust_n"] == summary["peak_friction_ratio"] == [0.0] * 4
+    assert summary["peak_thrust_within_soft_target"] is True and summary["recovery_time_s"] is None
+    assert summary["mu_limit"] == 0.3
+
+
 def test_compare_identical_runs(cli_runs, capsys, tmp_path):
     _, out = cli_runs("push_with_thrust")
     code = cli.main(["compare", str(out / "summary.json"), str(out / "summary.json")])

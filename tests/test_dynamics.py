@@ -12,7 +12,6 @@ from huskysim.dynamics import (
     build_continuous_model,
     centroidal_accel,
     discretize,
-    yaw_inertia,
 )
 from huskysim.robot import RobotParams
 from huskysim.rotations import rot_z, rpy_matrix, skew
@@ -56,7 +55,8 @@ def centroidal_accel_loop_oracle(state, u, d, r, params):
     for i in range(4):
         tau += np.cross(r[i], e_world[i] * u.thrust[i])
         tau += np.cross(d[i], u.grf[i])
-    return pddot, np.linalg.solve(yaw_inertia(params, state.theta[2]), tau)
+    rz = rot_z(state.theta[2])
+    return pddot, np.linalg.solve(rz @ params.inertia_body @ rz.T, tau)
 
 
 def euler_rate_matrix_oracle(theta):
@@ -79,7 +79,7 @@ def step_oracle(state, u, d, r, f_ext, params, dt):
 def continuous_model_loop_oracle(state, d, r, params):
     """build_continuous_model as it was first written: B filled leg by leg."""
     rz = rot_z(state.theta[2])
-    iw_inv = np.linalg.inv(yaw_inertia(params, state.theta[2]))
+    iw_inv = np.linalg.inv(rz @ params.inertia_body @ rz.T)
     e_yaw = (rz @ params.thrust_dirs.T).T
     A = np.zeros((NX, NX))
     A[0:3, 6:9] = rz.T

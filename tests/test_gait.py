@@ -116,35 +116,33 @@ def test_raibert_snaps_to_terrain():
 
 def test_swing_curve_degenerate_step_in_place():
     a = np.array([0.2, -0.1, 0.0])
-    curve = build_swing_curve(a, a, 0.05)
-    cp = curve.control_points
+    cp = build_swing_curve(a, a, 0.05)
     assert np.allclose(cp[0], a) and np.allclose(cp[1], a)
     assert np.allclose(cp[3], a) and np.allclose(cp[4], a)
     assert np.allclose(cp[2][:2], a[:2])
     for s in (0.1, 0.5, 0.9):
-        pos, _ = eval_swing(curve, s)
+        pos, _ = eval_swing(cp, s)
         assert np.allclose(pos[:2], a[:2], atol=1e-15)
 
 
 def test_swing_curve_apex():
-    curve = build_swing_curve(np.zeros(3), np.array([0.1, 0.0, 0.0]), 0.05)
-    assert np.allclose(curve.control_points[2], [0.05, 0.0, 0.05])
+    cp = build_swing_curve(np.zeros(3), np.array([0.1, 0.0, 0.0]), 0.05)
+    assert np.allclose(cp[2], [0.05, 0.0, 0.05])
 
 
 def test_swing_midpoint_bernstein_weights():
     rng = np.random.default_rng(0)
-    curve = build_swing_curve(rng.normal(size=3), rng.normal(size=3), 0.07)
-    cp = curve.control_points
-    pos, _ = eval_swing(curve, 0.5)
+    cp = build_swing_curve(rng.normal(size=3), rng.normal(size=3), 0.07)
+    pos, _ = eval_swing(cp, 0.5)
     assert np.allclose(pos, (5 * cp[0] + 6 * cp[2] + 5 * cp[4]) / 16, atol=1e-14)
 
 
 def test_swing_endpoints_and_zero_velocity():
     lift = np.array([0.0, 0.1, 0.0])
     tgt = np.array([0.12, 0.08, 0.0])
-    curve = build_swing_curve(lift, tgt, 0.05)
-    p0, v0 = eval_swing(curve, 0.0)
-    p1, v1 = eval_swing(curve, 1.0)
+    cp = build_swing_curve(lift, tgt, 0.05)
+    p0, v0 = eval_swing(cp, 0.0)
+    p1, v1 = eval_swing(cp, 1.0)
     assert np.allclose(p0, lift) and np.allclose(p1, tgt)
     assert np.all(v0 == 0.0)  # exact, from the duplicated control points
     assert np.all(v1 == 0.0)
@@ -152,28 +150,27 @@ def test_swing_endpoints_and_zero_velocity():
 
 def test_swing_matches_de_casteljau():
     rng = np.random.default_rng(1)
-    curve = build_swing_curve(rng.normal(size=3), rng.normal(size=3), 0.05)
+    cp = build_swing_curve(rng.normal(size=3), rng.normal(size=3), 0.05)
     for s in [0.25] + list(rng.uniform(0, 1, 10)):
-        pos, _ = eval_swing(curve, s)
-        assert np.abs(pos - de_casteljau(list(curve.control_points), s)).max() < 1e-12
+        pos, _ = eval_swing(cp, s)
+        assert np.abs(pos - de_casteljau(list(cp), s)).max() < 1e-12
 
 
 def test_swing_convex_hull():
     rng = np.random.default_rng(2)
     for _ in range(1000):
-        curve = build_swing_curve(rng.normal(size=3), rng.normal(size=3), rng.uniform(0.01, 0.2))
-        cp = curve.control_points
+        cp = build_swing_curve(rng.normal(size=3), rng.normal(size=3), rng.uniform(0.01, 0.2))
         lo, hi = cp.min(axis=0) - 1e-12, cp.max(axis=0) + 1e-12
-        pos, _ = eval_swing(curve, rng.uniform(0, 1))
+        pos, _ = eval_swing(cp, rng.uniform(0, 1))
         assert np.all(pos >= lo) and np.all(pos <= hi)
 
 
 def test_swing_phase_out_of_range():
-    curve = build_swing_curve(np.zeros(3), np.ones(3), 0.05)
+    cp = build_swing_curve(np.zeros(3), np.ones(3), 0.05)
     with pytest.raises(PhaseOutOfRange):
-        eval_swing(curve, 1.2)
+        eval_swing(cp, 1.2)
     with pytest.raises(PhaseOutOfRange):
-        eval_swing(curve, -0.1)
+        eval_swing(cp, -0.1)
 
 
 def test_batched_swing_matches_scalar_calls():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import thruster_oracle
 from huskysim import config
 from huskysim.robot import (
     LEG_SIDE_SIGN,
@@ -13,7 +14,6 @@ from huskysim.robot import (
     leg_inverse_kinematics,
     leg_jacobian,
     legs_inverse_kinematics,
-    thruster_point,
 )
 from huskysim.rotations import rot_x
 
@@ -159,13 +159,18 @@ _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 @st.composite
-def poses(draw):
-    params = draw(st.sampled_from([OFFSET_LEG, EQUAL_LEG]))
-    leg = draw(st.integers(0, 3))
+def in_limit_angles(draw):
     q0 = draw(st.floats(_LIM[0, 0], _LIM[0, 1]))
     q1 = draw(st.floats(_LIM[1, 0], _LIM[1, 1]))
     knee = draw(st.floats(_KNEE_MIN, _LIM[2, 1])) * draw(st.sampled_from([-1.0, 1.0]))
-    return params, leg, np.array([q0, q1, knee])
+    return np.array([q0, q1, knee])
+
+
+@st.composite
+def poses(draw):
+    params = draw(st.sampled_from([OFFSET_LEG, EQUAL_LEG]))
+    leg = draw(st.integers(0, 3))
+    return params, leg, draw(in_limit_angles())
 
 
 @_PROPERTY
@@ -248,7 +253,7 @@ def four_leg_targets(draw):
 def test_four_leg_ik_is_the_scalar_ik(case):
     """legs_inverse_kinematics gives each leg leg_inverse_kinematics' angles bit
     for bit, keeps the last angles of a leg whose target it raises on, and puts
-    the thruster where thruster_point does."""
+    the thruster at FK's knee plus the mount offset."""
     params, targets, q_prev = case
     q, stale, thrusters = legs_inverse_kinematics(params, targets, q_prev)
     for i in range(4):
@@ -259,7 +264,43 @@ def test_four_leg_ik_is_the_scalar_ik(case):
         assert stale[i] == raised
         assert q[i].tobytes() == expected.tobytes()
         # np.cos and math.cos may round apart by an ulp: a few ulps of a 0.5 m point
-        assert np.abs(thrusters[i] - thruster_point(params, i, q[i])).max() <= 1e-15
+        assert np.abs(thrusters[i] - thruster_oracle(params, i, q[i])).max() <= 1e-15
+
+
+@st.composite
+def four_leg_poses(draw):
+    """In-limit angles of all four legs, and maybe one leg (its index, else
+    None) whose target is moved off its shell, beyond thigh + shank."""
+    params = draw(st.sampled_from([OFFSET_LEG, EQUAL_LEG, MOUNTED_LEG]))
+    q_true = np.array([draw(in_limit_angles()) for _ in range(4)])
+    off = draw(st.one_of(st.none(), st.integers(0, 3)))
+    angles = st.floats(-np.pi, np.pi)
+    return params, q_true, off, (draw(st.floats(0.3401, 0.6)), draw(angles), draw(angles))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)  # four legs an example
+@given(four_leg_poses())
+def test_four_leg_ik_round_trips_fk(case):
+    """The run's IK on its own: feet placed by FK at in-limit angles come back
+    through FK to 1e-9, every thruster sits at FK's knee plus the mount offset,
+    and a leg with an off-shell target is stale and keeps its q_prev row."""
+    params, q_true, off, (reach, abduction, planar_angle) = case
+    targets = np.array([leg_forward_kinematics(params, leg, q_true[leg])[0] for leg in range(4)])
+    if off is not None:
+        side = LEG_SIDE_SIGN[off] * params.link_lengths.hip_roll_offset
+        planar = np.array([reach * np.sin(planar_angle), side, reach * np.cos(planar_angle)])
+        targets[off] = params.hip_offsets[off] + rot_x(abduction) @ planar
+    # only the knee's side and the abduction angle pick the branch
+    q_prev = np.column_stack([q_true[:, 0], np.zeros(4), np.sign(q_true[:, 2])])
+    q, stale, thrusters = legs_inverse_kinematics(params, targets, q_prev)
+    assert stale.tolist() == [leg == off for leg in range(4)]
+    for leg in range(4):
+        assert np.abs(thrusters[leg] - thruster_oracle(params, leg, q[leg])).max() <= 1e-15
+        if leg == off:
+            assert q[leg].tobytes() == q_prev[leg].tobytes()
+        else:
+            foot, _ = leg_forward_kinematics(params, leg, q[leg])
+            assert np.linalg.norm(foot - targets[leg]) <= 1e-9
 
 
 def test_params_validation_rejects_bad_inertia():

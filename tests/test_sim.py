@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import load_bundled, run_doc
+from conftest import load_bundled, run_doc, thruster_oracle
 from huskysim import cli, mpc, qp, sim
 from huskysim.dynamics import ControlInput, RobotState
 from huskysim.gait import GaitConfig
-from huskysim.robot import NoConvergence, RobotParams, leg_inverse_kinematics, thruster_point
+from huskysim.robot import NoConvergence, RobotParams, leg_inverse_kinematics
 from huskysim.rotations import rpy_matrix
 from huskysim.sim import (
     BEAM_MISS,
@@ -114,6 +114,24 @@ def test_contact_legality_ignores_solver_residue():
     assert check_contact_legality(u, foot, stance, terrain, 0.5) == []
     u.grf[0] = [0.51e-3, 0.0, 1.0e-3]  # a milli-newton load outside the cone still slips
     assert check_contact_legality(u, foot, stance, terrain, 0.5)[0][0] == SLIP
+
+
+def test_contact_legality_tangential_force_without_load_slips():
+    """A stance leg pushing sideways with no normal load slips; the detail
+    names an infinite ratio (a division by the zero load would warn, which
+    fails the test)."""
+    terrain = Terrain()
+    foot = np.zeros((4, 3))
+    stance = np.array([True, False, False, False])
+    u = ControlInput()
+    u.grf[0] = [0.5, 0.0, 0.0]
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) == [(SLIP, 0, "leg 0 friction ratio inf > mu 0.5")]
+    u.grf[0, 2] = 2e-9
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) == [
+        (SLIP, 0, "leg 0 friction ratio 2.5e+08 > mu 0.5")
+    ]
+    stance[0] = False  # a swing leg's force is not checked
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) == []
 
 
 def test_contact_legality_beam_miss():
@@ -358,23 +376,24 @@ def test_friction_ratio_zero_for_residue_load():
 
 def scalar_snapshot(tracker, state, foot_pos):
     """The IK snapshot leg by leg through the scalar IK: the angles, lever
-    arms, thruster points and events that tracker.snapshot must give."""
+    arms, thruster points and stale legs that tracker.snapshot must give."""
     R = rpy_matrix(state.theta)
     d = foot_pos - state.p
-    q, r, events = tracker.q.copy(), np.zeros((4, 3)), []
+    q, r, stale = tracker.q.copy(), np.zeros((4, 3)), np.zeros(4, dtype=bool)
     for i in range(4):
         try:
             q[i] = leg_inverse_kinematics(tracker.params, i, R.T @ d[i], q[i])
         except NoConvergence:
-            events.append(f"ik_stale_leg{i}")  # the leg keeps its last angles
-        r[i] = R @ thruster_point(tracker.params, i, q[i])
-    return q, d, r, events
+            stale[i] = True  # the leg keeps its last angles
+        r[i] = R @ thruster_oracle(tracker.params, i, q[i])
+    return q, d, r, stale
 
 
 def test_snapshot_is_the_scalar_snapshot():
-    """The four-leg snapshot gives the scalar path's angles bit for bit and its
-    events, with lever arms equal and thruster points to a few ulps, across
-    ticks that carry each leg's angles (stale or not) to the next."""
+    """The four-leg snapshot gives the scalar path's angles bit for bit and
+    marks stale the legs where it raises NoConvergence, with lever arms equal
+    and thruster points to a few ulps, across ticks that carry each leg's
+    angles (stale or not) to the next."""
     rng = np.random.default_rng(5)
     tracker = _LegTracker(RobotParams(thruster_knee_offset=0.02), Scenario(), GaitConfig())
     stale = 0
@@ -383,12 +402,12 @@ def test_snapshot_is_the_scalar_snapshot():
         # body-frame feet around a 0.25 m stance, some out of reach
         body = tracker.params.hip_offsets + [0.0, 0.0, -0.25] + rng.normal(0.0, 0.1, (4, 3))
         feet = state.p + body @ rpy_matrix(state.theta).T
-        q, d_ref, r_ref, events_ref = scalar_snapshot(tracker, state, feet)
-        d, r, events = tracker.snapshot(state, feet)
+        q, d_ref, r_ref, stale_ref = scalar_snapshot(tracker, state, feet)
+        d, r, stale_legs = tracker.snapshot(state, feet)
         assert tracker.q.tobytes() == q.tobytes()
-        assert events == events_ref
+        assert stale_legs.dtype == bool and np.array_equal(stale_legs, stale_ref)
         assert np.array_equal(d, d_ref) and np.abs(r - r_ref).max() <= 1e-15
-        stale += len(events)
+        stale += stale_legs.sum()
     assert 100 < stale < 1100  # both reachable and unreachable feet were drawn
 
 
