@@ -136,6 +136,13 @@ def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
     return G, h
 
 
+def horizon_weights(config: MpcConfig):
+    """The diagonals of sqrt(Qbar), Qbar and Rbar, the state and input weights
+    stacked over the horizon; constant for a controller."""
+    qbar = np.tile(config.q_diag, config.horizon)
+    return np.sqrt(qbar), qbar, np.tile(config.r_diag, config.horizon)
+
+
 def assemble_qp(
     state: RobotState,
     stance_seq: np.ndarray,
@@ -143,10 +150,12 @@ def assemble_qp(
     ref: np.ndarray,
     config: MpcConfig,
     layout,
+    weights=None,
 ):
     """Condensed QP over the free inputs of the stacked input vector, with its
-    rows from layout = constraint_layout(config). Returns it, the mask over U
-    of its variables and its rows' indices in the layout (see free_layout)."""
+    rows from layout = constraint_layout(config) and its weights from
+    horizon_weights(config), formed here when not given. Returns it, the mask
+    over U of its variables and its rows' indices in the layout (see free_layout)."""
     n_h = config.horizon
     if model.B_k.shape != (n_h, NX, NU) or len(stance_seq) != n_h or ref.shape != (n_h, NX):
         raise DimensionMismatch(
@@ -157,11 +166,10 @@ def assemble_qp(
     T, S = condense(model)
     free, G, h, rows = free_layout(layout, stance_seq, config)
     S = S[:, free]
-    qbar = np.tile(config.q_diag, n_h)
-    rbar = np.tile(config.r_diag, n_h)[free]
+    sqrt_qbar, qbar, rbar = weights or horizon_weights(config)
 
-    W = np.sqrt(qbar)[:, None] * S
-    P = W.T @ W + np.diag(rbar)  # W.T @ W is exactly symmetric
+    W = sqrt_qbar[:, None] * S
+    P = W.T @ W + np.diag(rbar[free])  # W.T @ W is exactly symmetric
     err = T @ x0 - ref.reshape(-1)
     q_vec = S.T @ (qbar * err)
     return qp.QpProblem(P=P, q=q_vec, G=G, h=h), free, rows
@@ -175,6 +183,7 @@ class MpcController:
     def __init__(self, config: MpcConfig):
         self.config = config.validate()
         self._layout = constraint_layout(config)
+        self._weights = horizon_weights(config)
         self._was_active = np.zeros(sum(_ROWS) * config.horizon, dtype=bool)
         self._step_index = 0
         self.last_solution = None
@@ -186,7 +195,9 @@ class MpcController:
         model: LinearModel,
         ref: np.ndarray,
     ) -> ControlInput:
-        problem, free, rows = assemble_qp(state, stance_seq, model, ref, self.config, self._layout)
+        problem, free, rows = assemble_qp(
+            state, stance_seq, model, ref, self.config, self._layout, self._weights
+        )
         try:
             sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[rows]).tolist())
         except qp.NotPositiveDefinite as exc:

@@ -68,13 +68,16 @@ def line_chart(path, x, series: dict, title: str = "", ylabel: str = "", hlines=
             f'<line x1="{_ML}" y1="{sy(level):.1f}" x2="{_W - _MR}" y2="{sy(level):.1f}" '
             f'stroke="#555" stroke-dasharray="6 4"/>'
         )
-    for idx, (name, vals) in enumerate(series.items()):
+    stride = max(1, x.size // 2000)  # cap point count so files stay small
+    px = x[::stride]
+    for idx, (name, vals) in enumerate(zip(series, values)):
         color = _COLORS[idx % len(_COLORS)]
         if x.size:
-            stride = max(1, x.size // 2000)  # cap point count so files stay small
-            pts = " ".join(
-                f"{sx(px):.1f},{sy(pv):.1f}" for px, pv in zip(x[::stride], np.asarray(vals)[::stride])
-            )
+            pv = vals[::stride]
+            k = min(px.size, pv.size)
+            xy = np.empty(2 * k)  # x and y of each point, scaled as arrays and formatted by one %
+            xy[0::2], xy[1::2] = sx(px[:k]), sy(pv[:k])
+            pts = " ".join(["%.1f,%.1f"] * k) % tuple(xy.tolist())
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         ly = _MT + 14 + 16 * idx
         parts.append(

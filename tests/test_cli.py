@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import typing
 import warnings
 from pathlib import Path
@@ -540,3 +543,26 @@ def test_bundled_summary_matches_golden(cli_runs, name):
     pin = GOLDEN[name]
     assert code == (0 if pin["outcome"] == "success" else 2)
     assert_matches_pin(read_summary(out), pin, name)
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    """scipy is a test dependency: importing the CLI loads none of it, and
+    with scipy blocked a fresh interpreter runs a short flat_trot to exit 0."""
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.2
+    (tmp_path / "short.json").write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from huskysim import cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy imported'\n"
+        "sys.modules['scipy'] = None\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "run", str(tmp_path / "short.json"), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert read_summary(tmp_path / "out")["outcome"] == "success"

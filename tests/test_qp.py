@@ -171,6 +171,15 @@ def test_near_singular_hessian_regularized():
     assert sol.x_star[0] == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_hessian_singular_to_working_precision():
+    """A pivot within round-off of P's scale (pivot^2 <= n eps max P_ii) is
+    not positive definite, although the Cholesky factor exists."""
+    P = np.diag([1.0, 1e-17])
+    np.linalg.cholesky(P)
+    with pytest.raises(qp.NotPositiveDefinite, match="working precision"):
+        qp.solve(qp.QpProblem(P=P, q=np.array([1.0, 0.0])))
+
+
 def test_max_iterations_guard():
     rng = np.random.default_rng(8)
     prob = random_problem(rng)
@@ -246,10 +255,54 @@ def test_warm_start_property(case):
     assert qp.check_kkt(prob, sol).max_residual() < 1e-6
 
 
+def test_corrected_warm_seed_is_accepted_at_the_second_guess():
+    """x >= 0, x + y <= 2 and y - x <= 1 with q = (3, -2). The warm seed, row
+    1, has a negative multiplier, and its x violates rows 0 and 2; the
+    corrected guess, rows 0 and 2, is the optimum (0, 1) at the second KKT
+    solve. From row 1 alone the dual loop takes three passes."""
+    prob = qp.QpProblem(P=np.eye(2), q=[3.0, -2.0], G=[[-1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]], h=[0.0, 2.0, 1.0])
+    sol = qp.solve(prob, warm_active=[1])
+    assert sol.iterations == 2 and sol.active_set == [0, 2]
+    assert np.abs(sol.x_star - np.array([0.0, 1.0])).max() < 1e-12
+    assert np.abs(qp.solve(prob).x_star - sol.x_star).max() < 1e-12
+
+
+def test_dependent_warm_seed_is_not_accepted_from_round_off():
+    """Two rows in one variable are dependent, so the seed's KKT system is
+    singular; its solve can return a feasible x with multipliers of 1e16.
+    Such a solve leaves a residual of the order of the data and is not
+    accepted: x is the projection of the unconstrained minimum on row 0."""
+    g, h = np.array([[0.9158797060109467], [-0.7423993161312834]]), np.array([-0.03046557000517458, 1.260565352911109])
+    prob = qp.QpProblem(P=[[2.1538201725244512]], q=[-3.5612773844324455], G=g, h=h)
+    sol = qp.solve(prob, warm_active=[1, 0])
+    assert abs(sol.x_star[0] - h[0] / g[0, 0]) < 1e-12 and sol.active_set == [0]
+    assert qp.check_kkt(prob, sol).max_residual() < 1e-9
+
+
 def test_validate_rejects_asymmetric():
     P = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         qp.QpProblem(P=P, q=np.zeros(2)).validate()
+
+
+def test_validate_symmetry_tolerance():
+    """An exactly symmetric P passes on the first test; otherwise the
+    tolerance test of np.allclose(P, P.T, atol=1e-10) decides."""
+    P = np.array([[2.0, 0.5], [0.5, 1.0]])
+    qp.QpProblem(P=P, q=np.zeros(2)).validate()
+    for off, ok in ((1e-11, True), (4e-6, True), (1e-9, True), (1e-5, False)):
+        P_off = P.copy()
+        P_off[0, 1] += off
+        assert np.allclose(P_off, P_off.T, atol=1e-10) == ok
+        if ok:
+            qp.QpProblem(P=P_off, q=np.zeros(2)).validate()
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                qp.QpProblem(P=P_off, q=np.zeros(2)).validate()
+    P_off = np.diag([1.0, 1e-3])
+    P_off[0, 1] = 2e-10  # beyond atol 1e-10 + 1e-5 * |P[1, 0]| = 1e-10
+    with pytest.raises(ValueError, match="symmetric"):
+        qp.QpProblem(P=P_off, q=np.zeros(2)).validate()
 
 
 def test_solution_respects_constraints_tightly():
