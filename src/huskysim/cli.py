@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 the simulated run ended in a failure event,
 1 config or IO error. Output directory resolution: --out flag, then the
-HUSKY_OUT_DIR environment variable, then ./runs/<scenario name>.
+HUSKY_OUT_DIR environment variable (one subdirectory per config, named after
+its file stem, when several run), then ./runs/<scenario name>. Every config
+is loaded, and two configs with one output directory are rejected, before
+the first run.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ def configs_from_doc(doc: dict):
         raise config.ConfigError("document: must be an object")
     scenario = config.load(Scenario, {k: v for k, v in doc.items() if k not in SECTIONS})
     params, mpc_cfg, gait_cfg = [config.load(cls, doc.get(key, {}), key) for key, cls in SECTIONS.items()]
-    scenario.validate()
-    for key, obj in zip(SECTIONS, (params, mpc_cfg, gait_cfg)):
-        obj.validate(key)
     sim_mod.steps_per_tick(mpc_cfg.rate_hz, scenario.sim_dt)
     return scenario, params, mpc_cfg, gait_cfg
 
@@ -149,19 +149,13 @@ def write_plots(data: np.ndarray, plots_dir, mu_limit: float):
     )
 
 
-def run_scenario(config_path, out_dir=None) -> int:
-    """Run one scenario and write log.csv, summary.json, and plots/*.svg into
-    out_dir, or into runs/<scenario name> when out_dir is None."""
-    try:
-        scenario, params, mpc_cfg, gait_cfg = load_config(config_path)
-    except config.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    out = Path(out_dir) if out_dir else Path("runs") / scenario.name
+def run_scenario(configs, out: Path) -> int:
+    """Run one loaded scenario, (scenario, params, mpc_cfg, gait_cfg), and write
+    log.csv, summary.json and plots/*.svg into out."""
+    scenario = configs[0]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        log, outcome = run(scenario, params, mpc_cfg, gait_cfg)
+        log, outcome = run(*configs)
         log.to_csv(out / "log.csv")
         written = sim_mod.SimLog.from_csv(out / "log.csv").as_array()
         summary = summarize(written, scenario, outcome)
@@ -235,17 +229,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cmd == "run":
+        try:  # every config before the first run
+            loaded = [load_config(path) for path in args.configs]
+        except config.ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        # each config's output directory: base for one config, base/<file stem>
+        # for several, runs/<scenario name> without a base; no two may be one
         base = args.out or os.environ.get("HUSKY_OUT_DIR")
-        outs = [base] * len(args.configs)
-        if base and len(args.configs) > 1:
-            stems = [Path(cfg).stem for cfg in args.configs]
-            twice = next((stem for i, stem in enumerate(stems) if stem in stems[:i]), None)
-            if twice is not None:
-                print(f"error: two configs share the stem {twice!r}, which names their output directory",
-                      file=sys.stderr)
+        if not base:
+            outs = [Path("runs") / configs[0].name for configs in loaded]
+        elif len(loaded) == 1:
+            outs = [Path(base)]
+        else:
+            outs = [Path(base) / Path(path).stem for path in args.configs]
+        for i, out in enumerate(outs):
+            if out in outs[:i]:
+                print(f"error: {args.configs[outs.index(out)]} and {args.configs[i]} both write to "
+                      f"the output directory {out.name!r} in {out.parent}", file=sys.stderr)
                 return 1
-            outs = [str(Path(base) / stem) for stem in stems]
-        codes = [run_scenario(cfg, out) for cfg, out in zip(args.configs, outs)]
+        codes = [run_scenario(configs, out) for configs, out in zip(loaded, outs)]
         if 1 in codes:
             return 1
         return 2 if 2 in codes else 0

@@ -4,8 +4,10 @@ field it fills, with its JSON key, default, shape and bound.
 A field's annotation is its type: float, int, bool, str, np.ndarray (of the
 declared shape), a config dataclass (a nested JSON object) or a list of one
 (an array of objects). ``load`` builds a config from its JSON object and
-rejects unknown keys, wrong types and wrong shapes; ``check`` runs every
-declared bound, then the few rules that span fields.
+rejects unknown keys, wrong types and wrong shapes. A config checks itself
+once, when it is constructed: ``check`` runs every declared bound of its own
+fields, then the few rules that span them; a nested config was checked when
+it was made.
 """
 
 from __future__ import annotations
@@ -39,14 +41,15 @@ def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None, cho
 
 
 class Config:
-    """Base of the config dataclasses."""
+    """Base of the config dataclasses: a config with a value outside its
+    declared bound or rules raises ConfigError, naming the key, when built."""
+
+    def __post_init__(self):
+        check(self)
 
     def rules(self):
         """(key, holds, what must hold) for each rule that spans fields."""
         return ()
-
-    def validate(self, path=""):
-        return check(self, path)
 
 
 @functools.cache
@@ -111,7 +114,8 @@ def _parse(tp, value, field, where):
 def load(cls, doc, path=""):
     """The config dataclass ``cls`` read from its JSON object ``doc``.
 
-    Checks keys, types and shapes; ``check`` tests the bounds.
+    Checks keys, types and shapes; constructing ``cls`` tests the bounds. An
+    error names its key by its path in the document from ``path``.
     """
     if not isinstance(doc, dict):
         _fail(path, "must be an object", doc)
@@ -125,33 +129,31 @@ def load(cls, doc, path=""):
             kwargs[f.name] = _parse(tp, doc[key], f, _join(path, key))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             _fail(_join(path, key), "is required")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:  # a bound or rule of the object's own fields
+        raise ConfigError(_join(path, str(exc))) from None
 
 
-def check(obj, path=""):
-    """``obj`` after checking each setting against its declared bound and then
-    the rules that span its fields; raises ConfigError at the first failure."""
+def check(obj):
+    """Check each number, array and string setting of ``obj`` against its
+    declared bound, then the rules that span its fields; raises ConfigError
+    at the first failure."""
     for key, (tp, f) in _schema(type(obj)).items():
-        value, meta, where = getattr(obj, f.name), f.metadata, _join(path, key)
-        if dataclasses.is_dataclass(tp):
-            check(value, where)
-        elif typing.get_origin(tp) is list:
-            for i, item in enumerate(value):
-                check(item, f"{where}[{i}]")
-        elif tp is str:
+        value, meta = getattr(obj, f.name), f.metadata
+        if tp is str:
             if meta["choices"] and value not in meta["choices"]:
-                _fail(where, f"must be one of {meta['choices']}", value)
-        elif tp is not bool:
+                _fail(key, f"must be one of {meta['choices']}", value)
+        elif tp in (float, int, np.ndarray):
             arr = np.asarray(value, dtype=float)
             if arr.shape != meta["shape"]:
-                _fail(where, f"must have shape {meta['shape']}, got shape {arr.shape}")
+                _fail(key, f"must have shape {meta['shape']}, got shape {arr.shape}")
             if not np.isfinite(arr).all():
-                _fail(where, "must be finite", value)
+                _fail(key, "must be finite", value)
             if meta["gt"] is not None and not (arr > meta["gt"]).all():
-                _fail(where, f"must be > {meta['gt']}", value)
+                _fail(key, f"must be > {meta['gt']}", value)
             if meta["ge"] is not None and not (arr >= meta["ge"]).all():
-                _fail(where, f"must be >= {meta['ge']}", value)
+                _fail(key, f"must be >= {meta['ge']}", value)
     for key, holds, what in obj.rules():
         if not holds:
-            _fail(_join(path, key), what)
-    return obj
+            _fail(key, what)

@@ -99,21 +99,16 @@ _FORCE_SUM = np.tile(np.eye(3), 4)
 _SKEW_BASIS = skew(np.eye(3))  # skew(d) = sum_k d_k skew(e_k)
 
 
-def build_continuous_model(
-    state: RobotState, d: np.ndarray, r: np.ndarray, params: RobotParams, inertia_inv=None
-):
+def build_continuous_model(state: RobotState, d: np.ndarray, r: np.ndarray, params: RobotParams):
     """Continuous A (13x13) and B (13x16) of the yaw-linearized dynamics.
 
     d may also stack n sets of foot lever arms, (n, 4, 3), that share
     everything else; B is then (n, 13, 16). Columns are emitted for all four
     legs; swing legs are zeroed downstream by input constraints, not by the model.
-    inertia_inv is params.inertia_body's inverse, which a run forms once
-    (formed here when None); the yaw-rotated inverse is Rz I_b^-1 Rz'.
+    The yaw-rotated inverse inertia is Rz I_b^-1 Rz'.
     """
     rz = rot_z(state.theta[2])
-    if inertia_inv is None:
-        inertia_inv = np.linalg.inv(params.inertia_body)
-    iw_inv = rz @ inertia_inv @ rz.T
+    iw_inv = rz @ params.inertia_inv @ rz.T
     e_yaw = params.thrust_dirs @ rz.T  # 4x3
 
     A = _A_POSITION.copy()

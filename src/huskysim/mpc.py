@@ -150,12 +150,12 @@ def assemble_qp(
     ref: np.ndarray,
     config: MpcConfig,
     layout,
-    weights=None,
+    weights,
 ):
     """Condensed QP over the free inputs of the stacked input vector, with its
     rows from layout = constraint_layout(config) and its weights from
-    horizon_weights(config), formed here when not given. Returns it, the mask
-    over U of its variables and its rows' indices in the layout (see free_layout)."""
+    weights = horizon_weights(config). Returns it, the mask over U of its
+    variables and its rows' indices in the layout (see free_layout)."""
     n_h = config.horizon
     if model.B_k.shape != (n_h, NX, NU) or len(stance_seq) != n_h or ref.shape != (n_h, NX):
         raise DimensionMismatch(
@@ -166,7 +166,7 @@ def assemble_qp(
     T, S = condense(model)
     free, G, h, rows = free_layout(layout, stance_seq, config)
     S = S[:, free]
-    sqrt_qbar, qbar, rbar = weights or horizon_weights(config)
+    sqrt_qbar, qbar, rbar = weights
 
     W = sqrt_qbar[:, None] * S
     P = W.T @ W + np.diag(rbar[free])  # W.T @ W is exactly symmetric
@@ -181,7 +181,7 @@ class MpcController:
     stance change, which renumbers the QP's rows, seeds the same ones."""
 
     def __init__(self, config: MpcConfig):
-        self.config = config.validate()
+        self.config = config
         self._layout = constraint_layout(config)
         self._weights = horizon_weights(config)
         self._was_active = np.zeros(sum(_ROWS) * config.horizon, dtype=bool)

@@ -9,6 +9,7 @@ Joint angles q = (abduction, hip swing, knee), radians.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,12 @@ class RobotParams(Config):
             ("thrust_dirs", unit.all(), "must be unit vectors"),
             ("joint_limits", np.all(limits[:, 0] < limits[:, 1]), "must have low < high in each row"),
         )
+
+    @functools.cached_property
+    def inertia_inv(self) -> np.ndarray:
+        """inertia_body's inverse, formed once per params for the plant and the
+        model; inertia_body is not changed after this is first read."""
+        return np.linalg.inv(self.inertia_body)
 
     def leg_reach(self) -> float:
         return self.link_lengths.thigh + self.link_lengths.shank

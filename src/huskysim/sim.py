@@ -181,7 +181,6 @@ def step(
     f_ext: np.ndarray,
     params: RobotParams,
     dt: float,
-    inertia_inv=None,
 ) -> np.ndarray:
     """n plant steps that hold u and r: semi-implicit Euler on the accelerations
     of dynamics.centroidal_accel plus f_ext / m, velocities first, then the pose
@@ -189,8 +188,6 @@ def step(
 
     d: (n, 4, 3) foot lever arms, each from the COM at the first step.
     f_ext: (n, 3) force at the COM per step (N, world).
-    inertia_inv: params.inertia_body's inverse, which a run forms once;
-    formed here when None.
     Returns the (n, 12) post-step states. The steps stop after the first
     non-finite state, and the rows past it are NaN.
     """
@@ -205,9 +202,7 @@ def step(
     # so the GRF torque is cross(d[j], grf) summed less (p_j - p_0) x F
     fx, fy, fz = u.grf.sum(axis=0).tolist()
     torque = cross(d, u.grf).sum(axis=1).tolist()
-    if inertia_inv is None:
-        inertia_inv = np.linalg.inv(params.inertia_body)
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia_inv.tolist()
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params.inertia_inv.tolist()
     ph, th, ps = state.theta.tolist()
     px, py, pz = p0x, p0y, p0z = state.p.tolist()
     wx, wy, wz = state.omega.tolist()
@@ -244,7 +239,7 @@ def step(
     return out
 
 
-def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt, inertia_inv=None) -> LinearModel:
+def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> LinearModel:
     """One tick's discrete model, from a single build: one A_k and a B_k per step.
 
     A leg in the air now that is in stance at step k has its planned touchdown
@@ -252,7 +247,7 @@ def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt, i
     """
     landing = np.asarray(stance_seq) & ~np.asarray(stance_now)
     d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
-    return discretize(*build_continuous_model(state, d_seq, r, params, inertia_inv), dt)
+    return discretize(*build_continuous_model(state, d_seq, r, params), dt)
 
 
 def steps_per_tick(rate_hz: float, sim_dt: float) -> int:
@@ -335,12 +330,9 @@ class _LegTracker:
 
 
 def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: GaitConfig):
-    """Execute a scenario; returns (SimLog, outcome) where outcome is None on success."""
-    scenario.validate()
-    params.validate("robot")
-    mpc_cfg.validate("mpc")
-    gait_cfg.validate("gait")
-
+    """Execute a scenario; returns (SimLog, outcome) where outcome is None on success.
+    Each config checked itself when built; steps_per_tick, the one rule across
+    two configs, raises ConfigError."""
     dt = scenario.sim_dt
     per_tick = steps_per_tick(mpc_cfg.rate_hz, dt)
     n_steps = round(scenario.duration / dt)
@@ -351,7 +343,6 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     tracker = _LegTracker(params, scenario, gait_cfg)
     controller = MpcController(mpc_cfg)
     log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
-    inertia_inv = np.linalg.inv(params.inertia_body)  # the plant's and the model's, formed once
 
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step
     # row k: the gait at tick k's horizon steps, of which column 0 is the tick's own
@@ -371,9 +362,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 feet = tracker.tick_feet(phase, stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
-                model = horizon_models(
-                    state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt, inertia_inv
-                )
+                model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
                 u = controller.step(state, stance_seq, model, ref)
         except SolverFailure as exc:
             failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
@@ -394,7 +383,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             f_ext = np.zeros((n, 3))
             for dist in scenario.disturbances:
                 f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
-            post = step(state, u, feet - state.p, r, f_ext, params, dt, inertia_inv)
+            post = step(state, u, feet - state.p, r, f_ext, params, dt)
             finite = np.isfinite(post).all(axis=1)
             tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
             low = post[:, 5] - support < HEIGHT_FRACTION * command.height

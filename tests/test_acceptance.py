@@ -6,7 +6,15 @@ from conftest import pgd_oracle, read_summary
 from huskysim import cli, qp
 from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
-from huskysim.mpc import Command, MpcConfig, MpcController, assemble_qp, build_reference, constraint_layout
+from huskysim.mpc import (
+    Command,
+    MpcConfig,
+    MpcController,
+    assemble_qp,
+    build_reference,
+    constraint_layout,
+    horizon_weights,
+)
 from huskysim.robot import (
     RobotParams,
     leg_forward_kinematics,
@@ -112,11 +120,11 @@ def _random_condensed_instance(rng, params):
     A, B = build_continuous_model(state, d, r, params)
     model = discretize(A, np.repeat(B[None], horizon, axis=0), cfg.dt)
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-    return assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg))[0]
+    return assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg), horizon_weights(cfg))[0]
 
 
 def test_criterion_4_mpc_qp_correctness():
-    params = RobotParams().validate()
+    params = RobotParams()
     rng = np.random.default_rng(2024)
     worst_obj, worst_kkt = 0.0, 0.0
     for _ in range(50):
@@ -133,7 +141,6 @@ def test_criterion_4_mpc_qp_correctness():
     tilted = RobotParams()
     dirs = np.array([[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [0.0, -0.6, 0.8], [0.0, 0.6, 0.8]])
     tilted.thrust_dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    tilted.validate()
     cfg = MpcConfig(horizon=1, mu=0.9)
     state = RobotState(p=np.array([0.0, 0.0, 0.23]))
     d = tilted.hip_offsets.copy()
@@ -160,7 +167,7 @@ def test_criterion_4_mpc_qp_correctness():
 
 
 def test_criterion_5_dynamics_fidelity():
-    params = RobotParams().validate()
+    params = RobotParams()
     rng = np.random.default_rng(99)
 
     # plant vs linear model, one step at small angles

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_bundled, read_summary
-from huskysim import cli, sim
+from huskysim import cli, config, sim
 from huskysim.sim import Scenario, SimLog
 
 col = SimLog.HEADER.index
@@ -300,6 +300,71 @@ def test_duplicate_config_stems_exit_1_before_any_run(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'flat'" in err[0]
     assert not out.exists()
+
+
+def test_two_configs_of_one_name_exit_1_before_any_run(tmp_path, monkeypatch, capsys):
+    """Without --out or HUSKY_OUT_DIR, two configs that leave the name at its
+    default would both write runs/scenario: rejected before either runs."""
+    doc = load_bundled("flat_trot")
+    del doc["name"]
+    doc["duration_s"] = 0.05
+    (tmp_path / "sub").mkdir()
+    for path in ("a.json", "sub/b.json"):
+        (tmp_path / path).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HUSKY_OUT_DIR", raising=False)
+    assert cli.main(["run", "a.json", "sub/b.json"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'scenario'" in err[0]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_invalid_config_after_a_valid_one_runs_neither(tmp_path, capsys):
+    """Every config is loaded before the first run, so a valid config listed
+    before an invalid one writes nothing."""
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.05
+    (tmp_path / "good.json").write_text(json.dumps(doc))
+    doc["duration_s"] = -1.0
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path / "good.json"), str(tmp_path / "bad.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "duration_s" in err[0]
+    assert not out.exists()
+
+
+def test_each_config_is_checked_once_and_never_inside_the_run(tmp_path, monkeypatch):
+    """A CLI run checks each config object, nested ones included, exactly
+    once, when it is built; sim.run checks none."""
+    checked, inside, runs = [], [False], []
+    original_check, original_run = config.check, sim.run
+
+    def check(obj):
+        assert not inside[0], f"{type(obj).__name__} checked inside sim.run"
+        checked.append(obj)
+        return original_check(obj)
+
+    def run(*configs):
+        runs.append(configs)
+        inside[0] = True
+        try:
+            return original_run(*configs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(config, "check", check)
+    monkeypatch.setattr(sim, "run", run)
+    monkeypatch.setattr(cli, "run", run)
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"] = 0.05
+    (tmp_path / "push.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "push.json"), "--out", str(tmp_path / "out")]) == 0
+    (scenario, params, mpc_cfg, gait_cfg), = runs
+    tree = [scenario, scenario.terrain, scenario.command, *scenario.disturbances,
+            params, params.link_lengths, mpc_cfg, gait_cfg]
+    assert len(scenario.disturbances) == 1
+    assert sorted(map(id, checked)) == sorted(map(id, tree))
 
 
 # beam_walk with the Husky beta robot, gait, controller and friction written out as literals

@@ -13,12 +13,16 @@ import string
 import typing
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from huskysim import cli
-from huskysim.mpc import MpcConfig
-from huskysim.sim import Scenario
+from huskysim.config import ConfigError
+from huskysim.gait import GaitConfig
+from huskysim.mpc import Command, MpcConfig
+from huskysim.robot import LinkLengths, RobotParams
+from huskysim.sim import Disturbance, Scenario, Terrain
 
 JUNK = [None, "1", True, [1.0], {}]  # not a number, nor an array of numbers
 UNKNOWN = st.text(string.ascii_lowercase, min_size=1, max_size=6).map(lambda k: "zz_" + k)
@@ -157,3 +161,30 @@ def test_drawn_documents_fail_only_at_load(tmp_path_factory, case):
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
     if invalid:
         assert code == 1, doc
+
+
+PUSH = {"t_start": 1.0, "t_end": 1.5, "force": np.array([0.0, 40.0, 0.0])}
+
+OUT_OF_BOUND = [
+    (Terrain, {"kind": "lava"}, "kind"),
+    (Terrain, {"kind": "beam"}, "width_m"),
+    (Disturbance, {**PUSH, "t_end": 0.5}, "t_end_s"),
+    (Disturbance, {**PUSH, "force": np.array([0.0, np.nan, 0.0])}, "force_n"),
+    (Scenario, {"duration": -1.0}, "duration_s"),
+    (Scenario, {"name": ".."}, "name"),
+    (Command, {"height": 0.0}, "height_m"),
+    (LinkLengths, {"thigh": -0.17}, "thigh"),
+    (RobotParams, {"mass": 0.0}, "mass"),
+    (RobotParams, {"thrust_dirs": np.zeros((4, 3))}, "thrust_dirs"),
+    (MpcConfig, {"horizon": 0}, "horizon"),
+    (MpcConfig, {"r_diag": np.ones(15)}, "r_diag"),
+    (GaitConfig, {"t_swing": -0.15}, "t_swing_s"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, key", OUT_OF_BOUND, ids=[f"{c.__name__}-{k}" for c, _, k in OUT_OF_BOUND])
+def test_config_built_in_python_checks_itself(cls, kwargs, key):
+    """A config with one value outside its bound or rules raises ConfigError
+    naming the key when it is constructed, not when a run first reads it."""
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        cls(**kwargs)

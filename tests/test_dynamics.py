@@ -20,7 +20,7 @@ from huskysim.sim import step
 
 @pytest.fixture
 def params():
-    return RobotParams().validate()
+    return RobotParams()
 
 
 def symmetric_stand(params):
@@ -130,7 +130,7 @@ def plant_ticks(draw):
     u = ControlInput(grf=draw(vectors((4, 3), 40.0)), thrust=draw(arrays(np.float64, 4, elements=st.floats(0.0, 20.0))))
     feet = p + draw(vectors((n, 4, 3), 0.4))
     dt = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
-    return params.validate(), state, u, draw(vectors((4, 3), 0.4)), feet, draw(vectors((n, 3), 100.0)), dt
+    return params, state, u, draw(vectors((4, 3), 0.4)), feet, draw(vectors((n, 3), 100.0)), dt
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -206,7 +206,6 @@ def test_single_thruster_torque_oracle():
     params.thrust_dirs = np.array(
         [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, -1.0, 0.0]]
     )
-    params.validate()
     d = np.zeros((4, 3))
     r = np.zeros((4, 3))
     r[0] = [0.1, 0.2, -0.1]

@@ -239,7 +239,7 @@ def test_gait_config_from_dict():
             "foot_margin_m": 0.02,
             "stance_width_m": 0.12,
         },
-    ).validate()
+    )
     assert cfg.t_stance == 0.25
     assert cfg.foot_margin == 0.02
     assert cfg.stance_width == 0.12

@@ -15,6 +15,7 @@ from huskysim.mpc import (
     condense,
     constraint_layout,
     free_layout,
+    horizon_weights,
     input_constraints,
 )
 from huskysim.robot import RobotParams
@@ -23,7 +24,7 @@ from huskysim.sim import run
 
 @pytest.fixture
 def params():
-    return RobotParams().validate()
+    return RobotParams()
 
 
 def stand_geometry(params, height=0.25):
@@ -168,7 +169,7 @@ def test_selection_from_constant_layout_is_the_loop_layout(params):
         assert all(same_bits(a, b) for a, b in zip(got, expected))
         model = make_model(state, d, r, stance_seq, cfg, params)
         ref = build_reference(state, Command(), cfg)
-        problem, inputs, rows = assemble_qp(state, stance_seq, model, ref, cfg, layout)
+        problem, inputs, rows = assemble_qp(state, stance_seq, model, ref, cfg, layout, horizon_weights(cfg))
         assert all(same_bits(a, b) for a, b in zip((inputs, problem.G, problem.h, rows), expected))
         assert all(same_bits(a, b) for a, b in zip(input_constraints(stance_seq, cfg), expected[1:3]))
 
@@ -198,7 +199,6 @@ def test_unconstrained_closed_form(params):
     tilted = RobotParams()
     dirs = np.array([[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [0.0, -0.6, 0.8], [0.0, 0.6, 0.8]])
     tilted.thrust_dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    tilted.validate()
     cfg = MpcConfig(horizon=1, mu=0.9)
     state = RobotState(p=np.array([0.0, 0.0, 0.23]))  # slightly low: wants lift
     d, r = stand_geometry(tilted, height=0.23)
@@ -305,15 +305,15 @@ def test_dimension_mismatch(params):
     ref = build_reference(state, Command(), cfg)
     model = make_model(state, d, r, [stance] * 3, cfg, params)  # wrong length
     with pytest.raises(DimensionMismatch):
-        assemble_qp(state, [stance] * 3, model, ref, cfg, constraint_layout(cfg))
+        assemble_qp(state, [stance] * 3, model, ref, cfg, constraint_layout(cfg), horizon_weights(cfg))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MpcConfig(horizon=0).validate()
+        MpcConfig(horizon=0)
     with pytest.raises(ValueError):
-        MpcConfig(r_diag=np.zeros(16)).validate()
-    cfg = config.load(MpcConfig, {"horizon": 3, "dt_s": 0.05, "mu": 0.4}).validate()
+        MpcConfig(r_diag=np.zeros(16))
+    cfg = config.load(MpcConfig, {"horizon": 3, "dt_s": 0.05, "mu": 0.4})
     assert cfg.horizon == 3 and cfg.dt == 0.05 and cfg.mu == 0.4
 
 
@@ -352,7 +352,7 @@ def pinned_qp(state, stance_seq, model, ref, cfg):
 
 
 def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg):
-    problem, free, _ = assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg))
+    problem, free, _ = assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg), horizon_weights(cfg))
     sol = qp.solve(problem)
     U = np.zeros(free.size)
     U[free] = sol.x_star

@@ -20,7 +20,7 @@ from huskysim.rotations import rot_x
 
 @pytest.fixture
 def params():
-    return RobotParams().validate()
+    return RobotParams()
 
 
 def fk_transform_oracle(params, leg_index, q):
@@ -304,9 +304,8 @@ def test_four_leg_ik_round_trips_fk(case):
 
 
 def test_params_validation_rejects_bad_inertia():
-    p = RobotParams(inertia_body=np.diag([-1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        p.validate()
+        RobotParams(inertia_body=np.diag([-1.0, 1.0, 1.0]))
 
 
 def test_params_from_dict_roundtrip():
@@ -316,7 +315,7 @@ def test_params_from_dict_roundtrip():
             "mass": 7.0,
             "link_lengths": {"hip_roll_offset": 0.02, "thigh": 0.18, "shank": 0.16},
         },
-    ).validate()
+    )
     assert p.mass == 7.0
     assert p.link_lengths.thigh == 0.18
     assert p.leg_reach() == pytest.approx(0.34)
@@ -336,7 +335,7 @@ def test_params_from_json_document(tmp_path):
     }
     path = tmp_path / "robot.json"
     path.write_text(json.dumps(doc))
-    p = config.load(RobotParams, json.loads(path.read_text())).validate()
+    p = config.load(RobotParams, json.loads(path.read_text()))
     assert p.mass == 6.0
     assert p.thruster_knee_offset == 0.02
     assert p.inertia_body[2, 2] == 0.13

@@ -28,7 +28,7 @@ from huskysim.sim import (
 
 @pytest.fixture
 def params():
-    return RobotParams().validate()
+    return RobotParams()
 
 
 def null_geometry():
