@@ -1,13 +1,13 @@
 """Declarative config schema: each setting is declared once, on the dataclass
 field it fills, with its JSON key, default, shape and bound.
 
-A field's annotation is its type: float, int, bool, str, np.ndarray (of the
+A field's annotation is its type: float, int, str, np.ndarray (of the
 declared shape), a config dataclass (a nested JSON object) or a list of one
 (an array of objects). ``load`` builds a config from its JSON object and
 rejects unknown keys, wrong types and wrong shapes. A config checks itself
-once, when it is constructed: ``check`` runs every declared bound of its own
-fields, then the few rules that span them; a nested config was checked when
-it was made.
+when it is constructed, and again when one of its fields is assigned:
+``check`` runs every declared bound of its own fields, then the few rules that
+span them; a nested config was checked when it was made.
 """
 
 from __future__ import annotations
@@ -42,10 +42,20 @@ def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None, cho
 
 class Config:
     """Base of the config dataclasses: a config with a value outside its
-    declared bound or rules raises ConfigError, naming the key, when built."""
+    declared bound or rules raises ConfigError, naming the key, when built, and
+    when one of its fields is assigned, which keeps the old value on an error and
+    else drops the values cached from the config (cached_property). An in-place
+    edit of an array or of the ``disturbances`` list is not checked."""
 
     def __post_init__(self):
         check(self)
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:  # a field of the built config: a copy holding value checks it first
+            dataclasses.replace(self, **{name: value})
+            for key in [k for k in vars(self) if isinstance(getattr(type(self), k, None), functools.cached_property)]:
+                del self.__dict__[key]
+        super().__setattr__(name, value)
 
     def rules(self):
         """(key, holds, what must hold) for each rule that spans fields."""
@@ -99,9 +109,9 @@ def _parse(tp, value, field, where):
         return [load(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
     if tp is np.ndarray:
         return np.array(_numbers(value, field.metadata["shape"], where), dtype=float)
-    if tp in (bool, str):
-        if not isinstance(value, tp):
-            _fail(where, "must be a boolean" if tp is bool else "must be a string", value)
+    if tp is str:
+        if not isinstance(value, str):
+            _fail(where, "must be a string", value)
         return value
     number = _number(value, where)
     if tp is int:

@@ -9,7 +9,9 @@ thrust magnitudes along fixed body-frame directions.
 
 The linear model rotates thrust directions and the inertia tensor by yaw
 only (valid for small roll/pitch); `centroidal_accel` rotates thrust by the
-full attitude, as the nonlinear plant (`sim.step`) does.
+full attitude, as the nonlinear plant (`sim.step`) does. Both take omegadot =
+Rz I_b^-1 Rz' tau (yaw-only inertia, no gyroscopic term): 1 s at 1 ms with no torque
+from roll 0.3, pitch 0.1, omega (1, 2, 0.5) rad/s changes R I_b R' omega by 18%.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ X = T x0 + S U, giving
 
 over the stacked inputs U (16 per step). Only the free inputs are QP
 variables: the forces of legs in stance at that step, and the thrusts when
-thrusters are enabled; every other input is zero and is not in the QP. The
-inequalities are a four-sided friction pyramid per stance leg (it implies
-u_z >= 0 since mu > 0) and [0, u_t_max] per thrust. U = 0 is always feasible,
-so the QP cannot be infeasible by construction.
+their cap u_t_max is above 0; every other input is zero and is not in the QP.
+The inequalities are a four-sided friction pyramid per stance leg, inside the
+ground's cone (it implies u_z >= 0), and [0, u_t_max] per thrust. U = 0 is
+always feasible, so the QP cannot be infeasible by construction.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ class MpcConfig(Config):
         shape=(NX,), ge=0,
     )
     r_diag: np.ndarray = setting("r_diag", [1e-4] * 12 + [1e-3] * 4, shape=(NU,), gt=0)
-    mu: float = setting("mu", 0.3535, gt=0)  # pyramid; mu_real / sqrt(2) stays inside the cone
-    u_t_max: float = setting("u_t_max_n", 20.0, ge=0)  # N, controller-side thrust cap
-    thrusters_enabled: bool = setting("thrusters_enabled", True)
+    u_t_max: float = setting("u_t_max_n", 20.0, ge=0)  # N, thrust cap; 0 turns the thrusters off
 
 
 @dataclass
@@ -97,11 +95,11 @@ _INPUTS = (3, 3, 3, 3, 1, 1, 1, 1)
 _ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
 
 
-def constraint_layout(config: MpcConfig):
+def constraint_layout(config: MpcConfig, mu_real: float):
     """The full layout G U <= h: every unit's rows at every step over all of U,
     in unit order, sum(_ROWS) rows a step. Per leg: four friction-pyramid rows
     over its force. Per thruster: upper and lower bound. U = 0 satisfies every row."""
-    mu = config.mu
+    mu = 0.707 * mu_real  # 1/sqrt(2) rounded down: the corners sit 1.5e-4 inside the ground's cone
     blocks = (  # a leg's rows over its force, then a thruster's over its thrust
         np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
         np.array([[1.0], [-1.0]]),
@@ -119,20 +117,20 @@ def constraint_layout(config: MpcConfig):
 
 def free_layout(layout, stance_seq: np.ndarray, config: MpcConfig):
     """A horizon's share of the layout, from one mask of the units with QP
-    variables (stance legs, enabled thrusters): the mask over U of the QP
-    variables, G and h over them, and each QP row's index in the layout (the
+    variables (stance legs, thrusters of a cap above 0): the mask over U of the
+    QP variables, G and h over them, and each QP row's index in the layout (the
     same constraint whatever the stance)."""
     free = np.empty((len(stance_seq), 8), dtype=bool)
-    free[:, :4], free[:, 4:] = stance_seq, config.thrusters_enabled
+    free[:, :4], free[:, 4:] = stance_seq, config.u_t_max > 0
     inputs = np.repeat(free, _INPUTS, axis=1).reshape(-1)
     rows = np.repeat(free, _ROWS, axis=1).reshape(-1)
     G, h = layout
     return inputs, G[rows][:, inputs], h[rows], np.flatnonzero(rows)
 
 
-def input_constraints(stance_seq: np.ndarray, config: MpcConfig):
+def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float):
     """Stacked inequality rows G U_free <= h over the free inputs, in U's order."""
-    _, G, h, _ = free_layout(constraint_layout(config), stance_seq, config)
+    _, G, h, _ = free_layout(constraint_layout(config, mu_real), stance_seq, config)
     return G, h
 
 
@@ -143,17 +141,10 @@ def horizon_weights(config: MpcConfig):
     return np.sqrt(qbar), qbar, np.tile(config.r_diag, config.horizon)
 
 
-def assemble_qp(
-    state: RobotState,
-    stance_seq: np.ndarray,
-    model: LinearModel,
-    ref: np.ndarray,
-    config: MpcConfig,
-    layout,
-    weights,
-):
+def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray,
+                config: MpcConfig, layout, weights):
     """Condensed QP over the free inputs of the stacked input vector, with its
-    rows from layout = constraint_layout(config) and its weights from
+    rows from layout = constraint_layout(config, mu_real) and its weights from
     weights = horizon_weights(config). Returns it, the mask over U of its
     variables and its rows' indices in the layout (see free_layout)."""
     n_h = config.horizon
@@ -176,25 +167,19 @@ def assemble_qp(
 
 
 class MpcController:
-    """Single-owner receding-horizon controller; carries the QP warm start: the
-    rows active at the last solve, marked in its constraint layout, so that a
-    stance change, which renumbers the QP's rows, seeds the same ones."""
+    """Single-owner receding-horizon controller for ground of friction mu_real;
+    carries the QP warm start: the rows active at the last solve, marked in its
+    layout, so that a stance change, which renumbers the QP's rows, seeds the same ones."""
 
-    def __init__(self, config: MpcConfig):
+    def __init__(self, config: MpcConfig, mu_real: float):
         self.config = config
-        self._layout = constraint_layout(config)
+        self._layout = constraint_layout(config, mu_real)
         self._weights = horizon_weights(config)
         self._was_active = np.zeros(sum(_ROWS) * config.horizon, dtype=bool)
         self._step_index = 0
         self.last_solution = None
 
-    def step(
-        self,
-        state: RobotState,
-        stance_seq: np.ndarray,
-        model: LinearModel,
-        ref: np.ndarray,
-    ) -> ControlInput:
+    def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
         problem, free, rows = assemble_qp(
             state, stance_seq, model, ref, self.config, self._layout, self._weights
         )

@@ -80,7 +80,7 @@ class RobotParams(Config):
     @functools.cached_property
     def inertia_inv(self) -> np.ndarray:
         """inertia_body's inverse, formed once per params for the plant and the
-        model; inertia_body is not changed after this is first read."""
+        model; assigning inertia_body drops it (see config.Config)."""
         return np.linalg.inv(self.inertia_body)
 
     def leg_reach(self) -> float:

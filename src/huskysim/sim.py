@@ -185,6 +185,8 @@ def step(
     """n plant steps that hold u and r: semi-implicit Euler on the accelerations
     of dynamics.centroidal_accel plus f_ext / m, velocities first, then the pose
     with the exact Euler-angle rates. One step is (4, 3) d and (3,) f_ext.
+    Rotation is omegadot = Rz I_b^-1 Rz' tau, the yaw-only inertia with no gyroscopic
+    term, which drifts the world angular momentum 18% in 1 s of torque-free motion.
 
     d: (n, 4, 3) foot lever arms, each from the COM at the first step.
     f_ext: (n, 3) force at the COM per step (N, world).
@@ -341,7 +343,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
 
     state = RobotState(p=np.array([0.0, 0.0, support + command.height]))
     tracker = _LegTracker(params, scenario, gait_cfg)
-    controller = MpcController(mpc_cfg)
+    controller = MpcController(mpc_cfg, scenario.mu_real)
     log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
 
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step

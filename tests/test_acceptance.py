@@ -104,9 +104,9 @@ def _random_condensed_instance(rng, params):
         dt=float(rng.uniform(0.02, 0.06)),
         q_diag=np.concatenate([rng.uniform(0.5, 100.0, 12), [0.0]]),
         r_diag=rng.uniform(0.05, 1.0, 16),
-        mu=float(rng.uniform(0.3, 0.8)),
         u_t_max=20.0,
     )
+    mu_real = float(rng.uniform(0.3, 0.8)) / 0.707  # pyramid slopes 0.3 to 0.8
     state = RobotState(
         theta=rng.uniform(-0.05, 0.05, 3),
         p=rng.normal(size=3) * 0.1 + [0.0, 0.0, 0.25],
@@ -120,7 +120,7 @@ def _random_condensed_instance(rng, params):
     A, B = build_continuous_model(state, d, r, params)
     model = discretize(A, np.repeat(B[None], horizon, axis=0), cfg.dt)
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-    return assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg), horizon_weights(cfg))[0]
+    return assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg, mu_real), horizon_weights(cfg))[0]
 
 
 def test_criterion_4_mpc_qp_correctness():
@@ -141,7 +141,7 @@ def test_criterion_4_mpc_qp_correctness():
     tilted = RobotParams()
     dirs = np.array([[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [0.0, -0.6, 0.8], [0.0, 0.6, 0.8]])
     tilted.thrust_dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    cfg = MpcConfig(horizon=1, mu=0.9)
+    cfg = MpcConfig(horizon=1)
     state = RobotState(p=np.array([0.0, 0.0, 0.23]))
     d = tilted.hip_offsets.copy()
     d[:, 2] = -0.23
@@ -150,7 +150,7 @@ def test_criterion_4_mpc_qp_correctness():
     A, B = build_continuous_model(state, d, r, tilted)
     model = discretize(A, B, cfg.dt)
     ref = build_reference(state, Command(height=0.25), cfg)
-    controller = MpcController(cfg)
+    controller = MpcController(cfg, 1.3)  # a pyramid of slope 0.92
     u = controller.step(state, [stance], discretize(A, B[None], cfg.dt), ref)
     assert controller.last_solution.active_set == []
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)

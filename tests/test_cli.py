@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -80,15 +81,12 @@ def test_invalid_config_exits_1(tmp_path, capsys):
         ('{"sim_dt_s": NaN}', "sim_dt_s"),
         ('{"sim_dt_s": Infinity}', "sim_dt_s"),
         ('{"mpc": {"dt_s": NaN}}', "dt_s"),
-        ('{"mpc": {"mu": -1}}', "mu"),
-        ('{"mpc": {"mu": NaN}}', "mu"),
         ('{"gait": {"t_stance_s": NaN}}', "t_stance_s"),
         ('{"gait": {"t_stance_s": 0}}', "t_stance_s"),
         ('{"gait": {"t_swing_s": -0.1}}', "t_swing_s"),
     ],
     ids=["rate_zero", "rate_negative", "rate_inf", "rate_nan", "duration_nan", "duration_inf",
-         "sim_dt_nan", "sim_dt_inf", "mpc_dt_nan", "mu_negative", "mu_nan", "t_stance_nan",
-         "t_stance_zero", "t_swing_negative"],
+         "sim_dt_nan", "sim_dt_inf", "mpc_dt_nan", "t_stance_nan", "t_stance_zero", "t_swing_negative"],
 )
 def test_bad_timing_value_exits_1(tmp_path, capsys, doc, key):
     assert_one_error_line(tmp_path, capsys, doc, key)
@@ -124,7 +122,8 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"mpc": {"q_diag": [NaN, 400, 100, 100, 400, 800, 1, 1, 1, 10, 40, 20, 0]}}', "mpc.q_diag"),
         ('{"mpc": {"horizon": 2.7}}', "mpc.horizon"),
         ('{"mpc": {"horizon": true}}', "mpc.horizon"),
-        ('{"mpc": {"thrusters_enabled": "no"}}', "mpc.thrusters_enabled"),
+        ('{"mpc": {"thrusters_enabled": false}}', "mpc: unknown key 'thrusters_enabled'"),
+        ('{"mpc": {"mu": 0.3535}}', "mpc: unknown key 'mu'"),
         ('{"terrain": {"kind": "beam", "width_m": 0.1, "height_m": NaN}}', "terrain.height_m"),
         ('{"mu_real": NaN}', "mu_real"),
         ('{"mu_real": -1}', "mu_real"),
@@ -147,7 +146,7 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"mpc": {"rate_hz": 30}}', "mpc.rate_hz"),
     ],
     ids=["mass_nan", "knee_offset_nan", "gravity_negative", "thigh_negative", "joint_limits_one_row",
-         "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_string",
+         "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_unknown", "mu_unknown",
          "beam_height_nan", "mu_real_nan", "mu_real_negative", "seed_unknown", "thrusters_top_level_unknown",
          "lateral_clamp_unknown", "horizn_unknown", "t_stanse_unknown", "speed_unknown", "duraton_unknown",
          "foot_margin_negative", "name_empty", "name_dot", "name_dotdot", "name_parent_path",
@@ -190,18 +189,19 @@ def test_summary_recomputed_from_log_matches(cli_runs):
 
 
 def test_empty_log_summary_has_every_key(cli_runs, tmp_path, capsys):
-    """Lowering only mu_real, to 0.3, below the cone of the controller's pyramid
-    (mpc.mu * sqrt(2)), ends the run as a Slip at t = 0 with no log rows; its
-    summary has the keys of a non-empty run, in the same order, with zero
-    metrics and no recovery."""
+    """A body commanded 1e300 m up overflows the first control tick, which ends
+    the run as a NumericalFailure at t = 0 with no log rows; its summary has the
+    keys of a non-empty run, in the same order, with zero metrics and no
+    recovery."""
     doc = load_bundled("push_with_thrust")
     doc["mu_real"] = 0.3
-    (tmp_path / "slip.json").write_text(json.dumps(doc))
-    assert cli.main(["run", str(tmp_path / "slip.json"), "--out", str(tmp_path / "out")]) == 2
-    assert "Slip at t=0.000s" in capsys.readouterr().out
+    doc["command"]["height_m"] = 1e300
+    (tmp_path / "high.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "high.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "NumericalFailure at t=0.000s" in capsys.readouterr().out
     assert SimLog.from_csv(tmp_path / "out" / "log.csv").n == 0
     summary = read_summary(tmp_path / "out")
-    assert summary["failure"]["kind"] == sim.SLIP and summary["failure"]["t_s"] == 0.0
+    assert summary["failure"]["kind"] == sim.NUMERICAL_FAILURE and summary["failure"]["t_s"] == 0.0
     assert list(summary) == list(read_summary(cli_runs("push_with_thrust")[1]))
     for key in ("max_abs_roll_rad", "max_abs_lateral_deviation_m", "mean_forward_speed_mps"):
         assert summary[key] == 0.0
@@ -377,7 +377,7 @@ BEAM_WALK_STATED = {
     "mu_real": 0.5,
     "gait": {"t_stance_s": 0.3, "t_swing_s": 0.15, "raibert_gain_s": 0.03, "apex_height_m": 0.05,
              "foot_margin_m": 0.01},
-    "mpc": {"horizon": 5, "dt_s": 0.06, "rate_hz": 100, "mu": 0.3535, "u_t_max_n": 20.0, "thrusters_enabled": True,
+    "mpc": {"horizon": 5, "dt_s": 0.06, "rate_hz": 100, "u_t_max_n": 20.0,
             "q_diag": [300, 300, 60, 100, 200, 800, 15, 8, 2, 20, 800, 300, 0]},
     "robot": {"hip_offsets": [[0.15, 0.1, 0.08], [0.15, -0.1, 0.08], [-0.15, 0.1, 0.08], [-0.15, -0.1, 0.08]],
               "inertia_body": [[0.15, 0, 0], [0, 0.2, 0], [0, 0, 0.22]]},
@@ -414,6 +414,29 @@ def keys_at_default(cls, doc, path=""):
             default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
             if np.array_equal(doc[key], default):
                 yield where
+
+
+def assert_schema_keys(cls, doc, path):
+    """``doc`` names exactly the JSON keys of the config class ``cls``, and so on
+    down each nested config object it holds."""
+    hints = typing.get_type_hints(cls)
+    types = {f.metadata["key"]: hints[f.name] for f in dataclasses.fields(cls)}
+    assert sorted(doc) == sorted(types), path
+    for key, tp in types.items():
+        if dataclasses.is_dataclass(tp):
+            assert_schema_keys(tp, doc[key], f"{path}.{key}")
+
+
+def test_readme_schema_block_names_every_key():
+    """README's "full schema, at its defaults" block, with its // and /* */
+    comments stripped, is a JSON document with exactly the keys config.load
+    accepts at each level."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The full schema, at its defaults:")[1].split("```jsonc\n")[1].split("```")[0]
+    doc = json.loads(re.sub(r"/\*.*?\*/|//[^\n]*", "", block, flags=re.S))
+    for key, cls in cli.SECTIONS.items():
+        assert_schema_keys(cls, doc.pop(key), key)
+    assert_schema_keys(Scenario, doc, "document")
 
 
 @pytest.mark.parametrize("name", ["beam_walk", "flat_trot", "push_no_thrust", "push_with_thrust"])
@@ -480,6 +503,27 @@ def test_bundled_logs_hold_no_negative_thrust_or_stance_normal_force(cli_runs, n
     stance = data[:, col("stance0") : col("stance0") + 4] == 1
     assert thrust.min() >= 0.0
     assert fz[stance].min() >= 0.0
+
+
+@pytest.mark.parametrize("name, duration, outcome", [
+    ("flat_trot", 1.0, None), ("beam_walk", 1.0, None),
+    ("push_with_thrust", 2.0, None), ("push_no_thrust", 2.0, sim.ROLL_DIVERGENCE),
+])
+def test_lower_friction_ground_keeps_every_outcome(tmp_path, name, duration, outcome):
+    """On ground of mu_real 0.3 the controller's pyramid, of slope 0.707 mu_real,
+    follows the ground: no run slips, the pushed robot keeps its feet with
+    thrusters and rolls over without them, and every stance leg's |fx| and |fy|
+    in log.csv stay on the pyramid."""
+    doc = load_bundled(name)
+    doc["mu_real"], doc["duration_s"] = 0.3, duration
+    (tmp_path / "low.json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "low.json"), "--out", str(tmp_path / "out")]) == (2 if outcome else 0)
+    failure = read_summary(tmp_path / "out")["failure"]
+    assert (failure and failure["kind"]) == outcome
+    data = SimLog.from_csv(tmp_path / "out" / "log.csv").as_array()
+    stance = data[:, col("stance0") : col("stance0") + 4] == 1
+    fx, fy, fz = (data[:, [col(f"grf{i}{a}") for i in range(4)]][stance] for a in "xyz")
+    assert np.all(np.maximum(np.abs(fx), np.abs(fy)) <= 0.707 * 0.3 * fz + 1e-6)
 
 
 FAILURE_KINDS = {sim.SLIP, sim.BEAM_MISS, sim.ROLL_DIVERGENCE, sim.HEIGHT_COLLAPSE, sim.SOLVER_FAILURE,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from huskysim import cli
+from huskysim import cli, sim
 from huskysim.config import ConfigError
 from huskysim.gait import GaitConfig
 from huskysim.mpc import Command, MpcConfig
@@ -110,9 +110,6 @@ def config_doc(draw, cls, sites, skip=()):
         elif tp is np.ndarray:
             target[key] = draw(valid_array(f))
             bad = invalid_array(f)
-        elif tp is bool:
-            target[key] = draw(st.booleans())
-            bad = st.sampled_from(["no", 0, 1, None, []])
         elif tp is str:
             choices = f.metadata["choices"]
             target[key] = draw(st.sampled_from(choices) if choices else st.text(string.ascii_letters, max_size=8))
@@ -188,3 +185,28 @@ def test_config_built_in_python_checks_itself(cls, kwargs, key):
     naming the key when it is constructed, not when a run first reads it."""
     with pytest.raises(ConfigError, match=f"^{key}: "):
         cls(**kwargs)
+
+
+def test_assigning_a_setting_checks_the_config():
+    """A setting assigned on a built config is checked as at construction: a
+    value outside its bound raises ConfigError naming the key, and the config
+    keeps its valid value, so the run it is given still runs."""
+    scenario, params, mpc_cfg, gait_cfg = cli.load_config("flat_trot")
+    with pytest.raises(ConfigError, match="^horizon: "):
+        mpc_cfg.horizon = 0
+    with pytest.raises(ConfigError, match="^width_m: "):
+        scenario.terrain.kind = "beam"  # a rule that spans fields: a beam needs a width
+    assert mpc_cfg.horizon == 5 and scenario.terrain.kind == "flat"
+    scenario.duration = 0.05
+    log, failure = sim.run(scenario, params, mpc_cfg, gait_cfg)
+    assert failure is None and log.n == 50
+
+
+def test_assigning_the_inertia_drops_its_cached_inverse():
+    params = RobotParams()
+    assert np.array_equal(params.inertia_inv, np.linalg.inv(params.inertia_body))
+    params.inertia_body = np.diag([0.3, 0.4, 0.5])
+    assert np.array_equal(params.inertia_inv, np.diag([1 / 0.3, 1 / 0.4, 1 / 0.5]))
+    with pytest.raises(ConfigError, match="^inertia_body: "):
+        params.inertia_body = -np.eye(3)
+    assert np.array_equal(params.inertia_inv, np.diag([1 / 0.3, 1 / 0.4, 1 / 0.5]))

@@ -21,6 +21,8 @@ from huskysim.mpc import (
 from huskysim.robot import RobotParams
 from huskysim.sim import run
 
+MU_REAL = 0.5  # the bundled ground; the controller's pyramid slope is 0.707 * 0.5 = 0.3535
+
 
 @pytest.fixture
 def params():
@@ -42,12 +44,13 @@ def make_model(state, d, r, stance_seq, cfg, params):
 
 def layout_rows(stance_seq, cfg):
     """Each QP row's index in the controller's constraint layout."""
-    return free_layout(constraint_layout(cfg), stance_seq, cfg)[3]
+    return free_layout(constraint_layout(cfg, MU_REAL), stance_seq, cfg)[3]
 
 
-def cold_step(state, stance_seq, d, r, ref, cfg, params):
+def cold_step(state, stance_seq, d, r, ref, cfg, params, mu_real=MU_REAL):
     """One cold-started controller step with the model frozen at the d, r snapshot."""
-    return MpcController(cfg).step(state, stance_seq, make_model(state, d, r, stance_seq, cfg, params), ref)
+    model = make_model(state, d, r, stance_seq, cfg, params)
+    return MpcController(cfg, mu_real).step(state, stance_seq, model, ref)
 
 
 def test_reference_hold_position():
@@ -78,39 +81,41 @@ def test_reference_integrates_yaw_rate():
 
 def test_constraint_rows_all_swing():
     cfg = MpcConfig(horizon=1)
-    G, h = input_constraints([np.zeros(4, dtype=bool)], cfg)
+    G, h = input_constraints([np.zeros(4, dtype=bool)], cfg, MU_REAL)
     assert G.shape == (8, 4)  # swing forces are not variables; two bound rows per thrust
     assert np.array_equal(h, [cfg.u_t_max, 0.0] * 4)
-    G, h = input_constraints([np.zeros(4, dtype=bool)], MpcConfig(horizon=1, thrusters_enabled=False))
-    assert G.shape == (0, 0) and h.shape == (0,)
+    G, h = input_constraints([np.zeros(4, dtype=bool)], MpcConfig(horizon=1, u_t_max=0.0), MU_REAL)
+    assert G.shape == (0, 0) and h.shape == (0,)  # a zero cap leaves no thrust in the QP
 
 
 def test_constraint_rows_trot_step():
     cfg = MpcConfig(horizon=1)
     stance = np.array([True, False, False, True])
-    G, h = input_constraints([stance], cfg)
+    G, h = input_constraints([stance], cfg, MU_REAL)
     assert G.shape == (2 * 4 + 4 * 2, 2 * 3 + 4)  # 16 rows over 10 free inputs per trot step
     # friction rows reference only that leg's force entries
     assert np.count_nonzero(G[:4, 3:]) == 0 and np.count_nonzero(G[4:8, :3]) == 0
     assert np.all(h >= 0.0)
-    free = free_layout(constraint_layout(cfg), [stance], cfg)[0]
+    free = free_layout(constraint_layout(cfg, MU_REAL), [stance], cfg)[0]
     assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
 
 
 def test_constraint_rows_name_each_row():
     """Index j of the full layout is step j // 24; within a step, legs 0-3 hold
     rows 0-15 (four pyramid faces each) and thrusters 4-7 rows 16-23 (upper,
-    then lower bound)."""
+    then lower bound). The pyramid's slope is 0.707 mu_real, 0.3535 on the
+    bundled ground; a zero thrust cap leaves no thruster rows."""
     rng = np.random.default_rng(12)
     for trial in range(6):
-        cfg = MpcConfig(mu=0.4, u_t_max=15.0, thrusters_enabled=bool(trial % 2))
+        cfg = MpcConfig(u_t_max=15.0 * (trial % 2))
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
-        G, h = input_constraints(stance_seq, cfg)
-        free, _, _, rows = free_layout(constraint_layout(cfg), stance_seq, cfg)
+        G, h = input_constraints(stance_seq, cfg, MU_REAL)
+        free, _, _, rows = free_layout(constraint_layout(cfg, MU_REAL), stance_seq, cfg)
         assert len(rows) == G.shape[0] == 4 * np.count_nonzero(stance_seq) + 8 * cfg.horizon * (trial % 2)
         assert np.all(np.diff(rows) > 0)
         column = np.cumsum(free) - 1  # QP column of each entry of U
-        pyramid = np.array([[1.0, 0.0, -0.4], [-1.0, 0.0, -0.4], [0.0, 1.0, -0.4], [0.0, -1.0, -0.4]])
+        mu = 0.3535
+        pyramid = np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]])
         for row, index in enumerate(rows.tolist()):
             k, j = divmod(index, 24)
             expected = np.zeros(G.shape[1])
@@ -121,7 +126,7 @@ def test_constraint_rows_name_each_row():
                 assert h[row] == 0.0
             else:
                 thruster, bound = divmod(j - 16, 2)
-                assert cfg.thrusters_enabled
+                assert cfg.u_t_max > 0
                 expected[column[k * NU + 12 + thruster]] = (1.0, -1.0)[bound]
                 assert h[row] == (15.0, 0.0)[bound]
             assert np.array_equal(G[row], expected)
@@ -131,13 +136,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def loop_layout(stance_seq, cfg):
+def loop_layout(stance_seq, cfg, mu_real):
     """The free inputs, G, h and layout rows as a loop over the free units
     builds them: the reference for the selection from the constant layout."""
     stance = np.asarray(stance_seq, dtype=bool)
-    free = np.hstack([stance, np.full((len(stance), 4), cfg.thrusters_enabled)])
+    free = np.hstack([stance, np.full((len(stance), 4), cfg.u_t_max > 0)])
     n_in, n_rows = (3, 3, 3, 3, 1, 1, 1, 1), (4, 4, 4, 4, 2, 2, 2, 2)
-    mu = cfg.mu
+    mu = 0.707 * mu_real
     blocks = (np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
               np.array([[1.0], [-1.0]]))
     G = np.zeros((free.sum(axis=0) @ n_rows, free.sum(axis=0) @ n_in))
@@ -155,23 +160,23 @@ def loop_layout(stance_seq, cfg):
 def test_selection_from_constant_layout_is_the_loop_layout(params):
     """G, h and row indices taken from the controller's constant layout by one
     free mask are bit for bit those of the loop over free units, for random
-    horizon stance, thrusters on and off, at two thrust caps."""
+    horizon stance, at thrust caps of 20 N, 7.5 N and zero (thrusters off)."""
     rng = np.random.default_rng(20)
     state = RobotState(p=np.array([0.0, 0.0, 0.25]))
     d, r = stand_geometry(params)
     for trial in range(40):
-        cfg = MpcConfig(horizon=int(rng.integers(1, 7)), mu=float(rng.uniform(0.2, 0.9)),
-                        u_t_max=(20.0, 7.5)[trial % 2], thrusters_enabled=bool(trial // 2 % 2))
+        cfg = MpcConfig(horizon=int(rng.integers(1, 7)), u_t_max=(20.0, 7.5)[trial % 2] * (trial // 2 % 2))
+        mu_real = float(rng.uniform(0.2, 0.9)) / 0.707  # pyramid slopes 0.2 to 0.9
         stance_seq = rng.random((cfg.horizon, 4)) < rng.uniform(0.0, 1.0)
-        expected = loop_layout(stance_seq, cfg)
-        layout = constraint_layout(cfg)
+        expected = loop_layout(stance_seq, cfg, mu_real)
+        layout = constraint_layout(cfg, mu_real)
         got = free_layout(layout, stance_seq, cfg)
         assert all(same_bits(a, b) for a, b in zip(got, expected))
         model = make_model(state, d, r, stance_seq, cfg, params)
         ref = build_reference(state, Command(), cfg)
         problem, inputs, rows = assemble_qp(state, stance_seq, model, ref, cfg, layout, horizon_weights(cfg))
         assert all(same_bits(a, b) for a, b in zip((inputs, problem.G, problem.h, rows), expected))
-        assert all(same_bits(a, b) for a, b in zip(input_constraints(stance_seq, cfg), expected[1:3]))
+        assert all(same_bits(a, b) for a, b in zip(input_constraints(stance_seq, cfg, mu_real), expected[1:3]))
 
 
 def test_zero_input_always_feasible(params):
@@ -179,7 +184,7 @@ def test_zero_input_always_feasible(params):
     rng = np.random.default_rng(0)
     for _ in range(10):
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
-        G, h = input_constraints(stance_seq, cfg)
+        G, h = input_constraints(stance_seq, cfg, MU_REAL)
         assert np.all(h >= 0.0)  # U = 0 satisfies G U <= h
 
 
@@ -199,14 +204,14 @@ def test_unconstrained_closed_form(params):
     tilted = RobotParams()
     dirs = np.array([[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [0.0, -0.6, 0.8], [0.0, 0.6, 0.8]])
     tilted.thrust_dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    cfg = MpcConfig(horizon=1, mu=0.9)
+    cfg = MpcConfig(horizon=1)
     state = RobotState(p=np.array([0.0, 0.0, 0.23]))  # slightly low: wants lift
     d, r = stand_geometry(tilted, height=0.23)
     stance = np.ones(4, dtype=bool)
     ref = build_reference(state, Command(height=0.25), cfg)
 
     model = make_model(state, d, r, [stance], cfg, tilted)
-    controller = MpcController(cfg)
+    controller = MpcController(cfg, 1.3)  # a pyramid of slope 0.92
     u = controller.step(state, [stance], model, ref)
     sol = controller.last_solution
     assert sol.active_set == []  # interior optimum, nothing binding
@@ -234,13 +239,13 @@ def test_static_stand_force_balance(params):
 def test_roll_rate_engages_opposing_thrusters(params):
     # diagonal stance with negligible friction makes the thrusters the only
     # roll actuator, so the engaged side is a clean sign check
-    cfg = MpcConfig(mu=0.01)
+    cfg = MpcConfig()
     d, r = stand_geometry(params)
     stance = np.array([True, False, False, True])
     for wx, expect_left in ((2.0, True), (-2.0, False)):
         state = RobotState(p=np.array([0.0, 0.0, 0.25]), omega=np.array([wx, 0.0, 0.0]))
         ref = build_reference(state, Command(height=0.25), cfg)
-        u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params)
+        u = cold_step(state, [stance] * cfg.horizon, d, r, ref, cfg, params, mu_real=0.014)
         left = u.thrust[0] + u.thrust[2]
         right = u.thrust[1] + u.thrust[3]
         assert (left > right + 1.0) == expect_left
@@ -280,15 +285,15 @@ def test_returned_input_respects_constraints(params):
         for i in range(4):
             if stance[i]:
                 assert u.grf[i, 2] >= -1e-8
-                assert abs(u.grf[i, 0]) <= cfg.mu * u.grf[i, 2] + 1e-8
-                assert abs(u.grf[i, 1]) <= cfg.mu * u.grf[i, 2] + 1e-8
+                assert abs(u.grf[i, 0]) <= 0.3535 * u.grf[i, 2] + 1e-8
+                assert abs(u.grf[i, 1]) <= 0.3535 * u.grf[i, 2] + 1e-8
             else:
                 assert np.all(u.grf[i] == 0.0)
             assert -1e-8 <= u.thrust[i] <= cfg.u_t_max + 1e-8
 
 
 def test_thrusters_disabled_pins_thrust(params):
-    cfg = MpcConfig(thrusters_enabled=False)
+    cfg = MpcConfig(u_t_max=0.0)
     state = RobotState(p=np.array([0.0, 0.0, 0.25]), omega=np.array([0.8, 0.0, 0.0]))
     d, r = stand_geometry(params)
     stance = np.ones(4, dtype=bool)
@@ -305,7 +310,7 @@ def test_dimension_mismatch(params):
     ref = build_reference(state, Command(), cfg)
     model = make_model(state, d, r, [stance] * 3, cfg, params)  # wrong length
     with pytest.raises(DimensionMismatch):
-        assemble_qp(state, [stance] * 3, model, ref, cfg, constraint_layout(cfg), horizon_weights(cfg))
+        assemble_qp(state, [stance] * 3, model, ref, cfg, constraint_layout(cfg, MU_REAL), horizon_weights(cfg))
 
 
 def test_config_validation():
@@ -313,23 +318,26 @@ def test_config_validation():
         MpcConfig(horizon=0)
     with pytest.raises(ValueError):
         MpcConfig(r_diag=np.zeros(16))
-    cfg = config.load(MpcConfig, {"horizon": 3, "dt_s": 0.05, "mu": 0.4})
-    assert cfg.horizon == 3 and cfg.dt == 0.05 and cfg.mu == 0.4
+    cfg = config.load(MpcConfig, {"horizon": 3, "dt_s": 0.05, "u_t_max_n": 0.0})
+    assert cfg.horizon == 3 and cfg.dt == 0.05 and cfg.u_t_max == 0.0
+    for key in ("mu", "thrusters_enabled"):  # the ground's mu_real and a zero cap say these
+        with pytest.raises(config.ConfigError, match=f"unknown key '{key}'"):
+            config.load(MpcConfig, {key: 0.4})
 
 
-def pinned_qp(state, stance_seq, model, ref, cfg):
+def pinned_qp(state, stance_seq, model, ref, cfg, mu_real):
     """The QP over every input, each input that is not free held at zero by rows.
 
-    Per stance leg: -u_z <= 0 and the friction pyramid. Per swing force
-    entry: u <= 0 and -u <= 0. Per thrust: [0, u_t_max], or [0, 0] when
-    thrusters are disabled.
+    Per stance leg: -u_z <= 0 and the friction pyramid of slope 0.707 mu_real.
+    Per swing force entry: u <= 0 and -u <= 0. Per thrust: [0, u_t_max], which
+    is [0, 0] at a zero cap.
     """
     n_h = len(stance_seq)
     T, S = condense(model)
     qbar = np.tile(cfg.q_diag, n_h)
     P = S.T @ (qbar[:, None] * S) + np.diag(np.tile(cfg.r_diag, n_h))
     q = S.T @ (qbar * (T @ state.as_vector() - ref.reshape(-1)))
-    mu, cap = cfg.mu, (cfg.u_t_max if cfg.thrusters_enabled else 0.0)
+    mu, cap = 0.707 * mu_real, cfg.u_t_max
     rows, rhs = [], []
     for k, stance in enumerate(stance_seq):
         for i in range(4):
@@ -351,12 +359,13 @@ def pinned_qp(state, stance_seq, model, ref, cfg):
     return qp.QpProblem(P=0.5 * (P + P.T), q=q, G=G, h=np.array(rhs))
 
 
-def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg):
-    problem, free, _ = assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg), horizon_weights(cfg))
+def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real):
+    layout = constraint_layout(cfg, mu_real)
+    problem, free, _ = assemble_qp(state, stance_seq, model, ref, cfg, layout, horizon_weights(cfg))
     sol = qp.solve(problem)
     U = np.zeros(free.size)
     U[free] = sol.x_star
-    full = pinned_qp(state, stance_seq, model, ref, cfg)
+    full = pinned_qp(state, stance_seq, model, ref, cfg, mu_real)
 
     def objective(x):
         return 0.5 * x @ full.P @ x + full.q @ x
@@ -374,8 +383,8 @@ def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg):
 def test_reduced_qp_matches_pinned_formulation_random(params):
     rng = np.random.default_rng(11)
     for trial in range(24):
-        cfg = MpcConfig(horizon=int(rng.integers(1, 6)), mu=float(rng.uniform(0.2, 0.9)),
-                        thrusters_enabled=bool(trial % 2))
+        cfg = MpcConfig(horizon=int(rng.integers(1, 6)), u_t_max=20.0 * (trial % 2))
+        mu_real = float(rng.uniform(0.2, 0.9)) / 0.707  # pyramid slopes 0.2 to 0.9
         state = RobotState(
             theta=rng.uniform(-0.1, 0.1, 3),
             p=np.array([0.0, 0.0, 0.25]) + rng.uniform(-0.03, 0.03, 3),
@@ -384,11 +393,11 @@ def test_reduced_qp_matches_pinned_formulation_random(params):
         )
         d, r = stand_geometry(params)
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
-        if trial < 2:  # no stance leg at all; with thrusters off there is no QP variable
+        if trial < 2:  # no stance leg at all; with a zero thrust cap there is no QP variable
             stance_seq = [np.zeros(4, dtype=bool)] * cfg.horizon
         model = make_model(state, d, r, stance_seq, cfg, params)
         ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg)
+        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real)
 
 
 def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
@@ -407,7 +416,7 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
     run(scenario, params, cfg, gait_cfg)
     assert len(recorded) == 145
     for state, stance_seq, model, ref in recorded[90:]:  # from 0.9 s
-        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg)
+        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, scenario.mu_real)
 
 
 def test_warm_starts_match_cold_recorded(monkeypatch):
