@@ -156,8 +156,7 @@ def run_scenario(configs, out: Path) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         log, outcome = run(*configs)
-        log.to_csv(out / "log.csv")
-        written = sim_mod.SimLog.from_csv(out / "log.csv").as_array()
+        written = log.to_csv(out / "log.csv")  # the values as SimLog.from_csv reads them back
         summary = summarize(written, scenario, outcome)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         write_plots(written, out / "plots", scenario.mu_real)

@@ -122,7 +122,7 @@ def build_continuous_model(state: RobotState, d: np.ndarray, r: np.ndarray, para
     # with the iw_inv @ skew(e_k); side by side they are (3, 12)
     grf = (d @ (iw_inv @ _SKEW_BASIS).reshape(3, 9)).reshape(stack + (4, 3, 3))
     B = np.zeros(stack + (NX, NU))
-    B[..., 6:9, :12] = np.swapaxes(grf, -3, -2).reshape(stack + (3, 12))
+    B[..., 6:9, :12] = grf.swapaxes(-3, -2).reshape(stack + (3, 12))
     B[..., 9:12, :12] = _FORCE_SUM / params.mass
     B[..., 6:9, 12:] = iw_inv @ cross(r, e_yaw).T
     B[..., 9:12, 12:] = e_yaw.T / params.mass

@@ -83,9 +83,13 @@ def build_swing_curve(liftoff: np.ndarray, target: np.ndarray, apex_height: floa
     (lift-off) and P3 = P4 (target)."""
     liftoff = np.asarray(liftoff, dtype=float)
     target = np.asarray(target, dtype=float)
-    apex = 0.5 * (liftoff + target)
+    curves = np.empty(liftoff.shape[:-1] + (5, 3))
+    curves[..., :2, :] = liftoff[..., None, :]
+    curves[..., 3:, :] = target[..., None, :]
+    apex = curves[..., 2, :]
+    np.multiply(0.5, liftoff + target, out=apex)
     apex[..., 2] = np.maximum(liftoff[..., 2], target[..., 2]) + apex_height
-    return np.stack([liftoff, liftoff, apex, target, target], axis=-2)
+    return curves
 
 
 # s^0..s^4 (rows) -> the quartic Bernstein weights (columns 0-4) and their derivatives (5-9)
@@ -93,6 +97,13 @@ _BERNSTEIN = np.array([[1, 0, 0, 0, 0, -4, 4, 0, 0, 0], [-4, 4, 0, 0, 0, 12, -24
                        [6, -12, 6, 0, 0, -12, 36, -36, 12, 0], [-4, 12, -12, 4, 0, 4, -16, 24, -16, 4],
                        [1, -4, 6, -4, 1, 0, 0, 0, 0, 0]], dtype=float)
 _POWERS = np.arange(5)
+
+
+def _checked_phase(s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    if not ((s >= 0.0) & (s <= 1.0)).all():
+        raise PhaseOutOfRange(f"phase {s} outside [0, 1]")
+    return s
 
 
 def eval_swing(control_points: np.ndarray, s):
@@ -104,10 +115,20 @@ def eval_swing(control_points: np.ndarray, s):
     from one matmul of Bernstein weights with the control points; duplicated
     endpoints make the derivative exactly zero at s = 0 and s = 1.
     """
-    s = np.asarray(s, dtype=float)
-    if not ((s >= 0.0) & (s <= 1.0)).all():
-        raise PhaseOutOfRange(f"phase {s} outside [0, 1]")
+    s = _checked_phase(s)
     # a (1, 5) @ (5, 10) product per phase: a phase gets the same weights alone or in a batch
     weights = s[..., None, None] ** _POWERS @ _BERNSTEIN
     out = weights.reshape(s.shape + (2, 5)) @ control_points
     return out[..., 0, :], out[..., 1, :]
+
+
+def swing_weights(s) -> np.ndarray:
+    """The Bernstein weights of the positions at phases s in [0, 1], s.shape +
+    (5,), which are eval_swing's. Stacked as (4, m, 5), m phases of each of four
+    curves, their product with the curves' (4, 5, 3) control points is, bit for
+    bit, the positions that eval_swing gives."""
+    s = _checked_phase(s)
+    flat, out = s.reshape(-1, 1, 1), np.empty((s.size, 1, 5))
+    for i in range(0, s.size, 8192):  # in slices, so that the powers take little memory at a time
+        np.matmul(flat[i : i + 8192] ** _POWERS, _BERNSTEIN[:, :5], out=out[i : i + 8192])
+    return out.reshape(s.shape + (5,))

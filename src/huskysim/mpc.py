@@ -17,6 +17,7 @@ always feasible, so the QP cannot be infeasible by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,15 +65,13 @@ def build_reference(
     Positions integrate the velocity command from the current position;
     roll/pitch are zero, yaw integrates the rate command, height is held.
     """
-    dt_k = np.arange(1, config.horizon + 1) * config.dt
-    ref = np.zeros((config.horizon, NX))
-    ref[:, 2] = state.theta[2] + command.yaw_rate * dt_k
-    ref[:, 3:5] = state.p[:2] + command.v_d[:2] * dt_k[:, None]
-    ref[:, 5] = support_z + command.height
-    ref[:, 8] = command.yaw_rate
-    ref[:, 9:12] = command.v_d
-    ref[:, 12] = 1.0
-    return ref
+    yaw, (px, py), (vx, vy, vz) = float(state.theta[2]), state.p[:2].tolist(), command.v_d.tolist()
+    w, z = command.yaw_rate, support_z + command.height
+    rows = []
+    for k in range(1, config.horizon + 1):
+        dt_k = k * config.dt
+        rows.append((0.0, 0.0, yaw + w * dt_k, px + vx * dt_k, py + vy * dt_k, z, 0.0, 0.0, w, vx, vy, vz, 1.0))
+    return np.array(rows)
 
 
 def condense(model: LinearModel):
@@ -83,8 +82,8 @@ def condense(model: LinearModel):
     S = np.zeros((n_h, NX, n_h * NU))  # block row k: the inputs' effect on x_{k+1}
     T[0], S[0, :, :NU] = A_k, B_k[0]
     for k in range(1, n_h):
-        T[k] = A_k @ T[k - 1]
-        S[k] = A_k @ S[k - 1]
+        np.matmul(A_k, T[k - 1], out=T[k])
+        np.matmul(A_k, S[k - 1], out=S[k])
         S[k, :, k * NU : (k + 1) * NU] = B_k[k]
     return T.reshape(n_h * NX, NX), S.reshape(n_h * NX, n_h * NU)
 
@@ -95,7 +94,40 @@ _INPUTS = (3, 3, 3, 3, 1, 1, 1, 1)
 _ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
 
 
-def constraint_layout(config: MpcConfig, mu_real: float):
+class HorizonLayout(NamedTuple):
+    """One horizon stance pattern's share of a ConstraintLayout: free_layout's
+    mask over U of the QP variables, G, h and rows, with diag(Rbar) over the
+    variables and the indices in u of the first step's variables, which lead U[free]."""
+
+    free: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
+    rows: np.ndarray
+    r_diag: np.ndarray
+    first: np.ndarray
+
+
+class ConstraintLayout:
+    """The full layout G U <= h of a controller (see constraint_layout), and each
+    horizon stance pattern's HorizonLayout, built the first time the pattern comes."""
+
+    def __init__(self, G: np.ndarray, h: np.ndarray, config: MpcConfig):
+        self.G, self.h, self.config = G, h, config
+        self._rbar = horizon_weights(config)[2]
+        self._patterns = {}
+
+    def horizon(self, stance_seq) -> HorizonLayout:
+        stance_seq = np.asarray(stance_seq, dtype=bool)
+        key = stance_seq.tobytes()
+        found = self._patterns.get(key)
+        if found is None:
+            free, G, h, rows = free_layout(self, stance_seq, self.config)
+            found = HorizonLayout(free, G, h, rows, np.diag(self._rbar[free]), np.flatnonzero(free[:NU]))
+            self._patterns[key] = found
+        return found
+
+
+def constraint_layout(config: MpcConfig, mu_real: float) -> ConstraintLayout:
     """The full layout G U <= h: every unit's rows at every step over all of U,
     in unit order, sum(_ROWS) rows a step. Per leg: four friction-pyramid rows
     over its force. Per thruster: upper and lower bound. U = 0 satisfies every row."""
@@ -112,10 +144,10 @@ def constraint_layout(config: MpcConfig, mu_real: float):
         if unit >= 4:
             h[row] = config.u_t_max  # a thrust's upper bound; every other row's is 0
         row, col = row + _ROWS[unit], col + _INPUTS[unit]
-    return G, h
+    return ConstraintLayout(G, h, config)
 
 
-def free_layout(layout, stance_seq: np.ndarray, config: MpcConfig):
+def free_layout(layout: ConstraintLayout, stance_seq: np.ndarray, config: MpcConfig):
     """A horizon's share of the layout, from one mask of the units with QP
     variables (stance legs, thrusters of a cap above 0): the mask over U of the
     QP variables, G and h over them, and each QP row's index in the layout (the
@@ -124,8 +156,7 @@ def free_layout(layout, stance_seq: np.ndarray, config: MpcConfig):
     free[:, :4], free[:, 4:] = stance_seq, config.u_t_max > 0
     inputs = np.repeat(free, _INPUTS, axis=1).reshape(-1)
     rows = np.repeat(free, _ROWS, axis=1).reshape(-1)
-    G, h = layout
-    return inputs, G[rows][:, inputs], h[rows], np.flatnonzero(rows)
+    return inputs, layout.G[rows][:, inputs], layout.h[rows], np.flatnonzero(rows)
 
 
 def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float):
@@ -142,7 +173,7 @@ def horizon_weights(config: MpcConfig):
 
 
 def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray,
-                config: MpcConfig, layout, weights):
+                config: MpcConfig, layout: ConstraintLayout, weights):
     """Condensed QP over the free inputs of the stacked input vector, with its
     rows from layout = constraint_layout(config, mu_real) and its weights from
     weights = horizon_weights(config). Returns it, the mask over U of its
@@ -153,15 +184,15 @@ def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, r
             f"horizon mismatch: B_k shape {model.B_k.shape}, {len(stance_seq)} stance rows, "
             f"ref shape {ref.shape}, expected horizon {n_h}"
         )
-    x0 = state.as_vector()
     T, S = condense(model)
-    free, G, h, rows = free_layout(layout, stance_seq, config)
+    free, G, h, rows, r_diag, _ = layout.horizon(stance_seq)
     S = S[:, free]
-    sqrt_qbar, qbar, rbar = weights
+    sqrt_qbar, qbar, _ = weights
 
     W = sqrt_qbar[:, None] * S
-    P = W.T @ W + np.diag(rbar[free])  # W.T @ W is exactly symmetric
-    err = T @ x0 - ref.reshape(-1)
+    P = W.T @ W  # exactly symmetric
+    P += r_diag
+    err = T @ state.as_vector() - ref.reshape(-1)
     q_vec = S.T @ (qbar * err)
     return qp.QpProblem(P=P, q=q_vec, G=G, h=h), free, rows
 
@@ -180,7 +211,7 @@ class MpcController:
         self.last_solution = None
 
     def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
-        problem, free, rows = assemble_qp(
+        problem, _, rows = assemble_qp(
             state, stance_seq, model, ref, self.config, self._layout, self._weights
         )
         try:
@@ -195,12 +226,11 @@ class MpcController:
         self._step_index += 1
         self.last_solution = sol
 
-        U = np.zeros(free.size)
-        U[free] = sol.x_star
-        u = ControlInput.from_vector(U[:NU])
+        first = self._layout.horizon(stance_seq).first
+        u = np.zeros(NU)
+        u[first] = sol.x_star[: len(first)]
         # the QP meets its bounds up to its row tolerance; its round-off past them
         # (a thrust or a normal force of -1e-11 N) goes no further
-        np.clip(u.thrust, 0.0, self.config.u_t_max, out=u.thrust)
-        np.maximum(u.grf[:, 2], 0.0, out=u.grf[:, 2])
-        return u
-
+        np.clip(u[12:], 0.0, self.config.u_t_max, out=u[12:])
+        np.maximum(u[2:12:3], 0.0, out=u[2:12:3])
+        return ControlInput(grf=u[:12].reshape(4, 3), thrust=u[12:])

@@ -1,20 +1,22 @@
 """Elementary rotation matrices and the skew operator (ZYX Euler convention)."""
 
+import math
+
 import numpy as np
 
 
 def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
+    c, s = math.cos(a), math.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
+    c, s = math.cos(a), math.sin(a)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
+    c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import Config, ConfigError, setting
 from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, discretize
-from .gait import GaitConfig, build_swing_curve, clamp_lateral, eval_swing, raibert_target, trot_schedule
+from .gait import GaitConfig, build_swing_curve, clamp_lateral, swing_weights, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
 from .robot import RobotParams, legs_inverse_kinematics
 from .rotations import cross, rot_z, rpy_matrix
@@ -103,6 +103,8 @@ class SimLog:
 
     data: np.ndarray = field(default_factory=lambda: np.zeros((0, len(SimLog.HEADER))))
     n: int = 0
+    # per block of rows that append wrote: its first row and its stance flags
+    blocks: list = field(default_factory=list, init=False, repr=False)
 
     HEADER = (
         ["t", "roll", "pitch", "yaw", "px", "py", "pz", "wx", "wy", "wz", "vx", "vy", "vz"]
@@ -120,16 +122,43 @@ class SimLog:
         rows[:, 0] = t
         rows[:, 1:13] = states
         rows[:, 13:29] = u.as_vector()
-        rows[:, 29:41] = np.reshape(feet, (-1, 12))
+        rows[:, 29:41] = np.asarray(feet).reshape(-1, 12)
         rows[:, 41:45] = stance
         rows[:, 45:49] = ratios
+        self.blocks.append((self.n, tuple(np.asarray(stance, dtype=bool).tolist())))
         self.n += len(t)
 
     def as_array(self) -> np.ndarray:
         return self.data[: self.n]
 
-    def to_csv(self, path):
-        np.savetxt(path, self.as_array(), fmt="%.9g", delimiter=",", header=",".join(self.HEADER), comments="")
+    def to_csv(self, path) -> np.ndarray:
+        """Write the rows under HEADER, each value as %.9g, one block of rows at
+        a time; returns the values as written, as from_csv reads them back.
+
+        A value that append held over its block (the input, the stance flags,
+        the ratios and the stance legs' pinned feet) is formatted once for the
+        block. Rows that append did not write are formatted value by value."""
+        data = self.as_array()
+        written = np.empty_like(data)
+        # rows before the first appended block hold nothing; they go 1000 at a time
+        blocks = [(start, ()) for start in range(0, self.blocks[0][0] if self.blocks else self.n, 1000)]
+        blocks += self.blocks
+        stops = [start for start, _ in blocks[1:]] + [self.n]
+        layouts = {}  # stance flags -> _held_columns
+        with open(path, "w") as f:
+            f.write(",".join(self.HEADER) + "\n")
+            for (start, stance), stop in zip(blocks, stops):
+                if stance not in layouts:
+                    layouts[stance] = _held_columns(stance)
+                held, moving, skeleton = layouts[stance]
+                block = data[start:stop]
+                held_text = ("%.9g," * len(held)) % tuple(block[0, held].tolist())
+                moving_text = ("%.9g," * (len(moving) * len(block))) % tuple(block[:, moving].ravel().tolist())
+                template = skeleton % tuple(held_text.split(",")[:-1])
+                f.write((template * len(block)) % tuple(moving_text.split(",")[:-1]))
+                written[start:stop, held] = np.fromstring(held_text[:-1], sep=",")
+                written[start:stop, moving] = np.fromstring(moving_text[:-1], sep=",").reshape(len(block), -1)
+        return written
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -145,16 +174,28 @@ class SimLog:
         return cls(data, len(data))
 
 
-def _leg_forces(u: ControlInput):  # each leg's tangential and normal ground force, (4,) each
-    return np.hypot(u.grf[:, 0], u.grf[:, 1]), u.grf[:, 2]
+def _held_columns(stance: tuple):
+    """For a block of stance flags stance (() for none held): the columns held
+    over it, the columns that move, and its row as a %-template with %s for
+    each held value and %%s for each moving one."""
+    held = np.zeros(len(SimLog.HEADER), dtype=bool)
+    if stance:
+        held[13:29] = held[41:49] = True  # the input, the stance flags and the ratios
+        held[29:41] = np.repeat(stance, 3)  # the pinned feet of the stance legs
+    skeleton = ",".join("%s" if h else "%%s" for h in held.tolist()) + "\n"
+    return np.flatnonzero(held), np.flatnonzero(~held), skeleton
+
+
+def _leg_forces(u: ControlInput):  # each leg's tangential and normal ground force, as lists of 4 floats
+    return np.hypot(u.grf[:, 0], u.grf[:, 1]).tolist(), u.grf[:, 2].tolist()
 
 
 def friction_ratios(u: ControlInput, stance) -> np.ndarray:
     """Tangential-to-normal force ratio per leg; zero for a leg whose normal
     force is within the slip check's tolerance of zero."""
     tangential, fz = _leg_forces(u)
-    loaded = np.asarray(stance) & (fz > SLIP_FORCE_TOL)
-    return np.where(loaded, tangential / np.where(loaded, fz, 1.0), 0.0)
+    legs = zip(tangential, fz, np.asarray(stance).tolist())
+    return np.array([f_t / f_z if s and f_z > SLIP_FORCE_TOL else 0.0 for f_t, f_z, s in legs])
 
 
 def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, mu_real: float):
@@ -162,14 +203,15 @@ def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, 
     leg by leg; a leg with tangential force and no normal load slips (ratio inf)."""
     tangential, fz = _leg_forces(u)
     violations = []
-    for i in np.flatnonzero(stance).tolist():
-        if tangential[i] > mu_real * fz[i] + SLIP_FORCE_TOL:
-            ratio = tangential[i] / fz[i] if fz[i] > 0.0 else np.inf
+    legs = zip(tangential, fz, np.asarray(stance).tolist(), np.asarray(foot_pos).tolist())
+    for i, (f_t, f_z, s, foot) in enumerate(legs):
+        if not s:
+            continue
+        if f_t > mu_real * f_z + SLIP_FORCE_TOL:
+            ratio = f_t / f_z if f_z > 0.0 else np.inf
             violations.append((SLIP, i, f"leg {i} friction ratio {ratio:.3g} > mu {mu_real}"))
-        if not terrain.on_top_face(foot_pos[i][:2]):
-            violations.append(
-                (BEAM_MISS, i, f"leg {i} foot y {foot_pos[i][1]:.3g} off the beam top face")
-            )
+        if not terrain.on_top_face(foot[:2]):
+            violations.append((BEAM_MISS, i, f"leg {i} foot y {foot[1]:.3g} off the beam top face"))
     return violations
 
 
@@ -193,7 +235,7 @@ def step(
     Returns the (n, 12) post-step states. The steps stop after the first
     non-finite state, and the rows past it are NaN.
     """
-    d = np.reshape(d, (-1, 4, 3))
+    d = np.asarray(d).reshape(-1, 4, 3)
     n, m, g = len(d), params.mass, params.gravity
     # thrust i is R @ body[i], applied at r_i: the force is R @ sum_i body[i], the
     # torque sum_k lever_k x R[:, k] with lever_k = sum_i body[i, k] r_i
@@ -210,12 +252,13 @@ def step(
     wx, wy, wz = state.omega.tolist()
     vx, vy, vz = state.pdot.tolist()
     flat = []
-    for (ex, ey, ez), (gx, gy, gz) in zip(np.reshape(f_ext, (-1, 3)).tolist(), torque):
+    for (ex, ey, ez), (gx, gy, gz) in zip(np.asarray(f_ext).reshape(-1, 3).tolist(), torque):
         cf, sf, ct, st, cp, sp = cos(ph), sin(ph), cos(th), sin(th), cos(ps), sin(ps)
         # R = Rz(ps) Ry(th) Rx(ph), by columns
         r00, r10, r20 = cp * ct, sp * ct, -st
-        r01, r11, r21 = cp * st * sf - sp * cf, sp * st * sf + cp * cf, ct * sf
-        r02, r12, r22 = cp * st * cf + sp * sf, sp * st * cf - cp * sf, ct * cf
+        cpst, spst = cp * st, sp * st
+        r01, r11, r21 = cpst * sf - sp * cf, spst * sf + cp * cf, ct * sf
+        r02, r12, r22 = cpst * cf + sp * sf, spst * cf - cp * sf, ct * cf
         ax = (fx + ex) / m + r00 * tbx + r01 * tby + r02 * tbz
         ay = (fy + ey) / m + r10 * tbx + r11 * tby + r12 * tbz
         az = (fz + ez) / m - g + r20 * tbx + r21 * tby + r22 * tbz
@@ -234,7 +277,8 @@ def step(
         ph, th, ps = ph + roll_rate * dt, th + (cp * wy - sp * wx) * dt, ps + (roll_rate * st + wz) * dt
         row = (ph, th, ps, px, py, pz, wx, wy, wz, vx, vy, vz)
         flat += row
-        if not all(map(isfinite, row)):
+        # a sum of finite values is finite unless it overflows: then each value is looked at
+        if not isfinite(ph + th + ps + px + py + pz + wx + wy + wz + vx + vy + vz) and not all(map(isfinite, row)):
             break  # cos and sin raise on an infinite angle
     out = np.full((n, 12), np.nan)
     out.ravel()[: len(flat)] = flat
@@ -247,7 +291,7 @@ def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -
     A leg in the air now that is in stance at step k has its planned touchdown
     (world frame) as lever arm there; every other column is the same at every step.
     """
-    landing = np.asarray(stance_seq) & ~np.asarray(stance_now)
+    landing = np.greater(stance_seq, stance_now)  # in stance at step k, not now
     d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
     return discretize(*build_continuous_model(state, d_seq, r, params), dt)
 
@@ -285,23 +329,27 @@ class _LegTracker:
 
     def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
         """Lift-off points, touchdowns on the ground and swing legs' targets, in
-        one pass over the legs; then every leg's swing curve."""
+        one pass over the legs in floats; then every leg's swing curve."""
         cfg, terrain = self.gait_cfg, self.scenario.terrain
         support = terrain.support_height()
-        hips = state.p + self.params.hip_offsets @ rot_z(state.theta[2]).T  # world frame
-        p_ref = hips.copy()
-        p_ref[:, 2] = 0.0
-        targets = raibert_target(p_ref, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain, support)
-        targets = clamp_lateral(targets, cfg, state.p[1])
+        hips = (state.p + self.params.hip_offsets @ rot_z(state.theta[2]).T).tolist()  # world frame
+        # raibert_target of the point on the ground below each hip, then clamp_lateral
+        (vx, vy, _), (vdx, vdy, _) = state.pdot.tolist(), command.v_d.tolist()
+        half, gain, body_y = cfg.t_stance / 2.0, cfg.raibert_gain, float(state.p[1])
+        step_x, step_y = vx * half, vy * half
+        push_x, push_y = gain * (vx - vdx), gain * (vy - vdy)
+        lateral = cfg.stance_width / 2.0
         reach_sq = self.params.leg_reach() ** 2
-        legs = zip(prev_stance.tolist(), stance.tolist(), hips.tolist(), targets.tolist())
-        for i, (was, now, (hx, hy, hz), (x, y, z)) in enumerate(legs):
+        for i, (was, now, (hx, hy, hz)) in enumerate(zip(prev_stance.tolist(), stance.tolist(), hips)):
             if was and not now:
                 self.liftoff[i] = self.foot_pos[i]
             elif now and not was:
                 self.foot_pos[i, 2] = support
             if now:
                 continue
+            x, y = hx + step_x + push_x, hy + step_y + push_y
+            if lateral > 0.0:
+                y = min(max(y, body_y - lateral), body_y + lateral)
             # keep the touchdown inside the leg workspace around the hip,
             # then on a beam's top face, which wins when the two conflict
             r_max = 0.95 * sqrt(max(reach_sq - (hz - support) * (hz - support), 4e-4))
@@ -309,15 +357,14 @@ class _LegTracker:
             dist = sqrt(lx * lx + ly * ly)
             if dist > r_max:
                 x, y = hx + lx * (r_max / dist), hy + ly * (r_max / dist)
-            self.target[i] = (x, terrain.clamp_foot_y(y, cfg.foot_margin), z)
+            self.target[i] = (x, terrain.clamp_foot_y(y, cfg.foot_margin), support)
         self.curves = build_swing_curve(self.liftoff, self.target, cfg.apex_height)
 
-    def tick_feet(self, phase, stance, n: int):
+    def tick_feet(self, weights, stance, n: int):
         """The feet at each of a tick's n plant steps, (n, 4, 3): a swing leg
-        at phase min(phase + j dt / t_swing, 1) of its curve at step j, a
+        where the tick's (4, m >= n, 5) swing_weights put it on its curve, a
         stance leg where it is pinned. foot_pos becomes the last step's."""
-        step_phase = np.arange(n)[:, None] * (self.scenario.sim_dt / self.gait_cfg.t_swing)
-        swing, _ = eval_swing(self.curves, np.minimum(phase + step_phase, 1.0))
+        swing = (weights @ self.curves).swapaxes(0, 1)[:n]
         feet = np.where(stance[:, None], self.foot_pos, swing)
         self.foot_pos = feet[-1]
         return feet
@@ -350,18 +397,30 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     # row k: the gait at tick k's horizon steps, of which column 0 is the tick's own
     horizon_t = (np.array(ticks) * dt)[:, None] + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
     gait = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
+    # every tick's swing phases, min(phase + j dt / t_swing, 1) at its step j, as (4, per_tick) rows
+    step_phase = np.arange(per_tick) * (dt / gait_cfg.t_swing)
+    swing = swing_weights(np.minimum(gait.phase[:, 0, :, None] + step_phase, 1.0))
+    ts = np.arange(n_steps) * dt
+    # a push can overflow to a non-finite state, which the plant's first check names
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ext = np.zeros((n_steps, 3))
+        for dist in scenario.disturbances:
+            f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
+    states = np.empty((per_tick, 12))  # a tick's pre-step states
+    states[0] = state.as_vector()[:12]
     failure = None
 
     for k, first in enumerate(ticks):
         t = first * dt
-        stance_seq, stance, phase = gait.stance_flags[k], gait.stance_flags[k, 0], gait.phase[k, 0]
+        stance_seq = gait.stance_flags[k]
+        stance = stance_seq[0]
         n = min(per_tick, n_steps - first)
 
         try:
             # a finite state far out of range can overflow the plan or swamp P; that ends the run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 tracker.update_plan(state, gait.stance_flags[max(k - 1, 0), 0], stance, command)
-                feet = tracker.tick_feet(phase, stance, n)
+                feet = tracker.tick_feet(swing[k], stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
                 model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
@@ -379,20 +438,18 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             break
         ratios = friction_ratios(u, stance)
 
-        ts = (first + np.arange(n)) * dt
-        # a push can overflow to a non-finite state, which the first check names
         with np.errstate(over="ignore", invalid="ignore"):
-            f_ext = np.zeros((n, 3))
-            for dist in scenario.disturbances:
-                f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
-            post = step(state, u, feet - state.p, r, f_ext, params, dt)
-            finite = np.isfinite(post).all(axis=1)
-            tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
-            low = post[:, 5] - support < HEIGHT_FRACTION * command.height
-        failing = np.flatnonzero(~finite | tilted | low)
-        j = failing[0] if failing.size else n - 1
-        if failing.size:
-            (roll, pitch), t_fail = post[j, :2], float(ts[j] + dt)
+            post = step(state, u, feet - state.p, r, f_ext[first : first + n], params, dt)
+        j = n - 1
+        # the rows stand or fall together in the common case, checked whole first
+        if not (np.isfinite(post).all() and np.abs(post[:, :2]).max() <= ROLL_LIMIT
+                and post[:, 5].min() - support >= HEIGHT_FRACTION * command.height):
+            with np.errstate(invalid="ignore"):
+                finite = np.isfinite(post).all(axis=1)
+                tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
+                low = post[:, 5] - support < HEIGHT_FRACTION * command.height
+            j = np.flatnonzero(~finite | tilted | low)[0]
+            (roll, pitch), t_fail = post[j, :2], float(ts[first + j] + dt)
             if not finite[j]:
                 failure = FailureEvent(NUMERICAL_FAILURE, t_fail, "non-finite plant state")
             elif tilted[j]:
@@ -400,10 +457,11 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             else:
                 failure = FailureEvent(HEIGHT_COLLAPSE, t_fail, f"COM height {post[j, 5] - support:.3g} m")
         # the pre-step rows through the failing step
-        states = np.vstack([state.as_vector()[:12], post[:j]])
-        log.append(ts[: j + 1], states, u, feet[: j + 1], stance, ratios)
+        states[1 : j + 1] = post[:j]
+        log.append(ts[first : first + j + 1], states[: j + 1], u, feet[: j + 1], stance, ratios)
         if failure is not None:
             break
+        states[0] = post[-1]
         state = RobotState.from_vector(post[-1])
 
     return log, failure

@@ -675,3 +675,34 @@ def test_run_path_imports_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert read_summary(tmp_path / "out")["outcome"] == "success"
+
+
+@pytest.mark.parametrize("name, duration", [("push_no_thrust", None), ("push_with_thrust", 1.0)])
+def test_summary_and_plots_take_the_values_log_csv_holds(tmp_path, monkeypatch, name, duration):
+    """run_scenario hands summarize and write_plots the values as written, not
+    as simulated: the bytes SimLog.from_csv reads back from log.csv, through a
+    run that falls in the middle of a tick; summary.json is the summary of them."""
+    handed = {}
+    summarize, write_plots = cli.summarize, cli.write_plots
+
+    def keep_summarize(data, scenario, outcome):
+        handed["summary"] = (data, scenario, outcome)
+        return summarize(data, scenario, outcome)
+
+    def keep_plots(data, plots_dir, mu_limit):
+        handed["plots"] = data
+        return write_plots(data, plots_dir, mu_limit)
+
+    monkeypatch.setattr(cli, "summarize", keep_summarize)
+    monkeypatch.setattr(cli, "write_plots", keep_plots)
+    doc = load_bundled(name)
+    if duration is not None:
+        doc["duration_s"] = duration
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "out")])
+    read = SimLog.from_csv(tmp_path / "out" / "log.csv").as_array()
+    data, scenario, outcome = handed["summary"]
+    assert (outcome is None) == (name == "push_with_thrust") and (len(read) % 10 != 0) == (outcome is not None)
+    for given in (data, handed["plots"]):
+        assert given.dtype == read.dtype and given.shape == read.shape and given.tobytes() == read.tobytes()
+    assert read_summary(tmp_path / "out") == json.loads(json.dumps(summarize(read, scenario, outcome)))

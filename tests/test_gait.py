@@ -16,6 +16,7 @@ from huskysim.gait import (
 )
 from huskysim.mpc import Command
 from huskysim.robot import RobotParams
+from huskysim.rotations import rot_z
 from huskysim.sim import Scenario, Terrain, _LegTracker
 
 
@@ -243,3 +244,26 @@ def test_gait_config_from_dict():
     assert cfg.t_stance == 0.25
     assert cfg.foot_margin == 0.02
     assert cfg.stance_width == 0.12
+
+
+def test_planned_touchdowns_are_raibert_targets_clamped_laterally():
+    """update_plan plans in plain floats: where neither the leg workspace nor a
+    beam binds, each swing leg's touchdown is, bit for bit, raibert_target of
+    the ground point below its hip followed by clamp_lateral; its curve is
+    build_swing_curve's from its lift-off."""
+    rng = np.random.default_rng(3)
+    params = RobotParams()
+    params.link_lengths.thigh = params.link_lengths.shank = 5.0  # a reach that never binds
+    for trial in range(200):
+        cfg = GaitConfig(raibert_gain=float(rng.uniform(0.0, 0.1)), stance_width=0.16 * (trial % 2))
+        tracker = _LegTracker(params, Scenario(), cfg)
+        state = RobotState(theta=rng.uniform(-0.3, 0.3, 3), p=rng.normal(0.0, 0.2, 3) + [0.0, 0.0, 0.25],
+                           pdot=rng.normal(0.0, 0.5, 3))
+        command = Command(v_d=rng.normal(0.0, 0.3, 3))
+        tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), command)
+        hips = state.p + params.hip_offsets @ rot_z(state.theta[2]).T
+        below = hips * [1.0, 1.0, 0.0]
+        expected = clamp_lateral(raibert_target(below, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain),
+                                 cfg, state.p[1])
+        assert tracker.target.tobytes() == expected.tobytes()
+        assert tracker.curves.tobytes() == build_swing_curve(tracker.liftoff, expected, cfg.apex_height).tobytes()

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import nnls
 
 from conftest import load_bundled, pgd_oracle
-from huskysim import cli, config, qp
+from huskysim import cli, config, mpc, qp
 from huskysim.dynamics import NU, RobotState, build_continuous_model, discretize
 from huskysim.mpc import (
     Command,
@@ -18,8 +18,9 @@ from huskysim.mpc import (
     horizon_weights,
     input_constraints,
 )
+from huskysim.gait import trot_schedule
 from huskysim.robot import RobotParams
-from huskysim.sim import run
+from huskysim.sim import run, steps_per_tick
 
 MU_REAL = 0.5  # the bundled ground; the controller's pyramid slope is 0.707 * 0.5 = 0.3535
 
@@ -465,3 +466,37 @@ def test_warm_starts_match_cold_recorded(monkeypatch):
         raw = qp.solve(problem, warm_active=solves[t - 1][2].active_set)
         assert np.abs(raw.x_star - cold.x_star).max() <= 1e-8
     assert failed_factors  # the raw indices did seed dependent rows
+
+
+@pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])
+def test_each_ticks_pattern_layout_is_its_free_layout(name):
+    """The controller's layout holds one entry per horizon stance pattern; the
+    entry each tick of a bundled run looks up is free_layout's selection for
+    that tick's stance rows bit for bit, with diag(Rbar) over its variables and
+    the indices in u of its first step's variables."""
+    scenario, _, cfg, gait_cfg = cli.configs_from_doc(load_bundled(name))
+    per_tick = steps_per_tick(cfg.rate_hz, scenario.sim_dt)
+    ticks = np.arange(0, round(scenario.duration / scenario.sim_dt), per_tick) * scenario.sim_dt
+    gait = trot_schedule(ticks[:, None] + cfg.dt * np.arange(cfg.horizon), gait_cfg.t_stance, gait_cfg.t_swing)
+    layout, rbar = constraint_layout(cfg, scenario.mu_real), horizon_weights(cfg)[2]
+    for stance_seq in gait.stance_flags:
+        got = layout.horizon(stance_seq)
+        free, G, h, rows = free_layout(constraint_layout(cfg, scenario.mu_real), stance_seq, cfg)
+        expected = (free, G, h, rows, np.diag(rbar[free]), np.flatnonzero(free[:NU]))
+        assert all(same_bits(a, b) for a, b in zip(got, expected))
+
+
+def test_a_run_builds_one_layout_per_stance_pattern(monkeypatch):
+    """beam_walk's 1,000 ticks have 15 distinct horizon stance patterns, and
+    free_layout runs once for each."""
+    calls = []
+    original = free_layout
+
+    def counted(*args):
+        calls.append(args[1].tobytes())
+        return original(*args)
+
+    monkeypatch.setattr(mpc, "free_layout", counted)
+    log, outcome = run(*cli.configs_from_doc(load_bundled("beam_walk")))
+    assert outcome is None and log.n == 10000
+    assert len(calls) == len(set(calls)) == 15

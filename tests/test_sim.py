@@ -456,3 +456,48 @@ def test_tick_work_runs_inside_the_timed_tick(monkeypatch):
             assert current is not None, f"{label} ran outside a timed tick"
             current.append(label)
     assert current is None and windows == [sorted(work)] * 20
+
+
+def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_path):
+    """A log filled through append, whose held inputs, stance flags, ratios and
+    pinned stance feet to_csv formats once per tick: every value is written as
+    f"{v:.9g}", a held -0.0 as -0 and a held 0.0 as 0, through a last tick of 3
+    rows; to_csv returns the values as from_csv reads them back."""
+    def reference(rows):
+        return ",".join(SimLog.HEADER) + "\n" + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+
+    rng = np.random.default_rng(8)
+    log = SimLog(np.zeros((23, len(SimLog.HEADER))))
+    pinned = rng.normal(0.0, 0.3, (4, 3))
+    for tick, (n, stance) in enumerate(((10, [True, False, False, True]), (10, [True, True, True, True]),
+                                        (3, [False, True, True, False]))):
+        t = (10 * tick + np.arange(n)) * 1e-3
+        states = rng.normal(0.0, 1.0, (n, 12)) * 10.0 ** rng.uniform(-12, 3, (n, 12))
+        u = ControlInput(grf=rng.normal(0.0, 20.0, (4, 3)), thrust=rng.uniform(0.0, 20.0, 4))
+        u.grf[1] = (-0.0, 0.0, -0.0) if tick == 0 else (0.0, -0.0, 0.0)  # held zeros of either sign
+        feet = np.where(np.array(stance)[:, None], pinned, pinned + rng.normal(0.0, 0.05, (n, 4, 3)))
+        ratios = np.where(stance, rng.uniform(0.0, 0.35, 4), 0.0)
+        log.append(t, states, u, feet, np.array(stance), ratios)
+    path = tmp_path / "log.csv"
+    written = log.to_csv(path)
+    assert path.read_bytes() == reference(log.as_array()).encode()
+    read = SimLog.from_csv(path).as_array()
+    assert written.dtype == read.dtype and written.shape == read.shape == (23, 49)
+    assert written.tobytes() == read.tobytes()
+
+
+def test_push_window_off_the_tick_grid_acts_on_each_step_inside_it():
+    """sim.run forms every plant step's push once per run; a step gets the
+    force when its start time is in [t_start, t_end). A push from 1.0035 s
+    first acts on the step that starts at 1.004 s, so the log matches the
+    unpushed run through the row at 1.004 s and parts from it at 1.005 s."""
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"] = 1.02
+    unpushed = dict(doc, disturbances=[])
+    doc["disturbances"] = [{"t_start_s": 1.0035, "t_end_s": 1.2035, "force_n": [0.0, 30.0, 0.0]}]
+    (log, outcome), (ref, ref_outcome) = run_doc(doc), run_doc(unpushed)
+    assert outcome is None and ref_outcome is None
+    a, b = log.as_array(), ref.as_array()
+    row = int(np.flatnonzero(np.isclose(a[:, 0], 1.004))[0])
+    assert np.array_equal(a[: row + 1], b[: row + 1])
+    assert not np.array_equal(a[row + 1, 1:13], b[row + 1, 1:13])
