@@ -83,13 +83,10 @@ def build_swing_curve(liftoff: np.ndarray, target: np.ndarray, apex_height: floa
     (lift-off) and P3 = P4 (target)."""
     liftoff = np.asarray(liftoff, dtype=float)
     target = np.asarray(target, dtype=float)
-    curves = np.empty(liftoff.shape[:-1] + (5, 3))
-    curves[..., :2, :] = liftoff[..., None, :]
-    curves[..., 3:, :] = target[..., None, :]
-    apex = curves[..., 2, :]
-    np.multiply(0.5, liftoff + target, out=apex)
+    apex = 0.5 * (liftoff + target)
     apex[..., 2] = np.maximum(liftoff[..., 2], target[..., 2]) + apex_height
-    return curves
+    lift, apex, target = liftoff[..., None, :], apex[..., None, :], target[..., None, :]
+    return np.concatenate([lift, lift, apex, target, target], axis=-2)  # np.stack, less its overhead
 
 
 # s^0..s^4 (rows) -> the quartic Bernstein weights (columns 0-4) and their derivatives (5-9)

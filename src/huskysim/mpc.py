@@ -96,14 +96,15 @@ _ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
 
 class HorizonLayout(NamedTuple):
     """One horizon stance pattern's share of a ConstraintLayout: free_layout's
-    mask over U of the QP variables, G, h and rows, with diag(Rbar) over the
-    variables and the indices in u of the first step's variables, which lead U[free]."""
+    mask over U of the QP variables, G, h and rows, with the diagonal of Rbar
+    over the variables and the indices in u of the first step's variables,
+    which lead U[free]."""
 
     free: np.ndarray
     G: np.ndarray
     h: np.ndarray
     rows: np.ndarray
-    r_diag: np.ndarray
+    rbar: np.ndarray
     first: np.ndarray
 
 
@@ -122,7 +123,7 @@ class ConstraintLayout:
         found = self._patterns.get(key)
         if found is None:
             free, G, h, rows = free_layout(self, stance_seq, self.config)
-            found = HorizonLayout(free, G, h, rows, np.diag(self._rbar[free]), np.flatnonzero(free[:NU]))
+            found = HorizonLayout(free, G, h, rows, self._rbar[free], np.flatnonzero(free[:NU]))
             self._patterns[key] = found
         return found
 
@@ -185,13 +186,13 @@ def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, r
             f"ref shape {ref.shape}, expected horizon {n_h}"
         )
     T, S = condense(model)
-    free, G, h, rows, r_diag, _ = layout.horizon(stance_seq)
+    free, G, h, rows, rbar, _ = layout.horizon(stance_seq)
     S = S[:, free]
     sqrt_qbar, qbar, _ = weights
 
     W = sqrt_qbar[:, None] * S
     P = W.T @ W  # exactly symmetric
-    P += r_diag
+    P.flat[:: len(P) + 1] += rbar  # the diagonal
     err = T @ state.as_vector() - ref.reshape(-1)
     q_vec = S.T @ (qbar * err)
     return qp.QpProblem(P=P, q=q_vec, G=G, h=h), free, rows
@@ -231,6 +232,7 @@ class MpcController:
         u[first] = sol.x_star[: len(first)]
         # the QP meets its bounds up to its row tolerance; its round-off past them
         # (a thrust or a normal force of -1e-11 N) goes no further
-        np.clip(u[12:], 0.0, self.config.u_t_max, out=u[12:])
+        cap = self.config.u_t_max
+        u[12:] = [min(max(t, 0.0), cap) for t in u[12:].tolist()]  # np.clip's values, a -0.0 kept
         np.maximum(u[2:12:3], 0.0, out=u[2:12:3])
         return ControlInput(grf=u[:12].reshape(4, 3), thrust=u[12:])
