@@ -441,7 +441,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         with np.errstate(over="ignore", invalid="ignore"):
             post = step(state, u, feet - state.p, r, f_ext[first : first + n], params, dt)
         j = n - 1
-        # the rows stand or fall together in the common case, checked whole first
+        # the tick's rows checked as a whole; the failing row is looked for only when there is one
         if not (np.isfinite(post).all() and np.abs(post[:, :2]).max() <= ROLL_LIMIT
                 and post[:, 5].min() - support >= HEIGHT_FRACTION * command.height):
             with np.errstate(invalid="ignore"):
