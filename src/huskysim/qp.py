@@ -7,11 +7,12 @@ lam_A >= 0, Gx <= h and the solve's residual is round-off. A warm seed that
 fails is corrected once (rows of negative multiplier out, violated rows in) and
 checked again. Otherwise the dual active-set method of Goldfarb and Idnani
 (Math. Programming 27, 1983) runs in the space of L (x = L^-T y, c = L^-1 q,
-W = L^-1 G', all from one L^-1), from the corrected seed less its dependent
-rows and negative multipliers, keeping y = -c - W_A lam_A optimal for the
-active rows A with lam_A >= 0. Z with Z K[A, A] Z' = I, for K = W'W, grows by
-bordering and shrinks by a Householder reflection (Powell, Math. Programming
-Study 25, 1985): the loop factors nothing.
+W = L^-1 G', from one L^-1 formed by blocks), from the corrected seed less its
+dependent rows and negative multipliers, keeping y = -c - W_A lam_A optimal for
+the active rows A with lam_A >= 0. Z with Z K[A, A] Z' = I, for K = W'W, grows
+by bordering and shrinks by a Householder reflection (Powell, Math. Programming
+Study 25, 1985), in place in buffers that A never outgrows: the loop factors
+nothing and copies no matrix.
 """
 
 from __future__ import annotations
@@ -106,20 +107,24 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"leading minor {hi} is not positive definite", hi - 1) from None
 
 
-def _border(Z, v, d):
-    """Z for K[A, A] bordered by row p, from v = Z K[A, p] and d = sqrt(curv_proj)."""
-    out = np.zeros((len(v) + 1, len(v) + 1))
-    out[:-1, :-1], out[-1, :-1], out[-1, -1] = Z, (v @ Z) / -d, 1.0 / d
-    return out
+def _border(Z, k, rvec, d):
+    """Z[:k + 1, :k + 1] for K[A, A] bordered by row p, in place (Z[:k, k] is zero), from
+    rvec = K[A, A]^-1 K[A, p] and d = sqrt(K[p, p] - K[p, A] rvec). Returns A's new size, k + 1."""
+    Z[k, :k], Z[k, k] = rvec / -d, 1.0 / d
+    return k + 1
 
 
-def _unborder(Z, j):
-    """Z for K[A, A] without its j-th row: a Householder reflection maps column
-    j of Z onto the last axis, and the other rows, without column j, remain."""
-    u = Z[:, j].copy()
+def _unborder(Z, k, j, *rows):
+    """Z[:k, :k] for K[A, A] without A's j-th row, and rows without their row j, in place: a
+    Householder reflection maps column j of Z onto the last axis. Returns A's new size, k - 1."""
+    Zk = Z[:k, :k]
+    u = Zk[:, j].copy()
     u[-1] += math.copysign(math.sqrt(u @ u), u[-1])
-    Z = Z[:-1] - u[:-1, None] * ((u @ Z) * (2.0 / (u @ u)))
-    return np.concatenate((Z[:, :j], Z[:, j + 1 :]), axis=1)
+    Zk[:-1] -= np.outer(u[:-1], (u @ Zk) * (2.0 / (u @ u)))
+    for a in (Zk[:-1].T, *rows):
+        a[j : k - 1] = a[j + 1 : k]
+    Zk[:, -1] = 0.0  # a border's column holds zeros above its diagonal
+    return k - 1
 
 
 def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolution:
@@ -166,80 +171,88 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
         held = {j for j, l in zip(seed, lam) if l >= 0.0}
         seed = sorted(held | set(np.flatnonzero(slack > viol_tol).tolist()))
 
-    # numpy has no triangular solve: L^-1 is formed once, then c and W by matmuls
-    Linv = np.linalg.inv(L)
+    # numpy has no triangular solve: L^-1 is formed once, from the inverses of L's two
+    # diagonal blocks, then c and W by matmuls
+    b, Linv = n // 2, np.zeros_like(L)
+    Linv[:b, :b], Linv[b:, b:] = np.linalg.inv(L[:b, :b]), np.linalg.inv(L[b:, b:])
+    Linv[b:, :b] = -(Linv[b:, b:] @ (L[b:, :b] @ Linv[:b, :b]))
     c, W = Linv @ q, Linv @ G.T
-    s0, W_S, k = -(c @ W) - h, W[:, seed], len(seed)  # s0: the slacks at y = -c
-    # the seed's block of K is factored at once: a row dependent on the rows before it
-    # fails a pivot or the relative curvature test of the loop, and leaves the seed; then
-    # the rows of negative multiplier at the seed's equality-restricted optimum leave together
-    K_S, kept = W_S.T @ W_S, list(range(k))
+    s0, K_S = -(c @ W) - h, W[:, seed].T @ W  # s0: the slacks at y = -c; K_S: the seed's rows of K
+    # rows leave the seed in rounds, each of which factors the block of K of the rows left once:
+    # all rows dependent on those before them at once (with 1e-12 of its diagonal added, the
+    # block factors whatever its rank, and a pivot of relative curvature <= 1e-10 marks them),
+    # else all rows of negative multiplier at the equality-restricted optimum of the rest
+    K_SS, kept = K_S[:, seed], list(range(len(seed)))
     while kept:
+        K_A = K_SS.take(kept, 0).take(kept, 1)
         try:
-            R = cho_factor(K_S[np.ix_(kept, kept)])
-        except np.linalg.LinAlgError as exc:
-            del kept[exc.args[1]]
+            R = np.linalg.cholesky(K_A)
+            dependent = (R.diagonal() ** 2 <= 1e-10 * K_A.diagonal()).any()
+        except np.linalg.LinAlgError:
+            dependent = True
+        if dependent:
+            try:
+                rel = cho_factor(K_A + np.diag(1e-12 * K_A.diagonal())).diagonal() ** 2 / K_A.diagonal()
+            except np.linalg.LinAlgError as exc:  # a zero row
+                del kept[exc.args[1]]
+                continue
+            cut = max(1e-10, rel.min())  # at least one row leaves
+            kept = [i for i, r in zip(kept, rel.tolist()) if r > cut]
             continue
-        tiny = np.flatnonzero(np.diag(R) ** 2 <= 1e-10 * K_S[kept, kept])
-        if tiny.size:
-            del kept[tiny[0]]
-            continue
-        Z = np.linalg.inv(R)  # Z K[A, A] Z' = I
-        lam = Z.T @ (Z @ s0[[seed[i] for i in kept]])  # the multipliers of A, in its order
-        if lam.min() >= 0.0:
+        lam_S = np.linalg.solve(K_A, s0[[seed[i] for i in kept]])  # the multipliers of A, in its order
+        if lam_S.min() >= 0.0:
             break
-        kept = [i for i, l in zip(kept, lam) if l >= 0.0]
-    else:
-        Z, lam = np.zeros((0, 0)), np.zeros(0)
-    active = [seed[i] for i in kept]
-    W_A = W[:, active]  # the active rows' columns of W, in their order
+        kept = [i for i, l in zip(kept, lam_S.tolist()) if l >= 0.0]
+    # the first k rows of the buffers Z, K_A (the active rows of K) and lam are A's
+    k, active, cap = len(kept), [seed[i] for i in kept], min(n, m) + 1  # A's rows are independent
+    Z, K_A, lam = np.zeros((cap, cap)), np.zeros((cap, m)), np.zeros(cap)
+    if k:
+        Z[:k, :k], K_A[:k], lam[:k] = np.linalg.inv(R), K_S[kept], lam_S  # Z K[A, A] Z' = I
 
-    iterations = 0
-    p = None  # the violated row being made tight; it stays through partial steps
+    iterations, p = 0, None  # p: the violated row being made tight; it stays through partial steps
     while True:
         iterations += 1
         if iterations > max_iters:
             raise MaxIterations(f"no convergence in {max_iters} iterations")
+        Z_A, lam_A = Z[:k, :k], lam[:k]
         if p is None:
-            y = -c - W_A @ lam
-            s = y @ W - h
-            if s.max(initial=0.0) <= viol_tol:
+            s = s0 - lam_A @ K_A[:k]  # the slacks at y = -c - W_A lam_A
+            p = int(s.argmax()) if m else 0  # most violated; argmax takes the lowest index on ties
+            if not m or s[p] <= viol_tol:
                 break
-            p = int(np.argmax(s))  # most violated; argmax takes the lowest index on ties
-            w_p = W[:, p]
-            curv_full = w_p @ w_p  # K[p, p] > 0: P is positive definite and g_p is not zero
-            lam_p = 0.0
-        k_ap = w_p @ W_A  # K[A, p]
-        v = Z @ k_ap
-        rvec = Z.T @ v  # K[A, A]^-1 k_ap
+            w_p, lam_p, s_p = W[:, p], 0.0, float(s[p])  # s_p: p's slack, through partial steps too
+            curv_full = float(w_p.dot(w_p))  # K[p, p] > 0: P is positive definite and g_p is not zero
+        k_ap = K_A[:k, p]
+        v = Z_A @ k_ap
+        rvec = v @ Z_A  # K[A, A]^-1 k_ap
 
-        blocking = np.flatnonzero(rvec > 1e-9 * np.abs(rvec).max(initial=1.0))
-        ratios = lam[blocking] / rvec[blocking]
-        t1 = ratios.min(initial=np.inf)
-        drop = blocking[np.argmin(ratios)] if blocking.size else -1
+        r, t1, drop = rvec.tolist(), math.inf, -1
+        tol = 1e-9 * max(1.0, max(r), -min(r)) if k else 0.0
+        for j, l in enumerate(lam_A.tolist()):  # the ratio test, on the rows that block
+            if r[j] > tol and l / r[j] < t1:
+                t1, drop = l / r[j], j
         # relative curvature test: g_p numerically dependent on the active
         # normals leaves no usable primal direction, so the step is dual-only
-        curv_proj = curv_full - v @ v
-        s_p = s0[p] - k_ap @ lam - curv_full * lam_p
-        t2 = s_p / curv_proj if curv_proj > 1e-10 * curv_full else np.inf  # makes p tight
+        curv_proj = curv_full - float(v.dot(v))
+        t2 = s_p / curv_proj if curv_proj > 1e-10 * curv_full else math.inf  # makes p tight
 
-        if t1 == np.inf and t2 == np.inf:
+        if t1 == t2 == math.inf:
             raise Infeasible(f"constraint {p} cannot be satisfied (unbounded dual step)")
         t = min(t1, t2)
-        lam = lam - t * rvec
-        lam_p += t
+        lam_A -= t * rvec
+        lam_p, s_p = lam_p + t, s_p - t * curv_proj
 
-        if t2 <= t1:
-            Z, W_A = _border(Z, v, np.sqrt(curv_proj)), np.concatenate((W_A, w_p[:, None]), axis=1)
+        if t2 <= t1:  # p joins A
+            lam[k] = lam_p
+            np.dot(w_p, W, out=K_A[k])
+            k = _border(Z, k, rvec, math.sqrt(curv_proj))
             active.append(p)
-            lam = np.concatenate((lam, [lam_p]))
             p = None
         else:  # partial step: retire the blocking constraint, keep working on p
-            Z, W_A = _unborder(Z, drop), np.concatenate((W_A[:, :drop], W_A[:, drop + 1 :]), axis=1)
+            k = _unborder(Z, k, drop, K_A, lam)
             del active[drop]
-            lam = np.concatenate((lam[:drop], lam[drop + 1 :]))
 
-    return _solution(P, q, Linv.T @ y, active, lam, iterations, m)
+    return _solution(P, q, Linv.T @ (-c - W[:, active] @ lam[:k]), active, lam[:k], iterations, m)
 
 
 def _solution(P, q, x, active, lam, iterations, m) -> QpSolution:

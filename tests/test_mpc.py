@@ -420,13 +420,19 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
         assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, scenario.mu_real)
 
 
-def test_warm_starts_match_cold_recorded(monkeypatch):
-    """Closed-loop QPs across the push with thrusters. The controller seeds the
-    rows whose layout index (layout_rows) was active at the previous tick,
-    and no others; that warm start and the previous tick's raw row indices
-    (which name other rows after a stance change, some dependent on each
-    other) both give the cold solution."""
-    doc = load_bundled("push_with_thrust")
+@pytest.mark.parametrize(
+    "name, ticks, dependent_seeds",
+    [("push_with_thrust", 200, True), ("push_no_thrust", 146, False)],
+    ids=["push_with_thrust", "push_no_thrust"],
+)
+def test_warm_starts_match_cold_recorded(monkeypatch, name, ticks, dependent_seeds):
+    """Closed-loop QPs across the push, with thrusters to 2 s and without them
+    up to the fall. The controller seeds the rows whose layout index
+    (layout_rows) was active at the previous tick, and no others; that warm
+    start and the previous tick's raw row indices (which name other rows after
+    a stance change) both give the cold solution. With thrusters, some raw seeds
+    hold rows dependent on each other; without them, none of this run's does."""
+    doc = load_bundled(name)
     doc["duration_s"] = 2.0  # the push acts from 1.0 s to 1.5 s
     scenario, params, cfg, gait_cfg = cli.configs_from_doc(doc)
     stance_seqs, solves = [], []
@@ -444,28 +450,22 @@ def test_warm_starts_match_cold_recorded(monkeypatch):
     monkeypatch.setattr(qp, "solve", recording_solve)
     run(scenario, params, cfg, gait_cfg)
     monkeypatch.undo()
-    failed_factors = []
-    factor = qp.cho_factor
-
-    def counting_factor(a):
-        try:
-            return factor(a)
-        except np.linalg.LinAlgError:
-            failed_factors.append(a)
-            raise
-
-    monkeypatch.setattr(qp, "cho_factor", counting_factor)
-    assert len(solves) == 200
-    for t in range(90, 200):  # from 0.9 s
+    assert len(solves) == ticks
+    dependent = []
+    for t in range(1, ticks):
         problem, warm, sol = solves[t]
         prev_active = layout_rows(stance_seqs[t - 1], cfg)[solves[t - 1][2].active_set]
         rows = layout_rows(stance_seqs[t], cfg)
         assert warm == [i for i, index in enumerate(rows) if index in prev_active]
         cold = qp.solve(problem)
         assert np.abs(sol.x_star - cold.x_star).max() <= 1e-8
+        raw_seed = [j for j in solves[t - 1][2].active_set if j < len(problem.h)]
+        dependent.append(np.linalg.matrix_rank(problem.G[raw_seed]) < len(raw_seed))
         raw = qp.solve(problem, warm_active=solves[t - 1][2].active_set)
         assert np.abs(raw.x_star - cold.x_star).max() <= 1e-8
-    assert failed_factors  # the raw indices did seed dependent rows
+        for got in (sol, cold, raw):
+            assert qp.check_kkt(problem, got).max_residual() <= 1e-6
+    assert any(dependent) == dependent_seeds
 
 
 @pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])

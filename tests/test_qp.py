@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import pgd_oracle
 from huskysim import qp
+from huskysim.mpc import MpcConfig, input_constraints
 
 
 def random_problem(rng, with_pin_pair=False):
@@ -253,6 +254,70 @@ def test_warm_start_property(case):
     obj_oracle = 0.5 * x_oracle @ prob.P @ x_oracle + prob.q @ x_oracle
     assert abs(sol.objective_value - obj_oracle) < 1e-6
     assert qp.check_kkt(prob, sol).max_residual() < 1e-6
+
+
+@st.composite
+def pyramid_apex_problems(draw):
+    """A QP with the MPC's rows: per step, the four friction faces of each
+    stance leg, which pass through a zero force, and [0, cap] per thrust. q
+    presses some legs into their apex, where all four faces are tight; the warm
+    set holds those faces, duplicates and out-of-range indices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = draw(st.integers(1, 3))
+    stance = rng.random((horizon, 4)) < 0.6
+    stance[0, 0] = True
+    G, h = input_constraints(stance, MpcConfig(horizon=horizon, u_t_max=draw(st.sampled_from([0.0, 20.0]))), 0.5)
+    n, m = G.shape[1], len(h)
+    A = rng.normal(size=(n, n))
+    P = 0.05 * A @ A.T + rng.uniform(0.03, 1.0) * np.eye(n)
+    q = 10.0 * rng.normal(size=n)
+    faces = np.flatnonzero(np.count_nonzero(G, axis=1) == 2)  # a face is over fx or fy, and fz
+    legs = faces.reshape(-1, 4)
+    apex = legs[rng.random(len(legs)) < 0.5]
+    q[np.argmin(G[apex[:, 0]], axis=1)] = 50.0  # fz (under -mu): a large cost makes the leg's optimal force zero
+    warm = apex.reshape(-1).tolist() + draw(st.lists(st.integers(-2, m + 2), max_size=m))
+    return qp.QpProblem(P=P, q=q, G=G, h=h), warm + warm[: draw(st.integers(0, 3))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pyramid_apex_problems())
+def test_warm_start_at_pyramid_apexes(case):
+    prob, warm = case
+    cold, sol = qp.solve(prob), qp.solve(prob, warm_active=warm)
+    assert np.abs(sol.x_star - cold.x_star).max() <= 1e-8
+    assert max(qp.check_kkt(prob, s).max_residual() for s in (sol, cold)) <= 1e-6
+
+
+def test_border_and_unborder_keep_a_factor():
+    """Random sequences of rows joining A (qp._border) and leaving it
+    (qp._unborder) on the buffers: Z K[A, A] Z' stays I, so Z'Z s0[A] is
+    K[A, A]^-1 s0[A], and the rows of the buffers passed along follow A's rows."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n, m = 8, 14
+        W, s0 = rng.normal(size=(n, m)), rng.normal(size=m)
+        K = W.T @ W
+        Z, tags, active, k = np.zeros((n + 1, n + 1)), np.zeros(n + 1), [], 0
+        for _ in range(40):
+            out = [p for p in range(m) if p not in active]
+            if k and (k == n or rng.random() < 0.4):
+                j = int(rng.integers(k))
+                k = qp._unborder(Z, k, j, tags)
+                del active[j]
+            else:
+                p = out[int(rng.integers(len(out)))]
+                rvec = Z[:k, :k].T @ (Z[:k, :k] @ K[active, p])
+                curv = K[p, p] - K[active, p] @ rvec
+                if curv <= 1e-3 * K[p, p]:  # p is nearly dependent on A
+                    continue
+                tags[k] = p
+                k = qp._border(Z, k, rvec, np.sqrt(curv))
+                active.append(p)
+            Z_A, K_AA = Z[:k, :k], K[np.ix_(active, active)]
+            assert np.abs(Z_A @ K_AA @ Z_A.T - np.eye(k)).max(initial=0.0) <= 1e-9
+            lam = np.linalg.solve(K_AA, s0[active]) if k else np.zeros(0)
+            assert np.abs(Z_A.T @ (Z_A @ s0[active]) - lam).max(initial=0.0) <= 1e-9 * (1 + np.abs(lam).max(initial=0.0))
+            assert tags[:k].tolist() == active
 
 
 def test_corrected_warm_seed_is_accepted_at_the_second_guess():
