@@ -7,9 +7,11 @@ lam_A >= 0, Gx <= h and the solve's residual is round-off. A warm seed that
 fails is corrected once (rows of negative multiplier out, violated rows in) and
 checked again. Otherwise the dual active-set method of Goldfarb and Idnani
 (Math. Programming 27, 1983) runs in the space of L (x = L^-T y, c = L^-1 q,
-W = L^-1 G', from one L^-1 formed by blocks), from the corrected seed less its
-dependent rows and negative multipliers, keeping y = -c - W_A lam_A optimal for
-the active rows A with lam_A >= 0. Z with Z K[A, A] Z' = I, for K = W'W, grows
+W = L^-1 G', from one L^-1 formed by blocks), keeping y = -c - W_A lam_A optimal
+for the active rows A with lam_A >= 0. It starts from independent rows: the first
+guess's rows of non-negative multiplier, less those of negative multiplier at
+their own optimum; from no rows when that guess's system was singular or their
+block of K = W'W is singular to working precision. Z with Z K[A, A] Z' = I grows
 by bordering and shrinks by a Householder reflection (Powell, Math. Programming
 Study 25, 1985), in place in buffers that A never outgrows: the loop factors
 nothing and copies no matrix.
@@ -92,19 +94,8 @@ class KktReport:
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix, of which only the lower
     triangle is read. Raises np.linalg.LinAlgError when a is not positive
-    definite; its args[1] is the index of the first pivot that is not."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        lo, hi = 0, len(a)  # the leading minor of order lo factors, that of order hi does not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                np.linalg.cholesky(a[:mid, :mid])
-                lo = mid
-            except np.linalg.LinAlgError:
-                hi = mid
-        raise np.linalg.LinAlgError(f"leading minor {hi} is not positive definite", hi - 1) from None
+    definite."""
+    return np.linalg.cholesky(a)
 
 
 def _border(Z, k, rvec, d):
@@ -131,9 +122,10 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     """Solve the QP; deterministic for fixed input.
 
     warm_active: optional iterable of constraint indices used to seed the
-    active set; indices out of range are ignored. The solution's iterations
-    count the KKT guess accepted or the dual loop's passes. Raises
-    NotPositiveDefinite (P), Infeasible or MaxIterations.
+    active set; indices out of range are ignored. Its rows need not be
+    independent: the dual loop starts from no rows when they are dependent.
+    The solution's iterations count the KKT guess accepted or the dual loop's
+    passes. Raises NotPositiveDefinite (P), Infeasible or MaxIterations.
     """
     problem.validate()
     P, q, G, h = problem.P, problem.q, problem.G, problem.h
@@ -151,7 +143,8 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
 
     # the first iterations: a guess's rows as equalities, the QP's optimum on most ticks of a
     # closed loop; a warm guess that fails is corrected, less its rows of negative multiplier
-    # and with the rows its x violates, tried once more, and corrected again for the dual loop
+    # and with the rows its x violates, and tried once more
+    start = []  # the dual loop's first rows: the first guess's of non-negative multiplier
     for attempt in (1, 2):
         G_A, k = G[seed], len(seed)
         kkt, rhs = np.zeros((n + k, n + k)), np.concatenate([-q, h[seed]])
@@ -166,10 +159,10 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
             # dependent rows leave a solve that is round-off: its residual is not
             if np.abs(kkt @ z - rhs).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(rhs).max(initial=0.0)):
                 return _solution(P, q, x, seed, lam, attempt, m)
-        if warm_active is None:  # a cold start's dual loop starts from no rows
+        if attempt == 2 or warm_active is None:  # a cold start's dual loop starts from no rows
             break
-        held = {j for j, l in zip(seed, lam) if l >= 0.0}
-        seed = sorted(held | set(np.flatnonzero(slack > viol_tol).tolist()))
+        start = [j for j, l in zip(seed, lam.tolist()) if l >= 0.0]
+        seed = sorted({*start, *np.flatnonzero(slack > viol_tol).tolist()})
 
     # numpy has no triangular solve: L^-1 is formed once, from the inverses of L's two
     # diagonal blocks, then c and W by matmuls
@@ -177,34 +170,27 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     Linv[:b, :b], Linv[b:, b:] = np.linalg.inv(L[:b, :b]), np.linalg.inv(L[b:, b:])
     Linv[b:, :b] = -(Linv[b:, b:] @ (L[b:, :b] @ Linv[:b, :b]))
     c, W = Linv @ q, Linv @ G.T
-    s0, K_S = -(c @ W) - h, W[:, seed].T @ W  # s0: the slacks at y = -c; K_S: the seed's rows of K
-    # rows leave the seed in rounds, each of which factors the block of K of the rows left once:
-    # all rows dependent on those before them at once (with 1e-12 of its diagonal added, the
-    # block factors whatever its rank, and a pivot of relative curvature <= 1e-10 marks them),
-    # else all rows of negative multiplier at the equality-restricted optimum of the rest
-    K_SS, kept = K_S[:, seed], list(range(len(seed)))
+    s0, K_S = -(c @ W) - h, W[:, start].T @ W  # s0: the slacks at y = -c; K_S: the start's rows of K
+    # the start's rows are independent, as the first guess's system solved: its rows of negative
+    # multiplier at the equality-restricted optimum of the rest leave in rounds, one factor of
+    # their block of K each. A block that does not factor, or has a pivot of relative curvature
+    # <= 1e-10, holds rows dependent to working precision: the loop then starts from no rows
+    K_SS, kept = K_S[:, start], list(range(len(start)))
     while kept:
         K_A = K_SS.take(kept, 0).take(kept, 1)
         try:
             R = np.linalg.cholesky(K_A)
-            dependent = (R.diagonal() ** 2 <= 1e-10 * K_A.diagonal()).any()
         except np.linalg.LinAlgError:
-            dependent = True
-        if dependent:
-            try:
-                rel = cho_factor(K_A + np.diag(1e-12 * K_A.diagonal())).diagonal() ** 2 / K_A.diagonal()
-            except np.linalg.LinAlgError as exc:  # a zero row
-                del kept[exc.args[1]]
-                continue
-            cut = max(1e-10, rel.min())  # at least one row leaves
-            kept = [i for i, r in zip(kept, rel.tolist()) if r > cut]
-            continue
-        lam_S = np.linalg.solve(K_A, s0[[seed[i] for i in kept]])  # the multipliers of A, in its order
+            R = None
+        if R is None or (R.diagonal() ** 2 <= 1e-10 * K_A.diagonal()).any():
+            kept = []
+            break
+        lam_S = np.linalg.solve(K_A, s0[[start[i] for i in kept]])  # the multipliers of A, in its order
         if lam_S.min() >= 0.0:
             break
         kept = [i for i, l in zip(kept, lam_S.tolist()) if l >= 0.0]
     # the first k rows of the buffers Z, K_A (the active rows of K) and lam are A's
-    k, active, cap = len(kept), [seed[i] for i in kept], min(n, m) + 1  # A's rows are independent
+    k, active, cap = len(kept), [start[i] for i in kept], min(n, m) + 1  # A's rows are independent
     Z, K_A, lam = np.zeros((cap, cap)), np.zeros((cap, m)), np.zeros(cap)
     if k:
         Z[:k, :k], K_A[:k], lam[:k] = np.linalg.inv(R), K_S[kept], lam_S  # Z K[A, A] Z' = I

@@ -468,6 +468,25 @@ def test_warm_starts_match_cold_recorded(monkeypatch, name, ticks, dependent_see
     assert any(dependent) == dependent_seeds
 
 
+@pytest.mark.xfail(strict=True, raises=qp.Infeasible,
+                   reason="the solver's violation and curvature tests scale with h, not with q")
+def test_absurd_command_leaves_the_qp_feasible(monkeypatch):
+    """A finite command however far off changes q alone: U = 0 still meets
+    every row, so the QP has an optimum. The first QP of push_with_thrust at
+    1e160 m/s, where q reaches 1e160, is solved as the controller seeds it."""
+    doc = load_bundled("push_with_thrust")
+    doc["command"]["v_d_mps"], doc["duration_s"] = [1e160, 0.0, 0.0], 0.01
+    solves, solve = [], qp.solve
+    monkeypatch.setattr(qp, "solve", lambda problem, warm_active=None: solves.append((problem, warm_active))
+                        or solve(problem, warm_active=warm_active))
+    run(*cli.configs_from_doc(doc))
+    monkeypatch.undo()
+    problem, warm = solves[0]
+    assert (problem.h >= 0.0).all()  # U = 0 is feasible
+    sol = qp.solve(problem, warm_active=warm)
+    assert qp.check_kkt(problem, sol).primal_feasibility <= 1e-6
+
+
 @pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])
 def test_each_ticks_pattern_layout_is_its_free_layout(name):
     """The controller's layout holds one entry per horizon stance pattern; the

@@ -204,11 +204,10 @@ def test_validate_rejects_nonfinite_data(name):
         qp.solve(qp.QpProblem(**data))
 
 
-def test_cho_factor_names_first_failing_pivot():
+def test_cho_factor_is_lower_and_rejects_matrices_not_positive_definite():
     a = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # row 1 = row 0 / 2
-    with pytest.raises(np.linalg.LinAlgError) as exc:
+    with pytest.raises(np.linalg.LinAlgError):
         qp.cho_factor(a)
-    assert exc.value.args[1] == 1
     a[1, 1] = 2.0
     L = qp.cho_factor(a)
     assert np.array_equal(L, np.tril(L))
@@ -342,6 +341,21 @@ def test_dependent_warm_seed_is_not_accepted_from_round_off():
     sol = qp.solve(prob, warm_active=[1, 0])
     assert abs(sol.x_star[0] - h[0] / g[0, 0]) < 1e-12 and sol.active_set == [0]
     assert qp.check_kkt(prob, sol).max_residual() < 1e-9
+
+
+def test_dependent_warm_seed_factors_only_P(monkeypatch):
+    """All four faces of a stance leg's friction pyramid meet at its apex, so
+    as a warm seed they are four dependent rows in three variables: the first
+    guess's KKT system is singular, and the dual loop starts from no rows. The
+    only factor the solve takes is P's."""
+    G, h = input_constraints(np.array([[True, False, False, False]]), MpcConfig(horizon=1, u_t_max=0.0), 0.5)
+    prob = qp.QpProblem(P=np.eye(3), q=[1.0, -2.0, 50.0], G=G, h=h)
+    factored, cho_factor = [], qp.cho_factor
+    monkeypatch.setattr(qp, "cho_factor", lambda a: factored.append(a.copy()) or cho_factor(a))
+    sol = qp.solve(prob, warm_active=[0, 1, 2, 3])
+    assert len(factored) == 1 and np.array_equal(factored[0], prob.P)
+    assert np.abs(sol.x_star - qp.solve(prob).x_star).max() <= 1e-8
+    assert qp.check_kkt(prob, sol).max_residual() <= 1e-6
 
 
 def test_validate_rejects_asymmetric():
