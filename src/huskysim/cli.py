@@ -156,7 +156,7 @@ def run_scenario(configs, out: Path) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         log, outcome = run(*configs)
-        written = log.to_csv(out / "log.csv")  # the values as SimLog.from_csv reads them back
+        written = log.to_csv(out / "log.csv")  # the log, rounded to the values SimLog.from_csv reads back
         summary = summarize(written, scenario, outcome)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         write_plots(written, out / "plots", scenario.mu_real)

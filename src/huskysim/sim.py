@@ -36,6 +36,7 @@ HEIGHT_FRACTION = 0.6  # fall when COM height drops below this fraction of desir
 # N; the QP leaves its rows violated by up to ~1e-10 N per N of their largest
 # bound, so a leg this little outside the cone has solver residue, not a slip
 SLIP_FORCE_TOL = 1e-6
+SWING_BLOCK = 100  # control ticks whose swing weights run forms at a time
 
 
 @dataclass
@@ -133,13 +134,14 @@ class SimLog:
 
     def to_csv(self, path) -> np.ndarray:
         """Write the rows under HEADER, each value as %.9g, one block of rows at
-        a time; returns the values as written, as from_csv reads them back.
+        a time, and round the log in place to the values as written: afterwards
+        as_array(), which it returns, equals from_csv(path).as_array() byte for
+        byte, and no second copy of the rows is made.
 
         A value that append held over its block (the input, the stance flags,
         the ratios and the stance legs' pinned feet) is formatted once for the
         block. Rows that append did not write are formatted value by value."""
         data = self.as_array()
-        written = np.empty_like(data)
         # rows before the first appended block hold nothing; they go 1000 at a time
         blocks = [(start, ()) for start in range(0, self.blocks[0][0] if self.blocks else self.n, 1000)]
         blocks += self.blocks
@@ -156,9 +158,9 @@ class SimLog:
                 moving_text = ("%.9g," * (len(moving) * len(block))) % tuple(block[:, moving].ravel().tolist())
                 template = skeleton % tuple(held_text.split(",")[:-1])
                 f.write((template * len(block)) % tuple(moving_text.split(",")[:-1]))
-                written[start:stop, held] = np.fromstring(held_text[:-1], sep=",")
-                written[start:stop, moving] = np.fromstring(moving_text[:-1], sep=",").reshape(len(block), -1)
-        return written
+                block[:, held] = np.fromstring(held_text[:-1], sep=",")
+                block[:, moving] = np.fromstring(moving_text[:-1], sep=",").reshape(len(block), -1)
+        return data
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -397,9 +399,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     # row k: the gait at tick k's horizon steps, of which column 0 is the tick's own
     horizon_t = (np.array(ticks) * dt)[:, None] + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
     gait = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
-    # every tick's swing phases, min(phase + j dt / t_swing, 1) at its step j, as (4, per_tick) rows
     step_phase = np.arange(per_tick) * (dt / gait_cfg.t_swing)
-    swing = swing_weights(np.minimum(gait.phase[:, 0, :, None] + step_phase, 1.0))
     ts = np.arange(n_steps) * dt
     # a push can overflow to a non-finite state, which the plant's first check names
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,12 +415,17 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         stance_seq = gait.stance_flags[k]
         stance = stance_seq[0]
         n = min(per_tick, n_steps - first)
+        # the swing phases min(phase + j dt / t_swing, 1) at step j of the next SWING_BLOCK
+        # ticks, as (4, per_tick) rows: one swing_weights call a block, outside the timed
+        # tick, and a table that does not grow with the run
+        if k % SWING_BLOCK == 0:
+            swing = swing_weights(np.minimum(gait.phase[k : k + SWING_BLOCK, 0, :, None] + step_phase, 1.0))
 
         try:
             # a finite state far out of range can overflow the plan or swamp P; that ends the run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 tracker.update_plan(state, gait.stance_flags[max(k - 1, 0), 0], stance, command)
-                feet = tracker.tick_feet(swing[k], stance, n)
+                feet = tracker.tick_feet(swing[k % SWING_BLOCK], stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
                 model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)

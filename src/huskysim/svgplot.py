@@ -24,9 +24,10 @@ def line_chart(path, x, series: dict, title: str = "", ylabel: str = "", hlines=
     """Write a chart of named series against x; hlines are dashed reference lines."""
     x = np.asarray(x, dtype=float)
     values = [np.asarray(v, dtype=float) for v in series.values()]
-    ys = np.concatenate(values + [np.asarray(hlines, dtype=float)])
+    # each series' extremes, not their concatenation, which would copy every series
+    ends = np.array([(v.min(), v.max()) for v in values + [np.asarray(hlines, dtype=float)] if v.size])
     x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 1.0)
-    y_lo, y_hi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
+    y_lo, y_hi = (float(ends[:, 0].min()), float(ends[:, 1].max())) if ends.size else (0.0, 0.0)
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)

@@ -1,8 +1,9 @@
 """Acceptance suite: each test states its criterion and prints a PASS line."""
 
 import numpy as np
+import pytest
 
-from conftest import pgd_oracle, read_summary
+from conftest import load_bundled, pgd_oracle, read_summary, run_doc
 from huskysim import cli, qp
 from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
@@ -21,7 +22,7 @@ from huskysim.robot import (
     leg_inverse_kinematics,
     leg_jacobian,
 )
-from huskysim.sim import SimLog, step
+from huskysim.sim import HEIGHT_COLLAPSE, SimLog, step
 
 col = SimLog.HEADER.index
 PUSH_END = 1.5  # s, disturbance window is 1.0 .. 1.5
@@ -95,6 +96,33 @@ def test_criterion_3_beam_walk(timed_cli_runs):
         f"peak thrust {thrust.max():.2f} N ({soft} the 7 N soft target); "
         f"peak friction ratio {ratios.max():.3f} <= mu {mu_limit}"
     )
+
+
+@pytest.mark.parametrize("width, outcome", [(0.1, HEIGHT_COLLAPSE), (0.3, None)], ids=["bundled", "wide"])
+def test_narrow_path_needs_the_thrusters(width, outcome):
+    """The paper's narrow-path claim: beam_walk with its thrusters off
+    (mpc.u_t_max_n 0) falls from the bundled 0.1 m beam, its COM sinking at
+    2.85 s, while on a 0.3 m beam the same run walks all 10 s. The failure
+    time is held to one control tick (0.01 s)."""
+    doc = load_bundled("beam_walk")
+    doc["mpc"]["u_t_max_n"], doc["terrain"]["width_m"] = 0.0, width
+    log, failure = run_doc(doc)
+    if outcome is None:
+        assert failure is None and log.n == 10000
+    else:
+        assert failure.kind == outcome and abs(failure.t - 2.85) <= 0.01
+
+
+@pytest.mark.parametrize("name, force, outcome", [("push_with_thrust", 46.0, None),
+                                                  ("push_no_thrust", 18.0, HEIGHT_COLLAPSE)])
+def test_push_margins_bracket_the_bundled_push(name, force, outcome):
+    """The paper's push claim as margins around criterion 1's 40 N: with its
+    thrusters the robot survives a 46 N lateral push over 1.0-1.5 s; without
+    them an 18 N push brings it down (its COM sinks at 1.92 s)."""
+    doc = load_bundled(name)
+    doc["disturbances"][0]["force_n"] = [0.0, force, 0.0]
+    _, failure = run_doc(doc)
+    assert (None if failure is None else failure.kind) == outcome
 
 
 def _random_condensed_instance(rng, params):

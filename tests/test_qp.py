@@ -392,3 +392,36 @@ def test_solution_respects_constraints_tightly():
         slack = prob.G @ sol.x_star - prob.h
         assert slack.max() <= 1e-8
         assert sol.lam.min() >= -1e-12
+
+
+def _hex(*values):
+    return np.array([float.fromhex(v) for v in values])
+
+
+@pytest.mark.xfail(strict=True, raises=qp.MaxIterations,
+                   reason="the dual loop does not converge on a row, its near copy and its near negation")
+def test_copy_negation_instance_is_solved_cold():
+    """A strictly convex QP that holds a row (2), a copy (6) and a negation (7)
+    of it, each perturbed by up to 3.6e-6, all tight at the feasible point x_feas.
+    It is instance 3776 of the copy/negation fuzz described in CHANGES.md: P 3x3,
+    G 8x3, drawn from np.random.default_rng(0). Solved cold it has an optimum;
+    the loop gives up after 111 iterations instead."""
+    P = _hex("0x1.3c162eb32fcbap+0", "-0x1.72bc63558750ep-2", "0x1.3bcc337c0ae9fp+0",
+             "-0x1.72bc63558750ep-2", "0x1.89f6132a9fdfdp-1", "-0x1.97f6efb2a43e0p-1",
+             "0x1.3bcc337c0ae9fp+0", "-0x1.97f6efb2a43e0p-1", "0x1.d6686a101b178p+1").reshape(3, 3)
+    q = _hex("0x1.53c50ef4dfd5ep+1", "-0x1.aec5a1e189ad4p+1", "0x1.aa441d9b22f2ap+3")
+    G = _hex("0x1.5791abedce07dp-4", "0x1.605a75a3c0b48p+0", "-0x1.a874ab2d0c372p+0",
+             "0x1.ed438a2366009p-1", "0x1.6d7ec42559655p-4", "-0x1.45f6930f44b09p-3",
+             "-0x1.fc8c7a4d0db12p-3", "0x1.3fe1b014cb78ap-2", "-0x1.554691a540ea9p-1",
+             "0x1.3861343fee7b9p-4", "-0x1.84d7105b68b06p-1", "-0x1.5514c1c7120c6p-2",
+             "-0x1.088bc20885c78p+0", "0x1.f305400df5167p-3", "-0x1.577d47df48d22p+1",
+             "0x1.172a88a267aefp-1", "-0x1.9721d01c9caa5p-2", "0x1.035334a3f7978p+0",
+             "-0x1.fc8bd66bbeb4ap-3", "0x1.3fe1bf1ae08b7p-2", "-0x1.554617b1ff95fp-1",
+             "0x1.fc8e30c46d8f3p-3", "-0x1.3fe294e6473afp-2", "0x1.55463bb3536efp-1").reshape(8, 3)
+    h = _hex("0x1.e6d46f36a20a1p+1", "0x1.e7bc5891f6822p+0", "0x1.dd2d369637080p-1", "0x1.4b95f3cbe5f9fp+0",
+             "0x1.28b2927537beap+2", "-0x1.a92f91e999cb5p-1", "0x1.dd2c918bf0783p-1", "-0x1.dd2ca904eb870p-1")
+    x_feas = _hex("0x1.0daafa26fbf0bp-2", "0x1.a50bbb14abfd5p-4", "-0x1.72b9ac5e9acc0p+0")
+    assert (G @ x_feas <= h).all()
+    problem = qp.QpProblem(P=P, q=q, G=G, h=h)
+    sol = qp.solve(problem)
+    assert qp.check_kkt(problem, sol).max_residual() <= 1e-6

@@ -325,8 +325,8 @@ def test_simlog_from_csv_reads_what_to_csv_wrote(tmp_path):
     doc["duration_s"] = 0.2
     log, _ = run_doc(doc)
     path = tmp_path / "log.csv"
-    log.to_csv(path)
     written = np.array([[float(f"{v:.9g}") for v in row] for row in log.as_array()])
+    log.to_csv(path)
     assert np.array_equal(SimLog.from_csv(path).as_array(), written)
 
     SimLog().to_csv(path)
@@ -462,7 +462,8 @@ def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_
     """A log filled through append, whose held inputs, stance flags, ratios and
     pinned stance feet to_csv formats once per tick: every value is written as
     f"{v:.9g}", a held -0.0 as -0 and a held 0.0 as 0, through a last tick of 3
-    rows; to_csv returns the values as from_csv reads them back."""
+    rows. to_csv rounds the log in place to the values as from_csv reads them
+    back, and returns the log's own rows, not a copy."""
     def reference(rows):
         return ",".join(SimLog.HEADER) + "\n" + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
 
@@ -483,7 +484,8 @@ def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_
     assert path.read_bytes() == reference(log.as_array()).encode()
     read = SimLog.from_csv(path).as_array()
     assert written.dtype == read.dtype and written.shape == read.shape == (23, 49)
-    assert written.tobytes() == read.tobytes()
+    assert written.tobytes() == read.tobytes() == log.as_array().tobytes()
+    assert np.shares_memory(written, log.data)
 
 
 def test_push_window_off_the_tick_grid_acts_on_each_step_inside_it():
