@@ -125,7 +125,4 @@ def swing_weights(s) -> np.ndarray:
     curves, their product with the curves' (4, 5, 3) control points is, bit for
     bit, the positions that eval_swing gives."""
     s = _checked_phase(s)
-    flat, out = s.reshape(-1, 1, 1), np.empty((s.size, 1, 5))
-    for i in range(0, s.size, 8192):  # in slices, so that the powers take little memory at a time
-        np.matmul(flat[i : i + 8192] ** _POWERS, _BERNSTEIN[:, :5], out=out[i : i + 8192])
-    return out.reshape(s.shape + (5,))
+    return (s[..., None, None] ** _POWERS @ _BERNSTEIN[:, :5]).reshape(s.shape + (5,))

@@ -95,26 +95,44 @@ _ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
 
 
 class HorizonLayout(NamedTuple):
-    """One horizon stance pattern's share of a ConstraintLayout: free_layout's
-    mask over U of the QP variables, G, h and rows, with the diagonal of Rbar
-    over the variables and the indices in u of the first step's variables,
-    which lead U[free]."""
+    """One horizon stance pattern's share of a ConstraintLayout: the mask over
+    U of the QP variables (stance legs' forces, thrusts of a cap above 0), G and
+    h over them, each QP row's index in the layout (the same constraint whatever
+    the stance) and the diagonal of Rbar over the variables."""
 
     free: np.ndarray
     G: np.ndarray
     h: np.ndarray
     rows: np.ndarray
     rbar: np.ndarray
-    first: np.ndarray
 
 
 class ConstraintLayout:
-    """The full layout G U <= h of a controller (see constraint_layout), and each
-    horizon stance pattern's HorizonLayout, built the first time the pattern comes."""
+    """A controller's constants for ground of friction mu_real. G U <= h is the
+    full layout: every unit's rows at every step over all of U, in unit order,
+    sum(_ROWS) rows a step. Per leg: four friction-pyramid rows over its force.
+    Per thruster: upper and lower bound. U = 0 satisfies every row. sqrt_qbar,
+    qbar and rbar are the diagonals of sqrt(Qbar), Qbar and Rbar, the state and
+    input weights stacked over the horizon. horizon() gives each horizon stance
+    pattern's HorizonLayout, built the first time the pattern comes."""
 
-    def __init__(self, G: np.ndarray, h: np.ndarray, config: MpcConfig):
-        self.G, self.h, self.config = G, h, config
-        self._rbar = horizon_weights(config)[2]
+    def __init__(self, config: MpcConfig, mu_real: float):
+        self.config = config
+        mu = 0.707 * mu_real  # 1/sqrt(2) rounded down: the corners sit 1.5e-4 inside the ground's cone
+        blocks = (  # a leg's rows over its force, then a thruster's over its thrust
+            np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
+            np.array([[1.0], [-1.0]]),
+        )
+        self.G = np.zeros((sum(_ROWS) * config.horizon, NU * config.horizon))
+        self.h = np.zeros(self.G.shape[0])
+        row = col = 0
+        for unit in list(range(8)) * config.horizon:
+            self.G[row : row + _ROWS[unit], col : col + _INPUTS[unit]] = blocks[unit // 4]
+            if unit >= 4:
+                self.h[row] = config.u_t_max  # a thrust's upper bound; every other row's is 0
+            row, col = row + _ROWS[unit], col + _INPUTS[unit]
+        self.qbar = np.tile(config.q_diag, config.horizon)
+        self.sqrt_qbar, self.rbar = np.sqrt(self.qbar), np.tile(config.r_diag, config.horizon)
         self._patterns = {}
 
     def horizon(self, stance_seq) -> HorizonLayout:
@@ -122,80 +140,43 @@ class ConstraintLayout:
         key = stance_seq.tobytes()
         found = self._patterns.get(key)
         if found is None:
-            free, G, h, rows = free_layout(self, stance_seq, self.config)
-            found = HorizonLayout(free, G, h, rows, self._rbar[free], np.flatnonzero(free[:NU]))
+            units = np.empty((len(stance_seq), 8), dtype=bool)
+            units[:, :4], units[:, 4:] = stance_seq, self.config.u_t_max > 0
+            free = np.repeat(units, _INPUTS, axis=1).reshape(-1)
+            rows = np.repeat(units, _ROWS, axis=1).reshape(-1)
+            found = HorizonLayout(free, self.G[rows][:, free], self.h[rows], np.flatnonzero(rows), self.rbar[free])
             self._patterns[key] = found
         return found
 
 
-def constraint_layout(config: MpcConfig, mu_real: float) -> ConstraintLayout:
-    """The full layout G U <= h: every unit's rows at every step over all of U,
-    in unit order, sum(_ROWS) rows a step. Per leg: four friction-pyramid rows
-    over its force. Per thruster: upper and lower bound. U = 0 satisfies every row."""
-    mu = 0.707 * mu_real  # 1/sqrt(2) rounded down: the corners sit 1.5e-4 inside the ground's cone
-    blocks = (  # a leg's rows over its force, then a thruster's over its thrust
-        np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]]),
-        np.array([[1.0], [-1.0]]),
-    )
-    G = np.zeros((sum(_ROWS) * config.horizon, NU * config.horizon))
-    h = np.zeros(G.shape[0])
-    row = col = 0
-    for unit in list(range(8)) * config.horizon:
-        G[row : row + _ROWS[unit], col : col + _INPUTS[unit]] = blocks[unit // 4]
-        if unit >= 4:
-            h[row] = config.u_t_max  # a thrust's upper bound; every other row's is 0
-        row, col = row + _ROWS[unit], col + _INPUTS[unit]
-    return ConstraintLayout(G, h, config)
-
-
-def free_layout(layout: ConstraintLayout, stance_seq: np.ndarray, config: MpcConfig):
-    """A horizon's share of the layout, from one mask of the units with QP
-    variables (stance legs, thrusters of a cap above 0): the mask over U of the
-    QP variables, G and h over them, and each QP row's index in the layout (the
-    same constraint whatever the stance)."""
-    free = np.empty((len(stance_seq), 8), dtype=bool)
-    free[:, :4], free[:, 4:] = stance_seq, config.u_t_max > 0
-    inputs = np.repeat(free, _INPUTS, axis=1).reshape(-1)
-    rows = np.repeat(free, _ROWS, axis=1).reshape(-1)
-    return inputs, layout.G[rows][:, inputs], layout.h[rows], np.flatnonzero(rows)
-
-
 def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float):
     """Stacked inequality rows G U_free <= h over the free inputs, in U's order."""
-    _, G, h, _ = free_layout(constraint_layout(config, mu_real), stance_seq, config)
-    return G, h
-
-
-def horizon_weights(config: MpcConfig):
-    """The diagonals of sqrt(Qbar), Qbar and Rbar, the state and input weights
-    stacked over the horizon; constant for a controller."""
-    qbar = np.tile(config.q_diag, config.horizon)
-    return np.sqrt(qbar), qbar, np.tile(config.r_diag, config.horizon)
+    pattern = ConstraintLayout(config, mu_real).horizon(stance_seq)
+    return pattern.G, pattern.h
 
 
 def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray,
-                config: MpcConfig, layout: ConstraintLayout, weights):
+                layout: ConstraintLayout):
     """Condensed QP over the free inputs of the stacked input vector, with its
-    rows from layout = constraint_layout(config, mu_real) and its weights from
-    weights = horizon_weights(config). Returns it, the mask over U of its
-    variables and its rows' indices in the layout (see free_layout)."""
-    n_h = config.horizon
+    rows and weights from the controller's layout. Returns it and the stance
+    pattern's HorizonLayout, which holds the mask over U of its variables and
+    its rows' indices in the layout."""
+    n_h = layout.config.horizon
     if model.B_k.shape != (n_h, NX, NU) or len(stance_seq) != n_h or ref.shape != (n_h, NX):
         raise DimensionMismatch(
             f"horizon mismatch: B_k shape {model.B_k.shape}, {len(stance_seq)} stance rows, "
             f"ref shape {ref.shape}, expected horizon {n_h}"
         )
     T, S = condense(model)
-    free, G, h, rows, rbar, _ = layout.horizon(stance_seq)
-    S = S[:, free]
-    sqrt_qbar, qbar, _ = weights
+    pattern = layout.horizon(stance_seq)
+    S = S[:, pattern.free]
 
-    W = sqrt_qbar[:, None] * S
+    W = layout.sqrt_qbar[:, None] * S
     P = W.T @ W  # exactly symmetric
-    P.flat[:: len(P) + 1] += rbar  # the diagonal
+    P.flat[:: len(P) + 1] += pattern.rbar  # the diagonal
     err = T @ state.as_vector() - ref.reshape(-1)
-    q_vec = S.T @ (qbar * err)
-    return qp.QpProblem(P=P, q=q_vec, G=G, h=h), free, rows
+    q_vec = S.T @ (layout.qbar * err)
+    return qp.QpProblem(P=P, q=q_vec, G=pattern.G, h=pattern.h), pattern
 
 
 class MpcController:
@@ -204,35 +185,31 @@ class MpcController:
     layout, so that a stance change, which renumbers the QP's rows, seeds the same ones."""
 
     def __init__(self, config: MpcConfig, mu_real: float):
-        self.config = config
-        self._layout = constraint_layout(config, mu_real)
-        self._weights = horizon_weights(config)
-        self._was_active = np.zeros(sum(_ROWS) * config.horizon, dtype=bool)
+        self._layout = ConstraintLayout(config, mu_real)
+        self._was_active = np.zeros(self._layout.h.size, dtype=bool)
         self._step_index = 0
         self.last_solution = None
 
     def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
-        problem, _, rows = assemble_qp(
-            state, stance_seq, model, ref, self.config, self._layout, self._weights
-        )
+        problem, pattern = assemble_qp(state, stance_seq, model, ref, self._layout)
         try:
-            sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[rows]).tolist())
+            sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[pattern.rows]).tolist())
         except qp.NotPositiveDefinite as exc:
             # P is positive definite by construction: a state far out of range swamped it
             raise FloatingPointError(str(exc)) from exc
         except qp.QpError as exc:
             raise SolverFailure(self._step_index, exc) from exc
         self._was_active[:] = False
-        self._was_active[rows[sol.active_set]] = True
+        self._was_active[pattern.rows[sol.active_set]] = True
         self._step_index += 1
         self.last_solution = sol
 
-        first = self._layout.horizon(stance_seq).first
-        u = np.zeros(NU)
-        u[first] = sol.x_star[: len(first)]
+        U = np.zeros(pattern.free.size)
+        U[pattern.free] = sol.x_star
+        u = U[:NU]  # the first step's inputs
         # the QP meets its bounds up to its row tolerance; its round-off past them
         # (a thrust or a normal force of -1e-11 N) goes no further
-        cap = self.config.u_t_max
+        cap = self._layout.config.u_t_max
         u[12:] = [min(max(t, 0.0), cap) for t in u[12:].tolist()]  # np.clip's values, a -0.0 kept
         np.maximum(u[2:12:3], 0.0, out=u[2:12:3])
         return ControlInput(grf=u[:12].reshape(4, 3), thrust=u[12:])

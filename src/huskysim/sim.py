@@ -36,7 +36,7 @@ HEIGHT_FRACTION = 0.6  # fall when COM height drops below this fraction of desir
 # N; the QP leaves its rows violated by up to ~1e-10 N per N of their largest
 # bound, so a leg this little outside the cone has solver residue, not a slip
 SLIP_FORCE_TOL = 1e-6
-SWING_BLOCK = 100  # control ticks whose swing weights run forms at a time
+TICK_BLOCK = 100  # control ticks whose schedule, swing weights, step times and pushes run forms at a time
 
 
 @dataclass
@@ -396,36 +396,39 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
 
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step
-    # row k: the gait at tick k's horizon steps, of which column 0 is the tick's own
-    horizon_t = (np.array(ticks) * dt)[:, None] + mpc_cfg.dt * np.arange(mpc_cfg.horizon)
-    gait = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
     step_phase = np.arange(per_tick) * (dt / gait_cfg.t_swing)
-    ts = np.arange(n_steps) * dt
-    # a push can overflow to a non-finite state, which the plant's first check names
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_ext = np.zeros((n_steps, 3))
-        for dist in scenario.disturbances:
-            f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
+    lead = mpc_cfg.dt * np.arange(mpc_cfg.horizon)  # a tick's horizon steps' times after its own
     states = np.empty((per_tick, 12))  # a tick's pre-step states
     states[0] = state.as_vector()[:12]
     failure = None
 
     for k, first in enumerate(ticks):
-        t = first * dt
-        stance_seq = gait.stance_flags[k]
-        stance = stance_seq[0]
-        n = min(per_tick, n_steps - first)
-        # the swing phases min(phase + j dt / t_swing, 1) at step j of the next SWING_BLOCK
-        # ticks, as (4, per_tick) rows: one swing_weights call a block, outside the timed
-        # tick, and a table that does not grow with the run
-        if k % SWING_BLOCK == 0:
-            swing = swing_weights(np.minimum(gait.phase[k : k + SWING_BLOCK, 0, :, None] + step_phase, 1.0))
+        t, i = first * dt, k % TICK_BLOCK
+        # the tables of the TICK_BLOCK ticks from tick k, formed outside the timed tick so that
+        # none grows with the run: row r of gait holds the block's tick r's gait at its horizon
+        # steps (column 0 its own), row r of swing the weights of its swing phases
+        # min(phase + j dt / t_swing, 1) at step j as (4, per_tick) rows; ts and f_ext hold
+        # each of the block's plant steps' time and push
+        if i == 0:
+            horizon_t = (np.array(ticks[k : k + TICK_BLOCK]) * dt)[:, None] + lead
+            gait = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
+            swing = swing_weights(np.minimum(gait.phase[:, 0, :, None] + step_phase, 1.0))
+            ts = np.arange(first, min(first + TICK_BLOCK * per_tick, n_steps)) * dt
+            # a push can overflow to a non-finite state, which the plant's first check names
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_ext = np.zeros((len(ts), 3))
+                for dist in scenario.disturbances:
+                    f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
+        stance_seq, n = gait.stance_flags[i], min(per_tick, n_steps - first)
+        o = i * per_tick  # the tick's first plant step in ts and f_ext
+        # the last tick's stance and this tick's; the first tick takes its own as the last
+        prev_stance, stance = stance_seq[0] if k == 0 else stance, stance_seq[0]
 
         try:
             # a finite state far out of range can overflow the plan or swamp P; that ends the run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                tracker.update_plan(state, gait.stance_flags[max(k - 1, 0), 0], stance, command)
-                feet = tracker.tick_feet(swing[k % SWING_BLOCK], stance, n)
+                tracker.update_plan(state, prev_stance, stance, command)
+                feet = tracker.tick_feet(swing[i], stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
                 model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
@@ -444,7 +447,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         ratios = friction_ratios(u, stance)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            post = step(state, u, feet - state.p, r, f_ext[first : first + n], params, dt)
+            post = step(state, u, feet - state.p, r, f_ext[o : o + n], params, dt)
         j = n - 1
         # the tick's rows checked as a whole; the failing row is looked for only when there is one
         if not (np.isfinite(post).all() and np.abs(post[:, :2]).max() <= ROLL_LIMIT
@@ -454,7 +457,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
                 low = post[:, 5] - support < HEIGHT_FRACTION * command.height
             j = np.flatnonzero(~finite | tilted | low)[0]
-            (roll, pitch), t_fail = post[j, :2], float(ts[first + j] + dt)
+            (roll, pitch), t_fail = post[j, :2], float(ts[o + j] + dt)
             if not finite[j]:
                 failure = FailureEvent(NUMERICAL_FAILURE, t_fail, "non-finite plant state")
             elif tilted[j]:
@@ -463,7 +466,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 failure = FailureEvent(HEIGHT_COLLAPSE, t_fail, f"COM height {post[j, 5] - support:.3g} m")
         # the pre-step rows through the failing step
         states[1 : j + 1] = post[:j]
-        log.append(ts[first : first + j + 1], states[: j + 1], u, feet[: j + 1], stance, ratios)
+        log.append(ts[o : o + j + 1], states[: j + 1], u, feet[: j + 1], stance, ratios)
         if failure is not None:
             break
         states[0] = post[-1]

@@ -10,11 +10,10 @@ from huskysim.gait import build_swing_curve, eval_swing
 from huskysim.mpc import (
     Command,
     MpcConfig,
+    ConstraintLayout,
     MpcController,
     assemble_qp,
     build_reference,
-    constraint_layout,
-    horizon_weights,
 )
 from huskysim.robot import (
     RobotParams,
@@ -148,7 +147,7 @@ def _random_condensed_instance(rng, params):
     A, B = build_continuous_model(state, d, r, params)
     model = discretize(A, np.repeat(B[None], horizon, axis=0), cfg.dt)
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-    return assemble_qp(state, stance_seq, model, ref, cfg, constraint_layout(cfg, mu_real), horizon_weights(cfg))[0]
+    return assemble_qp(state, stance_seq, model, ref, ConstraintLayout(cfg, mu_real))[0]
 
 
 def test_criterion_4_mpc_qp_correctness():

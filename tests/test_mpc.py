@@ -10,17 +10,14 @@ from huskysim.mpc import (
     DimensionMismatch,
     MpcConfig,
     MpcController,
+    ConstraintLayout,
     assemble_qp,
     build_reference,
     condense,
-    constraint_layout,
-    free_layout,
-    horizon_weights,
     input_constraints,
 )
-from huskysim.gait import trot_schedule
 from huskysim.robot import RobotParams
-from huskysim.sim import run, steps_per_tick
+from huskysim.sim import run
 
 MU_REAL = 0.5  # the bundled ground; the controller's pyramid slope is 0.707 * 0.5 = 0.3535
 
@@ -45,7 +42,7 @@ def make_model(state, d, r, stance_seq, cfg, params):
 
 def layout_rows(stance_seq, cfg):
     """Each QP row's index in the controller's constraint layout."""
-    return free_layout(constraint_layout(cfg, MU_REAL), stance_seq, cfg)[3]
+    return ConstraintLayout(cfg, MU_REAL).horizon(stance_seq).rows
 
 
 def cold_step(state, stance_seq, d, r, ref, cfg, params, mu_real=MU_REAL):
@@ -97,7 +94,7 @@ def test_constraint_rows_trot_step():
     # friction rows reference only that leg's force entries
     assert np.count_nonzero(G[:4, 3:]) == 0 and np.count_nonzero(G[4:8, :3]) == 0
     assert np.all(h >= 0.0)
-    free = free_layout(constraint_layout(cfg, MU_REAL), [stance], cfg)[0]
+    free = ConstraintLayout(cfg, MU_REAL).horizon([stance]).free
     assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
 
 
@@ -111,7 +108,7 @@ def test_constraint_rows_name_each_row():
         cfg = MpcConfig(u_t_max=15.0 * (trial % 2))
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
         G, h = input_constraints(stance_seq, cfg, MU_REAL)
-        free, _, _, rows = free_layout(constraint_layout(cfg, MU_REAL), stance_seq, cfg)
+        free, _, _, rows, _ = ConstraintLayout(cfg, MU_REAL).horizon(stance_seq)
         assert len(rows) == G.shape[0] == 4 * np.count_nonzero(stance_seq) + 8 * cfg.horizon * (trial % 2)
         assert np.all(np.diff(rows) > 0)
         column = np.cumsum(free) - 1  # QP column of each entry of U
@@ -160,8 +157,9 @@ def loop_layout(stance_seq, cfg, mu_real):
 
 def test_selection_from_constant_layout_is_the_loop_layout(params):
     """G, h and row indices taken from the controller's constant layout by one
-    free mask are bit for bit those of the loop over free units, for random
-    horizon stance, at thrust caps of 20 N, 7.5 N and zero (thrusters off)."""
+    free mask are bit for bit those of the loop over free units, and its Rbar
+    diagonal is r_diag's over the free inputs, for random horizon stance, at
+    thrust caps of 20 N, 7.5 N and zero (thrusters off)."""
     rng = np.random.default_rng(20)
     state = RobotState(p=np.array([0.0, 0.0, 0.25]))
     d, r = stand_geometry(params)
@@ -170,13 +168,13 @@ def test_selection_from_constant_layout_is_the_loop_layout(params):
         mu_real = float(rng.uniform(0.2, 0.9)) / 0.707  # pyramid slopes 0.2 to 0.9
         stance_seq = rng.random((cfg.horizon, 4)) < rng.uniform(0.0, 1.0)
         expected = loop_layout(stance_seq, cfg, mu_real)
-        layout = constraint_layout(cfg, mu_real)
-        got = free_layout(layout, stance_seq, cfg)
-        assert all(same_bits(a, b) for a, b in zip(got, expected))
+        got = ConstraintLayout(cfg, mu_real).horizon(stance_seq)
+        assert all(same_bits(a, b) for a, b in zip(got[:4], expected))
+        assert same_bits(got.rbar, np.tile(cfg.r_diag, cfg.horizon)[expected[0]])
         model = make_model(state, d, r, stance_seq, cfg, params)
         ref = build_reference(state, Command(), cfg)
-        problem, inputs, rows = assemble_qp(state, stance_seq, model, ref, cfg, layout, horizon_weights(cfg))
-        assert all(same_bits(a, b) for a, b in zip((inputs, problem.G, problem.h, rows), expected))
+        problem, pattern = assemble_qp(state, stance_seq, model, ref, ConstraintLayout(cfg, mu_real))
+        assert all(same_bits(a, b) for a, b in zip((pattern.free, problem.G, problem.h, pattern.rows), expected))
         assert all(same_bits(a, b) for a, b in zip(input_constraints(stance_seq, cfg, mu_real), expected[1:3]))
 
 
@@ -198,6 +196,32 @@ def test_swing_columns_pinned(params):
     u = cold_step(state, [stance], d, r, ref, cfg, params)
     assert np.all(u.grf[1] == 0.0)
     assert np.all(u.grf[3] == 0.0)
+
+
+def test_step_input_is_the_first_steps_share_of_the_solution(params):
+    """The controller's input is x* scattered over U by its pattern's mask and
+    cut to the first step, then clipped to [0, cap] per thrust and to u_z >= 0
+    per leg: in x*, the first step's stance legs' forces in leg order, then its
+    thrusts when the cap is above 0. Random horizon stance, caps of 20 N and 0."""
+    rng = np.random.default_rng(33)
+    d, r = stand_geometry(params)
+    for trial in range(24):
+        cfg = MpcConfig(u_t_max=20.0 * (trial % 2))
+        state = RobotState(theta=rng.uniform(-0.05, 0.05, 3), p=np.array([0.0, 0.0, 0.23]),
+                           omega=rng.uniform(-0.5, 0.5, 3), pdot=rng.uniform(-0.5, 0.5, 3))
+        stance_seq = rng.random((cfg.horizon, 4)) < 0.6
+        ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
+        controller = MpcController(cfg, MU_REAL)
+        u = controller.step(state, stance_seq, make_model(state, d, r, stance_seq, cfg, params), ref)
+        x_star = controller.last_solution.x_star.tolist()
+        expected = np.zeros(NU)
+        for leg in np.flatnonzero(stance_seq[0]).tolist():
+            expected[3 * leg : 3 * leg + 3], x_star = x_star[:3], x_star[3:]
+        if cfg.u_t_max > 0:
+            expected[12:] = x_star[:4]
+        expected[12:] = np.clip(expected[12:], 0.0, cfg.u_t_max)
+        expected[2:12:3] = np.maximum(expected[2:12:3], 0.0)
+        assert np.array_equal(u.as_vector(), expected)
 
 
 def test_unconstrained_closed_form(params):
@@ -311,7 +335,7 @@ def test_dimension_mismatch(params):
     ref = build_reference(state, Command(), cfg)
     model = make_model(state, d, r, [stance] * 3, cfg, params)  # wrong length
     with pytest.raises(DimensionMismatch):
-        assemble_qp(state, [stance] * 3, model, ref, cfg, constraint_layout(cfg, MU_REAL), horizon_weights(cfg))
+        assemble_qp(state, [stance] * 3, model, ref, ConstraintLayout(cfg, MU_REAL))
 
 
 def test_config_validation():
@@ -361,8 +385,8 @@ def pinned_qp(state, stance_seq, model, ref, cfg, mu_real):
 
 
 def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real):
-    layout = constraint_layout(cfg, mu_real)
-    problem, free, _ = assemble_qp(state, stance_seq, model, ref, cfg, layout, horizon_weights(cfg))
+    problem, pattern = assemble_qp(state, stance_seq, model, ref, ConstraintLayout(cfg, mu_real))
+    free = pattern.free
     sol = qp.solve(problem)
     U = np.zeros(free.size)
     U[free] = sol.x_star
@@ -488,34 +512,37 @@ def test_absurd_command_leaves_the_qp_feasible(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])
-def test_each_ticks_pattern_layout_is_its_free_layout(name):
+def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, monkeypatch):
     """The controller's layout holds one entry per horizon stance pattern; the
-    entry each tick of a bundled run looks up is free_layout's selection for
-    that tick's stance rows bit for bit, with Rbar's diagonal over its variables and
-    the indices in u of its first step's variables."""
-    scenario, _, cfg, gait_cfg = cli.configs_from_doc(load_bundled(name))
-    per_tick = steps_per_tick(cfg.rate_hz, scenario.sim_dt)
-    ticks = np.arange(0, round(scenario.duration / scenario.sim_dt), per_tick) * scenario.sim_dt
-    gait = trot_schedule(ticks[:, None] + cfg.dt * np.arange(cfg.horizon), gait_cfg.t_stance, gait_cfg.t_swing)
-    layout, rbar = constraint_layout(cfg, scenario.mu_real), horizon_weights(cfg)[2]
-    for stance_seq in gait.stance_flags:
-        got = layout.horizon(stance_seq)
-        free, G, h, rows = free_layout(constraint_layout(cfg, scenario.mu_real), stance_seq, cfg)
-        expected = (free, G, h, rows, rbar[free], np.flatnonzero(free[:NU]))
+    entry each tick of a bundled run was given, looked up from the entries built
+    at earlier ticks, is still bit for bit the entry a fresh layout builds for
+    that tick's stance rows once the run is over."""
+    scenario, params, cfg, gait_cfg = cli.configs_from_doc(load_bundled(name))
+    used, original = [], assemble_qp
+
+    def recorded(state, stance_seq, model, ref, layout):
+        problem, pattern = original(state, stance_seq, model, ref, layout)
+        used.append((stance_seq.copy(), pattern))
+        return problem, pattern
+
+    monkeypatch.setattr(mpc, "assemble_qp", recorded)
+    run(scenario, params, cfg, gait_cfg)
+    assert len(used) > 100
+    for stance_seq, got in used:
+        expected = ConstraintLayout(cfg, scenario.mu_real).horizon(stance_seq)
         assert all(same_bits(a, b) for a, b in zip(got, expected))
 
 
 def test_a_run_builds_one_layout_per_stance_pattern(monkeypatch):
     """beam_walk's 1,000 ticks have 15 distinct horizon stance patterns, and
-    free_layout runs once for each."""
-    calls = []
-    original = free_layout
+    one HorizonLayout is built for each."""
+    masks, original = [], mpc.HorizonLayout
 
-    def counted(*args):
-        calls.append(args[1].tobytes())
-        return original(*args)
+    def counted(*fields):
+        masks.append(fields[0].tobytes())  # the mask of the QP variables: thrusters on, one per pattern
+        return original(*fields)
 
-    monkeypatch.setattr(mpc, "free_layout", counted)
+    monkeypatch.setattr(mpc, "HorizonLayout", counted)
     log, outcome = run(*cli.configs_from_doc(load_bundled("beam_walk")))
     assert outcome is None and log.n == 10000
-    assert len(calls) == len(set(calls)) == 15
+    assert len(masks) == len(set(masks)) == 15

@@ -491,17 +491,32 @@ def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_
 
 
 def test_push_window_off_the_tick_grid_acts_on_each_step_inside_it():
-    """sim.run forms every plant step's push once per run; a step gets the
-    force when its start time is in [t_start, t_end). A push from 1.0035 s
-    first acts on the step that starts at 1.004 s, so the log matches the
-    unpushed run through the row at 1.004 s and parts from it at 1.005 s."""
+    """sim.run forms each plant step's push with its block of 100 ticks' tables;
+    a step gets the force when its start time is in [t_start, t_end), so a log
+    parts from another's at the row after the first step whose push differs.
+    A push from 1.0035 s first acts on the step that starts at 1.004 s, so the
+    log parts from the unpushed one at 1.005 s. A push from 0.9955 s to 1.0045 s
+    crosses the block boundary at tick 100 (1.0 s) and acts on the steps from
+    0.996 s through 1.004 s: its log parts from the unpushed one at 0.997 s,
+    from the same push stopped at 1.0 s at 1.001 s, from it stopped at 1.0035 s
+    at 1.005 s, and from it kept to 1.0055 s at 1.006 s."""
     doc = load_bundled("push_with_thrust")
     doc["duration_s"] = 1.02
-    unpushed = dict(doc, disturbances=[])
-    doc["disturbances"] = [{"t_start_s": 1.0035, "t_end_s": 1.2035, "force_n": [0.0, 30.0, 0.0]}]
-    (log, outcome), (ref, ref_outcome) = run_doc(doc), run_doc(unpushed)
-    assert outcome is None and ref_outcome is None
-    a, b = log.as_array(), ref.as_array()
-    row = int(np.flatnonzero(np.isclose(a[:, 0], 1.004))[0])
-    assert np.array_equal(a[: row + 1], b[: row + 1])
-    assert not np.array_equal(a[row + 1, 1:13], b[row + 1, 1:13])
+
+    def log_with(*windows):
+        pushes = [{"t_start_s": a, "t_end_s": b, "force_n": [0.0, 30.0, 0.0]} for a, b in windows]
+        log, outcome = run_doc(dict(doc, disturbances=pushes))
+        assert outcome is None
+        return log.as_array()
+
+    def parts_at(a, b):
+        row = int(np.flatnonzero((a[:, 1:13] != b[:, 1:13]).any(axis=1))[0])
+        assert np.array_equal(a[:row], b[:row])
+        return round(float(a[row, 0]), 6)
+
+    unpushed, crossing = log_with(), log_with((0.9955, 1.0045))
+    assert parts_at(log_with((1.0035, 1.2035)), unpushed) == 1.005
+    assert parts_at(crossing, unpushed) == 0.997
+    assert parts_at(crossing, log_with((0.9955, 1.0))) == 1.001
+    assert parts_at(crossing, log_with((0.9955, 1.0035))) == 1.005
+    assert parts_at(crossing, log_with((0.9955, 1.0055))) == 1.006
