@@ -160,7 +160,7 @@ def run_scenario(configs, out: Path) -> int:
         summary = summarize(written, scenario, outcome)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         write_plots(written, out / "plots", scenario.mu_real)
-    except OSError as exc:
+    except (OSError, config.ConfigError) as exc:  # ConfigError: a run too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ span them; a nested config was checked when it was made.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import typing
@@ -21,6 +22,16 @@ import numpy as np
 
 class ConfigError(ValueError):
     """A config value outside its declared key, type, shape or bound."""
+
+
+@contextlib.contextmanager
+def sized_by(key):
+    """Raise a size that numpy refuses, which it does before it allocates
+    anything, as a ConfigError naming ``key``, the setting that sized it."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{key}: the run is too large to allocate ({exc})") from exc
 
 
 def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None, choices=None):

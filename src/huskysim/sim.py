@@ -17,7 +17,7 @@ from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
-from .config import Config, ConfigError, setting
+from .config import Config, ConfigError, setting, sized_by
 from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, discretize
 from .gait import GaitConfig, build_swing_curve, clamp_lateral, swing_weights, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
@@ -225,8 +225,10 @@ def step(
     f_ext: np.ndarray,
     params: RobotParams,
     dt: float,
-) -> np.ndarray:
-    """n plant steps that hold u and r: semi-implicit Euler on the accelerations
+    support: float,
+    min_height: float,
+):
+    """Up to n plant steps that hold u and r: semi-implicit Euler on the accelerations
     of dynamics.centroidal_accel plus f_ext / m, velocities first, then the pose
     with the exact Euler-angle rates. One step is (4, 3) d and (3,) f_ext.
     Rotation is omegadot = Rz I_b^-1 Rz' tau, the yaw-only inertia with no gyroscopic
@@ -234,11 +236,13 @@ def step(
 
     d: (n, 4, 3) foot lever arms, each from the COM at the first step.
     f_ext: (n, 3) force at the COM per step (N, world).
-    Returns the (n, 12) post-step states. The steps stop after the first
-    non-finite state, and the rows past it are NaN.
+    Returns the (m + 1, 12) states passed through (state's own, then one per step
+    taken) and None, or the kind of the first post-step state that ends the run, at
+    which the steps stop. Its tests, in order: non-finite (NUMERICAL_FAILURE), |roll| or
+    |pitch| above ROLL_LIMIT (ROLL_DIVERGENCE), pz - support below min_height (HEIGHT_COLLAPSE).
     """
     d = np.asarray(d).reshape(-1, 4, 3)
-    n, m, g = len(d), params.mass, params.gravity
+    m, g = params.mass, params.gravity
     # thrust i is R @ body[i], applied at r_i: the force is R @ sum_i body[i], the
     # torque sum_k lever_k x R[:, k] with lever_k = sum_i body[i, k] r_i
     body = params.thrust_dirs * u.thrust[:, None]
@@ -249,11 +253,8 @@ def step(
     fx, fy, fz = u.grf.sum(axis=0).tolist()
     torque = cross(d, u.grf).sum(axis=1).tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params.inertia_inv.tolist()
-    ph, th, ps = state.theta.tolist()
-    px, py, pz = p0x, p0y, p0z = state.p.tolist()
-    wx, wy, wz = state.omega.tolist()
-    vx, vy, vz = state.pdot.tolist()
-    flat = []
+    ph, th, ps, px, py, pz, wx, wy, wz, vx, vy, vz = flat = state.as_vector()[:12].tolist()
+    (p0x, p0y, p0z), kind = flat[3:6], None  # flat: the states passed through, row by row
     for (ex, ey, ez), (gx, gy, gz) in zip(np.asarray(f_ext).reshape(-1, 3).tolist(), torque):
         cf, sf, ct, st, cp, sp = cos(ph), sin(ph), cos(th), sin(th), cos(ps), sin(ps)
         # R = Rz(ps) Ry(th) Rx(ph), by columns
@@ -281,10 +282,14 @@ def step(
         flat += row
         # a sum of finite values is finite unless it overflows: then each value is looked at
         if not isfinite(ph + th + ps + px + py + pz + wx + wy + wz + vx + vy + vz) and not all(map(isfinite, row)):
-            break  # cos and sin raise on an infinite angle
-    out = np.full((n, 12), np.nan)
-    out.ravel()[: len(flat)] = flat
-    return out
+            kind = NUMERICAL_FAILURE  # and the next step's cos and sin would raise on an infinite angle
+        elif abs(ph) > ROLL_LIMIT or abs(th) > ROLL_LIMIT:
+            kind = ROLL_DIVERGENCE
+        elif pz - support < min_height:
+            kind = HEIGHT_COLLAPSE
+        if kind is not None:
+            break
+    return np.array(flat).reshape(-1, 12), kind
 
 
 def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> LinearModel:
@@ -383,23 +388,23 @@ class _LegTracker:
 def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: GaitConfig):
     """Execute a scenario; returns (SimLog, outcome) where outcome is None on success.
     Each config checked itself when built; steps_per_tick, the one rule across
-    two configs, raises ConfigError."""
+    two configs, raises ConfigError, as does a controller or log too large to allocate."""
     dt = scenario.sim_dt
     per_tick = steps_per_tick(mpc_cfg.rate_hz, dt)
     n_steps = round(scenario.duration / dt)
-    support = scenario.terrain.support_height()
     command = scenario.command
+    support, min_height = scenario.terrain.support_height(), HEIGHT_FRACTION * command.height
 
     state = RobotState(p=np.array([0.0, 0.0, support + command.height]))
     tracker = _LegTracker(params, scenario, gait_cfg)
-    controller = MpcController(mpc_cfg, scenario.mu_real)
-    log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
+    with sized_by("mpc.horizon"):
+        controller = MpcController(mpc_cfg, scenario.mu_real)
+    with sized_by("duration_s"):
+        log = SimLog(np.zeros((n_steps, len(SimLog.HEADER))))
 
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step
     step_phase = np.arange(per_tick) * (dt / gait_cfg.t_swing)
     lead = mpc_cfg.dt * np.arange(mpc_cfg.horizon)  # a tick's horizon steps' times after its own
-    states = np.empty((per_tick, 12))  # a tick's pre-step states
-    states[0] = state.as_vector()[:12]
     failure = None
 
     for k, first in enumerate(ticks):
@@ -436,7 +441,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         except SolverFailure as exc:
             failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
             break
-        except FloatingPointError as exc:
+        except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's OverflowError
             failure = FailureEvent(NUMERICAL_FAILURE, t, f"control tick: {exc}")
             break
         violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
@@ -447,29 +452,15 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         ratios = friction_ratios(u, stance)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            post = step(state, u, feet - state.p, r, f_ext[o : o + n], params, dt)
-        j = n - 1
-        # the tick's rows checked as a whole; the failing row is looked for only when there is one
-        if not (np.isfinite(post).all() and np.abs(post[:, :2]).max() <= ROLL_LIMIT
-                and post[:, 5].min() - support >= HEIGHT_FRACTION * command.height):
-            with np.errstate(invalid="ignore"):
-                finite = np.isfinite(post).all(axis=1)
-                tilted = np.abs(post[:, :2]).max(axis=1) > ROLL_LIMIT
-                low = post[:, 5] - support < HEIGHT_FRACTION * command.height
-            j = np.flatnonzero(~finite | tilted | low)[0]
-            (roll, pitch), t_fail = post[j, :2], float(ts[o + j] + dt)
-            if not finite[j]:
-                failure = FailureEvent(NUMERICAL_FAILURE, t_fail, "non-finite plant state")
-            elif tilted[j]:
-                failure = FailureEvent(ROLL_DIVERGENCE, t_fail, f"roll {roll:.3g} pitch {pitch:.3g} rad")
-            else:
-                failure = FailureEvent(HEIGHT_COLLAPSE, t_fail, f"COM height {post[j, 5] - support:.3g} m")
-        # the pre-step rows through the failing step
-        states[1 : j + 1] = post[:j]
-        log.append(ts[o : o + j + 1], states[: j + 1], u, feet[: j + 1], stance, ratios)
-        if failure is not None:
+            states, kind = step(state, u, feet - state.p, r, f_ext[o : o + n], params, dt, support, min_height)
+        m = len(states) - 1  # the plant steps taken; the last state starts the next tick or ends the run
+        log.append(ts[o : o + m], states[:-1], u, feet[:m], stance, ratios)
+        if kind is not None:
+            roll, pitch, _, _, _, pz = states[-1, :6].tolist()
+            detail = {NUMERICAL_FAILURE: "non-finite plant state", HEIGHT_COLLAPSE: f"COM height {pz - support:.3g} m",
+                      ROLL_DIVERGENCE: f"roll {roll:.3g} pitch {pitch:.3g} rad"}[kind]
+            failure = FailureEvent(kind, float(ts[o + m - 1] + dt), detail)
             break
-        states[0] = post[-1]
-        state = RobotState.from_vector(post[-1])
+        state = RobotState.from_vector(states[-1])
 
     return log, failure

@@ -216,7 +216,8 @@ def test_criterion_5_dynamics_fidelity():
         A, B = build_continuous_model(state, d, r, params)
         model = discretize(A, B, 1e-3)
         x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
-        x_plant = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, 1e-3)[0]).as_vector()
+        states, _ = step(state, u, d, r, np.zeros(3), params, 1e-3, 0.0, -np.inf)
+        x_plant = RobotState.from_vector(states[1]).as_vector()
         worst_step = max(worst_step, np.abs(x_plant - x_lin).max())
     assert worst_step < 1e-4
 

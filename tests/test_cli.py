@@ -160,6 +160,27 @@ def test_invalid_setting_exits_1(tmp_path, capsys, doc, key):
     assert_one_error_line(tmp_path, capsys, doc, key)
 
 
+@pytest.mark.parametrize("doc, key", [('{"duration_s": 1e300}', "duration_s"),
+                                      ('{"mpc": {"horizon": 1000000000}}', "mpc.horizon")],
+                         ids=["duration_1e300", "horizon_1e9"])
+def test_run_too_large_to_allocate_exits_1(tmp_path, capsys, doc, key):
+    """A log of 1e303 rows, or a controller of 1e9 horizon steps, is a size
+    that numpy refuses before it allocates anything: the run names its key."""
+    assert_one_error_line(tmp_path, capsys, doc, key)
+
+
+@pytest.mark.parametrize("link, length", [("thigh", 1e200), ("thigh", 1e300), ("shank", 1e155)])
+def test_leg_reach_that_overflows_is_a_numerical_failure(tmp_path, capsys, link, length):
+    """A leg whose reach squared overflows a Python float, which raises where
+    numpy would give inf, ends the run at t = 0 as a NumericalFailure with
+    nothing on stderr."""
+    (tmp_path / "long.json").write_text(json.dumps({"robot": {"link_lengths": {link: length}}}))
+    assert cli.main(["run", str(tmp_path / "long.json"), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and "NumericalFailure at t=0.000s" in out
+    assert read_summary(tmp_path / "out")["failure"]["kind"] == sim.NUMERICAL_FAILURE
+
+
 def assert_one_error_line(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"
     bad.write_text(doc)

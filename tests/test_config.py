@@ -28,7 +28,15 @@ JUNK = [None, "1", True, [1.0], {}]  # not a number, nor an array of numbers
 UNKNOWN = st.text(string.ascii_lowercase, min_size=1, max_size=6).map(lambda k: "zz_" + k)
 
 
+# the float settings that size a run's arrays: a value scaled by 10**k could ask for a log or
+# a tick of more rows than the host can fill, so they stay near their defaults
+SIZING = ("duration_s", "sim_dt_s", "rate_hz")
+
+
 def valid_number(f, tp):
+    """A valid value of the number setting f: an int in its range, or a float
+    near its default; a float that sizes no array may also be its default
+    times 10**k for k in [-300, 300]."""
     default = f.default
     if tp is int:
         return st.integers(f.metadata["ge"] if f.metadata["ge"] is not None else -1000, 6)
@@ -36,7 +44,10 @@ def valid_number(f, tp):
         return st.floats(0.05, 1.0)
     if default == 0.0:
         return st.floats(0.0, 0.05)
-    return st.floats(0.5, 2.0).map(lambda k: default * k)
+    near = st.floats(0.5, 2.0).map(lambda k: default * k)
+    if f.metadata["key"] in SIZING:
+        return near
+    return st.one_of(near, st.integers(-300, 300).map(lambda k: default * 10.0**k))
 
 
 def invalid_number(f, tp):

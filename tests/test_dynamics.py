@@ -15,7 +15,7 @@ from huskysim.dynamics import (
 )
 from huskysim.robot import RobotParams
 from huskysim.rotations import rot_z, rpy_matrix, skew
-from huskysim.sim import step
+from huskysim.sim import HEIGHT_COLLAPSE, NUMERICAL_FAILURE, ROLL_DIVERGENCE, ROLL_LIMIT, step
 
 
 @pytest.fixture
@@ -139,11 +139,15 @@ def test_plant_tick_matches_stepped_oracle(case):
     """One call over a tick's n steps equals n one-step oracle steps, each with
     its lever arms from the COM where that step starts."""
     params, state, u, r, feet, f_ext, dt = case
-    post = step(state, u, feet - state.p, r, f_ext, params, dt)
-    assert post.shape == (len(feet), 12)
+    states, kind = step(state, u, feet - state.p, r, f_ext, params, dt, 0.0, -np.inf)  # no height test
+    assert np.array_equal(states[0], state.as_vector()[:12])
     for j in range(len(feet)):
         state = step_oracle(state, u, feet[j] - state.p, r, f_ext[j], params, dt)
-        assert np.abs(post[j] - state.as_vector()[:12]).max() <= 1e-12
+        assert np.abs(states[j + 1] - state.as_vector()[:12]).max() <= 1e-12
+        if np.abs(states[j + 1, :2]).max() > ROLL_LIMIT:
+            break  # the tick stops at a state that tips past the roll limit
+    assert len(states) == j + 2
+    assert kind == (ROLL_DIVERGENCE if np.abs(states[-1, :2]).max() > ROLL_LIMIT else None)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -153,11 +157,54 @@ def test_plant_tick_first_accelerations_match_centroidal_accel(case):
     (plus f_ext / m) times dt."""
     params, state, u, r, feet, f_ext, _ = case
     d = feet[0] - state.p
-    post = step(state, u, d, r, f_ext[0], params, 1.0)[0]  # dt = 1: the rates are the increments
+    post = step(state, u, d, r, f_ext[0], params, 1.0, 0.0, -np.inf)[0][1]  # dt = 1: the rates are the increments
     pddot, omegadot = centroidal_accel(state, u, d, r, params)
     pddot = pddot + f_ext[0] / params.mass
     assert np.abs(post[9:12] - state.pdot - pddot).max() <= 1e-12 * max(1.0, np.abs(pddot).max())
     assert np.abs(post[6:9] - state.omega - omegadot).max() <= 1e-12 * max(1.0, np.abs(omegadot).max())
+
+
+def first_failure(x, support, min_height):
+    """The first of the three run-ending tests, in order, that state vector x fails, or None."""
+    if not np.isfinite(x).all():
+        return NUMERICAL_FAILURE
+    if np.abs(x[:2]).max() > ROLL_LIMIT:
+        return ROLL_DIVERGENCE
+    return HEIGHT_COLLAPSE if x[5] - support < min_height else None
+
+
+@pytest.mark.parametrize("kind, state, push_from, stop", [
+    (NUMERICAL_FAILURE, RobotState(p=np.array([0.0, 0.0, 0.35])), 7, 7),
+    (ROLL_DIVERGENCE, RobotState(theta=np.array([0.55, 0.0, 0.0]), p=np.array([0.0, 0.0, 0.35]),
+                                 omega=np.array([4.5, 0.0, 0.0])), 20, 11),
+    (ROLL_DIVERGENCE, RobotState(theta=np.array([0.0, -0.55, 0.0]), p=np.array([0.0, 0.0, 0.35]),
+                                 omega=np.array([0.0, -4.5, 0.0])), 20, 11),
+    (HEIGHT_COLLAPSE, RobotState(p=np.array([0.0, 0.0, 0.26]), pdot=np.array([0.0, 0.0, -1.0])), 20, 9),
+], ids=["non_finite", "rolled", "pitched", "sunk"])
+def test_plant_tick_stops_at_its_first_failing_state(params, kind, state, push_from, stop):
+    """A 20-step free-fall tick over a 0.1 m support with a 0.15 m minimum
+    height that goes non-finite (an infinite upward push from step 7), tips
+    past ROLL_LIMIT (rolling or pitching at 4.5 rad/s from 0.55 rad) or sinks
+    below the minimum height (falling at 1 m/s from 0.16 m above the support)
+    returns its first state and the states of the steps through the first
+    that fails, at the same step as the per-step oracle's, and that state's
+    kind."""
+    n, dt, support, min_height = 20, 1e-3, 0.1, 0.15
+    d, r = symmetric_stand(params)
+    feet = np.broadcast_to(state.p + d, (n, 4, 3))
+    f_ext = np.zeros((n, 3))
+    f_ext[push_from:, 2] = np.inf
+    u = ControlInput()
+    states, got = step(state, u, feet - state.p, r, f_ext, params, dt, support, min_height)
+    assert got == kind and len(states) == stop + 2
+    assert np.array_equal(states[0], state.as_vector()[:12])
+    for j in range(stop + 1):
+        state = step_oracle(state, u, feet[j] - state.p, r, f_ext[j], params, dt)
+        x = state.as_vector()[:12]
+        assert first_failure(x, support, min_height) == (kind if j == stop else None)
+        assert first_failure(states[j + 1], support, min_height) == (kind if j == stop else None)
+        if j < stop:
+            assert np.abs(states[j + 1] - x).max() <= 1e-12
 
 
 def test_continuous_model_matches_loop_oracle(params):

@@ -42,7 +42,7 @@ def test_free_fall_drop(params):
     state = RobotState(p=np.array([0.0, 0.0, 1.0]))
     dt, t_total = 1e-3, 0.15
     for _ in range(int(round(t_total / dt))):
-        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt)[0])
+        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1])
     drop = 1.0 - state.p[2]
     expected = 0.5 * params.gravity * t_total**2
     assert abs(drop - expected) < 1e-3  # semi-implicit bias is g dt t / 2
@@ -55,7 +55,7 @@ def test_equilibrium_stance_is_stationary(params):
     u.grf[:, 2] = params.mass * params.gravity / 4
     state = RobotState(p=np.array([0.0, 0.0, 0.25]))
     for _ in range(100):
-        new = RobotState.from_vector(step(state, u, d, d * 0.5, np.zeros(3), params, 1e-3)[0])
+        new = RobotState.from_vector(step(state, u, d, d * 0.5, np.zeros(3), params, 1e-3, 0.0, -np.inf)[0][1])
         assert np.abs(new.p - state.p).max() < 1e-12
         assert np.abs(new.pdot).max() < 1e-12
         assert np.abs(new.theta).max() < 1e-12
@@ -69,7 +69,7 @@ def test_single_thruster_velocity_kick():
     u = ControlInput()
     u.thrust[1] = 10.0  # right-front thruster pushes +y
     state = RobotState(p=np.array([0.0, 0.0, 1.0]))
-    state = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, 1e-3)[0])
+    state = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, 1e-3, 0.0, -np.inf)[0][1])
     assert state.pdot[1] == pytest.approx(1.5094e-3, abs=1e-7)
 
 
@@ -85,7 +85,7 @@ def test_energy_drift_bound(params):
     e0 = energy(state)
     t = 0.0
     while t < t_total - 1e-12:
-        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt)[0])
+        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1])
         t += dt
         drift = energy(state) - e0
         assert drift <= 1e-12
@@ -251,7 +251,7 @@ def test_plant_model_single_step_agreement(params):
         A, B = build_continuous_model(state, d, r, params)
         model = discretize(A, B, dt)
         x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
-        x_plant = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, dt)[0]).as_vector()
+        x_plant = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1]).as_vector()
         assert np.abs(x_plant - x_lin).max() < 1e-4
 
 
@@ -520,3 +520,57 @@ def test_push_window_off_the_tick_grid_acts_on_each_step_inside_it():
     assert parts_at(crossing, log_with((0.9955, 1.0))) == 1.001
     assert parts_at(crossing, log_with((0.9955, 1.0035))) == 1.005
     assert parts_at(crossing, log_with((0.9955, 1.0055))) == 1.006
+
+
+# flat_trot pushed once, each run ending mid-tick in one of the plant's three failures: the push and
+# mpc settings, then the rows logged, the failure, and the state of the last row logged
+PLANT_FAILURE_RUNS = {
+    sim.NUMERICAL_FAILURE: (
+        0.2, [{"t_start_s": 0.1035, "t_end_s": 0.15, "force_n": [0.0, 0.0, 1e308]}] * 2, {},  # inf when summed
+        105, 0.105, "non-finite plant state",
+        [-0.00021456797409967842, -2.7014687239257905e-05, 6.510405542949053e-05, 0.010288926650320062,
+         4.863682858445576e-05, 0.20000145206672393, -0.0016029792621275922, 0.004246761621435596,
+         0.00025006412814205934, 0.15875442619432006, 0.0004488894409272132, -9.949156486276857e-05],
+    ),
+    sim.ROLL_DIVERGENCE: (
+        0.5, [{"t_start_s": 0.1, "t_end_s": 0.15, "force_n": [0.0, 1000.0, 0.0]}], {"u_t_max_n": 0.0},
+        263, 0.263, "roll -0.602 pitch -0.124 rad",
+        [-0.5970468260480971, -0.12390812863136776, -0.011226697390601743, 0.0006658905589030019,
+         0.9184751917015573, 0.4276224913704565, -5.405931071375781, -0.27027074663193806,
+         -0.18254300675478566, 0.1360201199939734, 6.460803969331783, 1.6011602336311794],
+    ),
+    sim.HEIGHT_COLLAPSE: (
+        0.4, [{"t_start_s": 0.1, "t_end_s": 0.3, "force_n": [0.0, 0.0, -300.0]}], {},
+        169, 0.169, "COM height 0.12 m",
+        [8.480630706445093e-05, 0.0012209301467803067, 6.982378812843625e-05, 0.021939694272779826,
+         5.257043285591076e-05, 0.12142662070606326, 0.009000763336245849, 0.036300979078113756,
+         -3.310767546160311e-05, 0.19661582733484292, -0.0001854576466449974, -1.886413817610492],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLANT_FAILURE_RUNS))
+def test_run_ends_where_the_plant_tick_stops(monkeypatch, kind):
+    """A run whose plant tick stops at a failing state logs the tick's states
+    before it, each the pre-step state of its row, and ends with that state's
+    kind, at the end of its step, with a detail read from it. The row count,
+    the failure and the last row's state are pinned."""
+    duration, pushes, mpc_doc, rows, t, detail, last = PLANT_FAILURE_RUNS[kind]
+    ticks = []
+
+    def recorded(*args):
+        ticks.append(step(*args))
+        return ticks[-1]
+
+    monkeypatch.setattr(sim, "step", recorded)
+    doc = load_bundled("flat_trot")
+    doc.update(duration_s=duration, disturbances=pushes)
+    doc["mpc"] = dict(doc.get("mpc", {}), **mpc_doc)
+    log, failure = run_doc(doc)
+    states, stopped = ticks[-1]
+    assert stopped == failure.kind == kind and failure.detail == detail
+    assert failure.t == pytest.approx(t, abs=1e-12) and log.n == rows
+    data = log.as_array()
+    assert np.array_equal(data[-(len(states) - 1) :, 1:13], states[:-1])
+    assert failure.t == pytest.approx(data[-1, 0] + 1e-3, abs=1e-12)
+    assert np.abs(data[-1, 1:13] - last).max() <= 1e-9
