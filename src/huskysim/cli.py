@@ -154,8 +154,8 @@ def run_scenario(configs, out: Path) -> int:
     log.csv, summary.json and plots/*.svg into out."""
     scenario = configs[0]
     try:
-        out.mkdir(parents=True, exist_ok=True)
         log, outcome = run(*configs)
+        out.mkdir(parents=True, exist_ok=True)  # after the run, so that a run too large to allocate leaves none
         written = log.to_csv(out / "log.csv")  # the log, rounded to the values SimLog.from_csv reads back
         summary = summarize(written, scenario, outcome)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -1,4 +1,4 @@
-"""Trot scheduling, Raibert foot placement, and quartic Bezier swing curves."""
+"""Trot scheduling, the lateral stance clamp, and quartic Bezier swing curves."""
 
 from __future__ import annotations
 
@@ -49,23 +49,6 @@ def trot_schedule(t, T_s: float, T_sw: float) -> GaitState:
     early = tau < first
     phase = np.where(early, tau / first, (tau - first) / np.where(_IN_PAIR_A, T_sw, T_s))
     return GaitState(stance_flags=early == _IN_PAIR_A, phase=phase)
-
-
-def raibert_target(
-    p_ref: np.ndarray,
-    v: np.ndarray,
-    v_d: np.ndarray,
-    T_s: float,
-    k: float,
-    terrain_z: float = 0.0,
-) -> np.ndarray:
-    """Touchdown target: p_ref + v T_s / 2 + k (v - v_d), snapped to the terrain.
-    p_ref may stack points, (..., 3)."""
-    target = np.asarray(p_ref, dtype=float) + np.asarray(v) * (T_s / 2.0) + k * (
-        np.asarray(v) - np.asarray(v_d)
-    )
-    target[..., 2] = terrain_z
-    return target
 
 
 def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float) -> np.ndarray:

@@ -442,7 +442,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
             break
         except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's OverflowError
-            failure = FailureEvent(NUMERICAL_FAILURE, t, f"control tick: {exc}")
+            failure = FailureEvent(NUMERICAL_FAILURE, t, f"control tick: {type(exc).__name__}: {exc.args[-1]}")
             break
         violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
         if violations:

@@ -1,10 +1,12 @@
+import contextlib
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from huskysim import cli
+from huskysim import cli, mpc, qp
 from huskysim.robot import LEG_SIDE_SIGN, leg_forward_kinematics
 from huskysim.rotations import rot_x
 from huskysim.sim import run
@@ -18,6 +20,59 @@ def load_bundled(name: str) -> dict:
 
 def run_doc(doc: dict):
     return run(*cli.configs_from_doc(doc))
+
+
+class Call(NamedTuple):
+    """A recorded call's entry: its target's name and the arguments it was given."""
+
+    name: str
+    args: tuple
+    kwargs: dict
+
+
+class Return(NamedTuple):
+    """A recorded call's return: its target's name, its Call and its result."""
+
+    name: str
+    call: Call
+    result: object
+
+
+@contextlib.contextmanager
+def recording(*targets):
+    """Wrap each (owner, name) target while the block runs and yield the list of
+    its calls' events, in order: a Call when a call starts and a Return when it
+    returns; a call that raises has no Return. The events hold the arguments and
+    results themselves, not copies. Every name is restored on exit."""
+    events = []
+
+    def watched(name, original):
+        def wrapper(*args, **kwargs):
+            events.append(call := Call(name, args, kwargs))
+            result = original(*args, **kwargs)
+            events.append(Return(name, call, result))
+            return result
+
+        return wrapper
+
+    originals = [(owner, name, getattr(owner, name)) for owner, name in targets]
+    try:
+        for owner, name, original in originals:
+            setattr(owner, name, watched(name, original))
+        yield events
+    finally:
+        for owner, name, original in reversed(originals):
+            setattr(owner, name, original)
+
+
+def calls(events, name):
+    """The recorded Calls of name, in order."""
+    return [e for e in events if isinstance(e, Call) and e.name == name]
+
+
+def returns(events, name):
+    """(Call, result) of each recorded call of name that returned, in order of return."""
+    return [(e.call, e.result) for e in events if isinstance(e, Return) and e.name == name]
 
 
 def thruster_oracle(params, leg: int, q) -> np.ndarray:
@@ -37,6 +92,22 @@ def cli_runs(tmp_path_factory):
             out = tmp_path_factory.mktemp(f"run_{name}")
             code = cli.main(["run", name, "--out", str(out)])
             cache[name] = (code, out)
+        return cache[name]
+
+    return _run
+
+
+@pytest.fixture(scope="session")
+def recorded_runs():
+    """Each bundled scenario simulated once, on demand, with its assemble_qp,
+    qp.solve and HorizonLayout calls recorded: name -> (log, failure, events)."""
+    cache = {}
+
+    def _run(name: str):
+        if name not in cache:
+            with recording((mpc, "assemble_qp"), (qp, "solve"), (mpc, "HorizonLayout")) as events:
+                log, failure = run_doc(load_bundled(name))
+            cache[name] = (log, failure, events)
         return cache[name]
 
     return _run

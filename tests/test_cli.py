@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_bundled, read_summary
+from conftest import Call, calls, load_bundled, read_summary, recording
 from huskysim import cli, config, sim
 from huskysim.sim import Scenario, SimLog
 
@@ -173,15 +173,18 @@ def test_run_too_large_to_allocate_exits_1(tmp_path, capsys, doc, key):
 def test_leg_reach_that_overflows_is_a_numerical_failure(tmp_path, capsys, link, length):
     """A leg whose reach squared overflows a Python float, which raises where
     numpy would give inf, ends the run at t = 0 as a NumericalFailure with
-    nothing on stderr."""
+    nothing on stderr, and a detail that names the exception, not its args tuple."""
     (tmp_path / "long.json").write_text(json.dumps({"robot": {"link_lengths": {link: length}}}))
     assert cli.main(["run", str(tmp_path / "long.json"), "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
     assert err == "" and "NumericalFailure at t=0.000s" in out
-    assert read_summary(tmp_path / "out")["failure"]["kind"] == sim.NUMERICAL_FAILURE
+    failure = read_summary(tmp_path / "out")["failure"]
+    assert failure["kind"] == sim.NUMERICAL_FAILURE
+    assert "OverflowError" in failure["detail"] and "(34," not in failure["detail"]
 
 
 def assert_one_error_line(tmp_path, capsys, doc, key):
+    """The document exits 1 with one error: line naming key, and leaves no output directory."""
     bad = tmp_path / "bad.json"
     bad.write_text(doc)
     code = cli.main(["run", str(bad), "--out", str(tmp_path / "o")])
@@ -189,6 +192,7 @@ def assert_one_error_line(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and key in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_summary_recomputed_from_log_matches(cli_runs):
@@ -356,33 +360,22 @@ def test_invalid_config_after_a_valid_one_runs_neither(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_each_config_is_checked_once_and_never_inside_the_run(tmp_path, monkeypatch):
+def test_each_config_is_checked_once_and_never_inside_the_run(tmp_path):
     """A CLI run checks each config object, nested ones included, exactly
     once, when it is built; sim.run checks none."""
-    checked, inside, runs = [], [False], []
-    original_check, original_run = config.check, sim.run
-
-    def check(obj):
-        assert not inside[0], f"{type(obj).__name__} checked inside sim.run"
-        checked.append(obj)
-        return original_check(obj)
-
-    def run(*configs):
-        runs.append(configs)
-        inside[0] = True
-        try:
-            return original_run(*configs)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(config, "check", check)
-    monkeypatch.setattr(sim, "run", run)
-    monkeypatch.setattr(cli, "run", run)
     doc = load_bundled("push_with_thrust")
     doc["duration_s"] = 0.05
     (tmp_path / "push.json").write_text(json.dumps(doc))
-    assert cli.main(["run", str(tmp_path / "push.json"), "--out", str(tmp_path / "out")]) == 0
-    (scenario, params, mpc_cfg, gait_cfg), = runs
+    with recording((config, "check"), (sim, "run"), (cli, "run")) as events:
+        assert cli.main(["run", str(tmp_path / "push.json"), "--out", str(tmp_path / "out")]) == 0
+    checked, inside = [], False
+    for event in events:
+        if event.name == "run":
+            inside = isinstance(event, Call)
+        elif isinstance(event, Call):
+            assert not inside, f"{type(event.args[0]).__name__} checked inside sim.run"
+            checked.append(event.args[0])
+    (scenario, params, mpc_cfg, gait_cfg), = (call.args for call in calls(events, "run"))
     tree = [scenario, scenario.terrain, scenario.command, *scenario.disturbances,
             params, params.link_lengths, mpc_cfg, gait_cfg]
     assert len(scenario.disturbances) == 1
@@ -700,37 +693,25 @@ def test_run_path_imports_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("name, duration", [("push_no_thrust", None), ("push_with_thrust", 1.0)])
-def test_summary_and_plots_take_the_values_log_csv_holds(tmp_path, monkeypatch, name, duration):
+def test_summary_and_plots_take_the_values_log_csv_holds(tmp_path, name, duration):
     """run_scenario hands summarize and write_plots the values as written, not
     as simulated: the bytes SimLog.from_csv reads back from log.csv, through a
     run that falls in the middle of a tick; summary.json is the summary of them."""
-    handed = {}
-    summarize, write_plots = cli.summarize, cli.write_plots
-
-    def keep_summarize(data, scenario, outcome):
-        handed["summary"] = (data, scenario, outcome)
-        return summarize(data, scenario, outcome)
-
-    def keep_plots(data, plots_dir, mu_limit):
-        handed["plots"] = data
-        return write_plots(data, plots_dir, mu_limit)
-
-    monkeypatch.setattr(cli, "summarize", keep_summarize)
-    monkeypatch.setattr(cli, "write_plots", keep_plots)
     doc = load_bundled(name)
     if duration is not None:
         doc["duration_s"] = duration
     (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "out")])
+    with recording((cli, "summarize"), (cli, "write_plots")) as events:
+        cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "out")])
     read = SimLog.from_csv(tmp_path / "out" / "log.csv").as_array()
-    data, scenario, outcome = handed["summary"]
+    data, scenario, outcome = calls(events, "summarize")[0].args
     if name == "push_no_thrust":
         assert outcome is not None and len(read) % 10 != 0  # it falls in the middle of a tick
     else:
         assert outcome is None
-    for given in (data, handed["plots"]):
+    for given in (data, calls(events, "write_plots")[0].args[0]):
         assert given.dtype == read.dtype and given.shape == read.shape and given.tobytes() == read.tobytes()
-    assert read_summary(tmp_path / "out") == json.loads(json.dumps(summarize(read, scenario, outcome)))
+    assert read_summary(tmp_path / "out") == json.loads(json.dumps(cli.summarize(read, scenario, outcome)))
 
 
 def test_artifacts_are_written_without_a_second_copy_of_the_log(tmp_path):

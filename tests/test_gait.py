@@ -11,7 +11,6 @@ from huskysim.gait import (
     build_swing_curve,
     clamp_lateral,
     eval_swing,
-    raibert_target,
     trot_schedule,
 )
 from huskysim.mpc import Command
@@ -79,6 +78,15 @@ def test_schedule_table_matches_scalar_calls():
         g = trot_schedule(float(t), 0.3, 0.15)
         assert np.array_equal(g.stance_flags, flags) and np.array_equal(g.phase, phase)
     assert trot_schedule(np.zeros(0), 0.3, 0.15).phase.shape == (0, 4)  # a run of no steps
+
+
+def raibert_target(p_ref, v, v_d, T_s: float, k: float, terrain_z: float = 0.0) -> np.ndarray:
+    """Raibert's touchdown target, the oracle of the run's foot placement:
+    p_ref + v T_s / 2 + k (v - v_d), snapped to the terrain. p_ref may stack
+    points, (..., 3)."""
+    target = np.asarray(p_ref, dtype=float) + np.asarray(v) * (T_s / 2.0) + k * (np.asarray(v) - np.asarray(v_d))
+    target[..., 2] = terrain_z
+    return target
 
 
 def test_raibert_zero_motion():

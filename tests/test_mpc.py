@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from conftest import load_bundled, pgd_oracle
-from huskysim import cli, config, mpc, qp
+from conftest import calls, load_bundled, pgd_oracle, recording, returns, run_doc
+from huskysim import cli, config, qp
 from huskysim.dynamics import NU, RobotState, build_continuous_model, discretize
 from huskysim.mpc import (
     Command,
@@ -425,23 +427,14 @@ def test_reduced_qp_matches_pinned_formulation_random(params):
         assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real)
 
 
-def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
-    """Instances recorded from a closed-loop run across the push without thrusters."""
-    doc = load_bundled("push_no_thrust")
-    doc["duration_s"] = 1.45  # the push starts at 1.0 s; the robot rolls over at 1.453 s
-    scenario, params, cfg, gait_cfg = cli.configs_from_doc(doc)
-    recorded = []
-    step = MpcController.step
-
-    def recording_step(self, *args):
-        recorded.append(args)
-        return step(self, *args)
-
-    monkeypatch.setattr(MpcController, "step", recording_step)
-    run(scenario, params, cfg, gait_cfg)
-    assert len(recorded) == 145
-    for state, stance_seq, model, ref in recorded[90:]:  # from 0.9 s
-        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, scenario.mu_real)
+def test_reduced_qp_matches_pinned_formulation_recorded(recorded_runs):
+    """Instances recorded from a closed-loop run across the push without
+    thrusters, from 0.9 s to the fall at 1.453 s."""
+    _, _, events = recorded_runs("push_no_thrust")
+    assembled = calls(events, "assemble_qp")
+    assert len(assembled) == 146
+    for state, stance_seq, model, ref, layout in (call.args for call in assembled[90:145]):
+        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, layout.config, MU_REAL)
 
 
 @pytest.mark.parametrize(
@@ -449,100 +442,102 @@ def test_reduced_qp_matches_pinned_formulation_recorded(monkeypatch):
     [("push_with_thrust", 200, True), ("push_no_thrust", 146, False)],
     ids=["push_with_thrust", "push_no_thrust"],
 )
-def test_warm_starts_match_cold_recorded(monkeypatch, name, ticks, dependent_seeds):
+def test_warm_starts_match_cold_recorded(recorded_runs, name, ticks, dependent_seeds):
     """Closed-loop QPs across the push, with thrusters to 2 s and without them
     up to the fall. The controller seeds the rows whose layout index
     (layout_rows) was active at the previous tick, and no others; that warm
     start and the previous tick's raw row indices (which name other rows after
     a stance change) both give the cold solution. With thrusters, some raw seeds
     hold rows dependent on each other; without them, none of this run's does."""
-    doc = load_bundled(name)
-    doc["duration_s"] = 2.0  # the push acts from 1.0 s to 1.5 s
-    scenario, params, cfg, gait_cfg = cli.configs_from_doc(doc)
-    stance_seqs, solves = [], []
-    step, solve = MpcController.step, qp.solve
-
-    def recording_step(self, state, stance_seq, *args):
-        stance_seqs.append(stance_seq)
-        return step(self, state, stance_seq, *args)
-
-    def recording_solve(problem, warm_active=None):
-        solves.append((problem, warm_active, solve(problem, warm_active=warm_active)))
-        return solves[-1][2]
-
-    monkeypatch.setattr(MpcController, "step", recording_step)
-    monkeypatch.setattr(qp, "solve", recording_solve)
-    run(scenario, params, cfg, gait_cfg)
-    monkeypatch.undo()
+    _, _, events = recorded_runs(name)
+    assembled, solves = calls(events, "assemble_qp")[:ticks], returns(events, "solve")[:ticks]
     assert len(solves) == ticks
+    cfg = assembled[0].args[4].config
     dependent = []
     for t in range(1, ticks):
-        problem, warm, sol = solves[t]
-        prev_active = layout_rows(stance_seqs[t - 1], cfg)[solves[t - 1][2].active_set]
-        rows = layout_rows(stance_seqs[t], cfg)
+        (call, sol), prev_sol = solves[t], solves[t - 1][1]
+        problem, warm = call.args[0], call.kwargs["warm_active"]
+        prev_active = layout_rows(assembled[t - 1].args[1], cfg)[prev_sol.active_set]
+        rows = layout_rows(assembled[t].args[1], cfg)
         assert warm == [i for i, index in enumerate(rows) if index in prev_active]
         cold = qp.solve(problem)
         assert np.abs(sol.x_star - cold.x_star).max() <= 1e-8
-        raw_seed = [j for j in solves[t - 1][2].active_set if j < len(problem.h)]
+        raw_seed = [j for j in prev_sol.active_set if j < len(problem.h)]
         dependent.append(np.linalg.matrix_rank(problem.G[raw_seed]) < len(raw_seed))
-        raw = qp.solve(problem, warm_active=solves[t - 1][2].active_set)
+        raw = qp.solve(problem, warm_active=prev_sol.active_set)
         assert np.abs(raw.x_star - cold.x_star).max() <= 1e-8
         for got in (sol, cold, raw):
             assert qp.check_kkt(problem, got).max_residual() <= 1e-6
     assert any(dependent) == dependent_seeds
 
 
+@st.composite
+def drawn_runs(draw):
+    """A 1.5 s run of a bundled scenario on ground of a drawn friction, pushed
+    from 1.0 s for 0.05-0.5 s by up to 80 N in any horizontal direction and up
+    to 20 N vertically, and commanded up to 0.3 m/s forward and 0.1 m/s sideways."""
+    doc = load_bundled(draw(st.sampled_from(["flat_trot", "beam_walk", "push_with_thrust", "push_no_thrust"])))
+    heading, horizontal = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 80.0))
+    force = (horizontal * np.array([np.cos(heading), np.sin(heading)])).tolist() + [draw(st.floats(-20.0, 20.0))]
+    push = {"t_start_s": 1.0, "t_end_s": 1.0 + draw(st.floats(0.05, 0.5)), "force_n": force}
+    doc.update(duration_s=1.5, mu_real=draw(st.floats(0.3, 0.9)), disturbances=[push])
+    doc["command"]["v_d_mps"] = [draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.1, 0.1)), 0.0]
+    return doc
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(drawn_runs())
+def test_every_qp_of_a_drawn_run_is_solved(doc):
+    """Closed-loop audit: every QP that a drawn run hands the solver is solved,
+    to KKT residuals of at most 1e-6, and its warm start gives the cold
+    solution to 1e-8."""
+    with recording((qp, "solve")) as events:
+        run_doc(doc)
+    solved = returns(events, "solve")
+    assert len(solved) == len(calls(events, "solve")) > 0  # no solve raised
+    for call, sol in solved:
+        problem = call.args[0]
+        assert qp.check_kkt(problem, sol).max_residual() <= 1e-6
+        assert np.abs(qp.solve(problem).x_star - sol.x_star).max() <= 1e-8
+
+
 @pytest.mark.xfail(strict=True, raises=qp.Infeasible,
                    reason="the solver's violation and curvature tests scale with h, not with q")
-def test_absurd_command_leaves_the_qp_feasible(monkeypatch):
+def test_absurd_command_leaves_the_qp_feasible():
     """A finite command however far off changes q alone: U = 0 still meets
     every row, so the QP has an optimum. The first QP of push_with_thrust at
     1e160 m/s, where q reaches 1e160, is solved as the controller seeds it."""
     doc = load_bundled("push_with_thrust")
     doc["command"]["v_d_mps"], doc["duration_s"] = [1e160, 0.0, 0.0], 0.01
-    solves, solve = [], qp.solve
-    monkeypatch.setattr(qp, "solve", lambda problem, warm_active=None: solves.append((problem, warm_active))
-                        or solve(problem, warm_active=warm_active))
-    run(*cli.configs_from_doc(doc))
-    monkeypatch.undo()
-    problem, warm = solves[0]
+    with recording((qp, "solve")) as events:
+        run(*cli.configs_from_doc(doc))
+    first = calls(events, "solve")[0]
+    problem = first.args[0]
     assert (problem.h >= 0.0).all()  # U = 0 is feasible
-    sol = qp.solve(problem, warm_active=warm)
+    sol = qp.solve(problem, warm_active=first.kwargs["warm_active"])
     assert qp.check_kkt(problem, sol).primal_feasibility <= 1e-6
 
 
 @pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])
-def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, monkeypatch):
+def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, recorded_runs):
     """The controller's layout holds one entry per horizon stance pattern; the
     entry each tick of a bundled run was given, looked up from the entries built
     at earlier ticks, is still bit for bit the entry a fresh layout builds for
     that tick's stance rows once the run is over."""
-    scenario, params, cfg, gait_cfg = cli.configs_from_doc(load_bundled(name))
-    used, original = [], assemble_qp
-
-    def recorded(state, stance_seq, model, ref, layout):
-        problem, pattern = original(state, stance_seq, model, ref, layout)
-        used.append((stance_seq.copy(), pattern))
-        return problem, pattern
-
-    monkeypatch.setattr(mpc, "assemble_qp", recorded)
-    run(scenario, params, cfg, gait_cfg)
+    _, _, events = recorded_runs(name)
+    used = returns(events, "assemble_qp")
     assert len(used) > 100
-    for stance_seq, got in used:
-        expected = ConstraintLayout(cfg, scenario.mu_real).horizon(stance_seq)
+    for call, (_, got) in used:
+        stance_seq, layout = call.args[1], call.args[4]
+        expected = ConstraintLayout(layout.config, MU_REAL).horizon(stance_seq)
         assert all(same_bits(a, b) for a, b in zip(got, expected))
 
 
-def test_a_run_builds_one_layout_per_stance_pattern(monkeypatch):
+def test_a_run_builds_one_layout_per_stance_pattern(recorded_runs):
     """beam_walk's 1,000 ticks have 15 distinct horizon stance patterns, and
     one HorizonLayout is built for each."""
-    masks, original = [], mpc.HorizonLayout
-
-    def counted(*fields):
-        masks.append(fields[0].tobytes())  # the mask of the QP variables: thrusters on, one per pattern
-        return original(*fields)
-
-    monkeypatch.setattr(mpc, "HorizonLayout", counted)
-    log, outcome = run(*cli.configs_from_doc(load_bundled("beam_walk")))
+    log, outcome, events = recorded_runs("beam_walk")
     assert outcome is None and log.n == 10000
+    # the first field is the mask of the QP variables: thrusters on, one per pattern
+    masks = [call.args[0].tobytes() for call in calls(events, "HorizonLayout")]
     assert len(masks) == len(set(masks)) == 15

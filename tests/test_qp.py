@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pgd_oracle
+from conftest import calls, pgd_oracle, recording
 from huskysim import qp
 from huskysim.mpc import MpcConfig, input_constraints
 
@@ -343,16 +343,16 @@ def test_dependent_warm_seed_is_not_accepted_from_round_off():
     assert qp.check_kkt(prob, sol).max_residual() < 1e-9
 
 
-def test_dependent_warm_seed_factors_only_P(monkeypatch):
+def test_dependent_warm_seed_factors_only_P():
     """All four faces of a stance leg's friction pyramid meet at its apex, so
     as a warm seed they are four dependent rows in three variables: the first
     guess's KKT system is singular, and the dual loop starts from no rows. The
     only factor the solve takes is P's."""
     G, h = input_constraints(np.array([[True, False, False, False]]), MpcConfig(horizon=1, u_t_max=0.0), 0.5)
     prob = qp.QpProblem(P=np.eye(3), q=[1.0, -2.0, 50.0], G=G, h=h)
-    factored, cho_factor = [], qp.cho_factor
-    monkeypatch.setattr(qp, "cho_factor", lambda a: factored.append(a.copy()) or cho_factor(a))
-    sol = qp.solve(prob, warm_active=[0, 1, 2, 3])
+    with recording((qp, "cho_factor")) as events:
+        sol = qp.solve(prob, warm_active=[0, 1, 2, 3])
+    factored = [call.args[0] for call in calls(events, "cho_factor")]
     assert len(factored) == 1 and np.array_equal(factored[0], prob.P)
     assert np.abs(sol.x_star - qp.solve(prob).x_star).max() <= 1e-8
     assert qp.check_kkt(prob, sol).max_residual() <= 1e-6

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import load_bundled, run_doc, thruster_oracle
+from conftest import Call, Return, load_bundled, recording, returns, run_doc, thruster_oracle
 from huskysim import cli, mpc, qp, sim
 from huskysim.dynamics import ControlInput, RobotState
 from huskysim.gait import GaitConfig
@@ -412,51 +412,32 @@ def test_snapshot_is_the_scalar_snapshot():
     assert 100 < stale < 1100  # both reachable and unreachable feet were drawn
 
 
-def test_tick_work_runs_inside_the_timed_tick(monkeypatch):
+def test_tick_work_runs_inside_the_timed_tick():
     """The benchmark times a control tick from the entry of
     _LegTracker.update_plan to the return of MpcController.step, as
     perfbench/layers.py's TickStamps does. Each tick enters the one once and
     returns from the other once, and its feet, IK snapshot, reference, model
     build, QP assembly and solve each run once between the two, never outside."""
-    events = []
-
-    def stamp(owner, name, label, on_return=False):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            if not on_return:
-                events.append(label)
-            out = original(*args, **kwargs)
-            if on_return:
-                events.append(label)
-            return out
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    stamp(sim._LegTracker, "update_plan", "enter")
-    stamp(mpc.MpcController, "step", "return", on_return=True)
-    work = {"feet": (sim._LegTracker, "tick_feet"), "snapshot": (sim._LegTracker, "snapshot"),
-            "ik": (sim, "legs_inverse_kinematics"), "reference": (sim, "build_reference"),
-            "model": (sim, "build_continuous_model"), "assemble": (mpc, "assemble_qp"), "solve": (qp, "solve")}
-    for label, (owner, name) in work.items():
-        stamp(owner, name, label)
+    work = ((sim._LegTracker, "tick_feet"), (sim._LegTracker, "snapshot"), (sim, "legs_inverse_kinematics"),
+            (sim, "build_reference"), (sim, "build_continuous_model"), (mpc, "assemble_qp"), (qp, "solve"))
     doc = load_bundled("beam_walk")
     doc["duration_s"] = 0.2
-    log, failure = run_doc(doc)
+    with recording((sim._LegTracker, "update_plan"), (mpc.MpcController, "step"), *work) as events:
+        log, failure = run_doc(doc)
     assert failure is None and log.n == 200
 
     windows, current = [], None
-    for label in events:
-        if label == "enter":
+    for event in events:
+        if isinstance(event, Call) and event.name == "update_plan":
             assert current is None  # the previous tick returned from step
             current = []
-        elif label == "return":
+        elif isinstance(event, Return) and event.name == "step":
             windows.append(sorted(current))
             current = None
-        else:
-            assert current is not None, f"{label} ran outside a timed tick"
-            current.append(label)
-    assert current is None and windows == [sorted(work)] * 20
+        elif isinstance(event, Call) and event.name != "step":
+            assert current is not None, f"{event.name} ran outside a timed tick"
+            current.append(event.name)
+    assert current is None and windows == [sorted(name for _, name in work)] * 20
 
 
 def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_path):
@@ -550,24 +531,18 @@ PLANT_FAILURE_RUNS = {
 
 
 @pytest.mark.parametrize("kind", sorted(PLANT_FAILURE_RUNS))
-def test_run_ends_where_the_plant_tick_stops(monkeypatch, kind):
+def test_run_ends_where_the_plant_tick_stops(kind):
     """A run whose plant tick stops at a failing state logs the tick's states
     before it, each the pre-step state of its row, and ends with that state's
     kind, at the end of its step, with a detail read from it. The row count,
     the failure and the last row's state are pinned."""
     duration, pushes, mpc_doc, rows, t, detail, last = PLANT_FAILURE_RUNS[kind]
-    ticks = []
-
-    def recorded(*args):
-        ticks.append(step(*args))
-        return ticks[-1]
-
-    monkeypatch.setattr(sim, "step", recorded)
     doc = load_bundled("flat_trot")
     doc.update(duration_s=duration, disturbances=pushes)
     doc["mpc"] = dict(doc.get("mpc", {}), **mpc_doc)
-    log, failure = run_doc(doc)
-    states, stopped = ticks[-1]
+    with recording((sim, "step")) as events:
+        log, failure = run_doc(doc)
+    states, stopped = returns(events, "step")[-1][1]
     assert stopped == failure.kind == kind and failure.detail == detail
     assert failure.t == pytest.approx(t, abs=1e-12) and log.n == rows
     data = log.as_array()
