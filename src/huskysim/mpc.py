@@ -188,7 +188,6 @@ class MpcController:
         self._layout = ConstraintLayout(config, mu_real)
         self._was_active = np.zeros(self._layout.h.size, dtype=bool)
         self._step_index = 0
-        self.last_solution = None
 
     def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
         problem, pattern = assemble_qp(state, stance_seq, model, ref, self._layout)
@@ -202,7 +201,6 @@ class MpcController:
         self._was_active[:] = False
         self._was_active[pattern.rows[sol.active_set]] = True
         self._step_index += 1
-        self.last_solution = sol
 
         U = np.zeros(pattern.free.size)
         U[pattern.free] = sol.x_star

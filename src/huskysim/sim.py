@@ -104,8 +104,6 @@ class SimLog:
 
     data: np.ndarray = field(default_factory=lambda: np.zeros((0, len(SimLog.HEADER))))
     n: int = 0
-    # per block of rows that append wrote: its first row and its stance flags
-    blocks: list = field(default_factory=list, init=False, repr=False)
 
     HEADER = (
         ["t", "roll", "pitch", "yaw", "px", "py", "pz", "wx", "wy", "wz", "vx", "vy", "vz"]
@@ -126,40 +124,41 @@ class SimLog:
         rows[:, 29:41] = np.asarray(feet).reshape(-1, 12)
         rows[:, 41:45] = stance
         rows[:, 45:49] = ratios
-        self.blocks.append((self.n, tuple(np.asarray(stance, dtype=bool).tolist())))
         self.n += len(t)
 
     def as_array(self) -> np.ndarray:
         return self.data[: self.n]
 
     def to_csv(self, path) -> np.ndarray:
-        """Write the rows under HEADER, each value as %.9g, one block of rows at
-        a time, and round the log in place to the values as written: afterwards
+        """Write the rows under HEADER, each value as %.9g, 1000 rows at a time,
+        and round the log in place to the values as written: afterwards
         as_array(), which it returns, equals from_csv(path).as_array() byte for
         byte, and no second copy of the rows is made.
 
-        A value that append held over its block (the input, the stance flags,
-        the ratios and the stance legs' pinned feet) is formatted once for the
-        block. Rows that append did not write are formatted value by value."""
+        A block of rows starts where the input, the stance flags, the ratios or
+        a stance leg's foot differs in its bits from the row before, as at each
+        tick that append wrote; those values are formatted once for the block."""
         data = self.as_array()
-        # rows before the first appended block hold nothing; they go 1000 at a time
-        blocks = [(start, ()) for start in range(0, self.blocks[0][0] if self.blocks else self.n, 1000)]
-        blocks += self.blocks
-        stops = [start for start, _ in blocks[1:]] + [self.n]
         layouts = {}  # stance flags -> _held_columns
         with open(path, "w") as f:
             f.write(",".join(self.HEADER) + "\n")
-            for (start, stance), stop in zip(blocks, stops):
-                if stance not in layouts:
-                    layouts[stance] = _held_columns(stance)
-                held, moving, skeleton = layouts[stance]
-                block = data[start:stop]
-                held_text = ("%.9g," * len(held)) % tuple(block[0, held].tolist())
-                moving_text = ("%.9g," * (len(moving) * len(block))) % tuple(block[:, moving].ravel().tolist())
-                template = skeleton % tuple(held_text.split(",")[:-1])
-                f.write((template * len(block)) % tuple(moving_text.split(",")[:-1]))
-                block[:, held] = np.fromstring(held_text[:-1], sep=",")
-                block[:, moving] = np.fromstring(moving_text[:-1], sep=",").reshape(len(block), -1)
+            for rows in (data[i : i + 1000] for i in range(0, self.n, 1000)):
+                stance = rows[:, 41:45] != 0
+                key = rows[:, 13:49].view(np.int64).copy()  # the bits of the held columns, -0.0 apart from 0.0
+                key[:, 16:28] *= np.repeat(stance, 3, axis=1)  # less a swing leg's foot
+                starts = [0, *(np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1).tolist(), len(rows)]
+                for start, stop in zip(starts, starts[1:]):
+                    flags = tuple(stance[start].tolist())
+                    if flags not in layouts:
+                        layouts[flags] = _held_columns(flags)
+                    held, moving, skeleton = layouts[flags]
+                    block = rows[start:stop]
+                    held_text = ("%.9g," * len(held)) % tuple(block[0, held].tolist())
+                    moving_text = ("%.9g," * (len(moving) * len(block))) % tuple(block[:, moving].ravel().tolist())
+                    template = skeleton % tuple(held_text.split(",")[:-1])
+                    f.write((template * len(block)) % tuple(moving_text.split(",")[:-1]))
+                    block[:, held] = np.fromstring(held_text[:-1], sep=",")
+                    block[:, moving] = np.fromstring(moving_text[:-1], sep=",").reshape(len(block), -1)
         return data
 
     @classmethod
@@ -177,13 +176,12 @@ class SimLog:
 
 
 def _held_columns(stance: tuple):
-    """For a block of stance flags stance (() for none held): the columns held
-    over it, the columns that move, and its row as a %-template with %s for
-    each held value and %%s for each moving one."""
+    """For a block of stance flags stance: the columns held over it, the columns
+    that move, and its row as a %-template with %s for each held value and %%s
+    for each moving one."""
     held = np.zeros(len(SimLog.HEADER), dtype=bool)
-    if stance:
-        held[13:29] = held[41:49] = True  # the input, the stance flags and the ratios
-        held[29:41] = np.repeat(stance, 3)  # the pinned feet of the stance legs
+    held[13:29] = held[41:49] = True  # the input, the stance flags and the ratios
+    held[29:41] = np.repeat(stance, 3)  # the pinned feet of the stance legs
     skeleton = ",".join("%s" if h else "%%s" for h in held.tolist()) + "\n"
     return np.flatnonzero(held), np.flatnonzero(~held), skeleton
 

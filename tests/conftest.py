@@ -1,5 +1,6 @@
 import contextlib
 import json
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -9,7 +10,7 @@ import pytest
 from huskysim import cli, mpc, qp
 from huskysim.robot import LEG_SIDE_SIGN, leg_forward_kinematics
 from huskysim.rotations import rot_x
-from huskysim.sim import run
+from huskysim.sim import FailureEvent, SimLog, run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "huskysim" / "scenarios"
 
@@ -82,53 +83,38 @@ def thruster_oracle(params, leg: int, q) -> np.ndarray:
     return knee + rot_x(q[0]) @ np.array([0.0, LEG_SIDE_SIGN[leg] * params.thruster_knee_offset, 0.0])
 
 
-@pytest.fixture(scope="session")
-def cli_runs(tmp_path_factory):
-    """Each bundled scenario executed once through the CLI; results cached."""
-    cache = {}
+class BundledRun(NamedTuple):
+    """A bundled scenario run through the CLI: its exit code, output directory,
+    wall time, log (rounded in place by to_csv), failure and recorded events."""
 
-    def _run(name: str):
+    code: int
+    out: Path
+    wall_s: float
+    log: SimLog
+    failure: FailureEvent | None
+    events: list
+
+
+@pytest.fixture(scope="session")
+def bundled_runs(tmp_path_factory):
+    """Each unmodified bundled scenario run once per session, on demand, through
+    cli.main(["run", name, "--out", dir]) with its QP assemblies, solves and
+    layouts and the CLI's run, summarize and write_plots calls recorded:
+    name -> BundledRun."""
+    cache = {}
+    targets = ((mpc, "assemble_qp"), (qp, "solve"), (mpc, "HorizonLayout"),
+               (cli, "run"), (cli, "summarize"), (cli, "write_plots"))
+
+    def _run(name: str) -> BundledRun:
         if name not in cache:
             out = tmp_path_factory.mktemp(f"run_{name}")
-            code = cli.main(["run", name, "--out", str(out)])
-            cache[name] = (code, out)
+            start = time.perf_counter()
+            with recording(*targets) as events:
+                code = cli.main(["run", name, "--out", str(out)])
+            wall_s = time.perf_counter() - start
+            ((_, (log, failure)),) = returns(events, "run")
+            cache[name] = BundledRun(code, out, wall_s, log, failure, events)
         return cache[name]
-
-    return _run
-
-
-@pytest.fixture(scope="session")
-def recorded_runs():
-    """Each bundled scenario simulated once, on demand, with its assemble_qp,
-    qp.solve and HorizonLayout calls recorded: name -> (log, failure, events)."""
-    cache = {}
-
-    def _run(name: str):
-        if name not in cache:
-            with recording((mpc, "assemble_qp"), (qp, "solve"), (mpc, "HorizonLayout")) as events:
-                log, failure = run_doc(load_bundled(name))
-            cache[name] = (log, failure, events)
-        return cache[name]
-
-    return _run
-
-
-@pytest.fixture(scope="session")
-def scenario_walltimes():
-    """Wall-clock seconds per bundled CLI run, filled in by the runs fixture."""
-    return {}
-
-
-@pytest.fixture(scope="session")
-def timed_cli_runs(cli_runs, scenario_walltimes):
-    import time
-
-    def _run(name: str):
-        t0 = time.time()
-        result = cli_runs(name)
-        elapsed = time.time() - t0
-        scenario_walltimes.setdefault(name, elapsed)
-        return result
 
     return _run
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import load_bundled, pgd_oracle, read_summary, run_doc
+from conftest import load_bundled, pgd_oracle, read_summary, recording, returns, run_doc
 from huskysim import cli, qp
 from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
@@ -27,9 +27,9 @@ col = SimLog.HEADER.index
 PUSH_END = 1.5  # s, disturbance window is 1.0 .. 1.5
 
 
-def test_criterion_1_push_recovery_dichotomy(timed_cli_runs, scenario_walltimes):
-    code_with, out_with = timed_cli_runs("push_with_thrust")
-    code_without, out_without = timed_cli_runs("push_no_thrust")
+def test_criterion_1_push_recovery_dichotomy(bundled_runs):
+    code_with, out_with, wall_with = bundled_runs("push_with_thrust")[:3]
+    code_without, out_without, wall_without = bundled_runs("push_no_thrust")[:3]
 
     assert code_with == 0, "with thrusters the push run must succeed"
     summary = read_summary(out_with)
@@ -40,18 +40,16 @@ def test_criterion_1_push_recovery_dichotomy(timed_cli_runs, scenario_walltimes)
     failure = read_summary(out_without)["failure"]
     assert failure is not None and failure["t_s"] < 3.0
 
-    for name in ("push_with_thrust", "push_no_thrust"):
-        assert scenario_walltimes[name] < 60.0
+    assert wall_with < 60.0 and wall_without < 60.0
     print(
         f"PASS criterion 1: with-thrust recovery {summary['recovery_time_s']:.2f}s "
         f"after push end; no-thrust {failure['kind']} at t={failure['t_s']:.2f}s; "
-        f"walltimes {scenario_walltimes['push_with_thrust']:.1f}s / "
-        f"{scenario_walltimes['push_no_thrust']:.1f}s"
+        f"walltimes {wall_with:.1f}s / {wall_without:.1f}s"
     )
 
 
-def test_criterion_2_thrust_cap_and_side(timed_cli_runs):
-    _, out = timed_cli_runs("push_with_thrust")
+def test_criterion_2_thrust_cap_and_side(bundled_runs):
+    out = bundled_runs("push_with_thrust").out
     data = SimLog.from_csv(out / "log.csv").as_array()
     thrust = data[:, col("thrust0") : col("thrust0") + 4]
     assert thrust.max() <= 20.0 + 1e-6
@@ -69,8 +67,8 @@ def test_criterion_2_thrust_cap_and_side(timed_cli_runs):
     )
 
 
-def test_criterion_3_beam_walk(timed_cli_runs):
-    code, out = timed_cli_runs("beam_walk")
+def test_criterion_3_beam_walk(bundled_runs):
+    code, out = bundled_runs("beam_walk")[:2]
     assert code == 0
     data = SimLog.from_csv(out / "log.csv").as_array()
 
@@ -178,8 +176,9 @@ def test_criterion_4_mpc_qp_correctness():
     model = discretize(A, B, cfg.dt)
     ref = build_reference(state, Command(height=0.25), cfg)
     controller = MpcController(cfg, 1.3)  # a pyramid of slope 0.92
-    u = controller.step(state, [stance], discretize(A, B[None], cfg.dt), ref)
-    assert controller.last_solution.active_set == []
+    with recording((qp, "solve")) as events:
+        u = controller.step(state, [stance], discretize(A, B[None], cfg.dt), ref)
+    assert returns(events, "solve")[0][1].active_set == []
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
     closed = -np.linalg.solve(
         model.B_k.T @ Q @ model.B_k + R,
@@ -259,12 +258,11 @@ def test_criterion_5_dynamics_fidelity():
     )
 
 
-def test_criterion_6_determinism(tmp_path_factory):
-    logs = []
-    for tag in ("first", "second"):
-        out = tmp_path_factory.mktemp(f"det_{tag}")
-        code = cli.main(["run", "push_no_thrust", "--out", str(out)])
-        assert code == 2
-        logs.append((out / "log.csv").read_bytes())
+def test_criterion_6_determinism(bundled_runs, tmp_path):
+    """The session's push_no_thrust run and a second one write the same log.csv."""
+    first = bundled_runs("push_no_thrust")
+    code = cli.main(["run", "push_no_thrust", "--out", str(tmp_path)])
+    assert first.code == code == 2
+    logs = [(out / "log.csv").read_bytes() for out in (first.out, tmp_path)]
     assert logs[0] == logs[1]
     print(f"PASS criterion 6: two runs byte-identical ({len(logs[0])} bytes)")

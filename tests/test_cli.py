@@ -23,8 +23,8 @@ from huskysim.sim import Scenario, SimLog
 col = SimLog.HEADER.index
 
 
-def test_beam_walk_run_artifacts(cli_runs):
-    code, out = cli_runs("beam_walk")
+def test_beam_walk_run_artifacts(bundled_runs):
+    code, out = bundled_runs("beam_walk")[:2]
     assert code == 0
     assert (out / "log.csv").exists()
     assert (out / "summary.json").exists()
@@ -35,8 +35,8 @@ def test_beam_walk_run_artifacts(cli_runs):
     assert max(summary["peak_thrust_n"]) <= 20.0
 
 
-def test_push_without_thrusters_exits_2(cli_runs):
-    code, out = cli_runs("push_no_thrust")
+def test_push_without_thrusters_exits_2(bundled_runs):
+    code, out = bundled_runs("push_no_thrust")[:2]
     assert code == 2
     summary = read_summary(out)
     assert summary["outcome"] == "failure"
@@ -195,8 +195,8 @@ def assert_one_error_line(tmp_path, capsys, doc, key):
     assert not (tmp_path / "o").exists()
 
 
-def test_summary_recomputed_from_log_matches(cli_runs):
-    code, out = cli_runs("push_with_thrust")
+def test_summary_recomputed_from_log_matches(bundled_runs):
+    code, out = bundled_runs("push_with_thrust")[:2]
     assert code == 0
     summary = read_summary(out)
     data = SimLog.from_csv(out / "log.csv").as_array()
@@ -214,7 +214,7 @@ def test_summary_recomputed_from_log_matches(cli_runs):
     assert abs(summary["mean_forward_speed_mps"] - v_mean) < 1e-9
 
 
-def test_empty_log_summary_has_every_key(cli_runs, tmp_path, capsys):
+def test_empty_log_summary_has_every_key(bundled_runs, tmp_path, capsys):
     """A body commanded 1e300 m up overflows the first control tick, which ends
     the run as a NumericalFailure at t = 0 with no log rows; its summary has the
     keys of a non-empty run, in the same order, with zero metrics and no
@@ -228,7 +228,7 @@ def test_empty_log_summary_has_every_key(cli_runs, tmp_path, capsys):
     assert SimLog.from_csv(tmp_path / "out" / "log.csv").n == 0
     summary = read_summary(tmp_path / "out")
     assert summary["failure"]["kind"] == sim.NUMERICAL_FAILURE and summary["failure"]["t_s"] == 0.0
-    assert list(summary) == list(read_summary(cli_runs("push_with_thrust")[1]))
+    assert list(summary) == list(read_summary(bundled_runs("push_with_thrust").out))
     for key in ("max_abs_roll_rad", "max_abs_lateral_deviation_m", "mean_forward_speed_mps"):
         assert summary[key] == 0.0
     assert summary["peak_thrust_n"] == summary["peak_friction_ratio"] == [0.0] * 4
@@ -236,8 +236,8 @@ def test_empty_log_summary_has_every_key(cli_runs, tmp_path, capsys):
     assert summary["mu_limit"] == 0.3
 
 
-def test_compare_identical_runs(cli_runs, capsys, tmp_path):
-    _, out = cli_runs("push_with_thrust")
+def test_compare_identical_runs(bundled_runs, capsys, tmp_path):
+    out = bundled_runs("push_with_thrust").out
     code = cli.main(["compare", str(out / "summary.json"), str(out / "summary.json")])
     assert code == 0
     captured = capsys.readouterr().out
@@ -247,9 +247,9 @@ def test_compare_identical_runs(cli_runs, capsys, tmp_path):
     )
 
 
-def test_compare_with_vs_without_thrust(cli_runs, capsys):
-    _, out_with = cli_runs("push_with_thrust")
-    _, out_without = cli_runs("push_no_thrust")
+def test_compare_with_vs_without_thrust(bundled_runs, capsys):
+    out_with = bundled_runs("push_with_thrust").out
+    out_without = bundled_runs("push_no_thrust").out
     code = cli.main(
         ["compare", str(out_with / "summary.json"), str(out_without / "summary.json")]
     )
@@ -260,8 +260,8 @@ def test_compare_with_vs_without_thrust(cli_runs, capsys):
     assert diff["recovered"]["b"] is False
 
 
-def test_compare_schema_mismatch(tmp_path, cli_runs, capsys):
-    _, out = cli_runs("push_with_thrust")
+def test_compare_schema_mismatch(tmp_path, bundled_runs, capsys):
+    out = bundled_runs("push_with_thrust").out
     other = tmp_path / "old.json"
     doc = read_summary(out)
     doc["schema_version"] = "huskysim-summary/0"
@@ -510,8 +510,8 @@ def test_huge_push_failure_detail_is_one_short_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["beam_walk", "flat_trot", "push_no_thrust", "push_with_thrust"])
-def test_bundled_logs_hold_no_negative_thrust_or_stance_normal_force(cli_runs, name):
-    _, out = cli_runs(name)
+def test_bundled_logs_hold_no_negative_thrust_or_stance_normal_force(bundled_runs, name):
+    out = bundled_runs(name).out
     data = SimLog.from_csv(out / "log.csv").as_array()
     thrust = data[:, col("thrust0") : col("thrust0") + 4]
     fz = data[:, [col(f"grf{i}z") for i in range(4)]]
@@ -609,8 +609,8 @@ def test_env_out_dir_takes_one_subdirectory_per_config(tmp_path, monkeypatch):
     assert read_summary(dest / "two")["scenario"] == "two"
 
 
-def test_flat_trot_ten_seconds(cli_runs):
-    code, out = cli_runs("flat_trot")
+def test_flat_trot_ten_seconds(bundled_runs):
+    code, out = bundled_runs("flat_trot")[:2]
     assert code == 0
     summary = read_summary(out)
     assert abs(summary["mean_forward_speed_mps"] - 0.2) / 0.2 < 0.2
@@ -618,15 +618,15 @@ def test_flat_trot_ten_seconds(cli_runs):
     assert abs(data.shape[0] - 10000) <= 1
 
 
-def test_beam_walk_soft_thrust_target_reported(cli_runs):
-    _, out = cli_runs("beam_walk")
+def test_beam_walk_soft_thrust_target_reported(bundled_runs):
+    out = bundled_runs("beam_walk").out
     summary = read_summary(out)
     assert summary["thrust_soft_target_n"] == 7.0
     assert isinstance(summary["peak_thrust_within_soft_target"], bool)
 
 
-def test_svg_plots_contain_polylines(cli_runs):
-    _, out = cli_runs("beam_walk")
+def test_svg_plots_contain_polylines(bundled_runs):
+    out = bundled_runs("beam_walk").out
     svg = (out / "plots" / "friction.svg").read_text()
     assert "<polyline" in svg
     assert "stroke-dasharray" in svg  # the +/- mu limit lines
@@ -660,10 +660,10 @@ def assert_matches_pin(got, pin, where):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_bundled_summary_matches_golden(cli_runs, name):
+def test_bundled_summary_matches_golden(bundled_runs, name):
     """The seed-0 summary of each bundled scenario against tests/golden_seed0.json
     (the failure's detail string is not pinned)."""
-    code, out = cli_runs(name)
+    code, out = bundled_runs(name)[:2]
     pin = GOLDEN[name]
     assert code == (0 if pin["outcome"] == "success" else 2)
     assert_matches_pin(read_summary(out), pin, name)
@@ -693,17 +693,22 @@ def test_run_path_imports_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("name, duration", [("push_no_thrust", None), ("push_with_thrust", 1.0)])
-def test_summary_and_plots_take_the_values_log_csv_holds(tmp_path, name, duration):
+def test_summary_and_plots_take_the_values_log_csv_holds(bundled_runs, tmp_path, name, duration):
     """run_scenario hands summarize and write_plots the values as written, not
     as simulated: the bytes SimLog.from_csv reads back from log.csv, through a
-    run that falls in the middle of a tick; summary.json is the summary of them."""
-    doc = load_bundled(name)
-    if duration is not None:
+    run that falls in the middle of a tick; summary.json is the summary of them.
+    The bundled push_no_thrust is the session's run; push_with_thrust is cut to 1 s."""
+    if duration is None:
+        run = bundled_runs(name)
+        out, events = run.out, run.events
+    else:
+        doc = load_bundled(name)
         doc["duration_s"] = duration
-    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    with recording((cli, "summarize"), (cli, "write_plots")) as events:
-        cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "out")])
-    read = SimLog.from_csv(tmp_path / "out" / "log.csv").as_array()
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with recording((cli, "summarize"), (cli, "write_plots")) as events:
+            cli.main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)])
+    read = SimLog.from_csv(out / "log.csv").as_array()
     data, scenario, outcome = calls(events, "summarize")[0].args
     if name == "push_no_thrust":
         assert outcome is not None and len(read) % 10 != 0  # it falls in the middle of a tick
@@ -711,7 +716,7 @@ def test_summary_and_plots_take_the_values_log_csv_holds(tmp_path, name, duratio
         assert outcome is None
     for given in (data, calls(events, "write_plots")[0].args[0]):
         assert given.dtype == read.dtype and given.shape == read.shape and given.tobytes() == read.tobytes()
-    assert read_summary(tmp_path / "out") == json.loads(json.dumps(cli.summarize(read, scenario, outcome)))
+    assert read_summary(out) == json.loads(json.dumps(cli.summarize(read, scenario, outcome)))
 
 
 def test_artifacts_are_written_without_a_second_copy_of_the_log(tmp_path):

@@ -214,8 +214,9 @@ def test_step_input_is_the_first_steps_share_of_the_solution(params):
         stance_seq = rng.random((cfg.horizon, 4)) < 0.6
         ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
         controller = MpcController(cfg, MU_REAL)
-        u = controller.step(state, stance_seq, make_model(state, d, r, stance_seq, cfg, params), ref)
-        x_star = controller.last_solution.x_star.tolist()
+        with recording((qp, "solve")) as events:
+            u = controller.step(state, stance_seq, make_model(state, d, r, stance_seq, cfg, params), ref)
+        x_star = returns(events, "solve")[0][1].x_star.tolist()
         expected = np.zeros(NU)
         for leg in np.flatnonzero(stance_seq[0]).tolist():
             expected[3 * leg : 3 * leg + 3], x_star = x_star[:3], x_star[3:]
@@ -239,8 +240,9 @@ def test_unconstrained_closed_form(params):
 
     model = make_model(state, d, r, [stance], cfg, tilted)
     controller = MpcController(cfg, 1.3)  # a pyramid of slope 0.92
-    u = controller.step(state, [stance], model, ref)
-    sol = controller.last_solution
+    with recording((qp, "solve")) as events:
+        u = controller.step(state, [stance], model, ref)
+    (_, sol), = returns(events, "solve")
     assert sol.active_set == []  # interior optimum, nothing binding
 
     A_k, B_k = model.A_k, model.B_k[0]
@@ -427,10 +429,10 @@ def test_reduced_qp_matches_pinned_formulation_random(params):
         assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real)
 
 
-def test_reduced_qp_matches_pinned_formulation_recorded(recorded_runs):
+def test_reduced_qp_matches_pinned_formulation_recorded(bundled_runs):
     """Instances recorded from a closed-loop run across the push without
     thrusters, from 0.9 s to the fall at 1.453 s."""
-    _, _, events = recorded_runs("push_no_thrust")
+    events = bundled_runs("push_no_thrust").events
     assembled = calls(events, "assemble_qp")
     assert len(assembled) == 146
     for state, stance_seq, model, ref, layout in (call.args for call in assembled[90:145]):
@@ -442,14 +444,14 @@ def test_reduced_qp_matches_pinned_formulation_recorded(recorded_runs):
     [("push_with_thrust", 200, True), ("push_no_thrust", 146, False)],
     ids=["push_with_thrust", "push_no_thrust"],
 )
-def test_warm_starts_match_cold_recorded(recorded_runs, name, ticks, dependent_seeds):
+def test_warm_starts_match_cold_recorded(bundled_runs, name, ticks, dependent_seeds):
     """Closed-loop QPs across the push, with thrusters to 2 s and without them
     up to the fall. The controller seeds the rows whose layout index
     (layout_rows) was active at the previous tick, and no others; that warm
     start and the previous tick's raw row indices (which name other rows after
     a stance change) both give the cold solution. With thrusters, some raw seeds
     hold rows dependent on each other; without them, none of this run's does."""
-    _, _, events = recorded_runs(name)
+    events = bundled_runs(name).events
     assembled, solves = calls(events, "assemble_qp")[:ticks], returns(events, "solve")[:ticks]
     assert len(solves) == ticks
     cfg = assembled[0].args[4].config
@@ -519,12 +521,12 @@ def test_absurd_command_leaves_the_qp_feasible():
 
 
 @pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])
-def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, recorded_runs):
+def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, bundled_runs):
     """The controller's layout holds one entry per horizon stance pattern; the
     entry each tick of a bundled run was given, looked up from the entries built
     at earlier ticks, is still bit for bit the entry a fresh layout builds for
     that tick's stance rows once the run is over."""
-    _, _, events = recorded_runs(name)
+    events = bundled_runs(name).events
     used = returns(events, "assemble_qp")
     assert len(used) > 100
     for call, (_, got) in used:
@@ -533,11 +535,11 @@ def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, recorded_runs):
         assert all(same_bits(a, b) for a, b in zip(got, expected))
 
 
-def test_a_run_builds_one_layout_per_stance_pattern(recorded_runs):
+def test_a_run_builds_one_layout_per_stance_pattern(bundled_runs):
     """beam_walk's 1,000 ticks have 15 distinct horizon stance patterns, and
     one HorizonLayout is built for each."""
-    log, outcome, events = recorded_runs("beam_walk")
-    assert outcome is None and log.n == 10000
+    run = bundled_runs("beam_walk")
+    assert run.failure is None and run.log.n == 10000
     # the first field is the mask of the QP variables: thrusters on, one per pattern
-    masks = [call.args[0].tobytes() for call in calls(events, "HorizonLayout")]
+    masks = [call.args[0].tobytes() for call in calls(run.events, "HorizonLayout")]
     assert len(masks) == len(set(masks)) == 15

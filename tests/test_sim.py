@@ -185,14 +185,27 @@ def test_control_tick_is_whole_plant_steps():
 
 
 def test_to_csv_writes_each_value_as_9_significant_digits(tmp_path):
+    """A wrapped array is written as a run's log is, each value as f"{v:.9g}":
+    rows that hold nothing, no rows, and rows whose input, stance flags, ratios
+    and stance feet hold over 7 rows, then 13, from which to_csv finds its
+    blocks; then two rows of equal inputs where a stance leg's foot moves, and
+    two that differ only in a held 0.0 and -0.0. Swing feet move at every row."""
     def reference(rows):
         return ",".join(SimLog.HEADER) + "\n" + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
 
     rng = np.random.default_rng(5)
     rows = rng.choice([-1.0, 1.0], (2000, 49)) * 10.0 ** rng.uniform(-20, 20, (2000, 49))
     rows[0, :4] = [-0.0, 5e-324, 1.8e308, 0.0]
+    held = rows[:24].copy()
+    for start, stop, stance in ((0, 7, [1, 0, 0, 1]), (7, 20, [0, 1, 1, 1]), (20, 24, [1, 1, 0, 0])):
+        held[start:stop, 41:45] = stance
+        columns = np.r_[13:29, 41:49, 29 + np.flatnonzero(np.repeat(stance, 3))]
+        held[start:stop, columns] = held[start, columns]
+    held[21, 29] += 0.25  # leg 0's foot, in stance
+    held[22:24, 13:49] = held[21, 13:49]
+    held[22, 14], held[23, 14] = 0.0, -0.0
     path = tmp_path / "log.csv"
-    for data in (rows, np.zeros((0, 49))):
+    for data in (rows, np.zeros((0, 49)), held):
         expected = reference(data).encode()  # to_csv rounds the rows it is given in place
         SimLog(data.copy(), len(data)).to_csv(path)
         assert path.read_bytes() == expected
@@ -289,8 +302,8 @@ def test_flat_trot_tracks_speed():
     assert abs(v_mean - 0.2) / 0.2 < 0.2
 
 
-def test_push_without_thrusters_fails_quickly():
-    log, outcome = run_doc(load_bundled("push_no_thrust"))
+def test_push_without_thrusters_fails_quickly(bundled_runs):
+    outcome = bundled_runs("push_no_thrust").failure
     assert outcome is not None
     assert outcome.kind in (ROLL_DIVERGENCE, "HeightCollapse", SLIP, BEAM_MISS)
     assert 1.0 < outcome.t < 3.0
@@ -350,21 +363,25 @@ def test_scenario_validation():
         cli.configs_from_doc(doc2)
 
 
-def test_gimbal_guard_before_divergence():
-    # the roll/pitch failure threshold precedes the Euler singularity
+@pytest.fixture(scope="module")
+def pushed_200n():
+    """push_no_thrust under a 200 N push instead of 40 N: (log, failure)."""
     doc = load_bundled("push_no_thrust")
     doc["disturbances"][0]["force_n"] = [0.0, 200.0, 0.0]
-    log, outcome = run_doc(doc)
+    return run_doc(doc)
+
+
+def test_gimbal_guard_before_divergence(pushed_200n):
+    # the roll/pitch failure threshold precedes the Euler singularity
+    _, outcome = pushed_200n
     assert outcome is not None
     assert outcome.kind in ("RollDivergence", "HeightCollapse")
 
 
-def test_friction_ratio_zero_for_residue_load():
+def test_friction_ratio_zero_for_residue_load(pushed_200n):
     # with the 200 N push the QP leaves ~1e-9 N of residue on legs it has
     # unloaded (leg 1 carried 1.1e-9 N at a ratio of 0.56); that is no load
-    doc = load_bundled("push_no_thrust")
-    doc["disturbances"][0]["force_n"] = [0.0, 200.0, 0.0]
-    log, _ = run_doc(doc)
+    log, _ = pushed_200n
     arr = log.as_array()
     col = SimLog.HEADER.index
     fz = arr[:, [col(f"grf{i}z") for i in range(4)]]
@@ -469,6 +486,14 @@ def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_
     assert written.dtype == read.dtype and written.shape == read.shape == (23, 49)
     assert written.tobytes() == read.tobytes() == log.as_array().tobytes()
     assert np.shares_memory(written, log.data)
+
+
+@pytest.mark.parametrize("name", ["beam_walk", "flat_trot", "push_no_thrust", "push_with_thrust"])
+def test_a_log_read_back_writes_the_same_log_csv(bundled_runs, tmp_path, name):
+    """A log that from_csv reads back from a bundled run's log.csv writes it again byte for byte."""
+    path = bundled_runs(name).out / "log.csv"
+    SimLog.from_csv(path).to_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_push_window_off_the_tick_grid_acts_on_each_step_inside_it():
