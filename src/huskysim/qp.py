@@ -1,16 +1,17 @@
 """Dense strictly-convex QP solver: minimize 0.5 x'Px + q'x subject to Gx <= h.
 
-On numpy alone. The Cholesky factor P = L L' tests that P is positive definite.
-A warm seed A (a cold start's is empty) is checked first: one solve of the KKT
-system [[P, G_A'], [G_A, 0]] [x; lam_A] = [-q; h_A] gives the optimum when
-lam_A >= 0, Gx <= h and the solve's residual is round-off. A warm seed that
-fails is corrected once (rows of negative multiplier out, violated rows in) and
-checked again. Otherwise the dual active-set method of Goldfarb and Idnani
-(Math. Programming 27, 1983) runs in the space of L (x = L^-T y, c = L^-1 q,
-W = L^-1 G', from one L^-1 formed by blocks), keeping y = -c - W_A lam_A optimal
-for the active rows A with lam_A >= 0. It starts from independent rows: the first
-guess's rows of non-negative multiplier, less those of negative multiplier at
-their own optimum; from no rows when that guess's system was singular or their
+On numpy alone. A QpProblem checks its data when built, and the Cholesky factor
+P = L L' tests that P is positive definite. A warm seed A is checked first: one
+solve of the KKT system [[P, G_A'], [G_A, 0]] [x; lam_A] = [-q; h_A] gives the
+optimum when lam_A >= 0, Gx <= h and the solve's residual is round-off. A seed
+that fails is corrected once (rows of negative multiplier out, violated rows in)
+and checked again. Otherwise, and from the outset of a cold solve, the dual
+active-set method of Goldfarb and Idnani (Math. Programming 27, 1983) runs in
+the space of L (x = L^-T y, c = L^-1 q, W = L^-1 G', from one L^-1 formed by
+blocks), keeping y = -c - W_A lam_A optimal for the active rows A with
+lam_A >= 0. It starts from independent rows: the first guess's rows of
+non-negative multiplier, less those of negative multiplier at their own optimum;
+from no rows when the solve is cold, that guess's system was singular or their
 block of K = W'W is singular to working precision. Z with Z K[A, A] Z' = I grows
 by bordering and shrinks by a Householder reflection (Powell, Math. Programming
 Study 25, 1985), in place in buffers that A never outgrows: the loop factors
@@ -50,17 +51,14 @@ class QpProblem:
 
     def __post_init__(self):
         self.P, self.q = np.asarray(self.P, dtype=float), np.asarray(self.q, dtype=float)
-        n = self.q.shape[0]
+        n, P = self.q.shape[0], self.P
         if self.G is None:
             self.G, self.h = np.zeros((0, n)), np.zeros(0)
         self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
         self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
-
-    def validate(self):
         for name in ("P", "q", "G", "h"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has a non-finite entry")
-        n, P = self.q.shape[0], self.P
         if P.shape != (n, n):
             raise ValueError(f"P shape {P.shape} inconsistent with q length {n}")
         # exact symmetry first, as assembled; then the test of np.allclose(P, P.T, atol=1e-10)
@@ -68,14 +66,12 @@ class QpProblem:
             raise ValueError("P must be symmetric (tolerance 1e-10)")
         if self.G.shape[1] != n or self.h.shape[0] != self.G.shape[0]:
             raise ValueError("G/h dimensions inconsistent with q")
-        return self
 
 
 @dataclass
 class QpSolution:
     x_star: np.ndarray
     active_set: list
-    objective_value: float
     iterations: int
     lam: np.ndarray  # multipliers for Gx <= h, zero off the active set
 
@@ -121,13 +117,12 @@ def _unborder(Z, k, j, *rows):
 def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolution:
     """Solve the QP; deterministic for fixed input.
 
-    warm_active: optional iterable of constraint indices used to seed the
-    active set; indices out of range are ignored. Its rows need not be
-    independent: the dual loop starts from no rows when they are dependent.
-    The solution's iterations count the KKT guess accepted or the dual loop's
-    passes. Raises NotPositiveDefinite (P), Infeasible or MaxIterations.
+    warm_active: optional iterable of constraint indices that seed the active
+    set; indices out of range are ignored, and its rows need not be independent.
+    Without it the solve is cold: the dual loop alone, from no rows. iterations
+    counts the KKT guesses or the dual loop's passes. Raises NotPositiveDefinite
+    (P), Infeasible or MaxIterations.
     """
-    problem.validate()
     P, q, G, h = problem.P, problem.q, problem.G, problem.h
     n, m = q.shape[0], G.shape[0]
     max_iters = 10 * (n + m) + 1 if max_iters is None else max_iters  # + 1: the pass that finds x optimal
@@ -141,11 +136,11 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     viol_tol = 1e-10 * (1.0 + np.abs(h).max(initial=0.0))
     seed = sorted({int(j) for j in warm_active if 0 <= int(j) < m}) if warm_active is not None else []
 
-    # the first iterations: a guess's rows as equalities, the QP's optimum on most ticks of a
-    # closed loop; a warm guess that fails is corrected, less its rows of negative multiplier
-    # and with the rows its x violates, and tried once more
+    # a warm solve's first iterations: the seed's rows as equalities, the QP's optimum on most
+    # ticks of a closed loop; a guess that fails is corrected, less its rows of negative
+    # multiplier and with the rows its x violates, and tried once more
     start = []  # the dual loop's first rows: the first guess's of non-negative multiplier
-    for attempt in (1, 2):
+    for attempt in (1, 2) if warm_active is not None else ():
         G_A, k = G[seed], len(seed)
         kkt, rhs = np.zeros((n + k, n + k)), np.concatenate([-q, h[seed]])
         kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = P, G_A.T, G_A
@@ -158,8 +153,8 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
         if attempt <= max_iters and lam.min(initial=0.0) >= 0.0 and slack.max(initial=0.0) <= viol_tol:
             # dependent rows leave a solve that is round-off: its residual is not
             if np.abs(kkt @ z - rhs).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(rhs).max(initial=0.0)):
-                return _solution(P, q, x, seed, lam, attempt, m)
-        if attempt == 2 or warm_active is None:  # a cold start's dual loop starts from no rows
+                return _solution(x, seed, lam, attempt, m)
+        if attempt == 2:
             break
         start = [j for j, l in zip(seed, lam.tolist()) if l >= 0.0]
         seed = sorted({*start, *np.flatnonzero(slack > viol_tol).tolist()})
@@ -238,13 +233,13 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
             k = _unborder(Z, k, drop, K_A, lam)
             del active[drop]
 
-    return _solution(P, q, Linv.T @ (-c - W[:, active] @ lam[:k]), active, lam[:k], iterations, m)
+    return _solution(Linv.T @ (-c - W[:, active] @ lam[:k]), active, lam[:k], iterations, m)
 
 
-def _solution(P, q, x, active, lam, iterations, m) -> QpSolution:
+def _solution(x, active, lam, iterations, m) -> QpSolution:
     lam_full = np.zeros(m)
     lam_full[active] = np.maximum(lam, 0.0)
-    return QpSolution(x, sorted(active), float(0.5 * x @ P @ x + q @ x), iterations, lam_full)
+    return QpSolution(x, sorted(active), iterations, lam_full)
 
 
 def check_kkt(problem: QpProblem, solution: QpSolution) -> KktReport:

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from huskysim import cli, mpc, qp
+from huskysim import cli
 from huskysim.robot import LEG_SIDE_SIGN, leg_forward_kinematics
 from huskysim.rotations import rot_x
 from huskysim.sim import FailureEvent, SimLog, run
@@ -96,20 +96,21 @@ class BundledRun(NamedTuple):
 
 
 @pytest.fixture(scope="session")
-def bundled_runs(tmp_path_factory):
+def bundled_runs(request, tmp_path_factory):
     """Each unmodified bundled scenario run once per session, on demand, through
-    cli.main(["run", name, "--out", dir]) with its QP assemblies, solves and
-    layouts and the CLI's run, summarize and write_plots calls recorded:
-    name -> BundledRun."""
-    cache = {}
-    targets = ((mpc, "assemble_qp"), (qp, "solve"), (mpc, "HorizonLayout"),
-               (cli, "run"), (cli, "summarize"), (cli, "write_plots"))
+    cli.main(["run", name, "--out", dir]): name -> BundledRun. The run records
+    the CLI's run call and, of the selected tests, each target (owner, name)
+    that a mark reads_events(scenario, *targets) names for it, and no other."""
+    cache, reads = {}, {}
+    for item in request.session.items:
+        for mark in item.iter_markers("reads_events"):
+            reads.setdefault(mark.args[0], set()).update(mark.args[1:])
 
     def _run(name: str) -> BundledRun:
         if name not in cache:
             out = tmp_path_factory.mktemp(f"run_{name}")
             start = time.perf_counter()
-            with recording(*targets) as events:
+            with recording((cli, "run"), *reads.get(name, ())) as events:
                 code = cli.main(["run", name, "--out", str(out)])
             wall_s = time.perf_counter() - start
             ((_, (log, failure)),) = returns(events, "run")
@@ -121,6 +122,11 @@ def bundled_runs(tmp_path_factory):
 
 def read_summary(out_dir: Path) -> dict:
     return json.loads((Path(out_dir) / "summary.json").read_text())
+
+
+def objective(problem, x):
+    """The QP's objective 0.5 x'Px + q'x at x."""
+    return 0.5 * x @ problem.P @ x + problem.q @ x
 
 
 def pgd_oracle(P, q, G, h, iters=100000):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import load_bundled, pgd_oracle, read_summary, recording, returns, run_doc
+from conftest import load_bundled, objective, pgd_oracle, read_summary, recording, returns, run_doc
 from huskysim import cli, qp
 from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
@@ -156,8 +156,7 @@ def test_criterion_4_mpc_qp_correctness():
         prob = _random_condensed_instance(rng, params)
         sol = qp.solve(prob)
         x_oracle = pgd_oracle(prob.P, prob.q, prob.G, prob.h)
-        obj_oracle = 0.5 * x_oracle @ prob.P @ x_oracle + prob.q @ x_oracle
-        worst_obj = max(worst_obj, abs(sol.objective_value - obj_oracle))
+        worst_obj = max(worst_obj, abs(objective(prob, sol.x_star) - objective(prob, x_oracle)))
         worst_kkt = max(worst_kkt, qp.check_kkt(prob, sol).max_residual())
     assert worst_obj < 1e-6
     assert worst_kkt < 1e-6

@@ -692,7 +692,11 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert read_summary(tmp_path / "out")["outcome"] == "success"
 
 
-@pytest.mark.parametrize("name, duration", [("push_no_thrust", None), ("push_with_thrust", 1.0)])
+@pytest.mark.parametrize("name, duration", [
+    pytest.param("push_no_thrust", None,
+                 marks=pytest.mark.reads_events("push_no_thrust", (cli, "summarize"), (cli, "write_plots"))),
+    ("push_with_thrust", 1.0),
+])
 def test_summary_and_plots_take_the_values_log_csv_holds(bundled_runs, tmp_path, name, duration):
     """run_scenario hands summarize and write_plots the values as written, not
     as simulated: the bytes SimLog.from_csv reads back from log.csv, through a

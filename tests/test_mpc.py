@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from conftest import calls, load_bundled, pgd_oracle, recording, returns, run_doc
-from huskysim import cli, config, qp
+from conftest import calls, load_bundled, objective, pgd_oracle, recording, returns, run_doc
+from huskysim import cli, config, mpc, qp
 from huskysim.dynamics import NU, RobotState, build_continuous_model, discretize
 from huskysim.mpc import (
     Command,
@@ -395,17 +395,13 @@ def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real)
     U = np.zeros(free.size)
     U[free] = sol.x_star
     full = pinned_qp(state, stance_seq, model, ref, cfg, mu_real)
-
-    def objective(x):
-        return 0.5 * x @ full.P @ x + full.q @ x
-
     x_oracle = pgd_oracle(full.P, full.q, full.G, full.h)
-    assert abs(objective(U) - objective(x_oracle)) < 1e-6
+    assert abs(objective(full, U) - objective(full, x_oracle)) < 1e-6
     # KKT of the full problem, with non-negative multipliers on the rows tight at U
     tight = full.G @ U - full.h > -1e-9
     lam = np.zeros(full.h.size)
     lam[tight] = nnls(full.G[tight].T, -(full.P @ U + full.q))[0]
-    certificate = qp.QpSolution(U, np.flatnonzero(tight).tolist(), objective(U), sol.iterations, lam)
+    certificate = qp.QpSolution(U, np.flatnonzero(tight).tolist(), sol.iterations, lam)
     assert qp.check_kkt(full, certificate).max_residual() < 1e-6
 
 
@@ -429,6 +425,7 @@ def test_reduced_qp_matches_pinned_formulation_random(params):
         assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real)
 
 
+@pytest.mark.reads_events("push_no_thrust", (mpc, "assemble_qp"))
 def test_reduced_qp_matches_pinned_formulation_recorded(bundled_runs):
     """Instances recorded from a closed-loop run across the push without
     thrusters, from 0.9 s to the fall at 1.453 s."""
@@ -439,9 +436,15 @@ def test_reduced_qp_matches_pinned_formulation_recorded(bundled_runs):
         assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, layout.config, MU_REAL)
 
 
+def reads_qps(name):
+    """The mark of a test that reads the QP assemblies and solves of name's bundled run."""
+    return pytest.mark.reads_events(name, (mpc, "assemble_qp"), (qp, "solve"))
+
+
 @pytest.mark.parametrize(
     "name, ticks, dependent_seeds",
-    [("push_with_thrust", 200, True), ("push_no_thrust", 146, False)],
+    [pytest.param("push_with_thrust", 200, True, marks=reads_qps("push_with_thrust")),
+     pytest.param("push_no_thrust", 146, False, marks=reads_qps("push_no_thrust"))],
     ids=["push_with_thrust", "push_no_thrust"],
 )
 def test_warm_starts_match_cold_recorded(bundled_runs, name, ticks, dependent_seeds):
@@ -449,8 +452,9 @@ def test_warm_starts_match_cold_recorded(bundled_runs, name, ticks, dependent_se
     up to the fall. The controller seeds the rows whose layout index
     (layout_rows) was active at the previous tick, and no others; that warm
     start and the previous tick's raw row indices (which name other rows after
-    a stance change) both give the cold solution. With thrusters, some raw seeds
-    hold rows dependent on each other; without them, none of this run's does."""
+    a stance change) both give the cold solution, the dual loop's alone, which
+    takes no KKT guess. With thrusters, some raw seeds hold rows dependent on
+    each other; without them, none of this run's does."""
     events = bundled_runs(name).events
     assembled, solves = calls(events, "assemble_qp")[:ticks], returns(events, "solve")[:ticks]
     assert len(solves) == ticks
@@ -492,7 +496,7 @@ def drawn_runs(draw):
 def test_every_qp_of_a_drawn_run_is_solved(doc):
     """Closed-loop audit: every QP that a drawn run hands the solver is solved,
     to KKT residuals of at most 1e-6, and its warm start gives the cold
-    solution to 1e-8."""
+    solution, the dual loop's alone, to 1e-8."""
     with recording((qp, "solve")) as events:
         run_doc(doc)
     solved = returns(events, "solve")
@@ -520,21 +524,24 @@ def test_absurd_command_leaves_the_qp_feasible():
     assert qp.check_kkt(problem, sol).primal_feasibility <= 1e-6
 
 
-@pytest.mark.parametrize("name", ["beam_walk", "push_with_thrust"])
+@pytest.mark.parametrize(
+    "name", [pytest.param(name, marks=pytest.mark.reads_events(name, (ConstraintLayout, "horizon")))
+             for name in ("beam_walk", "push_with_thrust")])
 def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, bundled_runs):
     """The controller's layout holds one entry per horizon stance pattern; the
     entry each tick of a bundled run was given, looked up from the entries built
     at earlier ticks, is still bit for bit the entry a fresh layout builds for
     that tick's stance rows once the run is over."""
     events = bundled_runs(name).events
-    used = returns(events, "assemble_qp")
+    used = returns(events, "horizon")
     assert len(used) > 100
-    for call, (_, got) in used:
-        stance_seq, layout = call.args[1], call.args[4]
+    for call, got in used:
+        layout, stance_seq = call.args
         expected = ConstraintLayout(layout.config, MU_REAL).horizon(stance_seq)
         assert all(same_bits(a, b) for a, b in zip(got, expected))
 
 
+@pytest.mark.reads_events("beam_walk", (mpc, "HorizonLayout"))
 def test_a_run_builds_one_layout_per_stance_pattern(bundled_runs):
     """beam_walk's 1,000 ticks have 15 distinct horizon stance patterns, and
     one HorizonLayout is built for each."""

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import calls, pgd_oracle, recording
+from conftest import calls, objective, pgd_oracle, recording
 from huskysim import qp
 from huskysim.mpc import MpcConfig, input_constraints
 
@@ -26,9 +28,10 @@ def random_problem(rng, with_pin_pair=False):
 
 
 def test_unconstrained_minimum():
-    sol = qp.solve(qp.QpProblem(P=np.eye(3), q=np.zeros(3)))
+    prob = qp.QpProblem(P=np.eye(3), q=np.zeros(3))
+    sol = qp.solve(prob)
     assert np.allclose(sol.x_star, 0.0)
-    assert sol.objective_value == pytest.approx(0.0)
+    assert objective(prob, sol.x_star) == pytest.approx(0.0)
     assert sol.active_set == []
 
 
@@ -41,14 +44,38 @@ def test_box_corner_projection():
     assert sol.active_set == [0, 1]
 
 
+def test_cold_solve_is_the_dual_loop_alone():
+    """A cold solve takes no KKT guess, so it calls np.linalg.solve not once.
+    Its first pass returns the unconstrained minimum when that meets every
+    row; on rows that bind it matches the oracle. A warm solve guesses."""
+
+    def solve_counting(prob, warm_active=None):
+        with recording((np.linalg, "solve")) as events:
+            sol = qp.solve(prob, warm_active=warm_active)
+        return sol, len(calls(events, "solve"))
+
+    inside = qp.QpProblem(P=np.diag([2.0, 1.0]), q=[-2.0, 1.0], G=np.eye(2), h=[3.0, 3.0])
+    sol, solves = solve_counting(inside)
+    assert solves == 0 and sol.iterations == 1 and sol.active_set == []
+    assert np.abs(sol.x_star - np.array([1.0, -1.0])).max() < 1e-12
+    bound = random_problem(np.random.default_rng(12))
+    sol, solves = solve_counting(bound)
+    assert solves == 0 and sol.active_set and sol.iterations > 1
+    x_oracle = pgd_oracle(bound.P, bound.q, bound.G, bound.h)
+    assert abs(objective(bound, sol.x_star) - objective(bound, x_oracle)) < 1e-6
+    assert qp.check_kkt(bound, sol).max_residual() < 1e-6
+    warm, solves = solve_counting(bound, sol.active_set)  # seeded with the optimum's rows: one guess
+    assert solves == 1 and warm.iterations == 1
+    assert np.abs(warm.x_star - sol.x_star).max() <= 1e-8
+
+
 def test_random_problems_match_pgd_oracle():
     rng = np.random.default_rng(42)
     for trial in range(50):
         prob = random_problem(rng, with_pin_pair=(trial % 4 == 0))
         sol = qp.solve(prob)
         x_oracle = pgd_oracle(prob.P, prob.q, prob.G, prob.h)
-        obj_oracle = 0.5 * x_oracle @ prob.P @ x_oracle + prob.q @ x_oracle
-        assert abs(sol.objective_value - obj_oracle) < 1e-6
+        assert abs(objective(prob, sol.x_star) - objective(prob, x_oracle)) < 1e-6
         assert qp.check_kkt(prob, sol).max_residual() < 1e-6
 
 
@@ -60,7 +87,6 @@ def test_check_kkt_flags_perturbed_solution():
     bad = qp.QpSolution(
         x_star=sol.x_star + 0.1,
         active_set=sol.active_set,
-        objective_value=sol.objective_value,
         iterations=sol.iterations,
         lam=sol.lam,
     )
@@ -74,7 +100,7 @@ def test_check_kkt_unconstrained_closed_form():
     q = rng.normal(size=4)
     prob = qp.QpProblem(P=P, q=q)
     x = -np.linalg.solve(P, q)
-    report = qp.check_kkt(prob, qp.QpSolution(x, [], 0.0, 0, np.zeros(0)))
+    report = qp.check_kkt(prob, qp.QpSolution(x, [], 0, np.zeros(0)))
     assert report.stationarity < 1e-10
 
 
@@ -89,11 +115,13 @@ def test_row_permutation_invariance():
 
 
 def test_objective_recompute():
+    """The objective at x_star, recomputed from the multipliers as the dual
+    objective -0.5 x'Px - h'lam, is the primal one: no duality gap."""
     rng = np.random.default_rng(4)
     prob = random_problem(rng)
     sol = qp.solve(prob)
-    direct = 0.5 * sol.x_star @ prob.P @ sol.x_star + prob.q @ sol.x_star
-    assert abs(sol.objective_value - direct) < 1e-9
+    dual = -0.5 * sol.x_star @ prob.P @ sol.x_star - prob.h @ sol.lam
+    assert abs(objective(prob, sol.x_star) - dual) < 1e-9
 
 
 def test_positive_scaling_invariance():
@@ -191,9 +219,8 @@ def test_max_iterations_guard():
 @pytest.mark.parametrize("h", [[np.nan, 0.0], [np.inf, -1.0]], ids=["h_nan", "h_inf"])
 def test_validate_rejects_nonfinite_h(h):
     # x = -q violates row 1, which an infinite violation tolerance would accept
-    prob = qp.QpProblem(P=np.eye(2), q=np.ones(2), G=-np.eye(2), h=np.array(h))
     with pytest.raises(ValueError, match="h has a non-finite entry"):
-        qp.solve(prob)
+        qp.QpProblem(P=np.eye(2), q=np.ones(2), G=-np.eye(2), h=np.array(h))
 
 
 @pytest.mark.parametrize("name", ["P", "q", "G"])
@@ -201,7 +228,7 @@ def test_validate_rejects_nonfinite_data(name):
     data = {"P": np.eye(2), "q": np.ones(2), "G": -np.eye(2), "h": np.array([-1.0, -1.0])}
     data[name] = np.where(data[name] != 0.0, np.nan, data[name])
     with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
-        qp.solve(qp.QpProblem(**data))
+        qp.QpProblem(**data)
 
 
 def test_cho_factor_is_lower_and_rejects_matrices_not_positive_definite():
@@ -250,8 +277,7 @@ def test_warm_start_property(case):
     sol = qp.solve(prob, warm_active=warm)
     assert np.abs(sol.x_star - qp.solve(prob).x_star).max() <= 1e-8
     x_oracle = pgd_oracle(prob.P, prob.q, prob.G, prob.h)
-    obj_oracle = 0.5 * x_oracle @ prob.P @ x_oracle + prob.q @ x_oracle
-    assert abs(sol.objective_value - obj_oracle) < 1e-6
+    assert abs(objective(prob, sol.x_star) - objective(prob, x_oracle)) < 1e-6
     assert qp.check_kkt(prob, sol).max_residual() < 1e-6
 
 
@@ -358,30 +384,40 @@ def test_dependent_warm_seed_factors_only_P():
     assert qp.check_kkt(prob, sol).max_residual() <= 1e-6
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"P": np.eye(3), "q": np.ones(2)}, "P shape (3, 3) inconsistent with q length 2"),
+    ({"P": np.eye(2), "q": np.ones(2), "G": np.ones((1, 3)), "h": [0.0]}, "G/h dimensions inconsistent with q"),
+    ({"P": np.eye(2), "q": np.ones(2), "G": np.ones((2, 2)), "h": [0.0]}, "G/h dimensions inconsistent with q"),
+], ids=["P", "G", "h"])
+def test_validate_rejects_inconsistent_shapes(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qp.QpProblem(**data)
+
+
 def test_validate_rejects_asymmetric():
     P = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        qp.QpProblem(P=P, q=np.zeros(2)).validate()
+        qp.QpProblem(P=P, q=np.zeros(2))
 
 
 def test_validate_symmetry_tolerance():
     """An exactly symmetric P passes on the first test; otherwise the
     tolerance test of np.allclose(P, P.T, atol=1e-10) decides."""
     P = np.array([[2.0, 0.5], [0.5, 1.0]])
-    qp.QpProblem(P=P, q=np.zeros(2)).validate()
+    qp.QpProblem(P=P, q=np.zeros(2))
     for off, ok in ((1e-11, True), (4e-6, True), (1e-9, True), (1e-5, False)):
         P_off = P.copy()
         P_off[0, 1] += off
         assert np.allclose(P_off, P_off.T, atol=1e-10) == ok
         if ok:
-            qp.QpProblem(P=P_off, q=np.zeros(2)).validate()
+            qp.QpProblem(P=P_off, q=np.zeros(2))
         else:
             with pytest.raises(ValueError, match="symmetric"):
-                qp.QpProblem(P=P_off, q=np.zeros(2)).validate()
+                qp.QpProblem(P=P_off, q=np.zeros(2))
     P_off = np.diag([1.0, 1e-3])
     P_off[0, 1] = 2e-10  # beyond atol 1e-10 + 1e-5 * |P[1, 0]| = 1e-10
     with pytest.raises(ValueError, match="symmetric"):
-        qp.QpProblem(P=P_off, q=np.zeros(2)).validate()
+        qp.QpProblem(P=P_off, q=np.zeros(2))
 
 
 def test_solution_respects_constraints_tightly():
