@@ -173,7 +173,8 @@ def run_scenario(configs, out: Path) -> int:
 
 # the keys of a summary that compare_runs reads, after its schema_version
 SCALAR_METRICS = ("max_abs_roll_rad", "max_abs_lateral_deviation_m", "mean_forward_speed_mps")
-COMPARED = ("scenario", "outcome", *SCALAR_METRICS, "peak_thrust_n", "peak_friction_ratio")
+LEG_METRICS = ("peak_thrust_n", "peak_friction_ratio")  # one number per leg
+COMPARED = ("scenario", "outcome", *SCALAR_METRICS, *LEG_METRICS)
 
 
 def _read_summary(path) -> dict:
@@ -196,6 +197,9 @@ def compare_runs(summary_a_path, summary_b_path):
         missing = [key for key in COMPARED if key not in doc]
         if missing:
             raise config.ConfigError(f"{path}: summary lacks {missing[0]!r}")
+        for key in LEG_METRICS:
+            if not isinstance(doc[key], list) or len(doc[key]) != 4:
+                raise config.ConfigError(f"{path}: {key!r} must be a list of 4 numbers, one per leg")
 
     diff = {
         "a": a["scenario"],
@@ -206,7 +210,7 @@ def compare_runs(summary_a_path, summary_b_path):
     try:
         for key in SCALAR_METRICS:
             diff["deltas"][key] = b[key] - a[key]
-        for key in ("peak_thrust_n", "peak_friction_ratio"):
+        for key in LEG_METRICS:
             diff["deltas"][key] = [bb - aa for aa, bb in zip(a[key], b[key])]
     except TypeError as exc:
         raise config.ConfigError(f"a summary metric is not a number or a list of numbers ({exc})") from exc

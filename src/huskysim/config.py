@@ -55,15 +55,20 @@ class Config:
     """Base of the config dataclasses: a config with a value outside its
     declared bound or rules raises ConfigError, naming the key, when built, and
     when one of its fields is assigned, which keeps the old value on an error and
-    else drops the values cached from the config (cached_property). An in-place
-    edit of an array or of the ``disturbances`` list is not checked."""
+    else drops the values cached from the config (cached_property). An array
+    setting is held as a read-only copy, so an in-place edit raises ValueError;
+    an in-place edit of the ``disturbances`` list is not checked."""
 
     def __post_init__(self):
         check(self)
+        for tp, f in _schema(type(self)).values():
+            if tp is np.ndarray:
+                self.__dict__[f.name] = value = np.array(getattr(self, f.name), dtype=float)
+                value.flags.writeable = False
 
     def __setattr__(self, name, value):
-        if name in self.__dict__:  # a field of the built config: a copy holding value checks it first
-            dataclasses.replace(self, **{name: value})
+        if name in self.__dict__:  # a field of the built config: a copy holding value checks it, then lends its value
+            value = getattr(dataclasses.replace(self, **{name: value}), name)
             for key in [k for k in vars(self) if isinstance(getattr(type(self), k, None), functools.cached_property)]:
                 del self.__dict__[key]
         super().__setattr__(name, value)

@@ -26,13 +26,6 @@ from .config import Config, setting
 from .dynamics import NU, NX, ControlInput, LinearModel, RobotState
 
 
-class SolverFailure(Exception):
-    def __init__(self, step_index: int, cause: Exception):
-        self.step_index = step_index
-        self.cause = cause
-        super().__init__(f"QP solve failed at control step {step_index}: {cause}")
-
-
 class DimensionMismatch(ValueError):
     pass
 
@@ -187,20 +180,12 @@ class MpcController:
     def __init__(self, config: MpcConfig, mu_real: float):
         self._layout = ConstraintLayout(config, mu_real)
         self._was_active = np.zeros(self._layout.h.size, dtype=bool)
-        self._step_index = 0
 
     def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
         problem, pattern = assemble_qp(state, stance_seq, model, ref, self._layout)
-        try:
-            sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[pattern.rows]).tolist())
-        except qp.NotPositiveDefinite as exc:
-            # P is positive definite by construction: a state far out of range swamped it
-            raise FloatingPointError(str(exc)) from exc
-        except qp.QpError as exc:
-            raise SolverFailure(self._step_index, exc) from exc
+        sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[pattern.rows]).tolist())
         self._was_active[:] = False
         self._was_active[pattern.rows[sol.active_set]] = True
-        self._step_index += 1
 
         U = np.zeros(pattern.free.size)
         U[pattern.free] = sol.x_star

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, isfinite, sin, sqrt
+from traceback import walk_tb
 
 import numpy as np
 
 from .config import Config, ConfigError, setting, sized_by
 from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, discretize
 from .gait import GaitConfig, build_swing_curve, clamp_lateral, swing_weights, trot_schedule
-from .mpc import Command, MpcConfig, MpcController, SolverFailure, build_reference
+from .mpc import Command, MpcConfig, MpcController, build_reference
+from .qp import NotPositiveDefinite, QpError
 from .robot import RobotParams, legs_inverse_kinematics
 from .rotations import cross, rot_z, rpy_matrix
 
@@ -321,16 +323,12 @@ class _LegTracker:
         support = scenario.terrain.support_height()
         com0 = np.array([0.0, 0.0, support + scenario.command.height])
         self.foot_pos = np.zeros((4, 3))  # where the last plant step left the feet
-        for i in range(4):
-            nominal = clamp_lateral(com0 + params.hip_offsets[i], gait_cfg, com0[1])
-            nominal[1] = scenario.terrain.clamp_foot_y(nominal[1], gait_cfg.foot_margin)
-            nominal[2] = support
-            self.foot_pos[i] = nominal
+        for foot, hip in zip(self.foot_pos, params.hip_offsets):
+            x, y, _ = clamp_lateral(com0 + hip, gait_cfg, com0[1])
+            foot[:] = x, scenario.terrain.clamp_foot_y(y, gait_cfg.foot_margin), support
         self.liftoff = self.foot_pos.copy()
         self.target = self.foot_pos.copy()
-        self.q = np.zeros((4, 3))
-        self.q[:, 1] = 0.6
-        self.q[:, 2] = -1.2  # knee bent backwards; the IK keeps the branch of the last angles
+        self.q = np.tile([0.0, 0.6, -1.2], (4, 1))  # knee bent backwards; the IK keeps the branch of the last angles
 
     def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
         """Lift-off points, touchdowns on the ground and swing legs' targets, in
@@ -384,9 +382,9 @@ class _LegTracker:
 
 
 def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: GaitConfig):
-    """Execute a scenario; returns (SimLog, outcome) where outcome is None on success.
-    Each config checked itself when built; steps_per_tick, the one rule across
-    two configs, raises ConfigError, as does a controller or log too large to allocate."""
+    """Execute a scenario; returns (SimLog, outcome), the outcome None on success, else
+    the FailureEvent that ended the run. Each config checked itself when built; steps_per_tick,
+    the one rule across two configs, raises ConfigError, as does a controller or log too large to allocate."""
     dt = scenario.sim_dt
     per_tick = steps_per_tick(mpc_cfg.rate_hz, dt)
     n_steps = round(scenario.duration / dt)
@@ -428,7 +426,6 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         prev_stance, stance = stance_seq[0] if k == 0 else stance, stance_seq[0]
 
         try:
-            # a finite state far out of range can overflow the plan or swamp P; that ends the run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 tracker.update_plan(state, prev_stance, stance, command)
                 feet = tracker.tick_feet(swing[i], stance, n)
@@ -436,11 +433,13 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
                 ref = build_reference(state, command, mpc_cfg, support)
                 model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
                 u = controller.step(state, stance_seq, model, ref)
-        except SolverFailure as exc:
-            failure = FailureEvent(SOLVER_FAILURE, t, str(exc))
-            break
-        except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's OverflowError
-            failure = FailureEvent(NUMERICAL_FAILURE, t, f"control tick: {type(exc).__name__}: {exc.args[-1]}")
+        except (ArithmeticError, QpError) as exc:  # numpy's FloatingPointError, a float's OverflowError, or the QP's
+            # P is positive definite by construction: one that fails to factor was swamped by a state far out of range
+            kind = NUMERICAL_FAILURE if isinstance(exc, (ArithmeticError, NotPositiveDefinite)) else SOLVER_FAILURE
+            # the stage is the call above that raised, found under any wrapper from outside the package
+            stage = next(f.f_code.co_qualname for f, _ in walk_tb(exc.__traceback__.tb_next)
+                         if f.f_globals.get("__package__") == __package__)
+            failure = FailureEvent(kind, t, f"control tick: {stage}: {type(exc).__name__}: {exc.args[-1]}")
             break
         violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
         if violations:

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import time
 from pathlib import Path
@@ -64,6 +65,25 @@ def recording(*targets):
     finally:
         for owner, name, original in reversed(originals):
             setattr(owner, name, original)
+
+
+@contextlib.contextmanager
+def raising(owner, name, error, at: int):
+    """Replace owner.name while the block runs: its call number ``at`` (from 0)
+    raises error, and every other call goes to the original. The name is
+    restored on exit."""
+    original, count = getattr(owner, name), itertools.count()
+
+    def wrapper(*args, **kwargs):
+        if next(count) == at:
+            raise error
+        return original(*args, **kwargs)
+
+    try:
+        setattr(owner, name, wrapper)
+        yield
+    finally:
+        setattr(owner, name, original)
 
 
 def calls(events, name):

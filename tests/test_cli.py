@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import Call, calls, load_bundled, read_summary, recording
-from huskysim import cli, config, sim
+from conftest import Call, calls, load_bundled, raising, read_summary, recording
+from huskysim import cli, config, mpc, qp, sim
 from huskysim.sim import Scenario, SimLog
 
 col = SimLog.HEADER.index
@@ -173,7 +173,8 @@ def test_run_too_large_to_allocate_exits_1(tmp_path, capsys, doc, key):
 def test_leg_reach_that_overflows_is_a_numerical_failure(tmp_path, capsys, link, length):
     """A leg whose reach squared overflows a Python float, which raises where
     numpy would give inf, ends the run at t = 0 as a NumericalFailure with
-    nothing on stderr, and a detail that names the exception, not its args tuple."""
+    nothing on stderr, and a detail that names the stage that raised and the
+    exception, not its args tuple."""
     (tmp_path / "long.json").write_text(json.dumps({"robot": {"link_lengths": {link: length}}}))
     assert cli.main(["run", str(tmp_path / "long.json"), "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
@@ -181,6 +182,27 @@ def test_leg_reach_that_overflows_is_a_numerical_failure(tmp_path, capsys, link,
     failure = read_summary(tmp_path / "out")["failure"]
     assert failure["kind"] == sim.NUMERICAL_FAILURE
     assert "OverflowError" in failure["detail"] and "(34," not in failure["detail"]
+    assert failure["detail"].startswith("control tick: _LegTracker.update_plan: OverflowError: "), failure
+
+
+def test_qp_that_does_not_converge_is_a_solver_failure(tmp_path, capsys):
+    """A QP solve that raises MaxIterations at the 31st control tick (t = 0.3 s)
+    ends the run there as a SolverFailure, exit 2, with one line on stdout and a
+    detail that names the stage, under a wrapper from outside the package, and the
+    exception; the log holds the 30 ticks before it."""
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.5
+    (tmp_path / "short.json").write_text(json.dumps(doc))
+    error = qp.MaxIterations("no convergence in 9 iterations")
+    with recording((mpc.MpcController, "step")), raising(qp, "solve", error, at=30):
+        code = cli.main(["run", str(tmp_path / "short.json"), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == "" and len(out.splitlines()) == 1
+    assert read_summary(tmp_path / "out")["failure"] == {
+        "kind": sim.SOLVER_FAILURE, "t_s": 0.3,
+        "detail": "control tick: MpcController.step: MaxIterations: no convergence in 9 iterations",
+    }
+    assert SimLog.from_csv(tmp_path / "out" / "log.csv").n == 300
 
 
 def assert_one_error_line(tmp_path, capsys, doc, key):
@@ -274,8 +296,13 @@ def test_compare_schema_mismatch(tmp_path, bundled_runs, capsys):
 
 @pytest.mark.parametrize(
     "doc, what",
-    [({}, "'scenario'"), ([], "object"), (dict.fromkeys(cli.COMPARED, "x"), "number")],
-    ids=["empty_object", "array", "string_metrics"],
+    [({}, "'scenario'"), ([], "object"), (dict.fromkeys(cli.COMPARED, "x"), "number"),
+     ({**dict.fromkeys(cli.COMPARED, "x"), "peak_thrust_n": [0.0] * 4, "peak_friction_ratio": [0.0] * 4}, "number"),
+     ({**dict.fromkeys(cli.COMPARED, 0.0), "peak_thrust_n": [0.0] * 3, "peak_friction_ratio": [0.0] * 4},
+      "'peak_thrust_n'"),
+     ({**dict.fromkeys(cli.COMPARED, 0.0), "peak_thrust_n": [0.0] * 4, "peak_friction_ratio": [0.0] * 5},
+      "'peak_friction_ratio'")],
+    ids=["empty_object", "array", "string_metrics", "string_scalars", "three_thrust_peaks", "five_ratios"],
 )
 def test_compare_malformed_summary_exits_1(tmp_path, capsys, doc, what):
     bad = tmp_path / "summary.json"
@@ -494,6 +521,7 @@ def test_state_that_swamps_the_qp_hessian_is_a_numerical_failure(tmp_path, capsy
     assert cli.main(["run", str(tmp_path / "probe.json"), "--out", str(tmp_path / "out")]) == 2
     failure = read_summary(tmp_path / "out")["failure"]
     assert failure["kind"] == "NumericalFailure" and "\n" not in failure["detail"], failure
+    assert failure["detail"].startswith("control tick: MpcController.step: NotPositiveDefinite: "), failure
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 

@@ -213,6 +213,29 @@ def test_assigning_a_setting_checks_the_config():
     assert failure is None and log.n == 50
 
 
+ARRAY_SETTINGS = [(cls, f.name) for cls in (Command, Disturbance, MpcConfig, RobotParams)
+                  for f in dataclasses.fields(cls) if typing.get_type_hints(cls)[f.name] is np.ndarray]
+
+
+@pytest.mark.parametrize("cls, name", ARRAY_SETTINGS, ids=[f"{c.__name__}-{n}" for c, n in ARRAY_SETTINGS])
+def test_an_in_place_edit_of_an_array_setting_raises(cls, name):
+    """An array setting is held as a read-only copy: writing NaN into it raises
+    ValueError at once, not deep inside a run, and leaves the value unchanged.
+    The caller's array, given when built or assigned, stays its own and writable."""
+    default = cls(**({"t_start": 0.0, "t_end": 1.0, "force": np.zeros(3)} if cls is Disturbance else {}))
+    before = getattr(default, name)
+    first = (0,) * before.ndim
+    built_from, assigned = before.copy(), before.copy()
+    cfg = dataclasses.replace(default, **{name: built_from})
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(cfg, name)[first] = np.nan
+    assert np.array_equal(getattr(cfg, name), before)
+    built_from[first] = np.nan
+    setattr(cfg, name, assigned)
+    assigned[first] = np.nan
+    assert np.array_equal(getattr(cfg, name), before)
+
+
 def test_assigning_the_inertia_drops_its_cached_inverse():
     params = RobotParams()
     assert np.array_equal(params.inertia_inv, np.linalg.inv(params.inertia_body))
