@@ -26,10 +26,6 @@ from .config import Config, setting
 from .dynamics import NU, NX, ControlInput, LinearModel, RobotState
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 @dataclass
 class MpcConfig(Config):
     horizon: int = setting("horizon", 5, ge=1)
@@ -88,7 +84,7 @@ _ROWS = (4, 4, 4, 4, 2, 2, 2, 2)
 
 
 class HorizonLayout(NamedTuple):
-    """One horizon stance pattern's share of a ConstraintLayout: the mask over
+    """One horizon stance pattern's share of a controller's layout: the mask over
     U of the QP variables (stance legs' forces, thrusts of a cap above 0), G and
     h over them, each QP row's index in the layout (the same constraint whatever
     the stance) and the diagonal of Rbar over the variables."""
@@ -100,14 +96,40 @@ class HorizonLayout(NamedTuple):
     rbar: np.ndarray
 
 
-class ConstraintLayout:
-    """A controller's constants for ground of friction mu_real. G U <= h is the
-    full layout: every unit's rows at every step over all of U, in unit order,
-    sum(_ROWS) rows a step. Per leg: four friction-pyramid rows over its force.
-    Per thruster: upper and lower bound. U = 0 satisfies every row. sqrt_qbar,
-    qbar and rbar are the diagonals of sqrt(Qbar), Qbar and Rbar, the state and
-    input weights stacked over the horizon. horizon() gives each horizon stance
-    pattern's HorizonLayout, built the first time the pattern comes."""
+def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float):
+    """Stacked inequality rows G U_free <= h over the free inputs, in U's order."""
+    pattern = MpcController(config, mu_real).horizon(stance_seq)
+    return pattern.G, pattern.h
+
+
+def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray,
+                controller: MpcController):
+    """Condensed QP over the free inputs of the stacked input vector, with its
+    rows and weights from the controller. Returns it and the stance pattern's
+    HorizonLayout, which holds the mask over U of its variables and its rows'
+    indices in the layout."""
+    T, S = condense(model)
+    pattern = controller.horizon(stance_seq)
+    S = S[:, pattern.free]
+
+    W = controller.sqrt_qbar[:, None] * S
+    P = W.T @ W  # exactly symmetric
+    P.flat[:: len(P) + 1] += pattern.rbar  # the diagonal
+    err = T @ state.as_vector() - ref.reshape(-1)
+    q_vec = S.T @ (controller.qbar * err)
+    return qp.QpProblem(P=P, q=q_vec, G=pattern.G, h=pattern.h), pattern
+
+
+class MpcController:
+    """Single-owner receding-horizon controller for ground of friction mu_real.
+    G U <= h is its full layout: every unit's rows at every step over all of U,
+    in unit order, sum(_ROWS) rows a step. Per leg: four friction-pyramid rows
+    over its force. Per thruster: upper and lower bound. U = 0 satisfies every
+    row. sqrt_qbar, qbar and rbar are the diagonals of sqrt(Qbar), Qbar and Rbar,
+    the state and input weights stacked over the horizon. horizon() gives each
+    horizon stance pattern's HorizonLayout, built the first time the pattern
+    comes. The QP warm start is the rows active at the last solve, marked in the
+    layout, so that a stance change, which renumbers the QP's rows, seeds the same ones."""
 
     def __init__(self, config: MpcConfig, mu_real: float):
         self.config = config
@@ -127,6 +149,7 @@ class ConstraintLayout:
         self.qbar = np.tile(config.q_diag, config.horizon)
         self.sqrt_qbar, self.rbar = np.sqrt(self.qbar), np.tile(config.r_diag, config.horizon)
         self._patterns = {}
+        self._was_active = np.zeros(self.h.size, dtype=bool)
 
     def horizon(self, stance_seq) -> HorizonLayout:
         stance_seq = np.asarray(stance_seq, dtype=bool)
@@ -141,48 +164,8 @@ class ConstraintLayout:
             self._patterns[key] = found
         return found
 
-
-def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float):
-    """Stacked inequality rows G U_free <= h over the free inputs, in U's order."""
-    pattern = ConstraintLayout(config, mu_real).horizon(stance_seq)
-    return pattern.G, pattern.h
-
-
-def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray,
-                layout: ConstraintLayout):
-    """Condensed QP over the free inputs of the stacked input vector, with its
-    rows and weights from the controller's layout. Returns it and the stance
-    pattern's HorizonLayout, which holds the mask over U of its variables and
-    its rows' indices in the layout."""
-    n_h = layout.config.horizon
-    if model.B_k.shape != (n_h, NX, NU) or len(stance_seq) != n_h or ref.shape != (n_h, NX):
-        raise DimensionMismatch(
-            f"horizon mismatch: B_k shape {model.B_k.shape}, {len(stance_seq)} stance rows, "
-            f"ref shape {ref.shape}, expected horizon {n_h}"
-        )
-    T, S = condense(model)
-    pattern = layout.horizon(stance_seq)
-    S = S[:, pattern.free]
-
-    W = layout.sqrt_qbar[:, None] * S
-    P = W.T @ W  # exactly symmetric
-    P.flat[:: len(P) + 1] += pattern.rbar  # the diagonal
-    err = T @ state.as_vector() - ref.reshape(-1)
-    q_vec = S.T @ (layout.qbar * err)
-    return qp.QpProblem(P=P, q=q_vec, G=pattern.G, h=pattern.h), pattern
-
-
-class MpcController:
-    """Single-owner receding-horizon controller for ground of friction mu_real;
-    carries the QP warm start: the rows active at the last solve, marked in its
-    layout, so that a stance change, which renumbers the QP's rows, seeds the same ones."""
-
-    def __init__(self, config: MpcConfig, mu_real: float):
-        self._layout = ConstraintLayout(config, mu_real)
-        self._was_active = np.zeros(self._layout.h.size, dtype=bool)
-
     def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
-        problem, pattern = assemble_qp(state, stance_seq, model, ref, self._layout)
+        problem, pattern = assemble_qp(state, stance_seq, model, ref, self)
         sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[pattern.rows]).tolist())
         self._was_active[:] = False
         self._was_active[pattern.rows[sol.active_set]] = True
@@ -192,7 +175,7 @@ class MpcController:
         u = U[:NU]  # the first step's inputs
         # the QP meets its bounds up to its row tolerance; its round-off past them
         # (a thrust or a normal force of -1e-11 N) goes no further
-        cap = self._layout.config.u_t_max
+        cap = self.config.u_t_max
         u[12:] = [min(max(t, 0.0), cap) for t in u[12:].tolist()]  # np.clip's values, a -0.0 kept
         np.maximum(u[2:12:3], 0.0, out=u[2:12:3])
         return ControlInput(grf=u[:12].reshape(4, 3), thrust=u[12:])

@@ -292,13 +292,13 @@ def step(
     return np.array(flat).reshape(-1, 12), kind
 
 
-def horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt) -> LinearModel:
+def horizon_models(state, d, r, touchdown, stance_seq, params, dt) -> LinearModel:
     """One tick's discrete model, from a single build: one A_k and a B_k per step.
 
-    A leg in the air now that is in stance at step k has its planned touchdown
+    A leg in the air now (step 0) that is in stance at step k has its planned touchdown
     (world frame) as lever arm there; every other column is the same at every step.
     """
-    landing = np.greater(stance_seq, stance_now)  # in stance at step k, not now
+    landing = np.greater(stance_seq, stance_seq[0])  # in stance at step k, not now
     d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
     return discretize(*build_continuous_model(state, d_seq, r, params), dt)
 
@@ -330,14 +330,14 @@ class _LegTracker:
         self.target = self.foot_pos.copy()
         self.q = np.tile([0.0, 0.6, -1.2], (4, 1))  # knee bent backwards; the IK keeps the branch of the last angles
 
-    def update_plan(self, state: RobotState, prev_stance, stance, command: Command):
+    def update_plan(self, state: RobotState, prev_stance, stance):
         """Lift-off points, touchdowns on the ground and swing legs' targets, in
         one pass over the legs in floats; then every leg's swing curve."""
         cfg, terrain = self.gait_cfg, self.scenario.terrain
         support = terrain.support_height()
         hips = (state.p + self.params.hip_offsets @ rot_z(state.theta[2]).T).tolist()  # world frame
         # raibert_target of the point on the ground below each hip, then clamp_lateral
-        (vx, vy, _), (vdx, vdy, _) = state.pdot.tolist(), command.v_d.tolist()
+        (vx, vy, _), (vdx, vdy, _) = state.pdot.tolist(), self.scenario.command.v_d.tolist()
         half, gain, body_y = cfg.t_stance / 2.0, cfg.raibert_gain, float(state.p[1])
         step_x, step_y = vx * half, vy * half
         push_x, push_y = gain * (vx - vdx), gain * (vy - vdy)
@@ -427,11 +427,11 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
 
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                tracker.update_plan(state, prev_stance, stance, command)
+                tracker.update_plan(state, prev_stance, stance)
                 feet = tracker.tick_feet(swing[i], stance, n)
                 d, r, _ = tracker.snapshot(state, feet[0])
                 ref = build_reference(state, command, mpc_cfg, support)
-                model = horizon_models(state, d, r, tracker.target, stance, stance_seq, params, mpc_cfg.dt)
+                model = horizon_models(state, d, r, tracker.target, stance_seq, params, mpc_cfg.dt)
                 u = controller.step(state, stance_seq, model, ref)
         except (ArithmeticError, QpError) as exc:  # numpy's FloatingPointError, a float's OverflowError, or the QP's
             # P is positive definite by construction: one that fails to factor was swamped by a state far out of range

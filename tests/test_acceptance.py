@@ -10,7 +10,6 @@ from huskysim.gait import build_swing_curve, eval_swing
 from huskysim.mpc import (
     Command,
     MpcConfig,
-    ConstraintLayout,
     MpcController,
     assemble_qp,
     build_reference,
@@ -145,7 +144,7 @@ def _random_condensed_instance(rng, params):
     A, B = build_continuous_model(state, d, r, params)
     model = discretize(A, np.repeat(B[None], horizon, axis=0), cfg.dt)
     ref = build_reference(state, Command(v_d=rng.uniform(-0.3, 0.3, 3), height=0.25), cfg)
-    return assemble_qp(state, stance_seq, model, ref, ConstraintLayout(cfg, mu_real))[0]
+    return assemble_qp(state, stance_seq, model, ref, MpcController(cfg, mu_real))[0]
 
 
 def test_criterion_4_mpc_qp_correctness():

@@ -217,7 +217,7 @@ def test_beam_clamps_foot_targets():
     tracker = _LegTracker(RobotParams(), Scenario(terrain=beam), GaitConfig())
     assert np.allclose(tracker.foot_pos[:, 1], [0.06, -0.02, 0.06, -0.02])
     state = RobotState(p=np.array([0.0, 0.05, 0.25]))
-    tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), Command())
+    tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))
     assert np.allclose(tracker.target[:, 1], [0.06, -0.02, 0.06, -0.02])
     assert np.allclose(tracker.target[:, 0], [0.15, 0.15, -0.15, -0.15])
 
@@ -226,7 +226,7 @@ def test_beam_clamps_foot_targets():
     centred = Terrain(kind="beam", width=0.1)
     tracker = _LegTracker(RobotParams(), Scenario(terrain=centred), GaitConfig())
     state = RobotState(p=np.array([0.0, 0.3, 0.25]))
-    tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), Command())
+    tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))
     assert np.allclose(tracker.target[:, 1], 0.04)
     assert all(centred.on_top_face(target[:2]) for target in tracker.target)
 
@@ -264,11 +264,11 @@ def test_planned_touchdowns_are_raibert_targets_clamped_laterally():
     params.link_lengths.thigh = params.link_lengths.shank = 5.0  # a reach that never binds
     for trial in range(200):
         cfg = GaitConfig(raibert_gain=float(rng.uniform(0.0, 0.1)), stance_width=0.16 * (trial % 2))
-        tracker = _LegTracker(params, Scenario(), cfg)
         state = RobotState(theta=rng.uniform(-0.3, 0.3, 3), p=rng.normal(0.0, 0.2, 3) + [0.0, 0.0, 0.25],
                            pdot=rng.normal(0.0, 0.5, 3))
         command = Command(v_d=rng.normal(0.0, 0.3, 3))
-        tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool), command)
+        tracker = _LegTracker(params, Scenario(command=command), cfg)
+        tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))
         hips = state.p + params.hip_offsets @ rot_z(state.theta[2]).T
         below = hips * [1.0, 1.0, 0.0]
         expected = clamp_lateral(raibert_target(below, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain),

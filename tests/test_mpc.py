@@ -9,10 +9,8 @@ from huskysim import cli, config, mpc, qp
 from huskysim.dynamics import NU, RobotState, build_continuous_model, discretize
 from huskysim.mpc import (
     Command,
-    DimensionMismatch,
     MpcConfig,
     MpcController,
-    ConstraintLayout,
     assemble_qp,
     build_reference,
     condense,
@@ -44,7 +42,7 @@ def make_model(state, d, r, stance_seq, cfg, params):
 
 def layout_rows(stance_seq, cfg):
     """Each QP row's index in the controller's constraint layout."""
-    return ConstraintLayout(cfg, MU_REAL).horizon(stance_seq).rows
+    return MpcController(cfg, MU_REAL).horizon(stance_seq).rows
 
 
 def cold_step(state, stance_seq, d, r, ref, cfg, params, mu_real=MU_REAL):
@@ -96,7 +94,7 @@ def test_constraint_rows_trot_step():
     # friction rows reference only that leg's force entries
     assert np.count_nonzero(G[:4, 3:]) == 0 and np.count_nonzero(G[4:8, :3]) == 0
     assert np.all(h >= 0.0)
-    free = ConstraintLayout(cfg, MU_REAL).horizon([stance]).free
+    free = MpcController(cfg, MU_REAL).horizon([stance]).free
     assert np.array_equal(np.flatnonzero(free), [0, 1, 2, 9, 10, 11, 12, 13, 14, 15])
 
 
@@ -110,7 +108,7 @@ def test_constraint_rows_name_each_row():
         cfg = MpcConfig(u_t_max=15.0 * (trial % 2))
         stance_seq = [rng.random(4) < 0.5 for _ in range(cfg.horizon)]
         G, h = input_constraints(stance_seq, cfg, MU_REAL)
-        free, _, _, rows, _ = ConstraintLayout(cfg, MU_REAL).horizon(stance_seq)
+        free, _, _, rows, _ = MpcController(cfg, MU_REAL).horizon(stance_seq)
         assert len(rows) == G.shape[0] == 4 * np.count_nonzero(stance_seq) + 8 * cfg.horizon * (trial % 2)
         assert np.all(np.diff(rows) > 0)
         column = np.cumsum(free) - 1  # QP column of each entry of U
@@ -170,12 +168,12 @@ def test_selection_from_constant_layout_is_the_loop_layout(params):
         mu_real = float(rng.uniform(0.2, 0.9)) / 0.707  # pyramid slopes 0.2 to 0.9
         stance_seq = rng.random((cfg.horizon, 4)) < rng.uniform(0.0, 1.0)
         expected = loop_layout(stance_seq, cfg, mu_real)
-        got = ConstraintLayout(cfg, mu_real).horizon(stance_seq)
+        got = MpcController(cfg, mu_real).horizon(stance_seq)
         assert all(same_bits(a, b) for a, b in zip(got[:4], expected))
         assert same_bits(got.rbar, np.tile(cfg.r_diag, cfg.horizon)[expected[0]])
         model = make_model(state, d, r, stance_seq, cfg, params)
         ref = build_reference(state, Command(), cfg)
-        problem, pattern = assemble_qp(state, stance_seq, model, ref, ConstraintLayout(cfg, mu_real))
+        problem, pattern = assemble_qp(state, stance_seq, model, ref, MpcController(cfg, mu_real))
         assert all(same_bits(a, b) for a, b in zip((pattern.free, problem.G, problem.h, pattern.rows), expected))
         assert all(same_bits(a, b) for a, b in zip(input_constraints(stance_seq, cfg, mu_real), expected[1:3]))
 
@@ -331,17 +329,6 @@ def test_thrusters_disabled_pins_thrust(params):
     assert np.all(u.thrust == 0.0)
 
 
-def test_dimension_mismatch(params):
-    cfg = MpcConfig(horizon=5)
-    state = RobotState(p=np.array([0.0, 0.0, 0.25]))
-    d, r = stand_geometry(params)
-    stance = np.ones(4, dtype=bool)
-    ref = build_reference(state, Command(), cfg)
-    model = make_model(state, d, r, [stance] * 3, cfg, params)  # wrong length
-    with pytest.raises(DimensionMismatch):
-        assemble_qp(state, [stance] * 3, model, ref, ConstraintLayout(cfg, MU_REAL))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         MpcConfig(horizon=0)
@@ -389,7 +376,7 @@ def pinned_qp(state, stance_seq, model, ref, cfg, mu_real):
 
 
 def assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, cfg, mu_real):
-    problem, pattern = assemble_qp(state, stance_seq, model, ref, ConstraintLayout(cfg, mu_real))
+    problem, pattern = assemble_qp(state, stance_seq, model, ref, MpcController(cfg, mu_real))
     free = pattern.free
     sol = qp.solve(problem)
     U = np.zeros(free.size)
@@ -432,8 +419,8 @@ def test_reduced_qp_matches_pinned_formulation_recorded(bundled_runs):
     events = bundled_runs("push_no_thrust").events
     assembled = calls(events, "assemble_qp")
     assert len(assembled) == 146
-    for state, stance_seq, model, ref, layout in (call.args for call in assembled[90:145]):
-        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, layout.config, MU_REAL)
+    for state, stance_seq, model, ref, controller in (call.args for call in assembled[90:145]):
+        assert_reduced_qp_solves_pinned(state, stance_seq, model, ref, controller.config, MU_REAL)
 
 
 def reads_qps(name):
@@ -524,20 +511,37 @@ def test_absurd_command_leaves_the_qp_feasible():
     assert qp.check_kkt(problem, sol).primal_feasibility <= 1e-6
 
 
+@pytest.mark.parametrize("cap", [
+    pytest.param(1e9, id="1e9"),
+    pytest.param(1e12, id="1e12", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="qp.solve's violation tolerance scales with max|h|, the cap, so the pyramid rows (h = 0) inherit it")),
+])
+def test_a_thrust_cap_that_never_binds_keeps_the_pyramid(cap):
+    """The first 0.1 s of push_with_thrust succeeds at a thrust cap far above
+    any thrust it asks for (at a cap of 1e9 N the full run peaks at 108 N): the
+    cap's rows never bind, so the friction pyramid holds the forces as it does
+    under the bundled 20 N cap."""
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"], doc["mpc"]["u_t_max_n"] = 0.1, cap
+    log, outcome = run_doc(doc)
+    assert outcome is None and log.n == 100, outcome
+
+
 @pytest.mark.parametrize(
-    "name", [pytest.param(name, marks=pytest.mark.reads_events(name, (ConstraintLayout, "horizon")))
+    "name", [pytest.param(name, marks=pytest.mark.reads_events(name, (MpcController, "horizon")))
              for name in ("beam_walk", "push_with_thrust")])
 def test_each_ticks_pattern_entry_is_a_fresh_layouts_entry(name, bundled_runs):
     """The controller's layout holds one entry per horizon stance pattern; the
     entry each tick of a bundled run was given, looked up from the entries built
-    at earlier ticks, is still bit for bit the entry a fresh layout builds for
-    that tick's stance rows once the run is over."""
+    at earlier ticks, is still bit for bit the entry a fresh controller builds
+    for that tick's stance rows once the run is over."""
     events = bundled_runs(name).events
     used = returns(events, "horizon")
     assert len(used) > 100
     for call, got in used:
-        layout, stance_seq = call.args
-        expected = ConstraintLayout(layout.config, MU_REAL).horizon(stance_seq)
+        controller, stance_seq = call.args
+        expected = MpcController(controller.config, MU_REAL).horizon(stance_seq)
         assert all(same_bits(a, b) for a, b in zip(got, expected))
 
 

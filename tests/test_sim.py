@@ -278,9 +278,9 @@ def test_horizon_models_match_per_step_builds(params):
         state = RobotState(theta=rng.uniform(-0.2, 0.2, 3), p=rng.normal(size=3))
         d, r = rng.uniform(-0.3, 0.3, (2, 4, 3))
         touchdown = state.p + rng.uniform(-0.3, 0.3, (4, 3))
-        stance_now = rng.random(4) < 0.5
         stance_seq = [rng.random(4) < 0.5 for _ in range(5)]
-        model = horizon_models(state, d, r, touchdown, stance_now, stance_seq, params, dt)
+        stance_now = stance_seq[0]
+        model = horizon_models(state, d, r, touchdown, stance_seq, params, dt)
         assert model.B_k.shape == (5, 13, 16)
         for flags, B_k in zip(stance_seq, model.B_k):
             d_k = d.copy()
