@@ -1,6 +1,11 @@
 """Thruster-assisted quadruped locomotion stack: centroidal MPC over a dense
 QP, trot gait planning, and a deterministic rigid-body scenario simulator."""
 
+import os
+
+# one OpenBLAS thread, over the caller's value, before numpy loads it: a threaded LU rounds differently
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .dynamics import ControlInput, LinearModel, RobotState
 from .gait import GaitConfig, GaitState
 from .mpc import Command, MpcConfig, MpcController

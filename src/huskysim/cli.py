@@ -1,11 +1,11 @@
 """Scenario runner CLI: execute configs, write artifacts, compare summaries.
 
 Exit codes: 0 success, 2 the simulated run ended in a failure event,
-1 config or IO error. Output directory resolution: --out flag, then the
-HUSKY_OUT_DIR environment variable (one subdirectory per config, named after
-its file stem, when several run), then ./runs/<scenario name>. Every config
-is loaded, and two configs with one output directory are rejected, before
-the first run.
+1 config or IO error. Output directory: the --out flag, else the
+HUSKY_OUT_DIR environment variable, which one config writes into and several
+each into the subdirectory named after its file stem; without either, each
+config writes to ./runs/<file stem>. Every config is loaded, and two configs
+with one output directory are rejected, before the first run.
 """
 
 from __future__ import annotations
@@ -237,15 +237,13 @@ def main(argv=None) -> int:
         except config.ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        # each config's output directory: base for one config, base/<file stem>
-        # for several, runs/<scenario name> without a base; no two may be one
+        # each config's output directory: base itself for one config, else
+        # base/<file stem>, with runs as the base when none is given; no two may be one
         base = args.out or os.environ.get("HUSKY_OUT_DIR")
-        if not base:
-            outs = [Path("runs") / configs[0].name for configs in loaded]
-        elif len(loaded) == 1:
+        if base and len(loaded) == 1:
             outs = [Path(base)]
         else:
-            outs = [Path(base) / Path(path).stem for path in args.configs]
+            outs = [Path(base or "runs") / Path(path).stem for path in args.configs]
         for i, out in enumerate(outs):
             if out in outs[:i]:
                 print(f"error: {args.configs[outs.index(out)]} and {args.configs[i]} both write to "

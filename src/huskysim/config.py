@@ -34,12 +34,12 @@ def sized_by(key):
         raise ConfigError(f"{key}: the run is too large to allocate ({exc})") from exc
 
 
-def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None, choices=None):
+def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None):
     """A dataclass field read from the JSON key ``key``.
 
     A callable default (a config class, ``list``) makes each instance's
     default; a list default becomes a float array. Numbers must be finite,
-    and > gt or >= ge (elementwise) when given; strings one of ``choices``.
+    and > gt or >= ge (elementwise) when given.
     """
     if callable(default):
         kwargs = {"default_factory": default}
@@ -47,7 +47,7 @@ def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None, cho
         kwargs = {"default_factory": lambda: np.array(default, dtype=float)}
     else:
         kwargs = {"default": default}
-    meta = {"key": key, "shape": shape, "gt": gt, "ge": ge, "choices": choices}
+    meta = {"key": key, "shape": shape, "gt": gt, "ge": ge}
     return dataclasses.field(metadata=meta, **kwargs)
 
 
@@ -162,15 +162,12 @@ def load(cls, doc, path=""):
 
 
 def check(obj):
-    """Check each number, array and string setting of ``obj`` against its
-    declared bound, then the rules that span its fields; raises ConfigError
-    at the first failure."""
+    """Check each number and array setting of ``obj`` against its declared
+    bound, then the rules that span its fields; raises ConfigError at the
+    first failure."""
     for key, (tp, f) in _schema(type(obj)).items():
         value, meta = getattr(obj, f.name), f.metadata
-        if tp is str:
-            if meta["choices"] and value not in meta["choices"]:
-                _fail(key, f"must be one of {meta['choices']}", value)
-        elif tp in (float, int, np.ndarray):
+        if tp in (float, int, np.ndarray):
             arr = np.asarray(value, dtype=float)
             if arr.shape != meta["shape"]:
                 _fail(key, f"must have shape {meta['shape']}, got shape {arr.shape}")

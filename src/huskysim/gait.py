@@ -24,8 +24,8 @@ class GaitConfig(Config):
     raibert_gain: float = setting("raibert_gain_s", 0.03)  # s, feedback on velocity error
     apex_height: float = setting("apex_height_m", 0.05, ge=0)  # m
     # body-relative narrow-stance clamp: total lateral stance width;
-    # <= 0 leaves the natural hip-width stance
-    stance_width: float = setting("stance_width_m", 0.0)  # m
+    # 0 leaves the natural hip-width stance
+    stance_width: float = setting("stance_width_m", 0.0, ge=0)  # m
     foot_margin: float = setting("foot_margin_m", 0.01, ge=0)  # m, kept clear of a beam's edge
 
 

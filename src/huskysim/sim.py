@@ -43,25 +43,19 @@ TICK_BLOCK = 100  # control ticks whose schedule, swing weights, step times and 
 
 @dataclass
 class Terrain(Config):
-    kind: str = setting("kind", "flat", choices=("flat", "beam"))
-    width: float = setting("width_m", 0.0)  # m, beam only
-    height: float = setting("height_m", 0.0)  # m, beam top above the ground plane
+    width: float = setting("width_m", 0.0, ge=0)  # m, a beam when > 0, else flat ground
+    height: float = setting("height_m", 0.0)  # m, the support's top above the ground plane
     centerline: float = setting("centerline_y_m", 0.0)  # m, world y
 
-    def rules(self):
-        return (("width_m", self.kind != "beam" or self.width > 0, "must be positive on a beam"),)
-
     def support_height(self) -> float:
-        return self.height if self.kind == "beam" else 0.0
+        return self.height
 
     def on_top_face(self, xy) -> bool:
-        if self.kind != "beam":
-            return True
-        return abs(xy[1] - self.centerline) <= self.width / 2.0
+        return not self.width or abs(xy[1] - self.centerline) <= self.width / 2.0
 
     def clamp_foot_y(self, y: float, margin: float) -> float:
         """A foot target's y, kept on a beam's top face ``margin`` clear of its edges."""
-        if self.kind != "beam":
+        if not self.width:
             return y
         half = max(self.width / 2.0 - margin, 0.0)
         return min(max(y, self.centerline - half), self.centerline + half)
@@ -79,18 +73,13 @@ class Disturbance(Config):
 
 @dataclass
 class Scenario(Config):
-    name: str = setting("name", "scenario")
+    name: str = setting("name", "scenario")  # the summary's label
     duration: float = setting("duration_s", 5.0, ge=0)  # s
     sim_dt: float = setting("sim_dt_s", 1e-3, gt=0)  # s
     terrain: Terrain = setting("terrain", Terrain)
     disturbances: list[Disturbance] = setting("disturbances", list)
     command: Command = setting("command", Command)
     mu_real: float = setting("mu_real", 0.5, gt=0)  # plant-side friction limit
-
-    def rules(self):
-        # the name is a directory under runs/ when no output directory is given
-        plain = self.name not in ("", ".", "..") and not any(c in self.name for c in "/\\\0")
-        return (("name", plain, "must be a plain file name: not empty, . or .., no /, \\ or NUL"),)
 
 
 @dataclass

@@ -1,3 +1,8 @@
+import os
+
+# one OpenBLAS thread before this process loads numpy, as importing huskysim pins it for a run
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import contextlib
 import itertools
 import json

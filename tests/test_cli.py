@@ -64,7 +64,7 @@ def test_unreadable_config_exits_1(tmp_path, capsys, text):
 
 def test_invalid_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"terrain": {"kind": "lava"}}')
+    bad.write_text('{"terrain": {"width_m": "lava"}}')
     code = cli.main(["run", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "lava" in capsys.readouterr().err
@@ -125,7 +125,7 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"mpc": {"horizon": true}}', "mpc.horizon"),
         ('{"mpc": {"thrusters_enabled": false}}', "mpc: unknown key 'thrusters_enabled'"),
         ('{"mpc": {"mu": 0.3535}}', "mpc: unknown key 'mu'"),
-        ('{"terrain": {"kind": "beam", "width_m": 0.1, "height_m": NaN}}', "terrain.height_m"),
+        ('{"terrain": {"width_m": 0.1, "height_m": NaN}}', "terrain.height_m"),
         ('{"mu_real": NaN}', "mu_real"),
         ('{"mu_real": -1}', "mu_real"),
         ('{"seed": 0}', "seed"),
@@ -136,12 +136,9 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"command": {"speed": 0.2}}', "speed"),
         ('{"duraton_s": 1.0}', "duraton_s"),
         ('{"gait": {"foot_margin_m": -0.01}}', "gait.foot_margin_m"),
-        ('{"name": ""}', "name"),
-        ('{"name": "."}', "name"),
-        ('{"name": ".."}', "name"),
-        ('{"name": "../../escaped"}', "name"),
-        ('{"name": "runs\\\\escaped"}', "name"),
-        ('{"name": "nul\\u0000byte"}', "name"),
+        ('{"terrain": {"kind": "beam", "width_m": 0.1}}', "terrain: unknown key 'kind'"),
+        ('{"terrain": {"width_m": -0.1}}', "terrain.width_m: must be >= 0"),
+        ('{"gait": {"stance_width_m": -0.16}}', "gait.stance_width_m: must be >= 0"),
         ('{"sim_dt_s": 0.0015}', "mpc.rate_hz"),
         ('{"mpc": {"rate_hz": 2000}}', "mpc.rate_hz"),
         ('{"mpc": {"rate_hz": 30}}', "mpc.rate_hz"),
@@ -150,8 +147,8 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
          "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_unknown", "mu_unknown",
          "beam_height_nan", "mu_real_nan", "mu_real_negative", "seed_unknown", "thrusters_top_level_unknown",
          "lateral_clamp_unknown", "horizn_unknown", "t_stanse_unknown", "speed_unknown", "duraton_unknown",
-         "foot_margin_negative", "name_empty", "name_dot", "name_dotdot", "name_parent_path",
-         "name_backslash", "name_nul", "sim_dt_1_5ms_at_100hz", "rate_2000hz_at_1ms",
+         "foot_margin_negative", "terrain_kind_unknown", "beam_width_negative", "stance_width_negative",
+         "sim_dt_1_5ms_at_100hz", "rate_2000hz_at_1ms",
          "rate_30hz_at_1ms"],
 )
 def test_invalid_setting_exits_1(tmp_path, capsys, doc, key):
@@ -356,20 +353,38 @@ def test_duplicate_config_stems_exit_1_before_any_run(tmp_path, capsys):
 
 
 def test_two_configs_of_one_name_exit_1_before_any_run(tmp_path, monkeypatch, capsys):
-    """Without --out or HUSKY_OUT_DIR, two configs that leave the name at its
-    default would both write runs/scenario: rejected before either runs."""
+    """Without --out or HUSKY_OUT_DIR, two configs of one file stem, a/flat.json
+    and b/flat.json, would both write runs/flat: rejected before either runs."""
     doc = load_bundled("flat_trot")
-    del doc["name"]
     doc["duration_s"] = 0.05
-    (tmp_path / "sub").mkdir()
-    for path in ("a.json", "sub/b.json"):
-        (tmp_path / path).write_text(json.dumps(doc))
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "flat.json").write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HUSKY_OUT_DIR", raising=False)
-    assert cli.main(["run", "a.json", "sub/b.json"]) == 1
+    assert cli.main(["run", "a/flat.json", "b/flat.json"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "'scenario'" in err[0]
+    assert len(err) == 1 and err[0].startswith("error:") and "'flat'" in err[0]
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_run_without_out_dir_is_named_by_its_file(tmp_path, monkeypatch):
+    """Without --out or HUSKY_OUT_DIR a config writes to runs/<file stem>: the
+    scenario's name is the summary's label only, so a name that reads as a path
+    places nothing outside runs/."""
+    doc = load_bundled("flat_trot")
+    doc["name"] = "../../escaped"
+    doc["duration_s"] = 0.05
+    work = tmp_path / "work"
+    work.mkdir()
+    (tmp_path / "escape.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("HUSKY_OUT_DIR", raising=False)
+    assert cli.main(["run", str(tmp_path / "escape.json")]) == 0
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*")) == ["escape.json", "work"]
+    assert [p.relative_to(work).as_posix() for p in work.glob("*")] == ["runs"]
+    assert [p.name for p in (work / "runs").iterdir()] == ["escape"]
+    assert read_summary(work / "runs" / "escape")["scenario"] == "../../escaped"
 
 
 def test_invalid_config_after_a_valid_one_runs_neither(tmp_path, capsys):
@@ -413,7 +428,7 @@ def test_each_config_is_checked_once_and_never_inside_the_run(tmp_path):
 BEAM_WALK_STATED = {
     "name": "beam_walk",
     "sim_dt_s": 0.001,
-    "terrain": {"kind": "beam", "width_m": 0.1, "height_m": 0.1, "centerline_y_m": 0.0},
+    "terrain": {"width_m": 0.1, "height_m": 0.1, "centerline_y_m": 0.0},
     "disturbances": [],
     "command": {"v_d_mps": [0.2, 0.0, 0.0], "yaw_rate_rps": 0.0, "height_m": 0.2},
     "mu_real": 0.5,
@@ -599,7 +614,7 @@ def physics_documents(draw):
         "mpc": {"u_t_max_n": draw(st.floats(0.0, 40.0))},
     }
     if draw(st.booleans()):
-        doc["terrain"] = {"kind": "beam", "width_m": draw(st.floats(0.02, 0.4)), "height_m": 0.1}
+        doc["terrain"] = {"width_m": draw(st.floats(0.02, 0.4)), "height_m": 0.1}
     return doc
 
 
@@ -718,6 +733,27 @@ def test_run_path_imports_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert read_summary(tmp_path / "out")["outcome"] == "success"
+
+
+def test_a_log_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """Importing huskysim pins OpenBLAS to one thread, over the caller's value,
+    before numpy loads it: a 0.2 s push_with_thrust at a 10-step horizon, whose
+    KKT guesses are LUs large enough for OpenBLAS to thread, run in fresh
+    interpreters at 1 and at 2 threads writes one log.csv byte for byte."""
+    doc = load_bundled("push_with_thrust")
+    doc["duration_s"] = 0.2
+    doc["mpc"]["horizon"] = 10
+    (tmp_path / "push.json").write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "huskysim.cli", "run", str(tmp_path / "push.json"), "--out", str(tmp_path / threads)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                 PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    ) for threads in ("1", "2")]
+    for proc in runs:
+        assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
+    assert (tmp_path / "1" / "log.csv").read_bytes() == (tmp_path / "2" / "log.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name, duration", [

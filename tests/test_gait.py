@@ -204,7 +204,7 @@ def test_batched_swing_matches_scalar_calls():
 
 
 def test_beam_clamps_foot_targets():
-    beam = Terrain(kind="beam", width=0.1, centerline=0.02)
+    beam = Terrain(width=0.1, centerline=0.02)
     # centerline +/- (width / 2 - margin)
     assert beam.clamp_foot_y(0.2, 0.01) == pytest.approx(0.06)
     assert beam.clamp_foot_y(-0.2, 0.01) == pytest.approx(-0.02)
@@ -223,7 +223,7 @@ def test_beam_clamps_foot_targets():
 
     # with the body off the beam the leg-workspace clamp pulls the left targets
     # off the top face; the beam clamp comes after it and puts them back
-    centred = Terrain(kind="beam", width=0.1)
+    centred = Terrain(width=0.1)
     tracker = _LegTracker(RobotParams(), Scenario(terrain=centred), GaitConfig())
     state = RobotState(p=np.array([0.0, 0.3, 0.25]))
     tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))

@@ -135,7 +135,7 @@ def test_contact_legality_tangential_force_without_load_slips():
 
 
 def test_contact_legality_beam_miss():
-    terrain = Terrain(kind="beam", width=0.1, height=0.1)
+    terrain = Terrain(width=0.1, height=0.1)
     u = ControlInput()
     u.grf[0] = [0.0, 0.0, 10.0]
     foot = np.zeros((4, 3))
@@ -143,6 +143,20 @@ def test_contact_legality_beam_miss():
     stance = np.array([True, False, False, False])
     violations = check_contact_legality(u, foot, stance, terrain, 0.5)
     assert violations and violations[0][0] == BEAM_MISS
+
+
+def test_flat_ground_stands_on_its_height():
+    """Flat ground (width 0) is a support as a beam's top face is: a document
+    that sets its height starts every foot on that surface, and the body that
+    much above the commanded height."""
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.01
+    doc["terrain"] = {"height_m": 0.1}
+    log, outcome = run_doc(doc)
+    assert outcome is None
+    first, col = log.as_array()[0], SimLog.HEADER.index
+    assert [first[col(f"foot{i}z")] for i in range(4)] == [0.1] * 4
+    assert first[col("pz")] == pytest.approx(0.3)
 
 
 def test_friction_ratio_computation():
