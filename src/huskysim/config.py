@@ -3,11 +3,10 @@ field it fills, with its JSON key, default, shape and bound.
 
 A field's annotation is its type: float, int, str, np.ndarray (of the
 declared shape), a config dataclass (a nested JSON object) or a list of one
-(an array of objects). ``load`` builds a config from its JSON object and
-rejects unknown keys, wrong types and wrong shapes. A config checks itself
-when it is constructed, and again when one of its fields is assigned:
-``check`` runs every declared bound of its own fields, then the few rules that
-span them; a nested config was checked when it was made.
+(an array of objects). A config checks itself when it is constructed, and
+again when one of its fields is assigned: ``check`` tests the type, shape and
+bound of each of its settings, whether from a document or from Python, then
+the few rules that span them. ``load`` checks a JSON object's keys alone.
 """
 
 from __future__ import annotations
@@ -53,18 +52,15 @@ def setting(key, default=dataclasses.MISSING, *, shape=(), gt=None, ge=None):
 
 class Config:
     """Base of the config dataclasses: a config with a value outside its
-    declared bound or rules raises ConfigError, naming the key, when built, and
-    when one of its fields is assigned, which keeps the old value on an error and
-    else drops the values cached from the config (cached_property). An array
-    setting is held as a read-only copy, so an in-place edit raises ValueError;
-    an in-place edit of the ``disturbances`` list is not checked."""
+    declared type, shape, bound or rules raises ConfigError, naming the key,
+    when built, and when one of its fields is assigned, which keeps the old
+    value on an error and else drops the values cached from the config
+    (cached_property). An array setting is held as a read-only copy, so an
+    in-place edit raises ValueError; an in-place edit of the ``disturbances``
+    list is not checked."""
 
     def __post_init__(self):
         check(self)
-        for tp, f in _schema(type(self)).values():
-            if tp is np.ndarray:
-                self.__dict__[f.name] = value = np.array(getattr(self, f.name), dtype=float)
-                value.flags.writeable = False
 
     def __setattr__(self, name, value):
         if name in self.__dict__:  # a field of the built config: a copy holding value checks it, then lends its value
@@ -91,8 +87,6 @@ def _join(path, key):
 
 def _fail(where, what, value=dataclasses.MISSING):
     """Raise the one-line error for ``where``, quoting the offending value."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     got = "" if value is dataclasses.MISSING else f", got {value!r:.60}"
     raise ConfigError(f"{where or 'document'}: {what}{got}")
 
@@ -115,33 +109,45 @@ def _numbers(value, shape, where, depth=0):
     return [_numbers(v, shape, where, depth + 1) for v in value]
 
 
-def _parse(tp, value, field, where):
-    if dataclasses.is_dataclass(tp):
-        return load(tp, value, where)
+def _value(tp, value, meta, where):
+    """``value`` as the setting of type ``tp`` holds it, once it passes the type,
+    shape and bound tests of ``meta``: an array as a read-only float copy."""
     if typing.get_origin(tp) is list:
         if not isinstance(value, list):
             _fail(where, "must be an array", value)
         (item,) = typing.get_args(tp)
-        return [load(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if tp is np.ndarray:
-        return np.array(_numbers(value, field.metadata["shape"], where), dtype=float)
+        return [_value(item, v, meta, f"{where}[{i}]") for i, v in enumerate(value)]
+    if dataclasses.is_dataclass(tp):
+        return value if isinstance(value, tp) else load(tp, value, where)
     if tp is str:
         if not isinstance(value, str):
             _fail(where, "must be a string", value)
         return value
-    number = _number(value, where)
+    if isinstance(value, (np.ndarray, np.generic)):  # tested as the JSON numbers it holds
+        value = value.tolist()
+    number = _numbers(value, meta["shape"], where)
     if tp is int:
         if not number.is_integer():
             _fail(where, "must be an integer", value)
-        return int(value)
-    return number
+        number = int(value)
+    arr = np.array(number, dtype=float)
+    if not np.isfinite(arr).all():
+        _fail(where, "must be finite", number)
+    if meta["gt"] is not None and not (arr > meta["gt"]).all():
+        _fail(where, f"must be > {meta['gt']}", number)
+    if meta["ge"] is not None and not (arr >= meta["ge"]).all():
+        _fail(where, f"must be >= {meta['ge']}", number)
+    if tp is not np.ndarray:
+        return number
+    arr.flags.writeable = False
+    return arr
 
 
 def load(cls, doc, path=""):
-    """The config dataclass ``cls`` read from its JSON object ``doc``.
+    """The config dataclass ``cls`` built from its JSON object ``doc``.
 
-    Checks keys, types and shapes; constructing ``cls`` tests the bounds. An
-    error names its key by its path in the document from ``path``.
+    Checks the keys; constructing ``cls`` checks each value. An error names
+    its key by its path in the document from ``path``.
     """
     if not isinstance(doc, dict):
         _fail(path, "must be an object", doc)
@@ -149,34 +155,21 @@ def load(cls, doc, path=""):
     for key in doc:
         if key not in schema:
             _fail(path, f"unknown key {key!r}")
-    kwargs = {}
-    for key, (tp, f) in schema.items():
-        if key in doc:
-            kwargs[f.name] = _parse(tp, doc[key], f, _join(path, key))
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+    for key, (_, f) in schema.items():
+        if key not in doc and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             _fail(_join(path, key), "is required")
     try:
-        return cls(**kwargs)
-    except ConfigError as exc:  # a bound or rule of the object's own fields
+        return cls(**{f.name: doc[key] for key, (_, f) in schema.items() if key in doc})
+    except ConfigError as exc:  # a value or rule of the object's own fields
         raise ConfigError(_join(path, str(exc))) from None
 
 
 def check(obj):
-    """Check each number and array setting of ``obj`` against its declared
-    bound, then the rules that span its fields; raises ConfigError at the
-    first failure."""
+    """Check each setting of ``obj`` by its type, shape and bound, holding
+    the value that ``_value`` returns, then the rules that span its fields;
+    raises ConfigError at the first failure."""
     for key, (tp, f) in _schema(type(obj)).items():
-        value, meta = getattr(obj, f.name), f.metadata
-        if tp in (float, int, np.ndarray):
-            arr = np.asarray(value, dtype=float)
-            if arr.shape != meta["shape"]:
-                _fail(key, f"must have shape {meta['shape']}, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                _fail(key, "must be finite", value)
-            if meta["gt"] is not None and not (arr > meta["gt"]).all():
-                _fail(key, f"must be > {meta['gt']}", value)
-            if meta["ge"] is not None and not (arr >= meta["ge"]).all():
-                _fail(key, f"must be >= {meta['ge']}", value)
+        obj.__dict__[f.name] = _value(tp, getattr(obj, f.name), f.metadata, key)
     for key, holds, what in obj.rules():
         if not holds:
             _fail(key, what)

@@ -52,11 +52,6 @@ class ControlInput:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.grf.reshape(12), self.thrust])
 
-    @classmethod
-    def from_vector(cls, u: np.ndarray) -> "ControlInput":
-        u = np.asarray(u, dtype=float)
-        return cls(grf=u[:12].reshape(4, 3).copy(), thrust=u[12:16].copy())
-
 
 @dataclass
 class LinearModel:

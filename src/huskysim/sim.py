@@ -47,9 +47,6 @@ class Terrain(Config):
     height: float = setting("height_m", 0.0)  # m, the support's top above the ground plane
     centerline: float = setting("centerline_y_m", 0.0)  # m, world y
 
-    def support_height(self) -> float:
-        return self.height
-
     def on_top_face(self, xy) -> bool:
         return not self.width or abs(xy[1] - self.centerline) <= self.width / 2.0
 
@@ -309,7 +306,7 @@ class _LegTracker:
         self.params = params
         self.scenario = scenario
         self.gait_cfg = gait_cfg
-        support = scenario.terrain.support_height()
+        support = scenario.terrain.height
         com0 = np.array([0.0, 0.0, support + scenario.command.height])
         self.foot_pos = np.zeros((4, 3))  # where the last plant step left the feet
         for foot, hip in zip(self.foot_pos, params.hip_offsets):
@@ -323,7 +320,7 @@ class _LegTracker:
         """Lift-off points, touchdowns on the ground and swing legs' targets, in
         one pass over the legs in floats; then every leg's swing curve."""
         cfg, terrain = self.gait_cfg, self.scenario.terrain
-        support = terrain.support_height()
+        support = terrain.height
         hips = (state.p + self.params.hip_offsets @ rot_z(state.theta[2]).T).tolist()  # world frame
         # raibert_target of the point on the ground below each hip, then clamp_lateral
         (vx, vy, _), (vdx, vdy, _) = state.pdot.tolist(), self.scenario.command.v_d.tolist()
@@ -378,7 +375,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     per_tick = steps_per_tick(mpc_cfg.rate_hz, dt)
     n_steps = round(scenario.duration / dt)
     command = scenario.command
-    support, min_height = scenario.terrain.support_height(), HEIGHT_FRACTION * command.height
+    support, min_height = scenario.terrain.height, HEIGHT_FRACTION * command.height
 
     state = RobotState(p=np.array([0.0, 0.0, support + command.height]))
     tracker = _LegTracker(params, scenario, gait_cfg)

@@ -187,22 +187,35 @@ OUT_OF_BOUND = [
 ]
 
 
-@pytest.mark.parametrize("cls, kwargs, key", OUT_OF_BOUND, ids=[f"{c.__name__}-{k}" for c, _, k in OUT_OF_BOUND])
+WRONG_TYPE = [
+    (MpcConfig, {"horizon": 2.5}, "horizon"),
+    (MpcConfig, {"horizon": True}, "horizon"),
+    (Scenario, {"name": None}, "name"),
+    (Scenario, {"terrain": None}, "terrain"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, key", OUT_OF_BOUND + WRONG_TYPE,
+                         ids=[f"{c.__name__}-{k}" for c, _, k in OUT_OF_BOUND]
+                         + [f"{c.__name__}-{k}-{v!r}" for c, kw, k in WRONG_TYPE for v in kw.values()])
 def test_config_built_in_python_checks_itself(cls, kwargs, key):
-    """A config with one value outside its bound or rules raises ConfigError
-    naming the key when it is constructed, not when a run first reads it."""
+    """A config with one value of the wrong type, or outside its bound or rules,
+    raises ConfigError naming the key when it is constructed, as a document's
+    value does at load, not when a run first reads it."""
     with pytest.raises(ConfigError, match=f"^{key}: "):
         cls(**kwargs)
 
 
 def test_assigning_a_setting_checks_the_config():
     """A setting assigned on a built config is checked as at construction: a
-    value outside its bound raises ConfigError naming the key, and the config
-    keeps its valid value, so the run it is given still runs."""
+    value of the wrong type or outside its bound raises ConfigError naming the
+    key, and the config keeps its valid value, so the run it is given still runs."""
     scenario, params, mpc_cfg, gait_cfg = cli.load_config("push_with_thrust")
     (push,) = scenario.disturbances
     with pytest.raises(ConfigError, match="^horizon: "):
         mpc_cfg.horizon = 0
+    with pytest.raises(ConfigError, match="^horizon: "):
+        mpc_cfg.horizon = 2.5  # a wrong type, which the run would meet as a TypeError
     with pytest.raises(ConfigError, match="^t_end_s: "):
         push.t_end = push.t_start  # a rule that spans fields: a push ends after it starts
     assert mpc_cfg.horizon == 5 and push.t_end == 1.5
