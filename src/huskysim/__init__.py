@@ -6,8 +6,8 @@ import os
 # one OpenBLAS thread, over the caller's value, before numpy loads it: a threaded LU rounds differently
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .dynamics import ControlInput, LinearModel, RobotState
-from .gait import GaitConfig, GaitState
+from .dynamics import ControlInput, RobotState
+from .gait import GaitConfig
 from .mpc import Command, MpcConfig, MpcController
 from .qp import QpProblem, QpSolution
 from .robot import RobotParams
@@ -18,8 +18,6 @@ __all__ = [
     "ControlInput",
     "FailureEvent",
     "GaitConfig",
-    "GaitState",
-    "LinearModel",
     "MpcConfig",
     "MpcController",
     "QpProblem",

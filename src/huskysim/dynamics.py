@@ -53,17 +53,6 @@ class ControlInput:
         return np.concatenate([self.grf.reshape(12), self.thrust])
 
 
-@dataclass
-class LinearModel:
-    """Discrete-time x_{k+1} = A_k x_k + B_k u_k over the augmented state.
-
-    B_k may stack one matrix per horizon step, (n, 13, 16), that share A_k.
-    """
-
-    A_k: np.ndarray  # 13x13
-    B_k: np.ndarray  # 13x16, or (n, 13, 16)
-
-
 def centroidal_accel(
     state: RobotState,
     u: ControlInput,
@@ -124,6 +113,7 @@ def build_continuous_model(state: RobotState, d: np.ndarray, r: np.ndarray, para
     return A, B
 
 
-def discretize(A: np.ndarray, B: np.ndarray, dt: float) -> LinearModel:
-    """Forward-Euler discretization: A_k = I + A dt, B_k = B dt (B may be stacked)."""
-    return LinearModel(A_k=np.eye(NX) + A * dt, B_k=B * dt)
+def discretize(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-Euler discretization of x_{k+1} = A_k x_k + B_k u_k: the pair (A_k, B_k) =
+    (I + A dt, B dt). B may stack one matrix per horizon step, (n, 13, 16), that share A_k."""
+    return np.eye(NX) + A * dt, B * dt

@@ -33,22 +33,15 @@ class GaitConfig(Config):
 _IN_PAIR_A = np.isin(np.arange(4), PAIR_A)
 
 
-@dataclass
-class GaitState:
-    stance_flags: np.ndarray  # t.shape + (4,) bool
-    phase: np.ndarray  # t.shape + (4,) in [0, 1], time within the current mode
-
-
-def trot_schedule(t, T_s: float, T_sw: float) -> GaitState:
-    """Alternating diagonal-pair trot at a time or an array of times.
-
-    Pair (FL, RR) starts in stance at t = 0, pair (FR, RL) in swing.
-    """
+def trot_schedule(t, T_s: float, T_sw: float) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating diagonal-pair trot at a time or an array of times: the pair (stance, phase),
+    each t.shape + (4,), of the legs' stance flags (bool) and phases in [0, 1], the time within
+    the current mode. Pair (FL, RR) starts in stance at t = 0, pair (FR, RL) in swing."""
     tau = np.asarray(t, dtype=float)[..., None] % (T_s + T_sw)
     first = np.where(_IN_PAIR_A, T_s, T_sw)  # duration of each leg's first mode
     early = tau < first
     phase = np.where(early, tau / first, (tau - first) / np.where(_IN_PAIR_A, T_sw, T_s))
-    return GaitState(stance_flags=early == _IN_PAIR_A, phase=phase)
+    return early == _IN_PAIR_A, phase
 
 
 def clamp_lateral(target: np.ndarray, cfg: GaitConfig, body_y: float) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qp
 from .config import Config, setting
-from .dynamics import NU, NX, ControlInput, LinearModel, RobotState
+from .dynamics import NU, NX, ControlInput, RobotState
 
 
 @dataclass
@@ -63,9 +63,9 @@ def build_reference(
     return np.array(rows)
 
 
-def condense(model: LinearModel):
-    """Stack the horizon dynamics into X = T x0 + S U; model.B_k holds one B per step."""
-    A_k, B_k = model.A_k, model.B_k
+def condense(model):
+    """Stack the horizon dynamics into X = T x0 + S U; model is the pair (A_k, B_k), one B_k per step."""
+    A_k, B_k = model
     n_h = len(B_k)
     T = np.empty((n_h, NX, NX))
     S = np.zeros((n_h, NX, n_h * NU))  # block row k: the inputs' effect on x_{k+1}
@@ -102,8 +102,7 @@ def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float)
     return pattern.G, pattern.h
 
 
-def assemble_qp(state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray,
-                controller: MpcController):
+def assemble_qp(state: RobotState, stance_seq: np.ndarray, model, ref: np.ndarray, controller: MpcController):
     """Condensed QP over the free inputs of the stacked input vector, with its
     rows and weights from the controller. Returns it and the stance pattern's
     HorizonLayout, which holds the mask over U of its variables and its rows'
@@ -164,7 +163,7 @@ class MpcController:
             self._patterns[key] = found
         return found
 
-    def step(self, state: RobotState, stance_seq: np.ndarray, model: LinearModel, ref: np.ndarray) -> ControlInput:
+    def step(self, state: RobotState, stance_seq: np.ndarray, model, ref: np.ndarray) -> ControlInput:
         problem, pattern = assemble_qp(state, stance_seq, model, ref, self)
         sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[pattern.rows]).tolist())
         self._was_active[:] = False

@@ -19,7 +19,7 @@ from traceback import walk_tb
 import numpy as np
 
 from .config import Config, ConfigError, setting, sized_by
-from .dynamics import ControlInput, LinearModel, RobotState, build_continuous_model, discretize
+from .dynamics import ControlInput, RobotState, build_continuous_model, discretize
 from .gait import GaitConfig, build_swing_curve, clamp_lateral, swing_weights, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, build_reference
 from .qp import NotPositiveDefinite, QpError
@@ -278,8 +278,8 @@ def step(
     return np.array(flat).reshape(-1, 12), kind
 
 
-def horizon_models(state, d, r, touchdown, stance_seq, params, dt) -> LinearModel:
-    """One tick's discrete model, from a single build: one A_k and a B_k per step.
+def horizon_models(state, d, r, touchdown, stance_seq, params, dt) -> tuple[np.ndarray, np.ndarray]:
+    """One tick's discrete model, from a single build: the pair (A_k, B_k), one A_k and a B_k per step.
 
     A leg in the air now (step 0) that is in stance at step k has its planned touchdown
     (world frame) as lever arm there; every other column is the same at every step.
@@ -392,21 +392,21 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     for k, first in enumerate(ticks):
         t, i = first * dt, k % TICK_BLOCK
         # the tables of the TICK_BLOCK ticks from tick k, formed outside the timed tick so that
-        # none grows with the run: row r of gait holds the block's tick r's gait at its horizon
+        # none grows with the run: row r of stances and phases holds the block's tick r's gait at its horizon
         # steps (column 0 its own), row r of swing the weights of its swing phases
         # min(phase + j dt / t_swing, 1) at step j as (4, per_tick) rows; ts and f_ext hold
         # each of the block's plant steps' time and push
         if i == 0:
             horizon_t = (np.array(ticks[k : k + TICK_BLOCK]) * dt)[:, None] + lead
-            gait = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
-            swing = swing_weights(np.minimum(gait.phase[:, 0, :, None] + step_phase, 1.0))
+            stances, phases = trot_schedule(horizon_t, gait_cfg.t_stance, gait_cfg.t_swing)
+            swing = swing_weights(np.minimum(phases[:, 0, :, None] + step_phase, 1.0))
             ts = np.arange(first, min(first + TICK_BLOCK * per_tick, n_steps)) * dt
             # a push can overflow to a non-finite state, which the plant's first check names
             with np.errstate(over="ignore", invalid="ignore"):
                 f_ext = np.zeros((len(ts), 3))
                 for dist in scenario.disturbances:
                     f_ext += ((dist.t_start <= ts) & (ts < dist.t_end))[:, None] * dist.force
-        stance_seq, n = gait.stance_flags[i], min(per_tick, n_steps - first)
+        stance_seq, n = stances[i], min(per_tick, n_steps - first)
         o = i * per_tick  # the tick's first plant step in ts and f_ext
         # the last tick's stance and this tick's; the first tick takes its own as the last
         prev_stance, stance = stance_seq[0] if k == 0 else stance, stance_seq[0]

@@ -171,7 +171,7 @@ def test_criterion_4_mpc_qp_correctness():
     r = d * 0.5
     stance = np.ones(4, dtype=bool)
     A, B = build_continuous_model(state, d, r, tilted)
-    model = discretize(A, B, cfg.dt)
+    A_k, B_k = discretize(A, B, cfg.dt)
     ref = build_reference(state, Command(height=0.25), cfg)
     controller = MpcController(cfg, 1.3)  # a pyramid of slope 0.92
     with recording((qp, "solve")) as events:
@@ -179,8 +179,8 @@ def test_criterion_4_mpc_qp_correctness():
     assert returns(events, "solve")[0][1].active_set == []
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
     closed = -np.linalg.solve(
-        model.B_k.T @ Q @ model.B_k + R,
-        model.B_k.T @ Q @ (model.A_k @ state.as_vector() - ref[0]),
+        B_k.T @ Q @ B_k + R,
+        B_k.T @ Q @ (A_k @ state.as_vector() - ref[0]),
     )
     closed_err = np.abs(u.as_vector() - closed).max()
     assert closed_err < 1e-6
@@ -211,8 +211,8 @@ def test_criterion_5_dynamics_fidelity():
         grf[:, 2] += weight / 4
         u = ControlInput(grf=grf, thrust=rng.uniform(0, 0.5, 4))
         A, B = build_continuous_model(state, d, r, params)
-        model = discretize(A, B, 1e-3)
-        x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
+        A_k, B_k = discretize(A, B, 1e-3)
+        x_lin = A_k @ state.as_vector() + B_k @ u.as_vector()
         states, _ = step(state, u, d, r, np.zeros(3), params, 1e-3, 0.0, -np.inf)
         x_plant = RobotState.from_vector(states[1]).as_vector()
         worst_step = max(worst_step, np.abs(x_plant - x_lin).max())

@@ -142,6 +142,9 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
         ('{"sim_dt_s": 0.0015}', "mpc.rate_hz"),
         ('{"mpc": {"rate_hz": 2000}}', "mpc.rate_hz"),
         ('{"mpc": {"rate_hz": 30}}', "mpc.rate_hz"),
+        ('{"duration_s": 1' + "0" * 400 + "}", "duration_s: is out of range"),
+        ('{"disturbances": 1.0}', "disturbances: must be an array"),
+        ('{"disturbances": [{"t_end_s": 1.5, "force_n": [0, 40, 0]}]}', "disturbances[0].t_start_s: is required"),
     ],
     ids=["mass_nan", "knee_offset_nan", "gravity_negative", "thigh_negative", "joint_limits_one_row",
          "mu_s_unknown", "q_diag_nan", "horizon_fraction", "horizon_bool", "thrusters_unknown", "mu_unknown",
@@ -149,11 +152,11 @@ def test_bad_command_or_limit_exits_1(tmp_path, capsys, doc, key):
          "lateral_clamp_unknown", "horizn_unknown", "t_stanse_unknown", "speed_unknown", "duraton_unknown",
          "foot_margin_negative", "terrain_kind_unknown", "beam_width_negative", "stance_width_negative",
          "sim_dt_1_5ms_at_100hz", "rate_2000hz_at_1ms",
-         "rate_30hz_at_1ms"],
+         "rate_30hz_at_1ms", "duration_1e400", "disturbances_number", "t_start_missing"],
 )
 def test_invalid_setting_exits_1(tmp_path, capsys, doc, key):
-    """Values outside a setting's declared type, shape or bound, and unknown keys,
-    fail at load: exit 1 and one error line, never a traceback or a simulated fall."""
+    """Values outside a setting's declared type, shape or bound, unknown keys and missing
+    required ones fail at load: exit 1 and one error line, never a traceback or a simulated fall."""
     assert_one_error_line(tmp_path, capsys, doc, key)
 
 
@@ -307,6 +310,13 @@ def test_compare_malformed_summary_exits_1(tmp_path, capsys, doc, what):
     assert cli.main(["compare", str(bad), str(bad)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and what in err[0]
+
+
+def test_compare_missing_summary_exits_1(tmp_path, capsys):
+    missing = tmp_path / "summary.json"
+    assert cli.main(["compare", str(missing), str(missing)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {missing}: cannot read a summary"), err
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -67,6 +67,8 @@ def valid_array(f):
     if f.default_factory is dataclasses.MISSING:
         return st.lists(st.floats(-40.0, 40.0), min_size=shape[0], max_size=shape[0])
     default = f.default_factory()
+    if f.metadata["key"] == "thrust_dirs":  # RobotParams' rule: each row is a unit vector
+        return st.just(default.tolist())
     return st.one_of(st.just(1.0), st.floats(0.5, 2.0)).map(lambda k: (default * k).tolist())
 
 
@@ -144,6 +146,8 @@ def documents(draw):
     rate = doc.get("mpc", {}).get("rate_hz")
     if "sim_dt_s" in doc or rate is not None:  # a tick must be a whole number of plant steps
         doc["sim_dt_s"] = 1.0 / ((rate or MpcConfig().rate_hz) * draw(st.integers(1, 40)))
+    for dist in doc.get("disturbances", []):  # Disturbance's rule: a push ends after it starts
+        dist["t_end_s"] = dist["t_start_s"] + draw(st.floats(0.05, 1.0))
     invalid = draw(st.booleans())
     if invalid:
         draw(st.sampled_from(sites))(draw)
@@ -166,8 +170,7 @@ def test_drawn_documents_fail_only_at_load(tmp_path_factory, case):
     lines = err.getvalue().splitlines()
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
-    if invalid:
-        assert code == 1, doc
+    assert code in ((1,) if invalid else (0, 2)), doc
 
 
 PUSH = {"t_start": 1.0, "t_end": 1.5, "force": np.array([0.0, 40.0, 0.0])}

@@ -321,30 +321,30 @@ def test_model_directional_consistency(params):
 
 
 def test_discretize_trivial():
-    model = discretize(np.zeros((13, 13)), np.zeros((13, 16)), 0.05)
-    assert np.allclose(model.A_k, np.eye(13))
-    assert np.allclose(model.B_k, 0.0)
+    A_k, B_k = discretize(np.zeros((13, 13)), np.zeros((13, 16)), 0.05)
+    assert np.allclose(A_k, np.eye(13))
+    assert np.allclose(B_k, 0.0)
 
 
 def test_discretize_zero_dt():
     rng = np.random.default_rng(1)
     A, B = rng.normal(size=(13, 13)), rng.normal(size=(13, 16))
-    model = discretize(A, B, 0.0)
-    assert np.allclose(model.A_k, np.eye(13))
-    assert np.allclose(model.B_k, 0.0)
+    A_k, B_k = discretize(A, B, 0.0)
+    assert np.allclose(A_k, np.eye(13))
+    assert np.allclose(B_k, 0.0)
 
 
 def test_discretize_matches_scalar_loop():
     rng = np.random.default_rng(7)
     A, B = rng.normal(size=(13, 13)), rng.normal(size=(13, 16))
     dt = 0.05
-    model = discretize(A, B, dt)
+    A_k, B_k = discretize(A, B, dt)
     for i in range(13):
         for j in range(13):
             expected = (1.0 if i == j else 0.0) + A[i, j] * dt
-            assert model.A_k[i, j] == pytest.approx(expected, abs=1e-15)
+            assert A_k[i, j] == pytest.approx(expected, abs=1e-15)
         for j in range(16):
-            assert model.B_k[i, j] == pytest.approx(B[i, j] * dt, abs=1e-15)
+            assert B_k[i, j] == pytest.approx(B[i, j] * dt, abs=1e-15)
 
 
 def test_linearization_consistency(params):
@@ -357,9 +357,9 @@ def test_linearization_consistency(params):
         r = rng.uniform(-0.3, 0.3, (4, 3))
         u = ControlInput(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 15, 4))
         A, B = build_continuous_model(state, d, r, params)
-        model = discretize(A, B, dt)
+        A_k, B_k = discretize(A, B, dt)
         x = state.as_vector()
-        step_lin = model.A_k @ x + model.B_k @ u.as_vector()
+        step_lin = A_k @ x + B_k @ u.as_vector()
         step_direct = x + (A @ x + B @ u.as_vector()) * dt
         assert np.abs(step_lin - step_direct).max() < 1e-9
 

@@ -27,35 +27,35 @@ def de_casteljau(points, s):
 
 
 def test_schedule_initial_condition():
-    g = trot_schedule(0.0, 0.3, 0.3)
+    stance, phase = trot_schedule(0.0, 0.3, 0.3)
     for leg in PAIR_A:
-        assert g.stance_flags[leg]
-        assert g.phase[leg] == 0.0
+        assert stance[leg]
+        assert phase[leg] == 0.0
     for leg in PAIR_B:
-        assert not g.stance_flags[leg]
-        assert g.phase[leg] == 0.0
+        assert not stance[leg]
+        assert phase[leg] == 0.0
 
 
 def test_schedule_periodicity():
-    g0 = trot_schedule(0.0, 0.3, 0.3)
-    g1 = trot_schedule(0.6, 0.3, 0.3)
-    assert np.array_equal(g0.stance_flags, g1.stance_flags)
-    assert np.allclose(g0.phase, g1.phase, atol=1e-12)
+    stance0, phase0 = trot_schedule(0.0, 0.3, 0.3)
+    stance1, phase1 = trot_schedule(0.6, 0.3, 0.3)
+    assert np.array_equal(stance0, stance1)
+    assert np.allclose(phase0, phase1, atol=1e-12)
 
 
 def test_schedule_mid_stance_phase():
-    g = trot_schedule(0.15, 0.3, 0.3)
+    stance, phase = trot_schedule(0.15, 0.3, 0.3)
     for leg in PAIR_A:
-        assert g.stance_flags[leg]
-        assert g.phase[leg] == pytest.approx(0.5)
+        assert stance[leg]
+        assert phase[leg] == pytest.approx(0.5)
 
 
 def test_schedule_pairs_alternate():
     for t in np.linspace(0.0, 0.59, 25):
-        g = trot_schedule(t, 0.3, 0.3)
-        assert g.stance_flags[0] == g.stance_flags[3]
-        assert g.stance_flags[1] == g.stance_flags[2]
-        assert g.stance_flags[0] != g.stance_flags[1]
+        stance, _ = trot_schedule(t, 0.3, 0.3)
+        assert stance[0] == stance[3]
+        assert stance[1] == stance[2]
+        assert stance[0] != stance[1]
 
 
 def test_schedule_duty():
@@ -66,18 +66,18 @@ def test_schedule_duty():
     ts = np.arange(0.0, period, dt)
     stance_time = np.zeros(4)
     for t in ts:
-        stance_time += trot_schedule(t, T_s, T_sw).stance_flags * dt
+        stance_time += trot_schedule(t, T_s, T_sw)[0] * dt
     assert np.allclose(stance_time, T_s, atol=2 * dt)
 
 
 def test_schedule_table_matches_scalar_calls():
     ts = np.arange(1000) * 1e-3
-    table = trot_schedule(ts, 0.3, 0.15)
-    assert table.stance_flags.shape == table.phase.shape == (1000, 4)
-    for t, flags, phase in zip(ts, table.stance_flags, table.phase):
-        g = trot_schedule(float(t), 0.3, 0.15)
-        assert np.array_equal(g.stance_flags, flags) and np.array_equal(g.phase, phase)
-    assert trot_schedule(np.zeros(0), 0.3, 0.15).phase.shape == (0, 4)  # a run of no steps
+    stances, phases = trot_schedule(ts, 0.3, 0.15)
+    assert stances.shape == phases.shape == (1000, 4)
+    for t, flags, phase in zip(ts, stances, phases):
+        stance, own = trot_schedule(float(t), 0.3, 0.15)
+        assert np.array_equal(stance, flags) and np.array_equal(own, phase)
+    assert trot_schedule(np.zeros(0), 0.3, 0.15)[1].shape == (0, 4)  # a run of no steps
 
 
 def raibert_target(p_ref, v, v_d, T_s: float, k: float, terrain_z: float = 0.0) -> np.ndarray:

@@ -243,7 +243,7 @@ def test_unconstrained_closed_form(params):
     (_, sol), = returns(events, "solve")
     assert sol.active_set == []  # interior optimum, nothing binding
 
-    A_k, B_k = model.A_k, model.B_k[0]
+    A_k, B_k = model[0], model[1][0]
     Q = np.diag(cfg.q_diag)
     R = np.diag(cfg.r_diag)
     x0 = state.as_vector()

@@ -276,8 +276,8 @@ def test_plant_model_single_step_agreement(params):
         grf[:, 2] += weight / 4
         u = ControlInput(grf=grf, thrust=rng.uniform(0, 0.5, 4))
         A, B = build_continuous_model(state, d, r, params)
-        model = discretize(A, B, dt)
-        x_lin = model.A_k @ state.as_vector() + model.B_k @ u.as_vector()
+        A_k, B_k = discretize(A, B, dt)
+        x_lin = A_k @ state.as_vector() + B_k @ u.as_vector()
         x_plant = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1]).as_vector()
         assert np.abs(x_plant - x_lin).max() < 1e-4
 
@@ -294,16 +294,16 @@ def test_horizon_models_match_per_step_builds(params):
         touchdown = state.p + rng.uniform(-0.3, 0.3, (4, 3))
         stance_seq = [rng.random(4) < 0.5 for _ in range(5)]
         stance_now = stance_seq[0]
-        model = horizon_models(state, d, r, touchdown, stance_seq, params, dt)
-        assert model.B_k.shape == (5, 13, 16)
-        for flags, B_k in zip(stance_seq, model.B_k):
+        A_k, B_ks = horizon_models(state, d, r, touchdown, stance_seq, params, dt)
+        assert B_ks.shape == (5, 13, 16)
+        for flags, B_k in zip(stance_seq, B_ks):
             d_k = d.copy()
             for leg in range(4):
                 if flags[leg] and not stance_now[leg]:
                     d_k[leg] = touchdown[leg] - state.p
-            expected = discretize(*build_continuous_model(state, d_k, r, params), dt)
-            assert np.abs(model.A_k - expected.A_k).max() <= 1e-12
-            assert np.abs(B_k - expected.B_k).max() <= 1e-12
+            expected_A_k, expected_B_k = discretize(*build_continuous_model(state, d_k, r, params), dt)
+            assert np.abs(A_k - expected_A_k).max() <= 1e-12
+            assert np.abs(B_k - expected_B_k).max() <= 1e-12
 
 
 def test_flat_trot_tracks_speed():
