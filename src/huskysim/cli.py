@@ -1,18 +1,17 @@
 """Scenario runner CLI: execute configs, write artifacts, compare summaries.
 
 Exit codes: 0 success, 2 the simulated run ended in a failure event,
-1 config or IO error. Output directory: the --out flag, else the
-HUSKY_OUT_DIR environment variable, which one config writes into and several
-each into the subdirectory named after its file stem; without either, each
-config writes to ./runs/<file stem>. Every config is loaded, and two configs
-with one output directory are rejected, before the first run.
+1 config or IO error. Output directory: the --out flag, which one config
+writes into and several each into the subdirectory named after its file stem;
+without it, each config writes to ./runs/<file stem>. Every config is loaded,
+and a file stem of . or .. where it names the directory, or two configs with
+one output directory, are rejected, before the first run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -239,11 +238,14 @@ def main(argv=None) -> int:
             return 1
         # each config's output directory: base itself for one config, else
         # base/<file stem>, with runs as the base when none is given; no two may be one
-        base = args.out or os.environ.get("HUSKY_OUT_DIR")
-        if base and len(loaded) == 1:
-            outs = [Path(base)]
+        if args.out and len(loaded) == 1:
+            outs = [Path(args.out)]
         else:
-            outs = [Path(base or "runs") / Path(path).stem for path in args.configs]
+            outs = [Path(args.out or "runs") / Path(path).stem for path in args.configs]
+            bad = [path for path in args.configs if Path(path).stem in (".", "..")]  # base itself, or its parent
+            if bad:
+                print(f"error: {bad[0]}: a file stem of . or .. names no output directory", file=sys.stderr)
+                return 1
         for i, out in enumerate(outs):
             if out in outs[:i]:
                 print(f"error: {args.configs[outs.index(out)]} and {args.configs[i]} both write to "

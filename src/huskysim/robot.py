@@ -27,10 +27,6 @@ _LIMIT_TOL = 1e-9  # rad of round-off accepted at a joint limit
 class NoConvergence(Exception):
     """No joint angles reach the IK target: it is off the leg's shell or beyond a joint limit."""
 
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"IK target unreachable: {residual:.3e} m outside the leg workspace")
-
 
 @dataclass
 class LinkLengths(Config):
@@ -125,37 +121,35 @@ def leg_jacobian(params: RobotParams, leg_index: int, q: np.ndarray) -> np.ndarr
 
 def _closed_form_ik(x, y, z, offset, l1, l2, limits, q_init):
     """The closed-form angles (abduction, hip swing, knee) for the foot at x, y, z
-    from the hip, or None; with how far the target is off the reachable shell
-    (<= 0 on it) and the two candidates (none off the shell).
+    from the hip, or None when the target is off the reachable shell or every
+    branch breaks a joint limit.
 
     Abduction comes from the y-z projection, which holds the lateral roll
     offset; hip swing and knee from the planar thigh-shank triangle by the law
     of cosines. The knee bends to the side of q_init[2] (backwards when it is
     zero). Of the two abduction branches the one inside the joint limits is
-    taken, the one nearer q_init[0] when both are; None when neither is.
+    taken, the one nearer q_init[0] when both are.
     """
     rho = math.hypot(y, z)
     # extent of the planar thigh-shank chain off the abduction axis
     depth = math.sqrt(max(rho * rho - offset * offset, 0.0))
     reach = math.hypot(x, depth)
-    outside = max(reach - (l1 + l2), abs(l1 - l2) - reach, abs(offset) - rho)
-    if not outside <= 0.0:
-        return None, outside, ()
+    if not max(reach - (l1 + l2), abs(l1 - l2) - reach, abs(offset) - rho) <= 0.0:
+        return None
     knee = math.acos(min(1.0, max(-1.0, (reach * reach - l1 * l1 - l2 * l2) / (2.0 * l1 * l2))))
     if q_init[2] <= 0.0:
         knee = -knee
     tilt = math.atan2(l2 * math.sin(knee), l1 + l2 * math.cos(knee))
     (lo0, hi0), (lo1, hi1), (lo2, hi2) = limits
-    best, candidates = None, []
+    best = None
     for zp in (-depth, depth):  # foot below, then above, the abduction axis
         q = (math.remainder(math.atan2(z, y) - math.atan2(zp, offset), math.tau),
              math.remainder(math.atan2(-x, -zp) - tilt, math.tau), knee)
-        candidates.append(q)
         if (lo0 - _LIMIT_TOL <= q[0] <= hi0 + _LIMIT_TOL and lo1 - _LIMIT_TOL <= q[1] <= hi1 + _LIMIT_TOL
                 and lo2 - _LIMIT_TOL <= knee <= hi2 + _LIMIT_TOL
                 and (best is None or abs(q[0] - q_init[0]) < abs(best[0] - q_init[0]))):
             best = q
-    return best, outside, candidates
+    return best
 
 
 def leg_inverse_kinematics(
@@ -163,22 +157,17 @@ def leg_inverse_kinematics(
 ) -> np.ndarray:
     """Closed-form IK for the body-frame foot target (see _closed_form_ik).
 
-    Raises NoConvergence, with the residual set to the distance outside, when
-    the target is off the reachable shell or needs a joint beyond its limits.
+    Raises NoConvergence when the target is off the reachable shell or needs a
+    joint beyond its limits.
     """
     ll = params.link_lengths
-    target = np.asarray(target_foot_pos, dtype=float)
-    x, y, z = (target - params.hip_offsets[leg_index]).tolist()
-    q, outside, candidates = _closed_form_ik(
+    x, y, z = (np.asarray(target_foot_pos, dtype=float) - params.hip_offsets[leg_index]).tolist()
+    q = _closed_form_ik(
         x, y, z, float(LEG_SIDE_SIGN[leg_index]) * ll.hip_roll_offset, ll.thigh, ll.shank,
         params.joint_limits.tolist(), q_init,
     )
-    if q is None and not candidates:  # off the shell
-        raise NoConvergence(outside)
-    if q is None:  # every candidate breaks a joint limit
-        lo, hi = params.joint_limits[:, 0], params.joint_limits[:, 1]
-        feet = (leg_forward_kinematics(params, leg_index, np.clip(c, lo, hi))[0] for c in candidates)
-        raise NoConvergence(min(float(np.linalg.norm(foot - target)) for foot in feet))
+    if q is None:
+        raise NoConvergence(f"leg {leg_index}: IK target {target_foot_pos} is out of reach")
     return np.array(q)
 
 
@@ -198,7 +187,7 @@ def legs_inverse_kinematics(params: RobotParams, targets: np.ndarray, q_prev: np
         np.asarray(targets, dtype=float).tolist(), params.hip_offsets.tolist(),
         LEG_SIDE_SIGN.tolist(), np.asarray(q_prev, dtype=float).tolist(),
     ):
-        q, _, _ = _closed_form_ik(tx - hx, ty - hy, tz - hz, s * roll, l1, l2, limits, q_i)
+        q = _closed_form_ik(tx - hx, ty - hy, tz - hz, s * roll, l1, l2, limits, q_i)
         stale.append(q is None)
         angles = q_i if q is None else q
         q_out.append(angles)

@@ -387,7 +387,6 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     ticks = range(0, n_steps, per_tick)  # each tick's first plant step
     step_phase = np.arange(per_tick) * (dt / gait_cfg.t_swing)
     lead = mpc_cfg.dt * np.arange(mpc_cfg.horizon)  # a tick's horizon steps' times after its own
-    failure = None
 
     for k, first in enumerate(ticks):
         t, i = first * dt, k % TICK_BLOCK
@@ -425,13 +424,11 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             # the stage is the call above that raised, found under any wrapper from outside the package
             stage = next(f.f_code.co_qualname for f, _ in walk_tb(exc.__traceback__.tb_next)
                          if f.f_globals.get("__package__") == __package__)
-            failure = FailureEvent(kind, t, f"control tick: {stage}: {type(exc).__name__}: {exc.args[-1]}")
-            break
+            return log, FailureEvent(kind, t, f"control tick: {stage}: {type(exc).__name__}: {exc.args[-1]}")
         violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
         if violations:
             kind, _, detail = violations[0]
-            failure = FailureEvent(kind, t, detail)
-            break
+            return log, FailureEvent(kind, t, detail)
         ratios = friction_ratios(u, stance)
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -442,8 +439,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             roll, pitch, _, _, _, pz = states[-1, :6].tolist()
             detail = {NUMERICAL_FAILURE: "non-finite plant state", HEIGHT_COLLAPSE: f"COM height {pz - support:.3g} m",
                       ROLL_DIVERGENCE: f"roll {roll:.3g} pitch {pitch:.3g} rad"}[kind]
-            failure = FailureEvent(kind, float(ts[o + m - 1] + dt), detail)
-            break
+            return log, FailureEvent(kind, float(ts[o + m - 1] + dt), detail)
         state = RobotState.from_vector(states[-1])
 
-    return log, failure
+    return log, None

@@ -319,18 +319,6 @@ def test_compare_missing_summary_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {missing}: cannot read a summary"), err
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    doc = load_bundled("flat_trot")
-    doc["duration_s"] = 0.1
-    cfg = tmp_path / "short.json"
-    cfg.write_text(json.dumps(doc))
-    dest = tmp_path / "env_out"
-    monkeypatch.setenv("HUSKY_OUT_DIR", str(dest))
-    code = cli.main(["run", str(cfg)])
-    assert code == 0
-    assert (dest / "log.csv").exists()
-
-
 def test_sweep_runs_multiple_configs(tmp_path):
     paths = []
     for i, v in enumerate((0.0, 0.1)):
@@ -362,8 +350,35 @@ def test_duplicate_config_stems_exit_1_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "names, out",
+    [(["...json", "a.json"], "out/sub"), (["..json", "a.json"], "out/sub"), (["...json"], None)],
+    ids=["dotdot_stem_of_two", "dot_stem_of_two", "dotdot_stem_without_out"],
+)
+def test_a_dot_file_stem_exits_1_before_any_run(tmp_path, monkeypatch, capsys, names, out):
+    """Where the file stem names the output directory, a stem of .. would write
+    into the base's parent and one of . into the base itself: rejected before any run."""
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.05
+    for name in names:
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", *names, *(["--out", out] if out else [])]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {names[0]}:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
+def test_one_config_with_out_may_have_a_dot_file_stem(tmp_path):
+    doc = load_bundled("flat_trot")
+    doc["duration_s"] = 0.05
+    (tmp_path / "...json").write_text(json.dumps(doc))
+    assert cli.main(["run", str(tmp_path / "...json"), "--out", str(tmp_path / "x")]) == 0
+    assert read_summary(tmp_path / "x")["scenario"] == doc["name"]
+
+
 def test_two_configs_of_one_name_exit_1_before_any_run(tmp_path, monkeypatch, capsys):
-    """Without --out or HUSKY_OUT_DIR, two configs of one file stem, a/flat.json
+    """Without --out, two configs of one file stem, a/flat.json
     and b/flat.json, would both write runs/flat: rejected before either runs."""
     doc = load_bundled("flat_trot")
     doc["duration_s"] = 0.05
@@ -371,7 +386,6 @@ def test_two_configs_of_one_name_exit_1_before_any_run(tmp_path, monkeypatch, ca
         (tmp_path / sub).mkdir()
         (tmp_path / sub / "flat.json").write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HUSKY_OUT_DIR", raising=False)
     assert cli.main(["run", "a/flat.json", "b/flat.json"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'flat'" in err[0]
@@ -379,7 +393,7 @@ def test_two_configs_of_one_name_exit_1_before_any_run(tmp_path, monkeypatch, ca
 
 
 def test_a_run_without_out_dir_is_named_by_its_file(tmp_path, monkeypatch):
-    """Without --out or HUSKY_OUT_DIR a config writes to runs/<file stem>: the
+    """Without --out a config writes to runs/<file stem>: the
     scenario's name is the summary's label only, so a name that reads as a path
     places nothing outside runs/."""
     doc = load_bundled("flat_trot")
@@ -389,7 +403,6 @@ def test_a_run_without_out_dir_is_named_by_its_file(tmp_path, monkeypatch):
     work.mkdir()
     (tmp_path / "escape.json").write_text(json.dumps(doc))
     monkeypatch.chdir(work)
-    monkeypatch.delenv("HUSKY_OUT_DIR", raising=False)
     assert cli.main(["run", str(tmp_path / "escape.json")]) == 0
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*")) == ["escape.json", "work"]
     assert [p.relative_to(work).as_posix() for p in work.glob("*")] == ["runs"]
@@ -647,19 +660,6 @@ def test_drawn_physics_ends_in_success_or_a_named_failure(tmp_path_factory, doc)
         assert failure["kind"] in FAILURE_KINDS
         assert "\n" not in failure["detail"]
     assert len(printed.getvalue().splitlines()) == 1
-
-
-def test_env_out_dir_takes_one_subdirectory_per_config(tmp_path, monkeypatch):
-    for name in ("one", "two"):
-        doc = load_bundled("flat_trot")
-        doc["name"] = name
-        doc["duration_s"] = 0.05
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    dest = tmp_path / "env_out"
-    monkeypatch.setenv("HUSKY_OUT_DIR", str(dest))
-    assert cli.main(["run", str(tmp_path / "one.json"), str(tmp_path / "two.json")]) == 0
-    assert read_summary(dest / "one")["scenario"] == "one"
-    assert read_summary(dest / "two")["scenario"] == "two"
 
 
 def test_flat_trot_ten_seconds(bundled_runs):

@@ -145,9 +145,8 @@ def test_ik_converges_quickly_to_nominal_stance(params):
 def test_ik_unreachable_target_raises(params):
     hip = params.hip_offsets[0]
     target = hip + np.array([0.0, 0.0, -0.40])  # beyond thigh + shank
-    with pytest.raises(NoConvergence) as exc:
+    with pytest.raises(NoConvergence, match="leg 0"):
         leg_inverse_kinematics(params, 0, target, np.array([0.0, 0.3, -0.8]))
-    assert exc.value.residual > 1e-4
 
 
 # unequal links leave an unreachable core of radius |thigh - shank| around the hip swing axis
@@ -201,20 +200,15 @@ def test_ik_off_shell_target_raises(leg, reach, abduction, planar_angle):
     side = LEG_SIDE_SIGN[leg] * ll.hip_roll_offset
     planar = np.array([reach * np.sin(planar_angle), side, reach * np.cos(planar_angle)])
     target = OFFSET_LEG.hip_offsets[leg] + rot_x(abduction) @ planar
-    with pytest.raises(NoConvergence) as exc:
+    with pytest.raises(NoConvergence):
         leg_inverse_kinematics(OFFSET_LEG, leg, target, np.array([0.0, 0.3, -0.8]))
-    outside = max(reach - (ll.thigh + ll.shank), abs(ll.thigh - ll.shank) - reach)
-    assert exc.value.residual > 0
-    # near reach 0 the depth sqrt(rho^2 - offset^2) keeps only half the digits of the target
-    assert exc.value.residual == pytest.approx(outside, abs=1e-8)
 
 
 def test_ik_outside_joint_limits_raises(params):
     # reachable by the chain, but only with the hip swung past its 2 rad limit
     target, _ = leg_forward_kinematics(params, 0, np.array([0.0, 2.5, -0.5]))
-    with pytest.raises(NoConvergence) as exc:
+    with pytest.raises(NoConvergence):
         leg_inverse_kinematics(params, 0, target, np.array([0.0, 0.3, -0.8]))
-    assert exc.value.residual > 0
 
 
 def test_ik_knee_branch_follows_q_init(params):
