@@ -8,8 +8,8 @@ where u_g are world-frame ground reaction forces and u_t are non-negative
 thrust magnitudes along fixed body-frame directions.
 
 The linear model rotates thrust directions and the inertia tensor by yaw
-only (valid for small roll/pitch); `centroidal_accel` rotates thrust by the
-full attitude, as the nonlinear plant (`sim.step`) does. Both take omegadot =
+only (valid for small roll/pitch); the plant (`sim.step`, whose accelerations
+`centroidal_accel` reads) rotates thrust by the full attitude. Both take omegadot =
 Rz I_b^-1 Rz' tau (yaw-only inertia, no gyroscopic term): 1 s at 1 ms with no torque
 from roll 0.3, pitch 0.1, omega (1, 2, 0.5) rad/s changes R I_b R' omega by 18%.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .robot import RobotParams
-from .rotations import cross, rot_z, rpy_matrix, skew
+from .rotations import cross, rot_z, skew
 
 NX = 13
 NU = 16
@@ -53,28 +53,17 @@ class ControlInput:
         return np.concatenate([self.grf.reshape(12), self.thrust])
 
 
-def centroidal_accel(
-    state: RobotState,
-    u: ControlInput,
-    d: np.ndarray,
-    r: np.ndarray,
-    params: RobotParams,
-):
-    """COM linear and angular acceleration under GRFs and thrust.
+def centroidal_accel(state: RobotState, u: ControlInput, d: np.ndarray, r: np.ndarray, params: RobotParams):
+    """COM linear and angular acceleration under GRFs and thrust: the velocity
+    increments of one sim.step of dt = 1 s, with no push and no height test.
+    The step updates the velocities first, from the accelerations at state.
 
     d, r: COM-relative foot and thruster positions (4x3, world frame).
-    Thrust directions are rotated by the full attitude; the inertia tensor
-    is rotated by yaw only.
     """
-    R = rpy_matrix(state.theta)
-    thrust = (params.thrust_dirs @ R.T) * u.thrust[:, None]  # 4x3, world frame
+    from .sim import step  # here, not at the top: sim imports this module
 
-    force = u.grf.sum(axis=0) + thrust.sum(axis=0)
-    pddot = force / params.mass + np.array([0.0, 0.0, -params.gravity])
-    tau = (cross(r, thrust) + cross(d, u.grf)).sum(axis=0)
-    rz = rot_z(state.theta[2])
-    omegadot = np.linalg.solve(rz @ params.inertia_body @ rz.T, tau)
-    return pddot, omegadot
+    post = step(state, u, d, r, np.zeros(3), params, 1.0, -np.inf, -np.inf)[0][1]
+    return post[9:12] - state.pdot, post[6:9] - state.omega
 
 
 # the constant blocks of A and B: p_dot = v, and each leg's force summed into the

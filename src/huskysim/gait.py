@@ -79,26 +79,25 @@ def _checked_phase(s) -> np.ndarray:
     return s
 
 
+def swing_weights(s) -> np.ndarray:
+    """The Bernstein weights of the positions at phases s in [0, 1], s.shape + (5,).
+    A run places its swing feet, and eval_swing its positions, by their product with the
+    curves' control points: in a run, (4, m, 5) weights, m phases on each of four curves, times (4, 5, 3)."""
+    s = _checked_phase(s)
+    # a (1, 5) @ (5, 5) product per phase: a phase gets the same weights alone or in a batch
+    return (s[..., None, None] ** _POWERS @ _BERNSTEIN[:, :5]).reshape(s.shape + (5,))
+
+
 def eval_swing(control_points: np.ndarray, s):
     """Position and d(position)/d(phase) at phases s in [0, 1] of the curves
     whose (..., 5, 3) control points build_swing_curve returns.
 
     s is a phase or an array of phases that broadcasts against the curves'
-    leading shape; each output has the broadcast shape plus (3,). Both come
-    from one matmul of Bernstein weights with the control points; duplicated
-    endpoints make the derivative exactly zero at s = 0 and s = 1.
+    leading shape; each output has the broadcast shape plus (3,). The positions
+    are swing_weights(s) times the control points; duplicated endpoints make the
+    derivative exactly zero at s = 0 and s = 1.
     """
-    s = _checked_phase(s)
-    # a (1, 5) @ (5, 10) product per phase: a phase gets the same weights alone or in a batch
-    weights = s[..., None, None] ** _POWERS @ _BERNSTEIN
-    out = weights.reshape(s.shape + (2, 5)) @ control_points
+    weights = swing_weights(s)  # checks the phases
+    rates = (np.asarray(s, dtype=float)[..., None, None] ** _POWERS @ _BERNSTEIN[:, 5:]).reshape(weights.shape)
+    out = np.stack([weights, rates], axis=-2) @ control_points
     return out[..., 0, :], out[..., 1, :]
-
-
-def swing_weights(s) -> np.ndarray:
-    """The Bernstein weights of the positions at phases s in [0, 1], s.shape +
-    (5,), which are eval_swing's. Stacked as (4, m, 5), m phases of each of four
-    curves, their product with the curves' (4, 5, 3) control points is, bit for
-    bit, the positions that eval_swing gives."""
-    s = _checked_phase(s)
-    return (s[..., None, None] ** _POWERS @ _BERNSTEIN[:, :5]).reshape(s.shape + (5,))

@@ -187,20 +187,18 @@ def friction_ratios(u: ControlInput, stance) -> np.ndarray:
 
 
 def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, mu_real: float):
-    """Violations of the no-slip cone and the beam footprint for stance legs,
-    leg by leg; a leg with tangential force and no normal load slips (ratio inf)."""
+    """The violation that ends the run, (kind, leg, detail), or None: the first stance leg,
+    in leg order, out of the no-slip cone (SLIP) or off the beam's top face (BEAM_MISS),
+    a slip before a miss; a leg with tangential force and no normal load slips (ratio inf)."""
     tangential, fz = _leg_forces(u)
-    violations = []
     legs = zip(tangential, fz, np.asarray(stance).tolist(), np.asarray(foot_pos).tolist())
     for i, (f_t, f_z, s, foot) in enumerate(legs):
-        if not s:
-            continue
-        if f_t > mu_real * f_z + SLIP_FORCE_TOL:
+        if s and f_t > mu_real * f_z + SLIP_FORCE_TOL:
             ratio = f_t / f_z if f_z > 0.0 else np.inf
-            violations.append((SLIP, i, f"leg {i} friction ratio {ratio:.3g} > mu {mu_real}"))
-        if not terrain.on_top_face(foot[:2]):
-            violations.append((BEAM_MISS, i, f"leg {i} foot y {foot[1]:.3g} off the beam top face"))
-    return violations
+            return SLIP, i, f"leg {i} friction ratio {ratio:.3g} > mu {mu_real}"
+        if s and not terrain.on_top_face(foot[:2]):
+            return BEAM_MISS, i, f"leg {i} foot y {foot[1]:.3g} off the beam top face"
+    return None
 
 
 def step(
@@ -214,11 +212,11 @@ def step(
     support: float,
     min_height: float,
 ):
-    """Up to n plant steps that hold u and r: semi-implicit Euler on the accelerations
-    of dynamics.centroidal_accel plus f_ext / m, velocities first, then the pose
-    with the exact Euler-angle rates. One step is (4, 3) d and (3,) f_ext.
-    Rotation is omegadot = Rz I_b^-1 Rz' tau, the yaw-only inertia with no gyroscopic
-    term, which drifts the world angular momentum 18% in 1 s of torque-free motion.
+    """Up to n plant steps that hold u and r: semi-implicit Euler, velocities first, then the pose
+    with the exact Euler-angle rates, on pddot = (sum_i (grf_i + R e_i u_t,i) + f_ext) / m - g z and
+    omegadot = Rz I_b^-1 Rz' sum_i (d_i x grf_i + r_i x R e_i u_t,i), thrust_dirs e_i rotated by the
+    full attitude R. One step is (4, 3) d and (3,) f_ext. The yaw-only inertia, with no gyroscopic
+    term, drifts the world angular momentum 18% in 1 s of torque-free motion.
 
     d: (n, 4, 3) foot lever arms, each from the COM at the first step.
     f_ext: (n, 3) force at the COM per step (N, world).
@@ -425,10 +423,9 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             stage = next(f.f_code.co_qualname for f, _ in walk_tb(exc.__traceback__.tb_next)
                          if f.f_globals.get("__package__") == __package__)
             return log, FailureEvent(kind, t, f"control tick: {stage}: {type(exc).__name__}: {exc.args[-1]}")
-        violations = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
-        if violations:
-            kind, _, detail = violations[0]
-            return log, FailureEvent(kind, t, detail)
+        violation = check_contact_legality(u, feet[0], stance, scenario.terrain, scenario.mu_real)
+        if violation is not None:
+            return log, FailureEvent(violation[0], t, violation[2])
         ratios = friction_ratios(u, stance)
 
         with np.errstate(over="ignore", invalid="ignore"):

@@ -150,20 +150,6 @@ def test_plant_tick_matches_stepped_oracle(case):
     assert kind == (ROLL_DIVERGENCE if np.abs(states[-1, :2]).max() > ROLL_LIMIT else None)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(plant_ticks())
-def test_plant_tick_first_accelerations_match_centroidal_accel(case):
-    """The first step's velocity increments are centroidal_accel's accelerations
-    (plus f_ext / m) times dt."""
-    params, state, u, r, feet, f_ext, _ = case
-    d = feet[0] - state.p
-    post = step(state, u, d, r, f_ext[0], params, 1.0, 0.0, -np.inf)[0][1]  # dt = 1: the rates are the increments
-    pddot, omegadot = centroidal_accel(state, u, d, r, params)
-    pddot = pddot + f_ext[0] / params.mass
-    assert np.abs(post[9:12] - state.pdot - pddot).max() <= 1e-12 * max(1.0, np.abs(pddot).max())
-    assert np.abs(post[6:9] - state.omega - omegadot).max() <= 1e-12 * max(1.0, np.abs(omegadot).max())
-
-
 def first_failure(x, support, min_height):
     """The first of the three run-ending tests, in order, that state vector x fails, or None."""
     if not np.isfinite(x).all():

@@ -98,10 +98,10 @@ def test_contact_legality_friction_examples():
     u.grf[0] = [0.3, 0.0, 1.0]
     foot = np.zeros((4, 3))
     stance = np.array([True, False, False, False])
-    assert check_contact_legality(u, foot, stance, terrain, 0.5) == []
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) is None
     u.grf[0] = [0.6, 0.0, 1.0]
     violations = check_contact_legality(u, foot, stance, terrain, 0.5)
-    assert violations and violations[0][0] == SLIP
+    assert violations and violations[0] == SLIP
 
 
 def test_contact_legality_ignores_solver_residue():
@@ -111,9 +111,9 @@ def test_contact_legality_ignores_solver_residue():
     stance = np.array([True, False, False, False])
     u = ControlInput()
     u.grf[0] = [4.0e-10, -4.9e-10, 1.13e-9]  # ratio 0.56, 7e-11 N outside a 0.5 cone
-    assert check_contact_legality(u, foot, stance, terrain, 0.5) == []
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) is None
     u.grf[0] = [0.51e-3, 0.0, 1.0e-3]  # a milli-newton load outside the cone still slips
-    assert check_contact_legality(u, foot, stance, terrain, 0.5)[0][0] == SLIP
+    assert check_contact_legality(u, foot, stance, terrain, 0.5)[0] == SLIP
 
 
 def test_contact_legality_tangential_force_without_load_slips():
@@ -125,13 +125,11 @@ def test_contact_legality_tangential_force_without_load_slips():
     stance = np.array([True, False, False, False])
     u = ControlInput()
     u.grf[0] = [0.5, 0.0, 0.0]
-    assert check_contact_legality(u, foot, stance, terrain, 0.5) == [(SLIP, 0, "leg 0 friction ratio inf > mu 0.5")]
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) == (SLIP, 0, "leg 0 friction ratio inf > mu 0.5")
     u.grf[0, 2] = 2e-9
-    assert check_contact_legality(u, foot, stance, terrain, 0.5) == [
-        (SLIP, 0, "leg 0 friction ratio 2.5e+08 > mu 0.5")
-    ]
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) == (SLIP, 0, "leg 0 friction ratio 2.5e+08 > mu 0.5")
     stance[0] = False  # a swing leg's force is not checked
-    assert check_contact_legality(u, foot, stance, terrain, 0.5) == []
+    assert check_contact_legality(u, foot, stance, terrain, 0.5) is None
 
 
 def test_contact_legality_beam_miss():
@@ -142,7 +140,7 @@ def test_contact_legality_beam_miss():
     foot[0] = [0.0, 0.06, 0.1]
     stance = np.array([True, False, False, False])
     violations = check_contact_legality(u, foot, stance, terrain, 0.5)
-    assert violations and violations[0][0] == BEAM_MISS
+    assert violations and violations[0] == BEAM_MISS
 
 
 def test_flat_ground_stands_on_its_height():
