@@ -6,7 +6,6 @@ import os
 # one OpenBLAS thread, over the caller's value, before numpy loads it: a threaded LU rounds differently
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .dynamics import ControlInput, RobotState
 from .gait import GaitConfig
 from .mpc import Command, MpcConfig, MpcController
 from .qp import QpProblem, QpSolution
@@ -15,7 +14,6 @@ from .sim import FailureEvent, Scenario, SimLog, Terrain
 
 __all__ = [
     "Command",
-    "ControlInput",
     "FailureEvent",
     "GaitConfig",
     "MpcConfig",
@@ -23,7 +21,6 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "RobotParams",
-    "RobotState",
     "Scenario",
     "SimLog",
     "Terrain",

@@ -10,7 +10,8 @@ over the stacked inputs U (16 per step). Only the free inputs are QP
 variables: the forces of legs in stance at that step, and the thrusts when
 their cap u_t_max is above 0; every other input is zero and is not in the QP.
 The inequalities are a four-sided friction pyramid per stance leg, inside the
-ground's cone (it implies u_z >= 0), and [0, u_t_max] per thrust. U = 0 is
+ground's cone (it implies u_z >= 0), and [0, u_t_max] per thrust, each row divided
+by its bound where that is above 0, else by its largest coefficient. U = 0 is
 always feasible, so the QP cannot be infeasible by construction.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import qp
 from .config import Config, setting
-from .dynamics import NU, NX, ControlInput, RobotState
+from .dynamics import NU, NX, P, THETA, THRUST
 
 
 @dataclass
@@ -47,14 +48,14 @@ class Command(Config):
 
 
 def build_reference(
-    state: RobotState, command: Command, config: MpcConfig, support_z: float = 0.0
+    state: np.ndarray, command: Command, config: MpcConfig, support_z: float = 0.0
 ) -> np.ndarray:
-    """Reference states over the horizon, (horizon, 13).
+    """Reference model states over the horizon, (horizon, 13), from the 12-vector state.
 
     Positions integrate the velocity command from the current position;
     roll/pitch are zero, yaw integrates the rate command, height is held.
     """
-    yaw, (px, py), (vx, vy, vz) = float(state.theta[2]), state.p[:2].tolist(), command.v_d.tolist()
+    (_, _, yaw), (px, py, _), (vx, vy, vz) = state[THETA].tolist(), state[P].tolist(), command.v_d.tolist()
     w, z = command.yaw_rate, support_z + command.height
     rows = []
     for k in range(1, config.horizon + 1):
@@ -102,33 +103,32 @@ def input_constraints(stance_seq: np.ndarray, config: MpcConfig, mu_real: float)
     return pattern.G, pattern.h
 
 
-def assemble_qp(state: RobotState, stance_seq: np.ndarray, model, ref: np.ndarray, controller: MpcController):
-    """Condensed QP over the free inputs of the stacked input vector, with its
-    rows and weights from the controller. Returns it and the stance pattern's
-    HorizonLayout, which holds the mask over U of its variables and its rows'
-    indices in the layout."""
+def assemble_qp(state: np.ndarray, stance_seq: np.ndarray, model, ref: np.ndarray, controller: MpcController):
+    """Condensed QP at the 12-vector state over the free inputs of the stacked
+    input vector, with its rows and weights from the controller. Returns it and
+    the stance pattern's HorizonLayout, which holds the mask over U of its
+    variables and its rows' indices in the layout."""
     T, S = condense(model)
     pattern = controller.horizon(stance_seq)
     S = S[:, pattern.free]
 
     W = controller.sqrt_qbar[:, None] * S
-    P = W.T @ W  # exactly symmetric
-    P.flat[:: len(P) + 1] += pattern.rbar  # the diagonal
-    err = T @ state.as_vector() - ref.reshape(-1)
+    hess = W.T @ W  # exactly symmetric
+    hess.flat[:: len(hess) + 1] += pattern.rbar  # the diagonal
+    err = T @ np.append(state, 1.0) - ref.reshape(-1)  # the model's state ends in its constant 1
     q_vec = S.T @ (controller.qbar * err)
-    return qp.QpProblem(P=P, q=q_vec, G=pattern.G, h=pattern.h), pattern
+    return qp.QpProblem(P=hess, q=q_vec, G=pattern.G, h=pattern.h), pattern
 
 
 class MpcController:
     """Single-owner receding-horizon controller for ground of friction mu_real.
     G U <= h is its full layout: every unit's rows at every step over all of U,
-    in unit order, sum(_ROWS) rows a step. Per leg: four friction-pyramid rows
-    over its force. Per thruster: upper and lower bound. U = 0 satisfies every
-    row. sqrt_qbar, qbar and rbar are the diagonals of sqrt(Qbar), Qbar and Rbar,
-    the state and input weights stacked over the horizon. horizon() gives each
-    horizon stance pattern's HorizonLayout, built the first time the pattern
-    comes. The QP warm start is the rows active at the last solve, marked in the
-    layout, so that a stance change, which renumbers the QP's rows, seeds the same ones."""
+    in unit order, sum(_ROWS) rows a step. sqrt_qbar, qbar and rbar are the
+    diagonals of sqrt(Qbar), Qbar and Rbar, the state and input weights stacked
+    over the horizon. horizon() gives each horizon stance pattern's HorizonLayout,
+    built the first time the pattern comes. The QP warm start is the rows active
+    at the last solve, marked in the layout, so that a stance change, which
+    renumbers the QP's rows, seeds the same ones."""
 
     def __init__(self, config: MpcConfig, mu_real: float):
         self.config = config
@@ -138,13 +138,14 @@ class MpcController:
             np.array([[1.0], [-1.0]]),
         )
         self.G = np.zeros((sum(_ROWS) * config.horizon, NU * config.horizon))
-        self.h = np.zeros(self.G.shape[0])
+        self.h = np.tile([0.0] * 16 + [config.u_t_max, 0.0] * 4, config.horizon)  # 16 leg rows, then thrust bounds
         row = col = 0
         for unit in list(range(8)) * config.horizon:
             self.G[row : row + _ROWS[unit], col : col + _INPUTS[unit]] = blocks[unit // 4]
-            if unit >= 4:
-                self.h[row] = config.u_t_max  # a thrust's upper bound; every other row's is 0
             row, col = row + _ROWS[unit], col + _INPUTS[unit]
+        scale = np.where(self.h > 0.0, self.h, np.abs(self.G).max(axis=1))  # each row's unit
+        self.G /= scale[:, None]
+        self.h /= scale
         self.qbar = np.tile(config.q_diag, config.horizon)
         self.sqrt_qbar, self.rbar = np.sqrt(self.qbar), np.tile(config.r_diag, config.horizon)
         self._patterns = {}
@@ -163,7 +164,7 @@ class MpcController:
             self._patterns[key] = found
         return found
 
-    def step(self, state: RobotState, stance_seq: np.ndarray, model, ref: np.ndarray) -> ControlInput:
+    def step(self, state: np.ndarray, stance_seq: np.ndarray, model, ref: np.ndarray) -> np.ndarray:
         problem, pattern = assemble_qp(state, stance_seq, model, ref, self)
         sol = qp.solve(problem, warm_active=np.flatnonzero(self._was_active[pattern.rows]).tolist())
         self._was_active[:] = False
@@ -175,6 +176,6 @@ class MpcController:
         # the QP meets its bounds up to its row tolerance; its round-off past them
         # (a thrust or a normal force of -1e-11 N) goes no further
         cap = self.config.u_t_max
-        u[12:] = [min(max(t, 0.0), cap) for t in u[12:].tolist()]  # np.clip's values, a -0.0 kept
+        u[THRUST] = [min(max(t, 0.0), cap) for t in u[THRUST].tolist()]  # np.clip's values, a -0.0 kept
         np.maximum(u[2:12:3], 0.0, out=u[2:12:3])
-        return ControlInput(grf=u[:12].reshape(4, 3), thrust=u[12:])
+        return u

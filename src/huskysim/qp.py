@@ -9,13 +9,12 @@ and checked again. Otherwise, and from the outset of a cold solve, the dual
 active-set method of Goldfarb and Idnani (Math. Programming 27, 1983) runs in
 the space of L (x = L^-T y, c = L^-1 q, W = L^-1 G', from one L^-1 formed by
 blocks), keeping y = -c - W_A lam_A optimal for the active rows A with
-lam_A >= 0. It starts from independent rows: the first guess's rows of
-non-negative multiplier, less those of negative multiplier at their own optimum;
-from no rows when the solve is cold, that guess's system was singular or their
-block of K = W'W is singular to working precision. Z with Z K[A, A] Z' = I grows
-by bordering and shrinks by a Householder reflection (Powell, Math. Programming
-Study 25, 1985), in place in buffers that A never outgrows: the loop factors
-nothing and copies no matrix.
+lam_A >= 0, and entering the violated row farthest from y: of largest s_i / |w_i|,
+for slack s_i and column w_i of W. It starts from the first guess's independent
+rows of non-negative multiplier, or from none. Z with Z K[A, A] Z' = I, K = W'W,
+grows by bordering and shrinks by a Householder reflection (Powell, Math.
+Programming Study 25, 1985), in place in buffers that A never outgrows: the loop
+factors nothing and copies no matrix.
 """
 
 from __future__ import annotations
@@ -165,6 +164,7 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
     Linv[:b, :b], Linv[b:, b:] = np.linalg.inv(L[:b, :b]), np.linalg.inv(L[b:, b:])
     Linv[b:, :b] = -(Linv[b:, b:] @ (L[b:, :b] @ Linv[:b, :b]))
     c, W = Linv @ q, Linv @ G.T
+    inv_norm = 1.0 / np.maximum(np.sqrt(np.einsum("ij,ij->j", W, W)), 1e-150)  # 1 / |w_i|, at most 1e150
     s0, K_S = -(c @ W) - h, W[:, start].T @ W  # s0: the slacks at y = -c; K_S: the start's rows of K
     # the start's rows are independent, as the first guess's system solved: its rows of negative
     # multiplier at the equality-restricted optimum of the rest leave in rounds, one factor of
@@ -198,9 +198,9 @@ def solve(problem: QpProblem, warm_active=None, max_iters: int = None) -> QpSolu
         Z_A, lam_A = Z[:k, :k], lam[:k]
         if p is None:
             s = s0 - lam_A @ K_A[:k]  # the slacks at y = -c - W_A lam_A
-            p = int(s.argmax()) if m else 0  # most violated; argmax takes the lowest index on ties
-            if not m or s[p] <= viol_tol:
+            if not m or s.max() <= viol_tol:
                 break
+            p = int(np.where(s > viol_tol, s * inv_norm, -np.inf).argmax())  # the farthest; the lowest on ties
             w_p, lam_p, s_p = W[:, p], 0.0, float(s[p])  # s_p: p's slack, through partial steps too
             curv_full = float(w_p.dot(w_p))  # K[p, p] > 0: P is positive definite and g_p is not zero
         k_ap = K_A[:k, p]

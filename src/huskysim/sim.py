@@ -19,7 +19,7 @@ from traceback import walk_tb
 import numpy as np
 
 from .config import Config, ConfigError, setting, sized_by
-from .dynamics import ControlInput, RobotState, build_continuous_model, discretize
+from .dynamics import GRF, P, THETA, THRUST, V, build_continuous_model, discretize
 from .gait import GaitConfig, build_swing_curve, clamp_lateral, swing_weights, trot_schedule
 from .mpc import Command, MpcConfig, MpcController, build_reference
 from .qp import NotPositiveDefinite, QpError
@@ -35,8 +35,7 @@ NUMERICAL_FAILURE = "NumericalFailure"
 
 ROLL_LIMIT = 0.6  # rad, |roll| or |pitch| beyond this is a fall
 HEIGHT_FRACTION = 0.6  # fall when COM height drops below this fraction of desired
-# N; the QP leaves its rows violated by up to ~1e-10 N per N of their largest
-# bound, so a leg this little outside the cone has solver residue, not a slip
+# N; the QP leaves a pyramid row violated by at most ~2e-10 N: a leg this little outside the cone is not slipping
 SLIP_FORCE_TOL = 1e-6
 TICK_BLOCK = 100  # control ticks whose schedule, swing weights, step times and pushes run forms at a time
 
@@ -102,13 +101,13 @@ class SimLog:
         + [f"ratio{i}" for i in range(4)]
     )
 
-    def append(self, t, states, u: ControlInput, feet, stance, ratios):
+    def append(self, t, states, u: np.ndarray, feet, stance, ratios):
         """One tick's block of rows: per plant step its time, state (12 values)
-        and feet (4 x 3); the tick's input, stance flags and ratios on each row."""
+        and feet (4 x 3); the tick's input (16 values), stance flags and ratios on each row."""
         rows = self.data[self.n : self.n + len(t)]
         rows[:, 0] = t
         rows[:, 1:13] = states
-        rows[:, 13:29] = u.as_vector()
+        rows[:, 13:29] = u
         rows[:, 29:41] = np.asarray(feet).reshape(-1, 12)
         rows[:, 41:45] = stance
         rows[:, 45:49] = ratios
@@ -174,11 +173,11 @@ def _held_columns(stance: tuple):
     return np.flatnonzero(held), np.flatnonzero(~held), skeleton
 
 
-def _leg_forces(u: ControlInput):  # each leg's tangential and normal ground force, as lists of 4 floats
-    return np.hypot(u.grf[:, 0], u.grf[:, 1]).tolist(), u.grf[:, 2].tolist()
+def _leg_forces(u: np.ndarray):  # each leg's tangential and normal ground force, as lists of 4 floats
+    return np.hypot(u[GRF][0::3], u[GRF][1::3]).tolist(), u[GRF][2::3].tolist()
 
 
-def friction_ratios(u: ControlInput, stance) -> np.ndarray:
+def friction_ratios(u: np.ndarray, stance) -> np.ndarray:
     """Tangential-to-normal force ratio per leg; zero for a leg whose normal
     force is within the slip check's tolerance of zero."""
     tangential, fz = _leg_forces(u)
@@ -186,7 +185,7 @@ def friction_ratios(u: ControlInput, stance) -> np.ndarray:
     return np.array([f_t / f_z if s and f_z > SLIP_FORCE_TOL else 0.0 for f_t, f_z, s in legs])
 
 
-def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, mu_real: float):
+def check_contact_legality(u: np.ndarray, foot_pos, stance, terrain: Terrain, mu_real: float):
     """The violation that ends the run, (kind, leg, detail), or None: the first stance leg,
     in leg order, out of the no-slip cone (SLIP) or off the beam's top face (BEAM_MISS),
     a slip before a miss; a leg with tangential force and no normal load slips (ratio inf)."""
@@ -202,8 +201,8 @@ def check_contact_legality(u: ControlInput, foot_pos, stance, terrain: Terrain, 
 
 
 def step(
-    state: RobotState,
-    u: ControlInput,
+    state: np.ndarray,
+    u: np.ndarray,
     d: np.ndarray,
     r: np.ndarray,
     f_ext: np.ndarray,
@@ -212,11 +211,10 @@ def step(
     support: float,
     min_height: float,
 ):
-    """Up to n plant steps that hold u and r: semi-implicit Euler, velocities first, then the pose
-    with the exact Euler-angle rates, on pddot = (sum_i (grf_i + R e_i u_t,i) + f_ext) / m - g z and
-    omegadot = Rz I_b^-1 Rz' sum_i (d_i x grf_i + r_i x R e_i u_t,i), thrust_dirs e_i rotated by the
-    full attitude R. One step is (4, 3) d and (3,) f_ext. The yaw-only inertia, with no gyroscopic
-    term, drifts the world angular momentum 18% in 1 s of torque-free motion.
+    """Up to n plant steps from the 12-vector state that hold the 16-vector input u and r: semi-implicit
+    Euler, velocities first, then the pose with the exact Euler-angle rates, on pddot = (sum_i (grf_i +
+    R e_i u_t,i) + f_ext) / m - g z and omegadot = Rz I_b^-1 Rz' sum_i (d_i x grf_i + r_i x R e_i u_t,i),
+    thrust_dirs e_i rotated by the full attitude R. One step is (4, 3) d and (3,) f_ext.
 
     d: (n, 4, 3) foot lever arms, each from the COM at the first step.
     f_ext: (n, 3) force at the COM per step (N, world).
@@ -229,15 +227,16 @@ def step(
     m, g = params.mass, params.gravity
     # thrust i is R @ body[i], applied at r_i: the force is R @ sum_i body[i], the
     # torque sum_k lever_k x R[:, k] with lever_k = sum_i body[i, k] r_i
-    body = params.thrust_dirs * u.thrust[:, None]
+    body = params.thrust_dirs * u[THRUST, None]
     tbx, tby, tbz = (body.sum(axis=0) / m).tolist()
     (l0x, l0y, l0z), (l1x, l1y, l1z), (l2x, l2y, l2z) = (body.T @ r).tolist()
     # a lever arm at step j is d[j] less the COM's move since the first step,
     # so the GRF torque is cross(d[j], grf) summed less (p_j - p_0) x F
-    fx, fy, fz = u.grf.sum(axis=0).tolist()
-    torque = cross(d, u.grf).sum(axis=1).tolist()
+    grf = u[GRF].reshape(4, 3)
+    fx, fy, fz = grf.sum(axis=0).tolist()
+    torque = cross(d, grf).sum(axis=1).tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params.inertia_inv.tolist()
-    ph, th, ps, px, py, pz, wx, wy, wz, vx, vy, vz = flat = state.as_vector()[:12].tolist()
+    ph, th, ps, px, py, pz, wx, wy, wz, vx, vy, vz = flat = state.tolist()
     (p0x, p0y, p0z), kind = flat[3:6], None  # flat: the states passed through, row by row
     for (ex, ey, ez), (gx, gy, gz) in zip(np.asarray(f_ext).reshape(-1, 3).tolist(), torque):
         cf, sf, ct, st, cp, sp = cos(ph), sin(ph), cos(th), sin(th), cos(ps), sin(ps)
@@ -283,7 +282,7 @@ def horizon_models(state, d, r, touchdown, stance_seq, params, dt) -> tuple[np.n
     (world frame) as lever arm there; every other column is the same at every step.
     """
     landing = np.greater(stance_seq, stance_seq[0])  # in stance at step k, not now
-    d_seq = np.where(landing[:, :, None], touchdown - state.p, d)
+    d_seq = np.where(landing[:, :, None], touchdown - state[P], d)
     return discretize(*build_continuous_model(state, d_seq, r, params), dt)
 
 
@@ -314,15 +313,15 @@ class _LegTracker:
         self.target = self.foot_pos.copy()
         self.q = np.tile([0.0, 0.6, -1.2], (4, 1))  # knee bent backwards; the IK keeps the branch of the last angles
 
-    def update_plan(self, state: RobotState, prev_stance, stance):
+    def update_plan(self, state: np.ndarray, prev_stance, stance):
         """Lift-off points, touchdowns on the ground and swing legs' targets, in
         one pass over the legs in floats; then every leg's swing curve."""
         cfg, terrain = self.gait_cfg, self.scenario.terrain
         support = terrain.height
-        hips = (state.p + self.params.hip_offsets @ rot_z(state.theta[2]).T).tolist()  # world frame
+        hips = (state[P] + self.params.hip_offsets @ rot_z(state[THETA][2]).T).tolist()  # world frame
         # raibert_target of the point on the ground below each hip, then clamp_lateral
-        (vx, vy, _), (vdx, vdy, _) = state.pdot.tolist(), self.scenario.command.v_d.tolist()
-        half, gain, body_y = cfg.t_stance / 2.0, cfg.raibert_gain, float(state.p[1])
+        (vx, vy, _), (vdx, vdy, _) = state[V].tolist(), self.scenario.command.v_d.tolist()
+        half, gain, body_y = cfg.t_stance / 2.0, cfg.raibert_gain, float(state[P][1])
         step_x, step_y = vx * half, vy * half
         push_x, push_y = gain * (vx - vdx), gain * (vy - vdy)
         lateral = cfg.stance_width / 2.0
@@ -356,11 +355,11 @@ class _LegTracker:
         self.foot_pos = feet[-1]
         return feet
 
-    def snapshot(self, state: RobotState, foot_pos):
+    def snapshot(self, state: np.ndarray, foot_pos):
         """COM-relative foot and thruster positions (world frame), and the (4,)
         mask of legs whose foot is out of reach; such a leg keeps its last angles."""
-        R = rpy_matrix(state.theta)
-        d = foot_pos - state.p
+        R = rpy_matrix(state[THETA])
+        d = foot_pos - state[P]
         self.q, stale, thrusters = legs_inverse_kinematics(self.params, d @ R, self.q)
         return d, thrusters @ R.T, stale
 
@@ -375,7 +374,8 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
     command = scenario.command
     support, min_height = scenario.terrain.height, HEIGHT_FRACTION * command.height
 
-    state = RobotState(p=np.array([0.0, 0.0, support + command.height]))
+    state = np.zeros(12)  # the plant's state, in dynamics' parts
+    state[P] = 0.0, 0.0, support + command.height
     tracker = _LegTracker(params, scenario, gait_cfg)
     with sized_by("mpc.horizon"):
         controller = MpcController(mpc_cfg, scenario.mu_real)
@@ -429,7 +429,7 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
         ratios = friction_ratios(u, stance)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            states, kind = step(state, u, feet - state.p, r, f_ext[o : o + n], params, dt, support, min_height)
+            states, kind = step(state, u, feet - state[P], r, f_ext[o : o + n], params, dt, support, min_height)
         m = len(states) - 1  # the plant steps taken; the last state starts the next tick or ends the run
         log.append(ts[o : o + m], states[:-1], u, feet[:m], stance, ratios)
         if kind is not None:
@@ -437,6 +437,6 @@ def run(scenario: Scenario, params: RobotParams, mpc_cfg: MpcConfig, gait_cfg: G
             detail = {NUMERICAL_FAILURE: "non-finite plant state", HEIGHT_COLLAPSE: f"COM height {pz - support:.3g} m",
                       ROLL_DIVERGENCE: f"roll {roll:.3g} pitch {pitch:.3g} rad"}[kind]
             return log, FailureEvent(kind, float(ts[o + m - 1] + dt), detail)
-        state = RobotState.from_vector(states[-1])
+        state = states[-1]
 
     return log, None

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from huskysim import cli
+from huskysim.dynamics import GRF, NU, OMEGA, P, THETA, THRUST, V
 from huskysim.robot import LEG_SIDE_SIGN, leg_forward_kinematics
 from huskysim.rotations import rot_x
 from huskysim.sim import FailureEvent, SimLog, run
@@ -99,6 +100,26 @@ def calls(events, name):
 def returns(events, name):
     """(Call, result) of each recorded call of name that returned, in order of return."""
     return [(e.call, e.result) for e in events if isinstance(e, Return) and e.name == name]
+
+
+def state_vector(theta=0.0, p=0.0, omega=0.0, v=0.0) -> np.ndarray:
+    """The plant's 12-vector state from its parts, each three values or one for all three."""
+    x = np.empty(12)
+    x[THETA], x[P], x[OMEGA], x[V] = theta, p, omega, v
+    return x
+
+
+def input_vector(grf=0.0, thrust=0.0) -> np.ndarray:
+    """The 16-vector input from its parts: the ground forces, (4, 3) or broadcast to
+    it (one leg's three values for every leg, or one value), and the (4,) thrusts."""
+    u = np.empty(NU)
+    u[GRF], u[THRUST] = np.broadcast_to(grf, (4, 3)).reshape(12), thrust
+    return u
+
+
+def grf_of(u) -> np.ndarray:
+    """The (4, 3) ground forces of the 16-vector input u, a view: writing it writes u."""
+    return u[GRF].reshape(4, 3)
 
 
 def thruster_oracle(params, leg: int, q) -> np.ndarray:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import load_bundled, objective, pgd_oracle, read_summary, recording, returns, run_doc
+from conftest import (
+    input_vector, load_bundled, objective, pgd_oracle, read_summary, recording, returns, run_doc, state_vector,
+)
 from huskysim import cli, qp
-from huskysim.dynamics import ControlInput, RobotState, build_continuous_model, discretize
+from huskysim.dynamics import build_continuous_model, discretize
 from huskysim.gait import build_swing_curve, eval_swing
 from huskysim.mpc import (
     Command,
@@ -131,11 +133,11 @@ def _random_condensed_instance(rng, params):
         u_t_max=20.0,
     )
     mu_real = float(rng.uniform(0.3, 0.8)) / 0.707  # pyramid slopes 0.3 to 0.8
-    state = RobotState(
+    state = state_vector(
         theta=rng.uniform(-0.05, 0.05, 3),
         p=rng.normal(size=3) * 0.1 + [0.0, 0.0, 0.25],
         omega=rng.uniform(-0.5, 0.5, 3),
-        pdot=rng.uniform(-0.5, 0.5, 3),
+        v=rng.uniform(-0.5, 0.5, 3),
     )
     d = params.hip_offsets + rng.uniform(-0.05, 0.05, (4, 3))
     d[:, 2] = -0.25
@@ -165,7 +167,7 @@ def test_criterion_4_mpc_qp_correctness():
     dirs = np.array([[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [0.0, -0.6, 0.8], [0.0, 0.6, 0.8]])
     tilted.thrust_dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     cfg = MpcConfig(horizon=1)
-    state = RobotState(p=np.array([0.0, 0.0, 0.23]))
+    state = state_vector(p=np.array([0.0, 0.0, 0.23]))
     d = tilted.hip_offsets.copy()
     d[:, 2] = -0.23
     r = d * 0.5
@@ -180,9 +182,9 @@ def test_criterion_4_mpc_qp_correctness():
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
     closed = -np.linalg.solve(
         B_k.T @ Q @ B_k + R,
-        B_k.T @ Q @ (A_k @ state.as_vector() - ref[0]),
+        B_k.T @ Q @ (A_k @ np.append(state, 1.0) - ref[0]),
     )
-    closed_err = np.abs(u.as_vector() - closed).max()
+    closed_err = np.abs(u - closed).max()
     assert closed_err < 1e-6
     print(
         f"PASS criterion 4: 50 condensed instances, worst |obj - oracle| {worst_obj:.2e}, "
@@ -198,24 +200,23 @@ def test_criterion_5_dynamics_fidelity():
     weight = params.mass * params.gravity
     worst_step = 0.0
     for _ in range(50):
-        state = RobotState(
+        state = state_vector(
             theta=rng.uniform(-0.02, 0.02, 3),
             p=rng.normal(size=3),
             omega=rng.uniform(-0.2, 0.2, 3),
-            pdot=rng.uniform(-0.3, 0.3, 3),
+            v=rng.uniform(-0.3, 0.3, 3),
         )
         d = params.hip_offsets + rng.uniform(-0.03, 0.03, (4, 3))
         d[:, 2] = -0.25
         r = d * 0.5
         grf = rng.uniform(-5, 5, (4, 3))
         grf[:, 2] += weight / 4
-        u = ControlInput(grf=grf, thrust=rng.uniform(0, 0.5, 4))
+        u = input_vector(grf=grf, thrust=rng.uniform(0, 0.5, 4))
         A, B = build_continuous_model(state, d, r, params)
         A_k, B_k = discretize(A, B, 1e-3)
-        x_lin = A_k @ state.as_vector() + B_k @ u.as_vector()
+        x_lin = A_k @ np.append(state, 1.0) + B_k @ u
         states, _ = step(state, u, d, r, np.zeros(3), params, 1e-3, 0.0, -np.inf)
-        x_plant = RobotState.from_vector(states[1]).as_vector()
-        worst_step = max(worst_step, np.abs(x_plant - x_lin).max())
+        worst_step = max(worst_step, np.abs(np.append(states[1], 1.0) - x_lin).max())
     assert worst_step < 1e-4
 
     # analytic Jacobian vs central differences at 100 random poses

@@ -4,18 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import grf_of, input_vector, state_vector
 from huskysim.dynamics import (
+    GRF,
     NU,
     NX,
-    ControlInput,
-    RobotState,
+    OMEGA,
+    P,
+    THETA,
+    THRUST,
+    V,
     build_continuous_model,
     centroidal_accel,
     discretize,
 )
 from huskysim.robot import RobotParams
 from huskysim.rotations import rot_z, rpy_matrix, skew
-from huskysim.sim import HEIGHT_COLLAPSE, NUMERICAL_FAILURE, ROLL_DIVERGENCE, ROLL_LIMIT, step
+from huskysim.sim import HEIGHT_COLLAPSE, NUMERICAL_FAILURE, ROLL_DIVERGENCE, ROLL_LIMIT, SimLog, step
 
 
 @pytest.fixture
@@ -37,25 +42,26 @@ def symmetric_stand(params):
 
 
 def random_state(rng, angle=0.3):
-    return RobotState(
+    return state_vector(
         theta=rng.uniform(-angle, angle, 3),
         p=rng.normal(size=3),
         omega=rng.uniform(-0.5, 0.5, 3),
-        pdot=rng.uniform(-0.5, 0.5, 3),
+        v=rng.uniform(-0.5, 0.5, 3),
     )
 
 
 def centroidal_accel_loop_oracle(state, u, d, r, params):
     """centroidal_accel as it was first written: one np.cross per leg and force."""
-    R = rpy_matrix(state.theta)
+    R = rpy_matrix(state[THETA])
     e_world = (R @ params.thrust_dirs.T).T
-    force = u.grf.sum(axis=0) + (e_world * u.thrust[:, None]).sum(axis=0)
+    thrust, grf = u[THRUST], grf_of(u)
+    force = grf.sum(axis=0) + (e_world * thrust[:, None]).sum(axis=0)
     pddot = force / params.mass + np.array([0.0, 0.0, -params.gravity])
     tau = np.zeros(3)
     for i in range(4):
-        tau += np.cross(r[i], e_world[i] * u.thrust[i])
-        tau += np.cross(d[i], u.grf[i])
-    rz = rot_z(state.theta[2])
+        tau += np.cross(r[i], e_world[i] * thrust[i])
+        tau += np.cross(d[i], grf[i])
+    rz = rot_z(state[THETA][2])
     return pddot, np.linalg.solve(rz @ params.inertia_body @ rz.T, tau)
 
 
@@ -69,16 +75,16 @@ def euler_rate_matrix_oracle(theta):
 def step_oracle(state, u, d, r, f_ext, params, dt):
     """One semi-implicit Euler plant step on the loop oracle's accelerations."""
     pddot, omegadot = centroidal_accel_loop_oracle(state, u, d, r, params)
-    pdot = state.pdot + (pddot + f_ext / params.mass) * dt
-    omega = state.omega + omegadot * dt
-    p = state.p + pdot * dt
-    theta = state.theta + euler_rate_matrix_oracle(state.theta) @ omega * dt
-    return RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
+    v = state[V] + (pddot + f_ext / params.mass) * dt
+    omega = state[OMEGA] + omegadot * dt
+    p = state[P] + v * dt
+    theta = state[THETA] + euler_rate_matrix_oracle(state[THETA]) @ omega * dt
+    return state_vector(theta, p, omega, v)
 
 
 def continuous_model_loop_oracle(state, d, r, params):
     """build_continuous_model as it was first written: B filled leg by leg."""
-    rz = rot_z(state.theta[2])
+    rz = rot_z(state[2])
     iw_inv = np.linalg.inv(rz @ params.inertia_body @ rz.T)
     e_yaw = (rz @ params.thrust_dirs.T).T
     A = np.zeros((NX, NX))
@@ -95,7 +101,7 @@ def continuous_model_loop_oracle(state, d, r, params):
 
 
 def random_input(rng):
-    return ControlInput(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 20, 4))
+    return input_vector(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 20, 4))
 
 
 def test_centroidal_accel_matches_loop_oracle(params):
@@ -125,9 +131,9 @@ def plant_ticks(draw):
     params.thrust_dirs = np.stack(
         [np.cos(elevation) * np.cos(azimuth), np.cos(elevation) * np.sin(azimuth), np.sin(elevation)], axis=1
     )
-    theta, p, omega, pdot = draw(vectors(3, 0.5)), draw(vectors(3, 2.0)), draw(vectors(3, 2.0)), draw(vectors(3, 2.0))
-    state = RobotState(theta=theta, p=p, omega=omega, pdot=pdot)
-    u = ControlInput(grf=draw(vectors((4, 3), 40.0)), thrust=draw(arrays(np.float64, 4, elements=st.floats(0.0, 20.0))))
+    theta, p, omega, v = draw(vectors(3, 0.5)), draw(vectors(3, 2.0)), draw(vectors(3, 2.0)), draw(vectors(3, 2.0))
+    state = state_vector(theta, p, omega, v)
+    u = input_vector(grf=draw(vectors((4, 3), 40.0)), thrust=draw(arrays(np.float64, 4, elements=st.floats(0.0, 20.0))))
     feet = p + draw(vectors((n, 4, 3), 0.4))
     dt = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
     return params, state, u, draw(vectors((4, 3), 0.4)), feet, draw(vectors((n, 3), 100.0)), dt
@@ -139,11 +145,11 @@ def test_plant_tick_matches_stepped_oracle(case):
     """One call over a tick's n steps equals n one-step oracle steps, each with
     its lever arms from the COM where that step starts."""
     params, state, u, r, feet, f_ext, dt = case
-    states, kind = step(state, u, feet - state.p, r, f_ext, params, dt, 0.0, -np.inf)  # no height test
-    assert np.array_equal(states[0], state.as_vector()[:12])
+    states, kind = step(state, u, feet - state[P], r, f_ext, params, dt, 0.0, -np.inf)  # no height test
+    assert np.array_equal(states[0], state)
     for j in range(len(feet)):
-        state = step_oracle(state, u, feet[j] - state.p, r, f_ext[j], params, dt)
-        assert np.abs(states[j + 1] - state.as_vector()[:12]).max() <= 1e-12
+        state = step_oracle(state, u, feet[j] - state[P], r, f_ext[j], params, dt)
+        assert np.abs(states[j + 1] - state).max() <= 1e-12
         if np.abs(states[j + 1, :2]).max() > ROLL_LIMIT:
             break  # the tick stops at a state that tips past the roll limit
     assert len(states) == j + 2
@@ -160,12 +166,10 @@ def first_failure(x, support, min_height):
 
 
 @pytest.mark.parametrize("kind, state, push_from, stop", [
-    (NUMERICAL_FAILURE, RobotState(p=np.array([0.0, 0.0, 0.35])), 7, 7),
-    (ROLL_DIVERGENCE, RobotState(theta=np.array([0.55, 0.0, 0.0]), p=np.array([0.0, 0.0, 0.35]),
-                                 omega=np.array([4.5, 0.0, 0.0])), 20, 11),
-    (ROLL_DIVERGENCE, RobotState(theta=np.array([0.0, -0.55, 0.0]), p=np.array([0.0, 0.0, 0.35]),
-                                 omega=np.array([0.0, -4.5, 0.0])), 20, 11),
-    (HEIGHT_COLLAPSE, RobotState(p=np.array([0.0, 0.0, 0.26]), pdot=np.array([0.0, 0.0, -1.0])), 20, 9),
+    (NUMERICAL_FAILURE, state_vector(p=(0.0, 0.0, 0.35)), 7, 7),
+    (ROLL_DIVERGENCE, state_vector(theta=(0.55, 0.0, 0.0), p=(0.0, 0.0, 0.35), omega=(4.5, 0.0, 0.0)), 20, 11),
+    (ROLL_DIVERGENCE, state_vector(theta=(0.0, -0.55, 0.0), p=(0.0, 0.0, 0.35), omega=(0.0, -4.5, 0.0)), 20, 11),
+    (HEIGHT_COLLAPSE, state_vector(p=(0.0, 0.0, 0.26), v=(0.0, 0.0, -1.0)), 20, 9),
 ], ids=["non_finite", "rolled", "pitched", "sunk"])
 def test_plant_tick_stops_at_its_first_failing_state(params, kind, state, push_from, stop):
     """A 20-step free-fall tick over a 0.1 m support with a 0.15 m minimum
@@ -177,20 +181,19 @@ def test_plant_tick_stops_at_its_first_failing_state(params, kind, state, push_f
     kind."""
     n, dt, support, min_height = 20, 1e-3, 0.1, 0.15
     d, r = symmetric_stand(params)
-    feet = np.broadcast_to(state.p + d, (n, 4, 3))
+    feet = np.broadcast_to(state[P] + d, (n, 4, 3))
     f_ext = np.zeros((n, 3))
     f_ext[push_from:, 2] = np.inf
-    u = ControlInput()
-    states, got = step(state, u, feet - state.p, r, f_ext, params, dt, support, min_height)
+    u = input_vector()
+    states, got = step(state, u, feet - state[P], r, f_ext, params, dt, support, min_height)
     assert got == kind and len(states) == stop + 2
-    assert np.array_equal(states[0], state.as_vector()[:12])
+    assert np.array_equal(states[0], state)
     for j in range(stop + 1):
-        state = step_oracle(state, u, feet[j] - state.p, r, f_ext[j], params, dt)
-        x = state.as_vector()[:12]
-        assert first_failure(x, support, min_height) == (kind if j == stop else None)
+        state = step_oracle(state, u, feet[j] - state[P], r, f_ext[j], params, dt)
+        assert first_failure(state, support, min_height) == (kind if j == stop else None)
         assert first_failure(states[j + 1], support, min_height) == (kind if j == stop else None)
         if j < stop:
-            assert np.abs(states[j + 1] - x).max() <= 1e-12
+            assert np.abs(states[j + 1] - state).max() <= 1e-12
 
 
 def test_continuous_model_matches_loop_oracle(params):
@@ -220,16 +223,15 @@ def test_continuous_model_stacked_lever_arms(params):
 
 def test_free_fall(params):
     d, r = symmetric_stand(params)
-    pddot, omegadot = centroidal_accel(RobotState(), ControlInput(), d, r, params)
+    pddot, omegadot = centroidal_accel(state_vector(), input_vector(), d, r, params)
     assert np.allclose(pddot, [0.0, 0.0, -params.gravity], atol=1e-12)
     assert np.allclose(omegadot, 0.0, atol=1e-12)
 
 
 def test_static_equilibrium(params):
     d, r = symmetric_stand(params)
-    u = ControlInput()
-    u.grf[:, 2] = params.mass * params.gravity / 4
-    pddot, omegadot = centroidal_accel(RobotState(), u, d, r, params)
+    u = input_vector(grf=(0.0, 0.0, params.mass * params.gravity / 4))
+    pddot, omegadot = centroidal_accel(state_vector(), u, d, r, params)
     assert np.abs(pddot).max() < 1e-12
     assert np.abs(omegadot).max() < 1e-12
 
@@ -242,9 +244,8 @@ def test_single_thruster_torque_oracle():
     d = np.zeros((4, 3))
     r = np.zeros((4, 3))
     r[0] = [0.1, 0.2, -0.1]
-    u = ControlInput()
-    u.thrust[0] = 10.0
-    _, omegadot = centroidal_accel(RobotState(), u, d, r, params)
+    u = input_vector(thrust=(10.0, 0.0, 0.0, 0.0))
+    _, omegadot = centroidal_accel(state_vector(), u, d, r, params)
     # independent cross product: r x (e * u_t) = (0.1, 0.2, -0.1) x (0, 10, 0)
     tau = np.array(
         [
@@ -259,7 +260,7 @@ def test_single_thruster_torque_oracle():
 
 def test_model_structure(params):
     d, r = symmetric_stand(params)
-    state = RobotState(theta=np.array([0.0, 0.0, 0.7]))
+    state = state_vector(theta=(0.0, 0.0, 0.7))
     A, B = build_continuous_model(state, d, r, params)
     for i in range(4):
         assert np.allclose(B[9:12, 3 * i : 3 * i + 3], np.eye(3) / params.mass, atol=1e-14)
@@ -270,7 +271,7 @@ def test_model_structure(params):
 
 def test_model_theta_block_identity_at_zero_yaw(params):
     d, r = symmetric_stand(params)
-    A, _ = build_continuous_model(RobotState(), d, r, params)
+    A, _ = build_continuous_model(state_vector(), d, r, params)
     assert np.allclose(A[0:3, 6:9], np.eye(3), atol=1e-14)
 
 
@@ -281,23 +282,19 @@ def test_model_directional_consistency(params):
         state = random_state(rng)
         d = rng.uniform(-0.3, 0.3, (4, 3))
         r = rng.uniform(-0.3, 0.3, (4, 3))
-        u = ControlInput(grf=rng.uniform(-20, 20, (4, 3)), thrust=rng.uniform(0, 10, 4))
+        u = input_vector(grf=rng.uniform(-20, 20, (4, 3)), thrust=rng.uniform(0, 10, 4))
         A, B = build_continuous_model(state, d, r, params)
-        xdot = A @ state.as_vector() + B @ u.as_vector()
+        xdot = A @ np.append(state, 1.0) + B @ u
 
         # same approximations evaluated through the nonlinear path: zero the
         # roll/pitch so the full attitude rotation collapses to yaw only
-        yaw_state = RobotState(
-            theta=np.array([0.0, 0.0, state.theta[2]]),
-            p=state.p,
-            omega=state.omega,
-            pdot=state.pdot,
-        )
+        yaw_state = state.copy()
+        yaw_state[0:2] = 0.0
         pddot, omegadot = centroidal_accel(yaw_state, u, d, r, params)
         expected = np.concatenate(
             [
-                rot_z(state.theta[2]).T @ state.omega,
-                state.pdot,
+                rot_z(state[2]).T @ state[OMEGA],
+                state[V],
                 omegadot,
                 pddot,  # includes gravity, matching the augmented-state column
                 [0.0],
@@ -341,12 +338,12 @@ def test_linearization_consistency(params):
         state = random_state(rng, angle=0.1)
         d = rng.uniform(-0.3, 0.3, (4, 3))
         r = rng.uniform(-0.3, 0.3, (4, 3))
-        u = ControlInput(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 15, 4))
+        u = input_vector(grf=rng.uniform(-30, 30, (4, 3)), thrust=rng.uniform(0, 15, 4))
         A, B = build_continuous_model(state, d, r, params)
         A_k, B_k = discretize(A, B, dt)
-        x = state.as_vector()
-        step_lin = A_k @ x + B_k @ u.as_vector()
-        step_direct = x + (A @ x + B @ u.as_vector()) * dt
+        x = np.append(state, 1.0)
+        step_lin = A_k @ x + B_k @ u
+        step_direct = x + (A @ x + B @ u) * dt
         assert np.abs(step_lin - step_direct).max() < 1e-9
 
 
@@ -355,10 +352,10 @@ def test_accel_affine_in_input(params):
     state = random_state(rng)
     d = rng.uniform(-0.3, 0.3, (4, 3))
     r = rng.uniform(-0.3, 0.3, (4, 3))
-    u1 = ControlInput(grf=rng.normal(size=(4, 3)), thrust=rng.uniform(0, 5, 4))
-    u2 = ControlInput(grf=rng.normal(size=(4, 3)), thrust=rng.uniform(0, 5, 4))
+    u1 = input_vector(grf=rng.normal(size=(4, 3)), thrust=rng.uniform(0, 5, 4))
+    u2 = input_vector(grf=rng.normal(size=(4, 3)), thrust=rng.uniform(0, 5, 4))
     a, b = 0.6, 0.4  # affine combination keeps the gravity offset intact
-    u_mix = ControlInput(grf=a * u1.grf + b * u2.grf, thrust=a * u1.thrust + b * u2.thrust)
+    u_mix = a * u1 + b * u2
     p1, w1 = centroidal_accel(state, u1, d, r, params)
     p2, w2 = centroidal_accel(state, u2, d, r, params)
     pm, wm = centroidal_accel(state, u_mix, d, r, params)
@@ -372,18 +369,18 @@ def test_yaw_equivariance(params):
     state = random_state(rng, angle=0.2)
     d = rng.uniform(-0.3, 0.3, (4, 3))
     r = rng.uniform(-0.3, 0.3, (4, 3))
-    u = ControlInput(grf=rng.uniform(-20, 20, (4, 3)), thrust=rng.uniform(0, 10, 4))
+    u = input_vector(grf=rng.uniform(-20, 20, (4, 3)), thrust=rng.uniform(0, 10, 4))
     psi = 1.1
     rz = rot_z(psi)
 
     p0, w0 = centroidal_accel(state, u, d, r, params)
-    state_rot = RobotState(
-        theta=state.theta + [0.0, 0.0, psi],
-        p=rz @ state.p,
-        omega=rz @ state.omega,
-        pdot=rz @ state.pdot,
+    state_rot = state_vector(
+        theta=state[THETA] + [0.0, 0.0, psi],
+        p=rz @ state[P],
+        omega=rz @ state[OMEGA],
+        v=rz @ state[V],
     )
-    u_rot = ControlInput(grf=(rz @ u.grf.T).T, thrust=u.thrust.copy())
+    u_rot = input_vector(grf=(rz @ grf_of(u).T).T, thrust=u[THRUST])
     p1, w1 = centroidal_accel(state_rot, u_rot, (rz @ d.T).T, (rz @ r.T).T, params)
     grav = np.array([0.0, 0.0, -params.gravity])
     assert np.abs(p1 - (rz @ (p0 - grav) + grav)).max() < 1e-12
@@ -391,27 +388,17 @@ def test_yaw_equivariance(params):
 
 
 def test_zero_torque_keeps_omega_rate_zero(params):
-    state = RobotState(theta=np.array([0.1, -0.05, 0.4]), omega=np.array([0.3, 0.2, -0.1]))
+    state = state_vector(theta=(0.1, -0.05, 0.4), omega=(0.3, 0.2, -0.1))
     d, r = symmetric_stand(params)
-    _, omegadot = centroidal_accel(state, ControlInput(), d, r, params)
+    _, omegadot = centroidal_accel(state, input_vector(), d, r, params)
     assert np.abs(omegadot).max() < 1e-12
 
 
-def test_state_vector_roundtrip():
-    rng = np.random.default_rng(20)
-    state = random_state(rng)
-    x = state.as_vector()
-    assert x.shape == (13,)
-    assert x[12] == 1.0
-    back = RobotState(theta=x[0:3], p=x[3:6], omega=x[6:9], pdot=x[9:12])
-    assert np.allclose(back.theta, state.theta)
-    assert np.allclose(back.pdot, state.pdot)
-
-
-def test_control_input_roundtrip():
-    rng = np.random.default_rng(21)
-    u = ControlInput(grf=rng.normal(size=(4, 3)), thrust=rng.uniform(0, 5, 4))
-    v = u.as_vector()
-    assert v.shape == (16,)
-    assert np.array_equal(v[:12].reshape(4, 3), u.grf)
-    assert np.array_equal(v[12:], u.thrust)
+def test_the_parts_name_the_log_columns():
+    """dynamics' parts of the state and the input are the log's columns after t, in order."""
+    state, inputs = SimLog.HEADER[1:13], SimLog.HEADER[13:29]
+    assert [state[THETA], state[P], state[OMEGA], state[V]] == [
+        ["roll", "pitch", "yaw"], ["px", "py", "pz"], ["wx", "wy", "wz"], ["vx", "vy", "vz"]
+    ]
+    assert inputs[GRF] == [f"grf{i}{a}" for i in range(4) for a in "xyz"]
+    assert inputs[THRUST] == ["thrust0", "thrust1", "thrust2", "thrust3"]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import state_vector
 from huskysim import config
-from huskysim.dynamics import RobotState
+from huskysim.dynamics import P, THETA, V
 from huskysim.gait import (
     PAIR_A,
     PAIR_B,
@@ -216,7 +217,7 @@ def test_beam_clamps_foot_targets():
     # start on the beam, and so do the touchdown targets of legs that lift off
     tracker = _LegTracker(RobotParams(), Scenario(terrain=beam), GaitConfig())
     assert np.allclose(tracker.foot_pos[:, 1], [0.06, -0.02, 0.06, -0.02])
-    state = RobotState(p=np.array([0.0, 0.05, 0.25]))
+    state = state_vector(p=np.array([0.0, 0.05, 0.25]))
     tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))
     assert np.allclose(tracker.target[:, 1], [0.06, -0.02, 0.06, -0.02])
     assert np.allclose(tracker.target[:, 0], [0.15, 0.15, -0.15, -0.15])
@@ -225,7 +226,7 @@ def test_beam_clamps_foot_targets():
     # off the top face; the beam clamp comes after it and puts them back
     centred = Terrain(width=0.1)
     tracker = _LegTracker(RobotParams(), Scenario(terrain=centred), GaitConfig())
-    state = RobotState(p=np.array([0.0, 0.3, 0.25]))
+    state = state_vector(p=np.array([0.0, 0.3, 0.25]))
     tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))
     assert np.allclose(tracker.target[:, 1], 0.04)
     assert all(centred.on_top_face(target[:2]) for target in tracker.target)
@@ -264,14 +265,14 @@ def test_planned_touchdowns_are_raibert_targets_clamped_laterally():
     params.link_lengths.thigh = params.link_lengths.shank = 5.0  # a reach that never binds
     for trial in range(200):
         cfg = GaitConfig(raibert_gain=float(rng.uniform(0.0, 0.1)), stance_width=0.16 * (trial % 2))
-        state = RobotState(theta=rng.uniform(-0.3, 0.3, 3), p=rng.normal(0.0, 0.2, 3) + [0.0, 0.0, 0.25],
-                           pdot=rng.normal(0.0, 0.5, 3))
+        state = state_vector(theta=rng.uniform(-0.3, 0.3, 3), p=rng.normal(0.0, 0.2, 3) + [0.0, 0.0, 0.25],
+                           v=rng.normal(0.0, 0.5, 3))
         command = Command(v_d=rng.normal(0.0, 0.3, 3))
         tracker = _LegTracker(params, Scenario(command=command), cfg)
         tracker.update_plan(state, np.ones(4, dtype=bool), np.zeros(4, dtype=bool))
-        hips = state.p + params.hip_offsets @ rot_z(state.theta[2]).T
+        hips = state[P] + params.hip_offsets @ rot_z(state[THETA][2]).T
         below = hips * [1.0, 1.0, 0.0]
-        expected = clamp_lateral(raibert_target(below, state.pdot, command.v_d, cfg.t_stance, cfg.raibert_gain),
-                                 cfg, state.p[1])
+        expected = clamp_lateral(raibert_target(below, state[V], command.v_d, cfg.t_stance, cfg.raibert_gain),
+                                 cfg, state[P][1])
         assert tracker.target.tobytes() == expected.tobytes()
         assert tracker.curves.tobytes() == build_swing_curve(tracker.liftoff, expected, cfg.apex_height).tobytes()

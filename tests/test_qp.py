@@ -150,17 +150,18 @@ def test_warm_start_matches_cold():
 
 
 def test_partial_step_counts_as_an_iteration():
-    """From x = -q, row 0 is the most violated and joins; row 2 then retires it
-    in a partial step and joins in a full one: four iterations with the pass
-    that finds x optimal, which is the projection of -q on row 2."""
-    G = np.array([[-3.0, 1.0], [0.0, 1.0], [-2.0, 1.0]])
-    prob = qp.QpProblem(P=np.eye(2), q=np.array([3.0, 2.0]), G=G, h=np.array([2.0, -1.0, 0.0]))
+    """From x = -q = (0, -4), row 3 is the farthest violated (by 8 / sqrt(13))
+    and joins, then row 0; row 2 then retires row 3 in a partial step and joins
+    in a full one: five iterations with the pass that finds x optimal, at
+    (-2, -2) with rows 0 and 2 active."""
+    G = np.array([[0.0, -1.0], [-1.0, 2.0], [1.0, 0.0], [3.0, -2.0]])
+    prob = qp.QpProblem(P=np.eye(2), q=np.array([0.0, 4.0]), G=G, h=np.array([2.0, 0.0, -2.0, 0.0]))
     sol = qp.solve(prob)
-    assert sol.iterations == 4 and sol.active_set == [2]
-    assert np.abs(sol.x_star - np.array([-1.4, -2.8])).max() < 1e-12
-    assert qp.solve(prob, max_iters=4).iterations == 4
+    assert sol.iterations == 5 and sol.active_set == [0, 2]
+    assert np.abs(sol.x_star - np.array([-2.0, -2.0])).max() < 1e-12
+    assert qp.solve(prob, max_iters=5).iterations == 5
     with pytest.raises(qp.MaxIterations):
-        qp.solve(prob, max_iters=3)
+        qp.solve(prob, max_iters=4)
 
 
 def test_infeasible_detection():

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import Call, Return, load_bundled, recording, returns, run_doc, thruster_oracle
+from conftest import (
+    Call, Return, grf_of, input_vector, load_bundled, recording, returns, run_doc, state_vector, thruster_oracle,
+)
 from huskysim import cli, mpc, qp, sim
-from huskysim.dynamics import ControlInput, RobotState
+from huskysim.dynamics import P, THETA, V
 from huskysim.gait import GaitConfig
 from huskysim.robot import NoConvergence, RobotParams, leg_inverse_kinematics
 from huskysim.rotations import rpy_matrix
@@ -39,11 +41,11 @@ def null_geometry():
 
 def test_free_fall_drop(params):
     d, r = null_geometry()
-    state = RobotState(p=np.array([0.0, 0.0, 1.0]))
+    state = state_vector(p=(0.0, 0.0, 1.0))
     dt, t_total = 1e-3, 0.15
     for _ in range(int(round(t_total / dt))):
-        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1])
-    drop = 1.0 - state.p[2]
+        state = step(state, input_vector(), d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1]
+    drop = 1.0 - state[P][2]
     expected = 0.5 * params.gravity * t_total**2
     assert abs(drop - expected) < 1e-3  # semi-implicit bias is g dt t / 2
 
@@ -51,14 +53,13 @@ def test_free_fall_drop(params):
 def test_equilibrium_stance_is_stationary(params):
     d = params.hip_offsets.copy()
     d[:, 2] = -0.25
-    u = ControlInput()
-    u.grf[:, 2] = params.mass * params.gravity / 4
-    state = RobotState(p=np.array([0.0, 0.0, 0.25]))
+    u = input_vector(grf=(0.0, 0.0, params.mass * params.gravity / 4))
+    state = state_vector(p=(0.0, 0.0, 0.25))
     for _ in range(100):
-        new = RobotState.from_vector(step(state, u, d, d * 0.5, np.zeros(3), params, 1e-3, 0.0, -np.inf)[0][1])
-        assert np.abs(new.p - state.p).max() < 1e-12
-        assert np.abs(new.pdot).max() < 1e-12
-        assert np.abs(new.theta).max() < 1e-12
+        new = step(state, u, d, d * 0.5, np.zeros(3), params, 1e-3, 0.0, -np.inf)[0][1]
+        assert np.abs(new[P] - state[P]).max() < 1e-12
+        assert np.abs(new[V]).max() < 1e-12
+        assert np.abs(new[THETA]).max() < 1e-12
         state = new
 
 
@@ -66,26 +67,25 @@ def test_single_thruster_velocity_kick():
     params = RobotParams()  # mass 6.625 kg
     d, _ = null_geometry()
     r = np.zeros((4, 3))
-    u = ControlInput()
-    u.thrust[1] = 10.0  # right-front thruster pushes +y
-    state = RobotState(p=np.array([0.0, 0.0, 1.0]))
-    state = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, 1e-3, 0.0, -np.inf)[0][1])
-    assert state.pdot[1] == pytest.approx(1.5094e-3, abs=1e-7)
+    u = input_vector(thrust=(0.0, 10.0, 0.0, 0.0))  # right-front thruster pushes +y
+    state = state_vector(p=(0.0, 0.0, 1.0))
+    state = step(state, u, d, r, np.zeros(3), params, 1e-3, 0.0, -np.inf)[0][1]
+    assert state[V][1] == pytest.approx(1.5094e-3, abs=1e-7)
 
 
 def test_energy_drift_bound(params):
     """Free-fall mechanical energy decays within the semi-implicit bound."""
     d, r = null_geometry()
-    state = RobotState(p=np.array([0.0, 0.0, 50.0]), pdot=np.array([0.3, -0.2, 0.4]))
+    state = state_vector(p=(0.0, 0.0, 50.0), v=(0.3, -0.2, 0.4))
     dt, t_total = 1e-3, 1.0
 
     def energy(s):
-        return 0.5 * params.mass * s.pdot @ s.pdot + params.mass * params.gravity * s.p[2]
+        return 0.5 * params.mass * s[V] @ s[V] + params.mass * params.gravity * s[P][2]
 
     e0 = energy(state)
     t = 0.0
     while t < t_total - 1e-12:
-        state = RobotState.from_vector(step(state, ControlInput(), d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1])
+        state = step(state, input_vector(), d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1]
         t += dt
         drift = energy(state) - e0
         assert drift <= 1e-12
@@ -94,12 +94,12 @@ def test_energy_drift_bound(params):
 
 def test_contact_legality_friction_examples():
     terrain = Terrain()
-    u = ControlInput()
-    u.grf[0] = [0.3, 0.0, 1.0]
+    u = input_vector()
+    grf_of(u)[0] = [0.3, 0.0, 1.0]
     foot = np.zeros((4, 3))
     stance = np.array([True, False, False, False])
     assert check_contact_legality(u, foot, stance, terrain, 0.5) is None
-    u.grf[0] = [0.6, 0.0, 1.0]
+    grf_of(u)[0] = [0.6, 0.0, 1.0]
     violations = check_contact_legality(u, foot, stance, terrain, 0.5)
     assert violations and violations[0] == SLIP
 
@@ -109,10 +109,10 @@ def test_contact_legality_ignores_solver_residue():
     terrain = Terrain()
     foot = np.zeros((4, 3))
     stance = np.array([True, False, False, False])
-    u = ControlInput()
-    u.grf[0] = [4.0e-10, -4.9e-10, 1.13e-9]  # ratio 0.56, 7e-11 N outside a 0.5 cone
+    u = input_vector()
+    grf_of(u)[0] = [4.0e-10, -4.9e-10, 1.13e-9]  # ratio 0.56, 7e-11 N outside a 0.5 cone
     assert check_contact_legality(u, foot, stance, terrain, 0.5) is None
-    u.grf[0] = [0.51e-3, 0.0, 1.0e-3]  # a milli-newton load outside the cone still slips
+    grf_of(u)[0] = [0.51e-3, 0.0, 1.0e-3]  # a milli-newton load outside the cone still slips
     assert check_contact_legality(u, foot, stance, terrain, 0.5)[0] == SLIP
 
 
@@ -123,10 +123,10 @@ def test_contact_legality_tangential_force_without_load_slips():
     terrain = Terrain()
     foot = np.zeros((4, 3))
     stance = np.array([True, False, False, False])
-    u = ControlInput()
-    u.grf[0] = [0.5, 0.0, 0.0]
+    u = input_vector()
+    grf_of(u)[0] = [0.5, 0.0, 0.0]
     assert check_contact_legality(u, foot, stance, terrain, 0.5) == (SLIP, 0, "leg 0 friction ratio inf > mu 0.5")
-    u.grf[0, 2] = 2e-9
+    grf_of(u)[0, 2] = 2e-9
     assert check_contact_legality(u, foot, stance, terrain, 0.5) == (SLIP, 0, "leg 0 friction ratio 2.5e+08 > mu 0.5")
     stance[0] = False  # a swing leg's force is not checked
     assert check_contact_legality(u, foot, stance, terrain, 0.5) is None
@@ -134,8 +134,8 @@ def test_contact_legality_tangential_force_without_load_slips():
 
 def test_contact_legality_beam_miss():
     terrain = Terrain(width=0.1, height=0.1)
-    u = ControlInput()
-    u.grf[0] = [0.0, 0.0, 10.0]
+    u = input_vector()
+    grf_of(u)[0] = [0.0, 0.0, 10.0]
     foot = np.zeros((4, 3))
     foot[0] = [0.0, 0.06, 0.1]
     stance = np.array([True, False, False, False])
@@ -158,8 +158,8 @@ def test_flat_ground_stands_on_its_height():
 
 
 def test_friction_ratio_computation():
-    u = ControlInput()
-    u.grf[0] = [3.0, 4.0, 10.0]
+    u = input_vector()
+    grf_of(u)[0] = [3.0, 4.0, 10.0]
     ratios = friction_ratios(u, np.array([True, False, False, False]))
     assert ratios[0] == pytest.approx(0.5)
     assert np.all(ratios[1:] == 0.0)
@@ -260,11 +260,11 @@ def test_plant_model_single_step_agreement(params):
     dt = 1e-3
     weight = params.mass * params.gravity
     for _ in range(50):
-        state = RobotState(
+        state = state_vector(
             theta=rng.uniform(-0.02, 0.02, 3),
             p=rng.normal(size=3),
             omega=rng.uniform(-0.2, 0.2, 3),
-            pdot=rng.uniform(-0.3, 0.3, 3),
+            v=rng.uniform(-0.3, 0.3, 3),
         )
         # stance-like loading: near weight-bearing with moderate tangentials
         d = params.hip_offsets + rng.uniform(-0.03, 0.03, (4, 3))
@@ -272,12 +272,12 @@ def test_plant_model_single_step_agreement(params):
         r = d * 0.5
         grf = rng.uniform(-5, 5, (4, 3))
         grf[:, 2] += weight / 4
-        u = ControlInput(grf=grf, thrust=rng.uniform(0, 0.5, 4))
+        u = input_vector(grf=grf, thrust=rng.uniform(0, 0.5, 4))
         A, B = build_continuous_model(state, d, r, params)
         A_k, B_k = discretize(A, B, dt)
-        x_lin = A_k @ state.as_vector() + B_k @ u.as_vector()
-        x_plant = RobotState.from_vector(step(state, u, d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1]).as_vector()
-        assert np.abs(x_plant - x_lin).max() < 1e-4
+        x_lin = A_k @ np.append(state, 1.0) + B_k @ u
+        x_plant = step(state, u, d, r, np.zeros(3), params, dt, 0.0, -np.inf)[0][1]
+        assert np.abs(np.append(x_plant, 1.0) - x_lin).max() < 1e-4
 
 
 def test_horizon_models_match_per_step_builds(params):
@@ -287,9 +287,9 @@ def test_horizon_models_match_per_step_builds(params):
     rng = np.random.default_rng(16)
     dt = 0.06
     for _ in range(50):
-        state = RobotState(theta=rng.uniform(-0.2, 0.2, 3), p=rng.normal(size=3))
+        state = state_vector(theta=rng.uniform(-0.2, 0.2, 3), p=rng.normal(size=3))
         d, r = rng.uniform(-0.3, 0.3, (2, 4, 3))
-        touchdown = state.p + rng.uniform(-0.3, 0.3, (4, 3))
+        touchdown = state[P] + rng.uniform(-0.3, 0.3, (4, 3))
         stance_seq = [rng.random(4) < 0.5 for _ in range(5)]
         stance_now = stance_seq[0]
         A_k, B_ks = horizon_models(state, d, r, touchdown, stance_seq, params, dt)
@@ -298,7 +298,7 @@ def test_horizon_models_match_per_step_builds(params):
             d_k = d.copy()
             for leg in range(4):
                 if flags[leg] and not stance_now[leg]:
-                    d_k[leg] = touchdown[leg] - state.p
+                    d_k[leg] = touchdown[leg] - state[P]
             expected_A_k, expected_B_k = discretize(*build_continuous_model(state, d_k, r, params), dt)
             assert np.abs(A_k - expected_A_k).max() <= 1e-12
             assert np.abs(B_k - expected_B_k).max() <= 1e-12
@@ -407,8 +407,8 @@ def test_friction_ratio_zero_for_residue_load(pushed_200n):
 def scalar_snapshot(tracker, state, foot_pos):
     """The IK snapshot leg by leg through the scalar IK: the angles, lever
     arms, thruster points and stale legs that tracker.snapshot must give."""
-    R = rpy_matrix(state.theta)
-    d = foot_pos - state.p
+    R = rpy_matrix(state[THETA])
+    d = foot_pos - state[P]
     q, r, stale = tracker.q.copy(), np.zeros((4, 3)), np.zeros(4, dtype=bool)
     for i in range(4):
         try:
@@ -428,10 +428,10 @@ def test_snapshot_is_the_scalar_snapshot():
     tracker = _LegTracker(RobotParams(thruster_knee_offset=0.02), Scenario(), GaitConfig())
     stale = 0
     for _ in range(300):
-        state = RobotState(theta=rng.uniform(-0.5, 0.5, 3), p=rng.normal(0.0, 0.3, 3))
+        state = state_vector(theta=rng.uniform(-0.5, 0.5, 3), p=rng.normal(0.0, 0.3, 3))
         # body-frame feet around a 0.25 m stance, some out of reach
         body = tracker.params.hip_offsets + [0.0, 0.0, -0.25] + rng.normal(0.0, 0.1, (4, 3))
-        feet = state.p + body @ rpy_matrix(state.theta).T
+        feet = state[P] + body @ rpy_matrix(state[THETA]).T
         q, d_ref, r_ref, stale_ref = scalar_snapshot(tracker, state, feet)
         d, r, stale_legs = tracker.snapshot(state, feet)
         assert tracker.q.tobytes() == q.tobytes()
@@ -485,8 +485,8 @@ def test_to_csv_of_appended_ticks_writes_each_value_as_9_significant_digits(tmp_
                                         (3, [False, True, True, False]))):
         t = (10 * tick + np.arange(n)) * 1e-3
         states = rng.normal(0.0, 1.0, (n, 12)) * 10.0 ** rng.uniform(-12, 3, (n, 12))
-        u = ControlInput(grf=rng.normal(0.0, 20.0, (4, 3)), thrust=rng.uniform(0.0, 20.0, 4))
-        u.grf[1] = (-0.0, 0.0, -0.0) if tick == 0 else (0.0, -0.0, 0.0)  # held zeros of either sign
+        u = input_vector(grf=rng.normal(0.0, 20.0, (4, 3)), thrust=rng.uniform(0.0, 20.0, 4))
+        grf_of(u)[1] = (-0.0, 0.0, -0.0) if tick == 0 else (0.0, -0.0, 0.0)  # held zeros of either sign
         feet = np.where(np.array(stance)[:, None], pinned, pinned + rng.normal(0.0, 0.05, (n, 4, 3)))
         ratios = np.where(stance, rng.uniform(0.0, 0.35, 4), 0.0)
         log.append(t, states, u, feet, np.array(stance), ratios)
@@ -553,9 +553,9 @@ PLANT_FAILURE_RUNS = {
     sim.ROLL_DIVERGENCE: (
         0.5, [{"t_start_s": 0.1, "t_end_s": 0.15, "force_n": [0.0, 1000.0, 0.0]}], {"u_t_max_n": 0.0},
         263, 0.263, "roll -0.602 pitch -0.124 rad",
-        [-0.5970468260480971, -0.12390812863136776, -0.011226697390601743, 0.0006658905589030019,
-         0.9184751917015573, 0.4276224913704565, -5.405931071375781, -0.27027074663193806,
-         -0.18254300675478566, 0.1360201199939734, 6.460803969331783, 1.6011602336311794],
+        [-0.5970468259065947, -0.12390812858187274, -0.011226697422491166, 0.0006658905622574684,
+         0.9184751917021217, 0.42762249137379654, -5.405931071926105, -0.27027074499061227,
+         -0.1825430075559194, 0.13602011998411676, 6.460803969385134, 1.6011602338139028],
     ),
     sim.HEIGHT_COLLAPSE: (
         0.4, [{"t_start_s": 0.1, "t_end_s": 0.3, "force_n": [0.0, 0.0, -300.0]}], {},
